@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cqla_core::{CacheSim, FetchPolicy};
+use cqla_core::experiments::primary_blocks;
+use cqla_core::{CacheSim, EvalCtx, FetchPolicy};
 use cqla_workloads::DraperAdder;
 
 fn bench(c: &mut Criterion) {
@@ -18,6 +19,12 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("fig7/cache_sim_256_inorder", |b| {
         b.iter(|| black_box(sim.run(&circuit, FetchPolicy::InOrder, &[], 1)))
+    });
+    // The slowest Fig 7 cell: the warm steady state of the 1024-bit adder
+    // at 2×PE, on a fresh context so every iteration simulates.
+    let capacity = 2 * 9 * primary_blocks(1024) as usize;
+    c.bench_function("fig7/cache_behavior_1024", |b| {
+        b.iter(|| black_box(EvalCtx::new().cache_behavior(1024, capacity)))
     });
 }
 

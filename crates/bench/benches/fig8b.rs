@@ -4,6 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cqla_core::experiments::Fig8b;
+use cqla_workloads::ShorInstance;
 
 fn bench(c: &mut Criterion) {
     cqla_bench::registry_artifact("fig8b");
@@ -13,6 +14,11 @@ fn bench(c: &mut Criterion) {
             let rows = fig.rows();
             black_box(Fig8b::render(&rows))
         })
+    });
+    // Eq. 1 sizing of a 1024-bit Shor run: the closed-form QFT count plus
+    // the adder-kernel statistics behind every `level1_share` key.
+    c.bench_function("fig8b/shor_app_size_1024", |b| {
+        b.iter(|| black_box(ShorInstance::new(black_box(1024)).app_size()))
     });
 }
 

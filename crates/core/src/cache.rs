@@ -13,11 +13,9 @@
 //!   next instruction is chosen to maximize the probability that all its
 //!   operands are already cached (~85% hit rate).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BTreeSet;
 
 use cqla_circuit::{Circuit, DependencyDag, QubitId};
-use cqla_sim::stats::RateCounter;
 
 /// Instruction-fetch policy of the cache simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -92,6 +90,8 @@ pub struct CacheRun {
     hits: u64,
     /// Accesses that had to pull the qubit from level-2 memory.
     fetch_misses: u64,
+    /// Fetch misses of the final repetition alone.
+    last_fetch_misses: u64,
     /// First-touch allocations (scratch created directly in cache).
     allocations: u64,
 }
@@ -115,6 +115,16 @@ impl CacheRun {
     #[must_use]
     pub fn fetch_misses(&self) -> u64 {
         self.fetch_misses
+    }
+
+    /// Fetch misses of the last repetition only: the per-execution
+    /// transfer cost once the earlier repetitions have warmed the cache.
+    /// The simulation is deterministic, so this equals the difference
+    /// between an `r`- and an `(r - 1)`-repetition run's
+    /// [`CacheRun::fetch_misses`].
+    #[must_use]
+    pub fn last_fetch_misses(&self) -> u64 {
+        self.last_fetch_misses
     }
 
     /// First-touch allocations (no transfer).
@@ -201,38 +211,31 @@ impl CacheSim {
         repetitions: u32,
     ) -> CacheRun {
         assert!(repetitions > 0, "at least one repetition required");
+        let program = Program::new(circuit, policy);
         let mut state = CacheState::new(self.capacity, circuit.num_qubits(), memory_resident);
         let mut order = Vec::with_capacity(circuit.len() * repetitions as usize);
-        let mut counter = RateCounter::new();
-        let mut fetch_misses = 0u64;
-        let mut allocations = 0u64;
+        let (mut hits, mut fetch_misses, mut allocations) = (0u64, 0u64, 0u64);
+        let mut last_fetch_misses = 0;
 
         for _ in 0..repetitions {
-            let sequence = match policy {
-                FetchPolicy::InOrder => (0..circuit.len()).collect::<Vec<_>>(),
-                FetchPolicy::OptimizedLookahead => optimized_order(circuit, &state),
-            };
-            for &i in &sequence {
-                for q in circuit.gates()[i].qubits() {
-                    match state.access(q) {
-                        AccessKind::Hit => counter.hit(),
-                        AccessKind::FetchMiss => {
-                            counter.miss();
-                            fetch_misses += 1;
-                        }
-                        AccessKind::Allocation => {
-                            counter.miss();
-                            allocations += 1;
-                        }
+            let before = fetch_misses;
+            program.execute(&mut state, |i, kinds| {
+                for kind in kinds {
+                    match kind {
+                        AccessKind::Hit => hits += 1,
+                        AccessKind::FetchMiss => fetch_misses += 1,
+                        AccessKind::Allocation => allocations += 1,
                     }
                 }
                 order.push(i);
-            }
+            });
+            last_fetch_misses = fetch_misses - before;
         }
         CacheRun {
             order,
-            hits: counter.hits(),
+            hits,
             fetch_misses,
+            last_fetch_misses,
             allocations,
         }
     }
@@ -249,32 +252,22 @@ impl CacheSim {
         memory_resident: &[QubitId],
         warmup: u32,
     ) -> CacheTrace {
+        let program = Program::new(circuit, policy);
         let mut state = CacheState::new(self.capacity, circuit.num_qubits(), memory_resident);
         for _ in 0..warmup {
-            let sequence = match policy {
-                FetchPolicy::InOrder => (0..circuit.len()).collect::<Vec<_>>(),
-                FetchPolicy::OptimizedLookahead => optimized_order(circuit, &state),
-            };
-            for &i in &sequence {
-                for q in circuit.gates()[i].qubits() {
-                    state.access(q);
-                }
-            }
+            program.execute(&mut state, |_, _| {});
         }
-        let sequence = match policy {
-            FetchPolicy::InOrder => (0..circuit.len()).collect::<Vec<_>>(),
-            FetchPolicy::OptimizedLookahead => optimized_order(circuit, &state),
-        };
-        let mut steps = Vec::with_capacity(sequence.len());
-        for &i in &sequence {
-            let mut fetches = 0u8;
-            for q in circuit.gates()[i].qubits() {
-                if state.access(q) == AccessKind::FetchMiss {
-                    fetches += 1;
-                }
-            }
-            steps.push(TraceStep { instr: i, fetches });
-        }
+        let mut steps = Vec::with_capacity(circuit.len());
+        program.execute(&mut state, |instr, kinds| {
+            let fetches = kinds
+                .iter()
+                .filter(|&&k| k == AccessKind::FetchMiss)
+                .count();
+            steps.push(TraceStep {
+                instr,
+                fetches: fetches as u8,
+            });
+        });
         CacheTrace { steps }
     }
 }
@@ -286,191 +279,258 @@ enum AccessKind {
     Allocation,
 }
 
+/// Most operands any gate has (Toffoli).
+const MAX_ARITY: usize = 3;
+
+/// A circuit prepared once per simulation: every gate's operands
+/// flattened into one array, plus — for the optimized policy — the
+/// dependency DAG every repetition selects over.
+struct Program {
+    /// Operands of instruction `i` are `operands[starts[i]..starts[i + 1]]`.
+    operands: Vec<u32>,
+    starts: Vec<usize>,
+    num_qubits: usize,
+    dag: Option<DependencyDag>,
+}
+
+impl Program {
+    fn new(circuit: &Circuit, policy: FetchPolicy) -> Self {
+        let mut operands = Vec::with_capacity(2 * circuit.len());
+        let mut starts = Vec::with_capacity(circuit.len() + 1);
+        starts.push(0);
+        for gate in circuit.gates() {
+            operands.extend(gate.qubits().iter().map(|q| q.index()));
+            starts.push(operands.len());
+        }
+        let dag = (policy == FetchPolicy::OptimizedLookahead).then(|| DependencyDag::new(circuit));
+        Self {
+            operands,
+            starts,
+            num_qubits: circuit.num_qubits() as usize,
+            dag,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn operands(&self, i: usize) -> &[u32] {
+        &self.operands[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// Executes the stream once against `state`, calling `visit` with
+    /// each executed instruction and the outcome of its operand accesses,
+    /// in execution order.
+    fn execute(&self, state: &mut CacheState, mut visit: impl FnMut(usize, &[AccessKind])) {
+        match &self.dag {
+            None => {
+                let mut kinds = [AccessKind::Hit; MAX_ARITY];
+                for i in 0..self.len() {
+                    let operands = self.operands(i);
+                    for (kind, &q) in kinds.iter_mut().zip(operands) {
+                        *kind = state.access(q).0;
+                    }
+                    visit(i, &kinds[..operands.len()]);
+                }
+            }
+            Some(dag) => self.execute_optimized(dag, state, visit),
+        }
+    }
+
+    /// The paper's optimized fetch: repeatedly execute the
+    /// dependency-ready instruction with the most operands currently
+    /// cached (ties to the earliest instruction), so later picks see the
+    /// cache effects of earlier ones.
+    ///
+    /// The selection key is `(fully cached, cached operands, earliest)`.
+    /// Rather than rescoring every ready instruction per pick (quadratic
+    /// in the window), the ready set lives in one ordered bucket per
+    /// `(full, cached)` score, and only instructions whose operands
+    /// changed residence — the picked gate's operands and the eviction
+    /// victims — are rescored. Scores are unique per instruction (the
+    /// program-order tie-break), so the bucket walk picks exactly the
+    /// instruction the full scan would.
+    fn execute_optimized(
+        &self,
+        dag: &DependencyDag,
+        state: &mut CacheState,
+        mut visit: impl FnMut(usize, &[AccessKind]),
+    ) {
+        let n = self.len();
+        let mut indegree: Vec<usize> = (0..n).map(|i| dag.predecessors(i).len()).collect();
+
+        // Buckets indexed by `full * 4 + cached` (arity <= 3), each ordered
+        // by instruction index; NOT_READY marks gates outside the window.
+        const NOT_READY: u8 = u8::MAX;
+        let mut buckets: [BTreeSet<usize>; 8] = Default::default();
+        let mut bucket_of: Vec<u8> = vec![NOT_READY; n];
+        // Ready instructions touching each qubit, for targeted rescoring.
+        let mut ready_on: Vec<Vec<usize>> = vec![Vec::new(); self.num_qubits];
+
+        let score = |i: usize, state: &CacheState| -> u8 {
+            let operands = self.operands(i);
+            let cached = operands.iter().filter(|&&q| state.is_cached(q)).count() as u8;
+            let full = u8::from(usize::from(cached) == operands.len());
+            full * 4 + cached
+        };
+        // Instructions whose last dependency just executed; scoring them
+        // at the top of the next pick sees the same cache state as
+        // scoring them right after the pick would.
+        let mut newly_ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut kinds = [AccessKind::Hit; MAX_ARITY];
+        let mut flipped: Vec<u32> = Vec::new();
+        for _ in 0..n {
+            for i in newly_ready.drain(..) {
+                let b = score(i, state);
+                bucket_of[i] = b;
+                buckets[b as usize].insert(i);
+                for &q in self.operands(i) {
+                    ready_on[q as usize].push(i);
+                }
+            }
+
+            // Highest-scoring bucket, earliest instruction within it.
+            let chosen = (0..8usize)
+                .rev()
+                .find_map(|b| buckets[b].first().copied())
+                .expect("a dependency-ready instruction exists");
+            buckets[bucket_of[chosen] as usize].remove(&chosen);
+            bucket_of[chosen] = NOT_READY;
+            let operands = self.operands(chosen);
+            for &q in operands {
+                ready_on[q as usize].retain(|&g| g != chosen);
+            }
+
+            flipped.clear();
+            for (kind, &q) in kinds.iter_mut().zip(operands) {
+                let (k, evicted) = state.access(q);
+                *kind = k;
+                if k != AccessKind::Hit {
+                    flipped.push(q);
+                }
+                flipped.extend(evicted);
+            }
+            visit(chosen, &kinds[..operands.len()]);
+
+            for &s in dag.successors(chosen) {
+                indegree[s] -= 1;
+                if indegree[s] == 0 {
+                    newly_ready.push(s);
+                }
+            }
+
+            // Rescore the ready instructions whose operands moved.
+            for &q in &flipped {
+                for &g in &ready_on[q as usize] {
+                    let b = score(g, state);
+                    if b != bucket_of[g] {
+                        buckets[bucket_of[g] as usize].remove(&g);
+                        bucket_of[g] = b;
+                        buckets[b as usize].insert(g);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Sentinel "no qubit" link in the recency list.
+const NIL: u32 = u32::MAX;
+
 /// LRU cache state over qubit residences.
-#[derive(Debug, Clone)]
+///
+/// Cached qubits form an intrusive doubly-linked recency list indexed by
+/// qubit, least recently used at `head`: a hit moves the qubit to the
+/// tail and an eviction pops the head, both in constant time.
+#[derive(Debug)]
 struct CacheState {
     capacity: usize,
     residence: Vec<Residence>,
-    /// LRU stamps for cached qubits.
-    stamp: HashMap<QubitId, u64>,
-    /// Lazy min-heap over `(stamp, qubit)` pairs: every stamp update
-    /// pushes, eviction pops until the top matches the qubit's current
-    /// stamp. Stamps are unique (the clock ticks per access), so the
-    /// first live entry *is* the least recently used qubit — the same
-    /// victim the full `min_by_key` scan used to find.
-    lru: BinaryHeap<Reverse<(u64, u32)>>,
-    clock: u64,
+    /// Number of cached qubits.
+    resident: usize,
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    head: u32,
+    tail: u32,
 }
 
 impl CacheState {
     fn new(capacity: usize, num_qubits: u32, memory_resident: &[QubitId]) -> Self {
-        let mut residence = vec![Residence::Unborn; num_qubits as usize];
+        let n = num_qubits as usize;
+        let mut residence = vec![Residence::Unborn; n];
         for q in memory_resident {
             residence[q.index() as usize] = Residence::Memory;
         }
         Self {
             capacity,
             residence,
-            stamp: HashMap::new(),
-            lru: BinaryHeap::new(),
-            clock: 0,
+            resident: 0,
+            prev: vec![NIL; n],
+            next: vec![NIL; n],
+            head: NIL,
+            tail: NIL,
         }
     }
 
-    fn is_cached(&self, q: QubitId) -> bool {
-        self.residence[q.index() as usize] == Residence::Cached
+    fn is_cached(&self, q: u32) -> bool {
+        self.residence[q as usize] == Residence::Cached
     }
 
-    fn access(&mut self, q: QubitId) -> AccessKind {
-        self.access_with_eviction(q).0
-    }
-
-    /// As [`CacheState::access`], additionally reporting the qubit the
-    /// access evicted, if any (the optimized-fetch selector rescores
-    /// ready instructions touching it).
-    fn access_with_eviction(&mut self, q: QubitId) -> (AccessKind, Option<QubitId>) {
-        self.clock += 1;
-        let idx = q.index() as usize;
-        let kind = match self.residence[idx] {
-            Residence::Cached => AccessKind::Hit,
+    /// Accesses qubit `q`, reporting the outcome and the qubit the access
+    /// evicted, if any (the optimized-fetch selector rescores ready
+    /// instructions touching it).
+    fn access(&mut self, q: u32) -> (AccessKind, Option<u32>) {
+        let kind = match self.residence[q as usize] {
+            Residence::Cached => {
+                if self.tail != q {
+                    self.unlink(q);
+                    self.push_back(q);
+                }
+                return (AccessKind::Hit, None);
+            }
             Residence::Memory => AccessKind::FetchMiss,
             Residence::Unborn => AccessKind::Allocation,
         };
-        let evicted = if kind == AccessKind::Hit {
-            self.touch(q);
-            None
+        let evicted = if self.resident >= self.capacity {
+            // Evict the least recently used qubit back to memory.
+            let victim = self.head;
+            self.unlink(victim);
+            self.residence[victim as usize] = Residence::Memory;
+            Some(victim)
         } else {
-            self.insert(q)
+            self.resident += 1;
+            None
         };
+        self.residence[q as usize] = Residence::Cached;
+        self.push_back(q);
         (kind, evicted)
     }
 
-    fn touch(&mut self, q: QubitId) {
-        self.stamp.insert(q, self.clock);
-        self.lru.push(Reverse((self.clock, q.index())));
-    }
-
-    fn insert(&mut self, q: QubitId) -> Option<QubitId> {
-        let mut evicted = None;
-        if self.stamp.len() >= self.capacity {
-            // Evict the least recently used qubit back to memory: pop
-            // stale heap entries until one matches a current stamp.
-            let victim = loop {
-                let Reverse((t, idx)) = self.lru.pop().expect("cache non-empty when at capacity");
-                let candidate = QubitId::new(idx);
-                if self.stamp.get(&candidate) == Some(&t) {
-                    break candidate;
-                }
-            };
-            self.stamp.remove(&victim);
-            self.residence[victim.index() as usize] = Residence::Memory;
-            evicted = Some(victim);
+    fn unlink(&mut self, q: u32) {
+        let (p, n) = (self.prev[q as usize], self.next[q as usize]);
+        if p == NIL {
+            self.head = n;
+        } else {
+            self.next[p as usize] = n;
         }
-        self.residence[q.index() as usize] = Residence::Cached;
-        self.touch(q);
-        evicted
-    }
-}
-
-/// The paper's optimized fetch: repeatedly pick the dependency-ready
-/// instruction with the most operands currently cached (ties to the
-/// earliest instruction). The cache state is *simulated forward* during
-/// selection so later picks see the effects of earlier ones.
-///
-/// The selection key is `(fully cached, cached operands, earliest)`.
-/// Rather than rescoring every ready instruction per pick (quadratic in
-/// the window), the ready set lives in one ordered bucket per
-/// `(full, cached)` score, and only instructions whose operands changed
-/// residence — the picked gate's operands and the eviction victims —
-/// are rescored. Scores are unique per instruction (the program-order
-/// tie-break), so the bucket walk picks exactly the instruction the
-/// full scan would.
-fn optimized_order(circuit: &Circuit, initial: &CacheState) -> Vec<usize> {
-    let dag = DependencyDag::new(circuit);
-    let n = dag.num_gates();
-    let gate_qubits: Vec<Vec<QubitId>> = (0..n).map(|i| circuit.gates()[i].qubits()).collect();
-    let mut indegree: Vec<usize> = (0..n).map(|i| dag.predecessors(i).len()).collect();
-    let mut state = initial.clone();
-    let mut order = Vec::with_capacity(n);
-
-    // Buckets indexed by `full * 4 + cached` (arity <= 3), each ordered
-    // by instruction index; NOT_READY marks gates outside the window.
-    const NOT_READY: u8 = u8::MAX;
-    let mut buckets: [std::collections::BTreeSet<usize>; 8] = Default::default();
-    let mut bucket_of: Vec<u8> = vec![NOT_READY; n];
-    // Ready instructions touching each qubit, for targeted rescoring.
-    let mut ready_on: Vec<Vec<usize>> = vec![Vec::new(); circuit.num_qubits() as usize];
-
-    let score = |i: usize, state: &CacheState, gate_qubits: &[Vec<QubitId>]| -> u8 {
-        let qubits = &gate_qubits[i];
-        let cached = qubits.iter().filter(|&&q| state.is_cached(q)).count() as u8;
-        let full = u8::from(usize::from(cached) == qubits.len());
-        full * 4 + cached
-    };
-
-    for i in 0..n {
-        if indegree[i] == 0 {
-            let b = score(i, &state, &gate_qubits);
-            bucket_of[i] = b;
-            buckets[b as usize].insert(i);
-            for &q in &gate_qubits[i] {
-                ready_on[q.index() as usize].push(i);
-            }
+        if n == NIL {
+            self.tail = p;
+        } else {
+            self.prev[n as usize] = p;
         }
     }
 
-    let mut flipped: Vec<QubitId> = Vec::new();
-    for _ in 0..n {
-        // Highest-scoring bucket, earliest instruction within it.
-        let chosen = (0..8usize)
-            .rev()
-            .find_map(|b| buckets[b].first().copied())
-            .expect("a dependency-ready instruction exists");
-        buckets[bucket_of[chosen] as usize].remove(&chosen);
-        bucket_of[chosen] = NOT_READY;
-        for &q in &gate_qubits[chosen] {
-            ready_on[q.index() as usize].retain(|&g| g != chosen);
+    fn push_back(&mut self, q: u32) {
+        self.prev[q as usize] = self.tail;
+        self.next[q as usize] = NIL;
+        if self.tail == NIL {
+            self.head = q;
+        } else {
+            self.next[self.tail as usize] = q;
         }
-
-        flipped.clear();
-        for &q in &gate_qubits[chosen] {
-            let was_cached = state.is_cached(q);
-            let (_, evicted) = state.access_with_eviction(q);
-            if !was_cached {
-                flipped.push(q);
-            }
-            if let Some(victim) = evicted {
-                flipped.push(victim);
-            }
-        }
-        order.push(chosen);
-
-        for &s in dag.successors(chosen) {
-            indegree[s] -= 1;
-            if indegree[s] == 0 {
-                let b = score(s, &state, &gate_qubits);
-                bucket_of[s] = b;
-                buckets[b as usize].insert(s);
-                for &q in &gate_qubits[s] {
-                    ready_on[q.index() as usize].push(s);
-                }
-            }
-        }
-
-        // Rescore the ready instructions whose operands moved.
-        for &q in &flipped {
-            for &g in &ready_on[q.index() as usize] {
-                let b = score(g, &state, &gate_qubits);
-                if b != bucket_of[g] {
-                    buckets[bucket_of[g] as usize].remove(&g);
-                    bucket_of[g] = b;
-                    buckets[b as usize].insert(g);
-                }
-            }
-        }
+        self.tail = q;
     }
-    debug_assert_eq!(order.len(), n, "optimized order must be complete");
-    order
 }
 
 #[cfg(test)]
@@ -519,6 +579,22 @@ mod tests {
     }
 
     #[test]
+    fn a_hit_refreshes_recency() {
+        // Capacity 2: re-touching 0 makes 1 the victim when 2 arrives.
+        let mut c = Circuit::new(3);
+        c.x(0);
+        c.x(1);
+        c.x(0);
+        c.x(2);
+        c.x(0);
+        c.x(1);
+        let run = CacheSim::new(2).run(&c, FetchPolicy::InOrder, &[], 1);
+        assert_eq!(run.hits(), 2);
+        assert_eq!(run.fetch_misses(), 1);
+        assert_eq!(run.last_fetch_misses(), 1);
+    }
+
+    #[test]
     fn warm_cache_improves_second_repetition() {
         let adder = DraperAdder::new(16);
         let circuit = adder.circuit();
@@ -534,6 +610,7 @@ mod tests {
             warm.hit_rate()
         );
         assert!(warm.hit_rate() > 0.7, "warm {:.2}", warm.hit_rate());
+        assert_eq!(warm.last_fetch_misses(), 0);
     }
 
     #[test]

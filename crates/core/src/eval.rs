@@ -163,8 +163,9 @@ impl EvalCtx {
             * self.qla_adder_makespan_units(bits) as f64
     }
 
-    /// Memoized steady-state cache behavior: one cold and one warm
-    /// [`CacheSim`] pass over the `bits`-bit adder trace.
+    /// Memoized steady-state cache behavior: one two-repetition
+    /// [`CacheSim`] run over the `bits`-bit adder trace, whose second
+    /// repetition gives the per-addition fetches once warm.
     #[must_use]
     pub fn cache_behavior(&self, bits: u32, capacity: usize) -> CacheBehavior {
         self.cache.get_or_compute((bits, capacity), || {
@@ -175,12 +176,11 @@ impl EvalCtx {
                 .chain(adder.b_register())
                 .map(QubitId::new)
                 .collect();
-            let sim = CacheSim::new(capacity);
-            let cold = sim.run(&circuit, FetchPolicy::OptimizedLookahead, &inputs, 1);
-            let warm = sim.run(&circuit, FetchPolicy::OptimizedLookahead, &inputs, 2);
+            let warm =
+                CacheSim::new(capacity).run(&circuit, FetchPolicy::OptimizedLookahead, &inputs, 2);
             CacheBehavior {
                 hit_rate: warm.hit_rate(),
-                fetches_per_addition: warm.fetch_misses() - cold.fetch_misses(),
+                fetches_per_addition: warm.last_fetch_misses(),
             }
         })
     }

@@ -34,12 +34,18 @@ pub struct ModExp {
 impl ModExp {
     /// Creates the schedule for an `n`-bit modulus.
     ///
+    /// This is pure bookkeeping, so any width is accepted: the counts are
+    /// closed forms and [`ModExp::kernel_stats`] extrapolates past the
+    /// widest generated adder. Only [`ModExp::adder`] and
+    /// [`ModExp::addition_circuit`] are bound by the adder-generation
+    /// limit.
+    ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or exceeds 128 (the adder-verification bound).
+    /// Panics if `n` is zero.
     #[must_use]
     pub fn new(n: u32) -> Self {
-        assert!((1..=128 * 16).contains(&n), "modulus width {n} unsupported");
+        assert!(n > 0, "modulus width {n} unsupported");
         Self { n }
     }
 
@@ -83,8 +89,9 @@ impl ModExp {
     ///
     /// # Panics
     ///
-    /// Panics if the width exceeds the adder-generation bound of 128 bits;
-    /// use [`ModExp::kernel_stats`] for wider instances.
+    /// Panics if the width exceeds the adder-generation bound of 4096 bits
+    /// (the [`crate::width`] contract); use [`ModExp::kernel_stats`] for
+    /// wider instances.
     #[must_use]
     pub fn adder(&self) -> DraperAdder {
         DraperAdder::new(self.n)
@@ -104,10 +111,10 @@ impl ModExp {
         let weight = cqla_circuit::Gate::two_qubit_gate_equivalents;
         let mut depth = dag.critical_path(weight);
         let mut work = dag.total_work(weight);
-        // Extrapolation for n > 128: depth grows by 4 Toffoli rounds
+        // Extrapolation for n > 1024: depth grows by 4 Toffoli rounds
         // (4×15 units) per doubling; work grows linearly.
-        let mut w = gen_width;
-        while w < self.n {
+        let mut w = u64::from(gen_width);
+        while w < u64::from(self.n) {
             depth += 4 * 15;
             work *= 2;
             w *= 2;
@@ -119,7 +126,7 @@ impl ModExp {
     ///
     /// # Panics
     ///
-    /// Panics for widths beyond 128 bits.
+    /// Panics for widths beyond the 4096-bit adder-generation bound.
     #[must_use]
     pub fn addition_circuit(&self) -> Circuit {
         self.adder().circuit()
@@ -181,6 +188,17 @@ mod tests {
         let text = ModExp::new(8).to_string();
         assert!(text.contains("8-bit"));
         assert!(text.contains("additions"));
+    }
+
+    #[test]
+    fn bookkeeping_accepts_any_width() {
+        let me = ModExp::new(1 << 20);
+        assert_eq!(me.working_qubits(), 6 << 20);
+        let (d, w) = me.kernel_stats();
+        let (d1024, w1024) = ModExp::new(1024).kernel_stats();
+        // Ten doublings past the widest generated adder.
+        assert_eq!(d, d1024 + 10 * 60);
+        assert_eq!(w, w1024 << 10);
     }
 
     #[test]

@@ -7,7 +7,11 @@
 
 use cqla_circuit::Circuit;
 
-/// Generator for the textbook QFT circuit.
+/// Size descriptor for the textbook QFT circuit.
+///
+/// Only the width is stored: the gate counts are closed forms, so sizing
+/// a QFT (as Shor's fidelity budget and Fig 8b do) never materializes the
+/// `n(n+1)/2`-gate circuit. [`Qft::circuit`] builds it on demand.
 ///
 /// # Examples
 ///
@@ -19,14 +23,13 @@ use cqla_circuit::Circuit;
 /// assert_eq!(qft.pair_interactions(), 120);
 /// assert_eq!(qft.circuit().len() as u64, 16 + 120);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Qft {
     n: u32,
-    circuit: Circuit,
 }
 
 impl Qft {
-    /// Builds the `n`-qubit QFT (without the final bit-reversal swaps,
+    /// Describes the `n`-qubit QFT (without the final bit-reversal swaps,
     /// which compilers typically elide by relabeling).
     ///
     /// # Panics
@@ -35,6 +38,20 @@ impl Qft {
     #[must_use]
     pub fn new(n: u32) -> Self {
         assert!(n > 0, "QFT needs at least one qubit");
+        Self { n }
+    }
+
+    /// Number of qubits.
+    #[must_use]
+    pub fn width(&self) -> u32 {
+        self.n
+    }
+
+    /// Generates the circuit: a Hadamard on each qubit followed by its
+    /// controlled-phase rotations from every later qubit.
+    #[must_use]
+    pub fn circuit(&self) -> Circuit {
+        let n = self.n;
         let mut c = Circuit::new(n);
         for i in 0..n {
             c.h(i);
@@ -44,25 +61,7 @@ impl Qft {
                 c.controlled_phase(j, i, order);
             }
         }
-        Self { n, circuit: c }
-    }
-
-    /// Number of qubits.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.n
-    }
-
-    /// The generated circuit.
-    #[must_use]
-    pub fn circuit(&self) -> Circuit {
-        self.circuit.clone()
-    }
-
-    /// Borrowed view of the generated circuit.
-    #[must_use]
-    pub fn circuit_ref(&self) -> &Circuit {
-        &self.circuit
+        c
     }
 
     /// Number of two-qubit interactions: `n(n-1)/2` — every ordered pair
@@ -87,7 +86,7 @@ mod tests {
     #[test]
     fn gate_census() {
         let qft = Qft::new(8);
-        let counts = qft.circuit_ref().counts();
+        let counts = qft.circuit().counts();
         assert_eq!(counts.single_qubit, 8);
         assert_eq!(counts.two_qubit_other, 28);
         assert_eq!(counts.toffoli, 0);
@@ -95,10 +94,22 @@ mod tests {
     }
 
     #[test]
+    fn closed_forms_match_the_generated_circuit() {
+        for n in 1..=64 {
+            let qft = Qft::new(n);
+            let circuit = qft.circuit();
+            let counts = circuit.counts();
+            assert_eq!(qft.total_gates(), circuit.len() as u64, "n = {n}");
+            assert_eq!(qft.pair_interactions(), counts.two_qubit_other, "n = {n}");
+            assert_eq!(u64::from(n), counts.single_qubit, "n = {n}");
+        }
+    }
+
+    #[test]
     fn every_pair_interacts_exactly_once() {
         let qft = Qft::new(10);
         let mut pairs = std::collections::HashSet::new();
-        for g in qft.circuit_ref().gates() {
+        for g in qft.circuit().gates() {
             if let Gate::ControlledPhase {
                 control, target, ..
             } = g
@@ -116,7 +127,7 @@ mod tests {
     #[test]
     fn rotation_orders_decay_with_distance() {
         let qft = Qft::new(6);
-        for g in qft.circuit_ref().gates() {
+        for g in qft.circuit().gates() {
             if let Gate::ControlledPhase {
                 control,
                 target,

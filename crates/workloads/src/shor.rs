@@ -107,6 +107,39 @@ mod tests {
     }
 
     #[test]
+    fn app_size_is_pinned_bit_exact() {
+        // (bits, K, Q, QFT work fraction) as `f64::to_bits`, captured
+        // when the QFT was still sized by generating its circuit.
+        for (bits, k, q, fraction) in [
+            (
+                32,
+                0x4126_f040_0000_0000,
+                0x4068_0000_0000_0000,
+                0x3f2e_18dc_61bb_7f92,
+            ),
+            (
+                1024,
+                0x41d4_d801_0000_0000,
+                0x40b8_0000_0000_0000,
+                0x3eda_7018_b0cf_7f88,
+            ),
+            (
+                2048,
+                0x41f8_9800_8000_0000,
+                0x40c8_0000_0000_0000,
+                0x3eca_6e77_5a0b_5727,
+            ),
+        ] {
+            let shor = ShorInstance::new(bits);
+            let (kk, qq) = shor.app_size();
+            assert_eq!(kk.to_bits(), k, "K at {bits} bits: {kk}");
+            assert_eq!(qq.to_bits(), q, "Q at {bits} bits: {qq}");
+            let f = shor.qft_work_fraction();
+            assert_eq!(f.to_bits(), fraction, "QFT fraction at {bits} bits: {f}");
+        }
+    }
+
+    #[test]
     fn qft_is_a_small_fraction() {
         let f = ShorInstance::new(256).qft_work_fraction();
         assert!(f < 0.01, "QFT fraction {f}");

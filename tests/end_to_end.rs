@@ -243,6 +243,20 @@ mod cli {
     }
 
     #[test]
+    fn modexp_bookkeeping_runs_past_the_adder_bound() {
+        // The Eq. 1 budget only counts modular-exponentiation work, so a
+        // 2^20-qubit program and a 4096-bit machine evaluate normally.
+        for args in [
+            &["run", "compile", "qubits=1048576"][..],
+            &["run", "machine", "bits=4096"][..],
+        ] {
+            let out = cqla(args);
+            assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+            assert!(!out.stdout.is_empty(), "{args:?} printed nothing");
+        }
+    }
+
+    #[test]
     fn bad_usage_exits_two() {
         for args in [
             &[][..],
