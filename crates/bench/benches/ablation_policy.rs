@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cqla_core::report::{fmt3, TextTable};
-use cqla_core::{HierarchyConfig, HierarchyStudy};
+use cqla_core::{EvalCtx, HierarchyConfig, HierarchyStudy};
 use cqla_ecc::Code;
 use cqla_iontrap::TechnologyParams;
 
@@ -31,7 +31,7 @@ fn bench(c: &mut Criterion) {
         (Code::BaconShor913, 5, 3.66),
     ];
     for (code, xfer, paper_value) in paper {
-        let r = study.evaluate(HierarchyConfig::new(code, 256, xfer, 36));
+        let r = study.evaluate_ctx(HierarchyConfig::new(code, 256, xfer, 36), &EvalCtx::new());
         t.push_row([
             code.label().to_string(),
             xfer.to_string(),
@@ -47,7 +47,12 @@ fn bench(c: &mut Criterion) {
     );
 
     c.bench_function("ablation_policy/evaluate", |b| {
-        b.iter(|| black_box(study.evaluate(HierarchyConfig::new(Code::BaconShor913, 256, 10, 36))))
+        b.iter(|| {
+            black_box(study.evaluate_ctx(
+                HierarchyConfig::new(Code::BaconShor913, 256, 10, 36),
+                &EvalCtx::new(),
+            ))
+        })
     });
 }
 

@@ -5,13 +5,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cqla_core::experiments::Fig6a;
+use cqla_core::EvalCtx;
 
 fn bench(c: &mut Criterion) {
     cqla_bench::registry_artifact("fig6a");
     let fig = Fig6a::default();
     c.bench_function("fig6a/sweep", |b| {
         b.iter(|| {
-            let rows = fig.rows();
+            let rows = fig.rows_ctx(&EvalCtx::new());
             black_box(Fig6a::render(&rows))
         })
     });

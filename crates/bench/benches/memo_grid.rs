@@ -38,7 +38,7 @@ fn bench(c: &mut Criterion) {
     c.bench_function("memo_grid/fresh_ctx_per_point", |b| {
         b.iter(|| {
             for point in grid.points() {
-                black_box(PointOutcome::evaluate(point));
+                black_box(PointOutcome::evaluate_ctx(point, &EvalCtx::new()));
             }
         })
     });

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cqla_core::{HierarchyConfig, HierarchyStudy};
+use cqla_core::{EvalCtx, HierarchyConfig, HierarchyStudy};
 use cqla_ecc::Code;
 use cqla_iontrap::TechnologyParams;
 
@@ -14,7 +14,12 @@ fn bench(c: &mut Criterion) {
     let tech = TechnologyParams::projected();
     let study = HierarchyStudy::new(&tech);
     c.bench_function("table5/evaluate_one_point_256", |b| {
-        b.iter(|| black_box(study.evaluate(HierarchyConfig::new(Code::Steane713, 256, 10, 36))))
+        b.iter(|| {
+            black_box(study.evaluate_ctx(
+                HierarchyConfig::new(Code::Steane713, 256, 10, 36),
+                &EvalCtx::new(),
+            ))
+        })
     });
 }
 

@@ -19,7 +19,7 @@ use crate::gate::{Gate, QubitId};
 /// assert_eq!(c.len(), 2);
 /// assert_eq!(c.counts().toffoli, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Circuit {
     num_qubits: u32,
     gates: Vec<Gate>,
@@ -234,7 +234,7 @@ impl core::fmt::Display for Circuit {
 }
 
 /// Gate census of a circuit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GateCounts {
     /// Single-qubit unitaries.
     pub single_qubit: u64,

@@ -11,9 +11,7 @@
 /// assert_eq!(q.index(), 3);
 /// assert_eq!(q.to_string(), "q3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QubitId(u32);
 
 impl QubitId {
@@ -58,7 +56,7 @@ impl core::fmt::Display for QubitId {
 /// assert!(g.is_classical());
 /// assert_eq!(g.two_qubit_gate_equivalents(), 15);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gate {
     /// Pauli X.
     X(QubitId),

@@ -14,7 +14,7 @@ use crate::dag::DependencyDag;
 use crate::gate::Gate;
 
 /// Width of a schedule: how many logical gates may execute simultaneously.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Width {
     /// No resource limit (the QLA's maximal-parallelism assumption).
     Unlimited,

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 use cqla_circuit::{Circuit, DependencyDag, QubitId};
 
 /// Instruction-fetch policy of the cache simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FetchPolicy {
     /// Program order.
     InOrder,

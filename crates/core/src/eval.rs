@@ -20,14 +20,19 @@
 //! uniquely identifies a parameter set (the type has no other
 //! constructors).
 //!
-//! Hit/miss counters aggregate per context via [`EvalCtx::counters`] and
-//! process-wide via [`memo_counters`] (surfaced by `cqla serve` in
-//! `/v1/stats`).
+//! Every table is a single-flight [`Memo`]: grid workers racing on one
+//! key (four points of the builtin grid share one 1024-bit cache-sim
+//! key) compute it once and share the value. Hit/miss counters aggregate
+//! per context via [`EvalCtx::counters`] and process-wide via
+//! [`memo_counters`] (surfaced by `cqla serve` in `/v1/stats`).
+
+use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use cqla_circuit::{asm, Circuit, DependencyDag, Gate, ListScheduler, QubitId, Width};
 use cqla_compile::ScheduleCosts;
 use cqla_ecc::fidelity::{AppSize, FidelityBudget};
-use cqla_ecc::memo::Memo;
+use cqla_ecc::memo::{Memo, Outcome};
 use cqla_ecc::{Code, EccMetrics, Level};
 use cqla_iontrap::{PhysicalOp, TechnologyParams};
 use cqla_units::Seconds;
@@ -37,12 +42,37 @@ use crate::area::AreaModel;
 use crate::cache::{CacheSim, FetchPolicy};
 use crate::qla::QlaBaseline;
 
+static EVAL_HITS: AtomicU64 = AtomicU64::new(0);
+static EVAL_MISSES: AtomicU64 = AtomicU64::new(0);
+
 /// Process-wide cumulative memo `(hits, misses)` across every context
-/// this process ever created. Re-exported from [`cqla_ecc::memo`] so the
-/// HTTP service can report them without a direct `cqla-ecc` dependency.
+/// this process ever created — the counters `cqla serve` reports in
+/// `/v1/stats`. A lookup that waited on another thread's computation
+/// counts as a hit.
 #[must_use]
 pub fn memo_counters() -> (u64, u64) {
-    cqla_ecc::memo::global_counters()
+    (
+        EVAL_HITS.load(Ordering::Relaxed),
+        EVAL_MISSES.load(Ordering::Relaxed),
+    )
+}
+
+/// Looks `key` up in one of the context's tables, bumping the
+/// process-wide counters.
+fn memoized<K: Eq + Hash + Clone, V: Clone>(
+    memo: &Memo<K, V>,
+    key: K,
+    compute: impl FnOnce() -> V,
+) -> V {
+    let Ok((value, outcome)) =
+        memo.try_get_or_compute(key, || Ok::<_, std::convert::Infallible>(compute()));
+    let counter = if outcome == Outcome::Computed {
+        &EVAL_MISSES
+    } else {
+        &EVAL_HITS
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    value
 }
 
 /// Schedule-derived costs of one `(bits, blocks)` adder configuration:
@@ -108,7 +138,7 @@ impl EvalCtx {
     /// Memoized [`EccMetrics::compute`].
     #[must_use]
     pub fn ecc_metrics(&self, code: Code, level: Level, tech: &TechnologyParams) -> EccMetrics {
-        self.ecc.get_or_compute((tech.name(), code, level), || {
+        memoized(&self.ecc, (tech.name(), code, level), || {
             EccMetrics::compute(code, level, tech)
         })
     }
@@ -127,7 +157,7 @@ impl EvalCtx {
     /// schedule and the ideal-makespan bound.
     #[must_use]
     pub fn adder_costs(&self, bits: u32, blocks: u32) -> AdderCosts {
-        self.adder.get_or_compute((bits, blocks), || {
+        memoized(&self.adder, (bits, blocks), || {
             let adder = DraperAdder::new(bits);
             let dag = DependencyDag::new(adder.circuit_ref());
             let weight = Gate::two_qubit_gate_equivalents;
@@ -146,7 +176,7 @@ impl EvalCtx {
     /// independent: the unlimited-width schedule of the adder DAG).
     #[must_use]
     pub fn qla_adder_makespan_units(&self, bits: u32) -> u64 {
-        self.qla_makespan.get_or_compute(bits, || {
+        memoized(&self.qla_makespan, bits, || {
             let adder = DraperAdder::new(bits);
             let dag = DependencyDag::new(adder.circuit_ref());
             ListScheduler::new(&dag)
@@ -168,7 +198,7 @@ impl EvalCtx {
     /// repetition gives the per-addition fetches once warm.
     #[must_use]
     pub fn cache_behavior(&self, bits: u32, capacity: usize) -> CacheBehavior {
-        self.cache.get_or_compute((bits, capacity), || {
+        memoized(&self.cache, (bits, capacity), || {
             let adder = DraperAdder::new(bits);
             let circuit = adder.circuit();
             let inputs: Vec<QubitId> = adder
@@ -189,13 +219,12 @@ impl EvalCtx {
     /// operations a `bits`-bit Shor instance may run at level 1.
     #[must_use]
     pub fn level1_share(&self, code: Code, tech: &TechnologyParams, bits: u32) -> f64 {
-        self.level1_share
-            .get_or_compute((tech.name(), code, bits), || {
-                let budget = FidelityBudget::new(code, tech);
-                let shor = ShorInstance::new(bits.max(32));
-                let (k, q) = shor.app_size();
-                budget.max_level1_share(AppSize::new(k, q))
-            })
+        memoized(&self.level1_share, (tech.name(), code, bits), || {
+            let budget = FidelityBudget::new(code, tech);
+            let shor = ShorInstance::new(bits.max(32));
+            let (k, q) = shor.app_size();
+            budget.max_level1_share(AppSize::new(k, q))
+        })
     }
 
     /// Memoized [`AreaModel::area_reduction`] (the flat-CQLA floorplan
@@ -208,10 +237,11 @@ impl EvalCtx {
         memory_qubits: u64,
         blocks: u32,
     ) -> f64 {
-        self.area
-            .get_or_compute((tech.name(), code, memory_qubits, blocks), || {
-                AreaModel::new(tech).area_reduction(code, memory_qubits, blocks)
-            })
+        memoized(
+            &self.area,
+            (tech.name(), code, memory_qubits, blocks),
+            || AreaModel::new(tech).area_reduction(code, memory_qubits, blocks),
+        )
     }
 
     /// Memoized [`cqla_compile::schedule_costs`] of a compiled (already
@@ -222,27 +252,28 @@ impl EvalCtx {
     /// that lowers to the same circuit shares one schedule.
     #[must_use]
     pub fn compiled_costs(&self, lowered: &Circuit, blocks: u32) -> ScheduleCosts {
-        self.compiled
-            .get_or_compute((asm::emit(lowered), blocks), || {
-                cqla_compile::schedule_costs(lowered, blocks)
-            })
+        memoized(&self.compiled, (asm::emit(lowered), blocks), || {
+            cqla_compile::schedule_costs(lowered, blocks)
+        })
     }
 
     /// This context's cumulative `(hits, misses)` across all its tables.
     #[must_use]
     pub fn counters(&self) -> (u64, u64) {
-        let tables: [(u64, u64); 7] = [
-            (self.ecc.hits(), self.ecc.misses()),
-            (self.adder.hits(), self.adder.misses()),
-            (self.qla_makespan.hits(), self.qla_makespan.misses()),
-            (self.cache.hits(), self.cache.misses()),
-            (self.level1_share.hits(), self.level1_share.misses()),
-            (self.area.hits(), self.area.misses()),
-            (self.compiled.hits(), self.compiled.misses()),
-        ];
-        tables
-            .iter()
-            .fold((0, 0), |(h, m), &(th, tm)| (h + th, m + tm))
+        fn count<K, V>(memo: &Memo<K, V>) -> (u64, u64) {
+            (memo.hits() + memo.coalesced(), memo.misses())
+        }
+        [
+            count(&self.ecc),
+            count(&self.adder),
+            count(&self.qla_makespan),
+            count(&self.cache),
+            count(&self.level1_share),
+            count(&self.area),
+            count(&self.compiled),
+        ]
+        .iter()
+        .fold((0, 0), |(h, m), &(th, tm)| (h + th, m + tm))
     }
 }
 
@@ -318,6 +349,18 @@ mod tests {
         let after = ctx.counters();
         assert_eq!(after.0 - before.0, 1);
         assert_eq!(after.1 - before.1, 1);
+    }
+
+    #[test]
+    fn global_counters_accumulate() {
+        let (h0, m0) = memo_counters();
+        let ctx = EvalCtx::new();
+        let _ = ctx.qla_adder_makespan_units(16);
+        let _ = ctx.qla_adder_makespan_units(16);
+        let (h1, m1) = memo_counters();
+        // Other tests run concurrently, so only lower-bound the deltas.
+        assert!(h1 > h0);
+        assert!(m1 > m0);
     }
 
     #[test]

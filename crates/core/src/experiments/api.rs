@@ -26,6 +26,7 @@
 
 use cqla_ecc::Code;
 use cqla_iontrap::TechPoint;
+use cqla_workloads::MAX_ADDER_BITS;
 
 use super::compile::CompileSource;
 use crate::json::Json;
@@ -84,6 +85,8 @@ pub enum Domain {
     Code,
     /// A positive integer in `1..=`[`super::grid::MAX_INT`].
     PosInt,
+    /// An adder width in `1..=`[`MAX_ADDER_BITS`].
+    Bits,
     /// A positive finite decimal (cache ratios and the like).
     Ratio,
     /// A compile program source (`inline-asm|random`).
@@ -98,6 +101,7 @@ impl Domain {
             Self::Tech => TECH_ACCEPTS,
             Self::Code => CODE_ACCEPTS,
             Self::PosInt => INT_ACCEPTS,
+            Self::Bits => BITS_ACCEPTS,
             Self::Ratio => RATIO_ACCEPTS,
             Self::Source => SOURCE_ACCEPTS,
         }
@@ -111,6 +115,7 @@ impl Domain {
             Self::Tech => TechPoint::parse(value).is_some(),
             Self::Code => Code::parse(value).is_some(),
             Self::PosInt => parse_pos_int(value).is_some(),
+            Self::Bits => parse_int_in(value, MAX_ADDER_BITS).is_some(),
             Self::Ratio => parse_pos_ratio(value).is_some(),
             Self::Source => CompileSource::parse(value).is_some(),
         }
@@ -119,10 +124,12 @@ impl Domain {
 
 /// Parses a positive integer within the shared grid/sweep cap.
 pub(crate) fn parse_pos_int(value: &str) -> Option<u32> {
-    value
-        .parse::<u32>()
-        .ok()
-        .filter(|n| (1..=super::grid::MAX_INT).contains(n))
+    parse_int_in(value, super::grid::MAX_INT)
+}
+
+/// Parses an integer in `1..=max`.
+fn parse_int_in(value: &str, max: u32) -> Option<u32> {
+    value.parse::<u32>().ok().filter(|n| (1..=max).contains(n))
 }
 
 /// Parses a positive finite decimal.
@@ -362,6 +369,16 @@ pub fn parse_positive(key: &'static str, value: &str) -> Result<u32, ParamError>
     parse_pos_int(value).ok_or_else(|| bad_value(key, value, Domain::PosInt))
 }
 
+/// Parses an adder-width parameter value ([`Domain::Bits`]).
+///
+/// # Errors
+///
+/// [`ParamError::BadValue`] when the value is not an integer in
+/// `1..=`[`MAX_ADDER_BITS`].
+pub fn parse_bits(key: &'static str, value: &str) -> Result<u32, ParamError> {
+    parse_int_in(value, MAX_ADDER_BITS).ok_or_else(|| bad_value(key, value, Domain::Bits))
+}
+
 /// Parses a positive decimal parameter value ([`Domain::Ratio`]).
 ///
 /// # Errors
@@ -389,6 +406,9 @@ pub const CODE_ACCEPTS: &str = "steane|bacon-shor";
 
 /// The `accepts` string for positive-integer parameters.
 pub const INT_ACCEPTS: &str = "a positive integer";
+
+/// The `accepts` string for adder-width parameters.
+pub const BITS_ACCEPTS: &str = "an adder width in 1..=4096";
 
 /// The `accepts` string for ratio parameters.
 pub const RATIO_ACCEPTS: &str = "a positive decimal";

@@ -22,7 +22,7 @@ use super::tables::primary_blocks;
 
 /// One Figure 8 sample: total computation and communication time at one
 /// problem size.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppTimeRow {
     /// Problem size (adder bits for 8a, number size for 8b).
     pub size: u32,

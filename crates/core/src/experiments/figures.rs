@@ -13,7 +13,8 @@ use crate::json::ToJson;
 use crate::report::{fmt3, TextTable};
 
 use super::api::{
-    parse_positive, parse_tech, unknown_key, Domain, Experiment, ExperimentOutput, Param,
+    parse_bits, parse_positive, parse_tech, unknown_key, Domain, Experiment, ExperimentOutput,
+    Param,
 };
 use super::tables::primary_blocks;
 
@@ -120,14 +121,14 @@ impl Experiment for Fig2 {
 
     fn params(&self) -> Vec<Param> {
         vec![
-            Param::new("bits", self.bits, Domain::PosInt),
+            Param::new("bits", self.bits, Domain::Bits),
             Param::new("cap", self.cap, Domain::PosInt),
         ]
     }
 
     fn set(&mut self, key: &str, value: &str) -> Result<(), super::ParamError> {
         match key {
-            "bits" => self.bits = parse_positive("bits", value)?,
+            "bits" => self.bits = parse_bits("bits", value)?,
             "cap" => self.cap = parse_positive("cap", value)?,
             _ => return Err(unknown_key(key, &self.params())),
         }
@@ -142,7 +143,7 @@ impl Experiment for Fig2 {
 
 /// One Figure 6a sample: utilization of `blocks` compute blocks on one
 /// adder size.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig6aRow {
     /// Adder width in bits.
     pub adder_bits: u32,
@@ -159,16 +160,9 @@ pub const FIG6A_SIZES: [u32; 6] = [32, 64, 128, 256, 512, 1024];
 pub const FIG6A_BLOCKS: [u32; 7] = [4, 16, 36, 64, 100, 144, 196];
 
 /// Computes one Figure 6a cell: utilization of `blocks` compute blocks
-/// on the `adder_bits`-bit adder. Per-cell twin of [`Fig6a`], for the
-/// parallel experiment engine.
-#[must_use]
-pub fn fig6a_cell(tech: &TechnologyParams, adder_bits: u32, blocks: u32) -> Fig6aRow {
-    fig6a_cell_ctx(tech, adder_bits, blocks, &EvalCtx::new())
-}
-
-/// [`fig6a_cell`] reusing sub-results memoized in `ctx`: the utilization
-/// is schedule-derived and technology independent, so cells shared with
-/// Table 4 (or other grid points) come for free.
+/// on the `adder_bits`-bit adder, reusing sub-results memoized in `ctx`.
+/// The utilization is schedule-derived and technology independent, so
+/// cells shared with Table 4 (or other grid points) come for free.
 #[must_use]
 pub fn fig6a_cell_ctx(
     tech: &TechnologyParams,
@@ -201,13 +195,8 @@ impl Default for Fig6a {
 }
 
 impl Fig6a {
-    /// The full size×blocks grid, sizes outer.
-    #[must_use]
-    pub fn rows(&self) -> Vec<Fig6aRow> {
-        self.rows_ctx(&EvalCtx::new())
-    }
-
-    /// [`Fig6a::rows`] reusing sub-results memoized in `ctx`.
+    /// The full size×blocks grid, sizes outer, reusing sub-results
+    /// memoized in `ctx`.
     #[must_use]
     pub fn rows_ctx(&self, ctx: &EvalCtx) -> Vec<Fig6aRow> {
         let tech = self.tech.params();
@@ -392,7 +381,7 @@ impl Experiment for Fig6b {
 }
 
 /// One Figure 7 sample: hit rate of one (adder, cache size, policy) cell.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig7Row {
     /// Adder width in bits.
     pub adder_bits: u32,
@@ -411,17 +400,10 @@ pub const FIG7_SIZES: [u32; 5] = [64, 128, 256, 512, 1024];
 pub const FIG7_FACTORS: [f64; 3] = [1.0, 1.5, 2.0];
 
 /// Computes one Figure 7 cell: the hit rate of one
-/// `(adder, cache size, policy)` simulation. Per-cell twin of [`Fig7`],
-/// for the parallel experiment engine.
-#[must_use]
-pub fn fig7_cell(adder_bits: u32, cache_factor: f64, policy: FetchPolicy) -> Fig7Row {
-    fig7_cell_ctx(adder_bits, cache_factor, policy, &EvalCtx::new())
-}
-
-/// [`fig7_cell`] reusing sub-results memoized in `ctx`. Only the
-/// optimized-lookahead cells go through the context (that is the policy
-/// the hierarchy study simulates, so those steady states are shared);
-/// in-order cells always simulate directly.
+/// `(adder, cache size, policy)` simulation. Only the optimized-lookahead
+/// cells go through `ctx` (that is the policy the hierarchy study
+/// simulates, so those steady states are shared); in-order cells always
+/// simulate directly.
 #[must_use]
 pub fn fig7_cell_ctx(
     adder_bits: u32,
@@ -463,13 +445,8 @@ pub fn fig7_cell_ctx(
 pub struct Fig7;
 
 impl Fig7 {
-    /// The full size×factor×policy grid.
-    #[must_use]
-    pub fn rows(&self) -> Vec<Fig7Row> {
-        self.rows_ctx(&EvalCtx::new())
-    }
-
-    /// [`Fig7::rows`] reusing sub-results memoized in `ctx`.
+    /// The full size×factor×policy grid, reusing sub-results memoized
+    /// in `ctx`.
     #[must_use]
     pub fn rows_ctx(&self, ctx: &EvalCtx) -> Vec<Fig7Row> {
         let mut rows = Vec::new();
@@ -579,7 +556,7 @@ mod tests {
 
     #[test]
     fn fig6a_utilization_monotone_in_blocks() {
-        let rows = Fig6a::default().rows();
+        let rows = Fig6a::default().rows_ctx(&EvalCtx::new());
         for bits in [32u32, 1024] {
             let series: Vec<f64> = rows
                 .iter()
@@ -604,7 +581,7 @@ mod tests {
 
     #[test]
     fn fig7_optimized_dominates_and_is_size_stable() {
-        let rows = Fig7.rows();
+        let rows = Fig7.rows_ctx(&EvalCtx::new());
         // Optimized fetch beats in-order in every cell.
         for bits in [64u32, 256, 1024] {
             for factor in [1.0, 1.5, 2.0] {

@@ -37,6 +37,7 @@
 
 use cqla_ecc::Code;
 use cqla_iontrap::TechPoint;
+use cqla_workloads::MAX_ADDER_BITS;
 
 use super::api::{suggest, Domain, ParamSpec};
 
@@ -156,7 +157,8 @@ pub fn parse_items<T>(
 }
 
 /// Parses one integer item: a plain value or an inclusive range
-/// `a..=b[:*k|:+k]` (`*k` geometric, `+k` arithmetic, bare steps by one).
+/// `a..=b[:*k|:+k]` (`*k` geometric, `+k` arithmetic, bare steps by one)
+/// whose values lie in `1..=max`.
 ///
 /// # Errors
 ///
@@ -166,16 +168,17 @@ pub fn parse_int_item(
     spec: &str,
     piece: &str,
     span: (usize, usize),
+    max: u32,
 ) -> Result<Vec<u32>, SpecError> {
     let int = |text: &str| -> Result<u32, SpecError> {
         text.parse::<u32>()
             .ok()
-            .filter(|&n| (1..=MAX_INT).contains(&n))
+            .filter(|&n| (1..=max).contains(&n))
             .ok_or_else(|| {
                 SpecError::new(
                     spec,
                     span,
-                    format!("bad value `{text}`; expected an integer in 1..={MAX_INT}"),
+                    format!("bad value `{text}`; expected an integer in 1..={max}"),
                 )
             })
     };
@@ -287,14 +290,20 @@ pub fn parse_code_set(
     })
 }
 
-/// Parses an integer value set (comma list of values and ranges).
+/// Parses an integer value set (comma list of values and ranges) in
+/// `1..=max`.
 ///
 /// # Errors
 ///
 /// A [`SpecError`] from [`parse_int_item`].
-pub fn parse_int_set(spec: &str, values: &str, values_start: usize) -> Result<Vec<u32>, SpecError> {
+pub fn parse_int_set(
+    spec: &str,
+    values: &str,
+    values_start: usize,
+    max: u32,
+) -> Result<Vec<u32>, SpecError> {
     parse_items(spec, values, values_start, |piece, span| {
-        parse_int_item(spec, piece, span)
+        parse_int_item(spec, piece, span, max)
     })
 }
 
@@ -342,7 +351,9 @@ pub fn parse_value_set(
             .map(|v| v.iter().map(|t| t.label().to_owned()).collect()),
         Domain::Code => parse_code_set(spec, values, values_start)
             .map(|v| v.iter().map(|c| c.slug().to_owned()).collect()),
-        Domain::PosInt => parse_int_set(spec, values, values_start)
+        Domain::PosInt => parse_int_set(spec, values, values_start, MAX_INT)
+            .map(|v| v.iter().map(u32::to_string).collect()),
+        Domain::Bits => parse_int_set(spec, values, values_start, MAX_ADDER_BITS)
             .map(|v| v.iter().map(u32::to_string).collect()),
         Domain::Ratio => parse_items(spec, values, values_start, |piece, span| {
             // Validate as a decimal but keep the user's spelling:
@@ -753,6 +764,20 @@ mod tests {
     }
 
     #[test]
+    fn adder_widths_stop_at_the_draper_ceiling() {
+        let ceiling = MAX_ADDER_BITS.to_string();
+        assert!(super::super::BITS_ACCEPTS.ends_with(&ceiling));
+        for (id, expr) in [("fig2", "bits=4097"), ("machine", "bits=32,100000")] {
+            let err = Grid::parse(id, &specs(id), expr).unwrap_err();
+            assert!(err.message.contains(&format!("1..={ceiling}")), "{err}");
+        }
+        let ok = Grid::parse("fig2", &specs("fig2"), &format!("bits={ceiling}"));
+        assert!(ok.is_ok());
+        // Counts that are not adder widths keep the general cap.
+        assert!(Grid::parse("fig2", &specs("fig2"), "cap=5000").is_ok());
+    }
+
+    #[test]
     fn point_explosion_is_capped() {
         let err = Grid::parse(
             "machine",
@@ -761,11 +786,12 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("cap is 10000"), "{err}");
-        // Maxed-out ranges go through the checked product, not a wrap.
+        // Maxed-out ranges go through the checked product, not a wrap
+        // (`bits` tops out at the adder ceiling, the counts at MAX_INT).
         let err = Grid::parse(
             "machine",
             &specs("machine"),
-            "bits=1..=1048576 blocks=1..=1048576 xfer=1..=1048576",
+            "bits=1..=4096 blocks=1..=1048576 xfer=1..=1048576",
         )
         .unwrap_err();
         assert!(err.message.contains("cap is 10000"), "{err}");

@@ -9,8 +9,8 @@ use crate::json::{Json, ToJson};
 use crate::specialize::{CqlaConfig, SpecializationStudy};
 
 use super::api::{
-    parse_code, parse_positive, parse_ratio, parse_tech, unknown_key, Domain, Experiment,
-    ExperimentOutput, Param,
+    parse_bits, parse_code, parse_positive, parse_ratio, parse_tech, unknown_key, Domain,
+    Experiment, ExperimentOutput, Param,
 };
 
 /// Prices one CQLA configuration: the flat specialization (Table 4
@@ -62,7 +62,7 @@ impl Experiment for Machine {
         vec![
             Param::new("tech", self.tech, Domain::Tech),
             Param::new("code", self.code.slug(), Domain::Code),
-            Param::new("bits", self.bits, Domain::PosInt),
+            Param::new("bits", self.bits, Domain::Bits),
             Param::new("blocks", self.blocks, Domain::PosInt),
             Param::new("xfer", self.xfer, Domain::PosInt),
             Param::new("cache", self.cache, Domain::Ratio),
@@ -73,7 +73,7 @@ impl Experiment for Machine {
         match key {
             "tech" => self.tech = parse_tech("tech", value)?,
             "code" => self.code = parse_code("code", value)?,
-            "bits" => self.bits = parse_positive("bits", value)?,
+            "bits" => self.bits = parse_bits("bits", value)?,
             "blocks" => self.blocks = parse_positive("blocks", value)?,
             "xfer" => self.xfer = parse_positive("xfer", value)?,
             "cache" => self.cache = parse_ratio("cache", value)?,

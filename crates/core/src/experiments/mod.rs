@@ -8,9 +8,10 @@
 //! JSON value. The [`registry`] enumerates all of them; the `cqla` CLI,
 //! the benchmark harness (`crates/bench`), the end-to-end tests and the
 //! examples all iterate it instead of naming generators one by one. The
-//! per-cell functions ([`table4_row`], [`fig7_cell`], …) remain exported
-//! so the parallel experiment engine (`cqla-sweep`) can fan one job out
-//! per grid point and still match the registry output bitwise.
+//! per-cell functions ([`table4_row_ctx`], [`fig7_cell_ctx`], …) remain
+//! exported so callers can evaluate one grid cell on a shared
+//! [`EvalCtx`](crate::EvalCtx) and still match the registry output
+//! bitwise.
 //!
 //! Parameters are *typed*: every experiment declares [`ParamSpec`]s
 //! ([`Domain`] + paper default), and the [`grid`] module parses
@@ -28,22 +29,22 @@ mod tables;
 mod verify;
 
 pub use api::{
-    find, ids, listing_json, params_usage, parse_code, parse_positive, parse_ratio, parse_source,
-    parse_tech, registry, suggest, unknown_key, Domain, Experiment, ExperimentOutput, Param,
-    ParamError, ParamSpec, CODE_ACCEPTS, INT_ACCEPTS, RATIO_ACCEPTS, SOURCE_ACCEPTS, TECH_ACCEPTS,
+    find, ids, listing_json, params_usage, parse_bits, parse_code, parse_positive, parse_ratio,
+    parse_source, parse_tech, registry, suggest, unknown_key, Domain, Experiment, ExperimentOutput,
+    Param, ParamError, ParamSpec, BITS_ACCEPTS, CODE_ACCEPTS, INT_ACCEPTS, RATIO_ACCEPTS,
+    SOURCE_ACCEPTS, TECH_ACCEPTS,
 };
 pub use apps::{fig8a_row, fig8b_row, AppTimeRow, Fig8a, Fig8b, FIG8A_SIZES, FIG8B_SIZES};
 pub use compile::{Compile, CompileSource};
 pub use cqla_iontrap::TechPoint;
 pub use figures::{
-    fig6a_cell, fig6a_cell_ctx, fig6b_series, fig7_cell, fig7_cell_ctx, Fig2, Fig2Data, Fig6a,
-    Fig6aRow, Fig6b, Fig6bData, Fig7, Fig7Row, FIG6A_BLOCKS, FIG6A_SIZES, FIG6B_BLOCKS,
-    FIG7_FACTORS, FIG7_SIZES,
+    fig6a_cell_ctx, fig6b_series, fig7_cell_ctx, Fig2, Fig2Data, Fig6a, Fig6aRow, Fig6b, Fig6bData,
+    Fig7, Fig7Row, FIG6A_BLOCKS, FIG6A_SIZES, FIG6B_BLOCKS, FIG7_FACTORS, FIG7_SIZES,
 };
 pub use grid::{is_set_clause, Grid};
 pub use machine::Machine;
 pub use tables::{
-    primary_blocks, table4_row, table4_row_ctx, table5_row, table5_row_ctx, Table1, Table2, Table3,
-    Table3Data, Table4, Table4Row, Table5, Table5Row, TABLE5_PAR_XFER, TABLE5_SIZES,
+    primary_blocks, table4_row_ctx, table5_row_ctx, Table1, Table2, Table3, Table3Data, Table4,
+    Table4Row, Table5, Table5Row, TABLE5_PAR_XFER, TABLE5_SIZES,
 };
 pub use verify::Verify;

@@ -188,7 +188,7 @@ impl Experiment for Table3 {
 
 /// One Table 4 row: a `(input size, block count)` point evaluated under
 /// both codes.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Row {
     /// Input size in bits.
     pub input_bits: u32,
@@ -201,15 +201,8 @@ pub struct Table4Row {
 }
 
 /// Computes one Table 4 row: the `(input size, block count)` cell under
-/// both codes. Exposed per cell so the parallel experiment engine can fan
-/// one job out per grid point and still match [`Table4`] bitwise.
-#[must_use]
-pub fn table4_row(tech: &TechnologyParams, input_bits: u32, blocks: u32) -> Table4Row {
-    table4_row_ctx(tech, input_bits, blocks, &EvalCtx::new())
-}
-
-/// [`table4_row`] reusing sub-results memoized in `ctx` (byte-identical;
-/// both codes of a cell share the adder schedule and QLA baseline).
+/// both codes, reusing sub-results memoized in `ctx` (both codes of a
+/// cell share the adder schedule and QLA baseline).
 #[must_use]
 pub fn table4_row_ctx(
     tech: &TechnologyParams,
@@ -243,13 +236,8 @@ impl Default for Table4 {
 }
 
 impl Table4 {
-    /// The paper's 12-row grid (six sizes × two block counts).
-    #[must_use]
-    pub fn rows(&self) -> Vec<Table4Row> {
-        self.rows_ctx(&EvalCtx::new())
-    }
-
-    /// [`Table4::rows`] reusing sub-results memoized in `ctx`.
+    /// The paper's 12-row grid (six sizes × two block counts), reusing
+    /// sub-results memoized in `ctx`.
     #[must_use]
     pub fn rows_ctx(&self, ctx: &EvalCtx) -> Vec<Table4Row> {
         let tech = self.tech.params();
@@ -323,7 +311,7 @@ impl Experiment for Table4 {
 }
 
 /// One Table 5 row: a hierarchy design point for one code.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table5Row {
     /// Parallel memory↔cache transfers.
     pub par_xfer: u32,
@@ -355,20 +343,8 @@ pub const TABLE5_PAR_XFER: [u32; 2] = [10, 5];
 pub const TABLE5_SIZES: [u32; 3] = [256, 512, 1024];
 
 /// Computes one Table 5 row: a `(code, par-xfer, size)` cell on its
-/// Table 4 primary block count. Per-cell twin of [`Table5`], for the
-/// parallel experiment engine.
-#[must_use]
-pub fn table5_row(
-    tech: &TechnologyParams,
-    code: Code,
-    par_xfer: u32,
-    input_bits: u32,
-) -> Table5Row {
-    table5_row_ctx(tech, code, par_xfer, input_bits, &EvalCtx::new())
-}
-
-/// [`table5_row`] reusing sub-results memoized in `ctx` (byte-identical;
-/// the cache simulation and level-1 share are shared across par-xfer
+/// Table 4 primary block count, reusing sub-results memoized in `ctx`
+/// (the cache simulation and level-1 share are shared across par-xfer
 /// budgets at the same size).
 #[must_use]
 pub fn table5_row_ctx(
@@ -404,13 +380,8 @@ impl Default for Table5 {
 }
 
 impl Table5 {
-    /// The 12-row cube in the paper's order.
-    #[must_use]
-    pub fn rows(&self) -> Vec<Table5Row> {
-        self.rows_ctx(&EvalCtx::new())
-    }
-
-    /// [`Table5::rows`] reusing sub-results memoized in `ctx`.
+    /// The 12-row cube in the paper's order, reusing sub-results
+    /// memoized in `ctx`.
     #[must_use]
     pub fn rows_ctx(&self, ctx: &EvalCtx) -> Vec<Table5Row> {
         let tech = self.tech.params();
@@ -518,7 +489,7 @@ mod tests {
     #[test]
     fn table4_has_twelve_rows_with_growing_gain() {
         let t4 = Table4::default();
-        let rows = t4.rows();
+        let rows = t4.rows_ctx(&EvalCtx::new());
         assert_eq!(rows.len(), 12);
         // Gain products grow with input size (paper: 14 → 30 for
         // Bacon-Shor across the sweep; ours 10.7 → 17 — same direction,
@@ -547,7 +518,7 @@ mod tests {
     #[test]
     fn table5_rows_and_ordering() {
         let t5 = Table5::default();
-        let rows = t5.rows();
+        let rows = t5.rows_ctx(&EvalCtx::new());
         assert_eq!(rows.len(), 2 * 2 * 3);
         for r in &rows {
             assert!(

@@ -30,7 +30,7 @@ use crate::eval::EvalCtx;
 
 /// How additions are split between the level-1 and level-2 compute
 /// regions.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MixPolicy {
     /// `l1` additions at level 1 for every `l2` at level 2, the regions
     /// running concurrently (the paper's stated 1:2 rule).
@@ -57,7 +57,7 @@ impl core::fmt::Display for MixPolicy {
 }
 
 /// A memory-hierarchy design point.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
     /// Error-correcting code (both levels use the same code).
     pub code: Code,
@@ -109,7 +109,7 @@ impl HierarchyConfig {
 }
 
 /// Evaluated memory-hierarchy performance — one Table 5 row.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyResult {
     /// The evaluated configuration.
     pub config: HierarchyConfig,
@@ -172,12 +172,13 @@ impl HierarchyResult {
 /// # Examples
 ///
 /// ```
-/// use cqla_core::{HierarchyConfig, HierarchyStudy};
+/// use cqla_core::{EvalCtx, HierarchyConfig, HierarchyStudy};
 /// use cqla_ecc::Code;
 /// use cqla_iontrap::TechnologyParams;
 ///
 /// let study = HierarchyStudy::new(&TechnologyParams::projected());
-/// let r = study.evaluate(HierarchyConfig::new(Code::Steane713, 256, 10, 36));
+/// let config = HierarchyConfig::new(Code::Steane713, 256, 10, 36);
+/// let r = study.evaluate_ctx(config, &EvalCtx::new());
 /// // The level-1 region runs the adder an order of magnitude faster than
 /// // the level-2 region (paper Table 5: ~17x).
 /// assert!(r.l1_speedup > 5.0, "l1 speedup {}", r.l1_speedup);
@@ -194,14 +195,8 @@ impl HierarchyStudy {
         Self { tech: tech.clone() }
     }
 
-    /// Evaluates a design point.
-    #[must_use]
-    pub fn evaluate(&self, config: HierarchyConfig) -> HierarchyResult {
-        self.evaluate_ctx(config, &EvalCtx::new())
-    }
-
     /// Evaluates a design point, reusing sub-results memoized in `ctx`
-    /// (byte-identical to [`HierarchyStudy::evaluate`] — every cached
+    /// (byte-identical whether `ctx` is fresh or shared — every cached
     /// entry is a pure function of its key).
     #[must_use]
     pub fn evaluate_ctx(&self, config: HierarchyConfig, ctx: &EvalCtx) -> HierarchyResult {
@@ -313,7 +308,7 @@ mod tests {
 
     #[test]
     fn l1_region_is_an_order_faster_than_l2() {
-        let r = study().evaluate(config(Code::Steane713, 10));
+        let r = study().evaluate_ctx(config(Code::Steane713, 10), &EvalCtx::new());
         // Paper Table 5: 17.4 for this point; the structural model must
         // land in the same order of magnitude.
         assert!((5.0..60.0).contains(&r.l1_speedup), "{}", r.l1_speedup);
@@ -323,8 +318,8 @@ mod tests {
     #[test]
     fn more_transfer_channels_help() {
         let s = study();
-        let ten = s.evaluate(config(Code::Steane713, 10));
-        let five = s.evaluate(config(Code::Steane713, 5));
+        let ten = s.evaluate_ctx(config(Code::Steane713, 10), &EvalCtx::new());
+        let five = s.evaluate_ctx(config(Code::Steane713, 5), &EvalCtx::new());
         assert!(
             ten.l1_speedup > five.l1_speedup,
             "10x {} <= 5x {}",
@@ -339,7 +334,7 @@ mod tests {
     #[test]
     fn policies_are_ordered() {
         for code in Code::ALL {
-            let r = study().evaluate(config(code, 10));
+            let r = study().evaluate_ctx(config(code, 10), &EvalCtx::new());
             assert!(
                 r.adder_speedup_interleave <= r.adder_speedup_balanced,
                 "{code}"
@@ -358,9 +353,10 @@ mod tests {
     fn gain_products_exceed_table4() {
         // Paper: hierarchy gain products (Table 5) dominate flat ones
         // (Table 4).
-        let r = study().evaluate(config(Code::BaconShor913, 10));
-        let flat = SpecializationStudy::new(&TechnologyParams::projected()).evaluate(
+        let r = study().evaluate_ctx(config(Code::BaconShor913, 10), &EvalCtx::new());
+        let flat = SpecializationStudy::new(&TechnologyParams::projected()).evaluate_ctx(
             crate::specialize::CqlaConfig::new(Code::BaconShor913, 256, 36),
+            &EvalCtx::new(),
         );
         assert!(
             r.gain_product_conservative > flat.gain_product,
@@ -372,7 +368,7 @@ mod tests {
 
     #[test]
     fn steady_state_fetches_are_bounded_by_inputs() {
-        let r = study().evaluate(config(Code::Steane713, 10));
+        let r = study().evaluate_ctx(config(Code::Steane713, 10), &EvalCtx::new());
         // Per addition, at most the 2n input qubits plus churn need
         // refetching.
         assert!(r.fetches_per_addition > 0);
@@ -385,13 +381,13 @@ mod tests {
 
     #[test]
     fn cache_hit_rate_is_high_with_optimized_fetch() {
-        let r = study().evaluate(config(Code::Steane713, 10));
+        let r = study().evaluate_ctx(config(Code::Steane713, 10), &EvalCtx::new());
         assert!(r.cache_hit_rate > 0.5, "hit rate {}", r.cache_hit_rate);
     }
 
     #[test]
     fn area_reduction_slightly_below_flat_cqla() {
-        let r = study().evaluate(config(Code::Steane713, 10));
+        let r = study().evaluate_ctx(config(Code::Steane713, 10), &EvalCtx::new());
         let flat = AreaModel::new(&TechnologyParams::projected()).area_reduction(
             Code::Steane713,
             6 * 256,
@@ -407,7 +403,7 @@ mod tests {
 
     #[test]
     fn policy_accessor_matches_fields() {
-        let r = study().evaluate(config(Code::Steane713, 10));
+        let r = study().evaluate_ctx(config(Code::Steane713, 10), &EvalCtx::new());
         assert_eq!(
             r.adder_speedup(MixPolicy::Interleave { l1: 1, l2: 2 }),
             r.adder_speedup_interleave

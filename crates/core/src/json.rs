@@ -1,9 +1,8 @@
 //! A small hand-rolled JSON layer: value tree, escaping, compact and
 //! pretty printers, and a recursive-descent parser.
 //!
-//! The workspace's `serde` dependency is an offline no-op stand-in (its
-//! derives expand to marker impls), so real serialization lives here
-//! instead: result types implement [`ToJson`], building a [`Json`] tree
+//! The workspace has no serialization dependency, so serialization
+//! lives here: result types implement [`ToJson`], building a [`Json`] tree
 //! that renders deterministically — object keys keep insertion order,
 //! floats use Rust's shortest round-trip formatting, non-finite floats
 //! degrade to `null`, and strings render ASCII-safe (non-ASCII scalars

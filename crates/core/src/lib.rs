@@ -25,12 +25,13 @@
 //! Price the paper's headline configuration:
 //!
 //! ```
-//! use cqla_core::{CqlaConfig, SpecializationStudy};
+//! use cqla_core::{CqlaConfig, EvalCtx, SpecializationStudy};
 //! use cqla_ecc::Code;
 //! use cqla_iontrap::TechnologyParams;
 //!
 //! let study = SpecializationStudy::new(&TechnologyParams::projected());
-//! let result = study.evaluate(CqlaConfig::new(Code::BaconShor913, 1024, 100));
+//! let config = CqlaConfig::new(Code::BaconShor913, 1024, 100);
+//! let result = study.evaluate_ctx(config, &EvalCtx::new());
 //! // Paper Table 4: 13.4x area reduction with a speedup > 1.
 //! assert!(result.area_reduction > 10.0);
 //! assert!(result.speedup > 1.0);

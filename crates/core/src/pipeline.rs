@@ -26,7 +26,7 @@ use cqla_units::Seconds;
 use crate::cache::{CacheSim, CacheTrace, FetchPolicy};
 
 /// Configuration of one pipeline run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Error-correcting code (level 1 for compute, level 2 for memory).
     pub code: Code,
@@ -72,7 +72,7 @@ impl PipelineConfig {
 }
 
 /// Where the pipeline's wall-clock time went.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// End-to-end time of one traced addition.
     pub total_time: Seconds,
@@ -324,12 +324,10 @@ mod tests {
         let adder = DraperAdder::new(256);
         let config = PipelineConfig::new(Code::Steane713, 36, 10).with_cache_capacity(2 * 9 * 36);
         let report = PipelineSim::new(&tech).run_adder(&adder, &config);
-        let analytic = crate::HierarchyStudy::new(&tech).evaluate(crate::HierarchyConfig::new(
-            Code::Steane713,
-            256,
-            10,
-            36,
-        ));
+        let analytic = crate::HierarchyStudy::new(&tech).evaluate_ctx(
+            crate::HierarchyConfig::new(Code::Steane713, 256, 10, 36),
+            &crate::EvalCtx::new(),
+        );
         let ratio = report.total_time / analytic.l1_adder_time;
         assert!(
             (0.4..2.5).contains(&ratio),

@@ -26,7 +26,7 @@ use crate::eval::EvalCtx;
 /// let config = CqlaConfig::new(Code::BaconShor913, 1024, 100);
 /// assert_eq!(config.memory_qubits(), 6 * 1024);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CqlaConfig {
     code: Code,
     input_bits: u32,
@@ -78,7 +78,7 @@ impl CqlaConfig {
 
 /// Evaluated performance of a CQLA design point — one Table 4 row for one
 /// code.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecializationResult {
     /// The evaluated configuration.
     pub config: CqlaConfig,
@@ -101,12 +101,12 @@ pub struct SpecializationResult {
 /// # Examples
 ///
 /// ```
-/// use cqla_core::{CqlaConfig, SpecializationStudy};
+/// use cqla_core::{CqlaConfig, EvalCtx, SpecializationStudy};
 /// use cqla_ecc::Code;
 /// use cqla_iontrap::TechnologyParams;
 ///
 /// let study = SpecializationStudy::new(&TechnologyParams::projected());
-/// let r = study.evaluate(CqlaConfig::new(Code::Steane713, 32, 9));
+/// let r = study.evaluate_ctx(CqlaConfig::new(Code::Steane713, 32, 9), &EvalCtx::new());
 /// // Paper Table 4: with 9 blocks the 32-bit adder keeps most QLA
 /// // performance at a third of the area.
 /// assert!(r.speedup > 0.6 && r.speedup <= 1.0);
@@ -160,15 +160,10 @@ impl SpecializationStudy {
             + EccMetrics::compute(code, Level::TWO, &self.tech).ec_time()
     }
 
-    /// Evaluates one design point against the QLA baseline.
-    #[must_use]
-    pub fn evaluate(&self, config: CqlaConfig) -> SpecializationResult {
-        self.evaluate_ctx(config, &EvalCtx::new())
-    }
-
-    /// Evaluates one design point, reusing sub-results memoized in `ctx`
-    /// (byte-identical to [`SpecializationStudy::evaluate`] — every
-    /// cached entry is a pure function of its key).
+    /// Evaluates one design point against the QLA baseline, reusing
+    /// sub-results memoized in `ctx` (byte-identical whether `ctx` is
+    /// fresh or shared — every cached entry is a pure function of its
+    /// key).
     #[must_use]
     pub fn evaluate_ctx(&self, config: CqlaConfig, ctx: &EvalCtx) -> SpecializationResult {
         let costs = ctx.adder_costs(config.input_bits, config.compute_blocks);
@@ -230,14 +225,14 @@ mod tests {
         // blocks always help, and enough blocks reach the unlimited bound.
         let s = study();
         for (n, [b1, b2]) in TABLE4_GRID {
-            let r1 = s.evaluate(CqlaConfig::new(Code::Steane713, n, b1));
-            let r2 = s.evaluate(CqlaConfig::new(Code::Steane713, n, b2));
+            let r1 = s.evaluate_ctx(CqlaConfig::new(Code::Steane713, n, b1), &EvalCtx::new());
+            let r2 = s.evaluate_ctx(CqlaConfig::new(Code::Steane713, n, b2), &EvalCtx::new());
             assert!(r1.speedup > 0.0 && r1.speedup <= 1.0, "n={n}, B={b1}");
             assert!(r2.speedup >= r1.speedup, "n={n}: B={b2} worse than B={b1}");
         }
         // The 32-bit adder saturates at ~15 blocks — the paper's Fig 2
         // observation at our construction's parallelism.
-        let sat = s.evaluate(CqlaConfig::new(Code::Steane713, 32, 15));
+        let sat = s.evaluate_ctx(CqlaConfig::new(Code::Steane713, 32, 15), &EvalCtx::new());
         assert!((sat.speedup - 1.0).abs() < 1e-9, "got {}", sat.speedup);
     }
 
@@ -247,7 +242,7 @@ mod tests {
         // DAG lands lower at equal block counts but in the same regime
         // (tens of percent, not orders of magnitude).
         let s = study();
-        let r = s.evaluate(CqlaConfig::new(Code::Steane713, 32, 4));
+        let r = s.evaluate_ctx(CqlaConfig::new(Code::Steane713, 32, 4), &EvalCtx::new());
         assert!((0.2..0.8).contains(&r.speedup), "got {}", r.speedup);
     }
 
@@ -255,9 +250,11 @@ mod tests {
     fn bacon_shor_speedup_is_about_three_times_steane() {
         let s = study();
         for (n, b) in [(256, 49), (1024, 121)] {
-            let st = s.evaluate(CqlaConfig::new(Code::Steane713, n, b)).speedup;
+            let st = s
+                .evaluate_ctx(CqlaConfig::new(Code::Steane713, n, b), &EvalCtx::new())
+                .speedup;
             let bs = s
-                .evaluate(CqlaConfig::new(Code::BaconShor913, n, b))
+                .evaluate_ctx(CqlaConfig::new(Code::BaconShor913, n, b), &EvalCtx::new())
                 .speedup;
             let ratio = bs / st;
             assert!((2.5..=3.3).contains(&ratio), "n={n}, B={b}: ratio {ratio}");
@@ -267,7 +264,10 @@ mod tests {
     #[test]
     fn gain_product_is_area_times_speedup() {
         let s = study();
-        let r = s.evaluate(CqlaConfig::new(Code::BaconShor913, 128, 16));
+        let r = s.evaluate_ctx(
+            CqlaConfig::new(Code::BaconShor913, 128, 16),
+            &EvalCtx::new(),
+        );
         assert!((r.gain_product - r.area_reduction * r.speedup).abs() < 1e-9);
         // Every CQLA point beats the QLA's gain product of 1.0.
         assert!(r.gain_product > 1.0);

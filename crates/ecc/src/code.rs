@@ -30,9 +30,7 @@ use cqla_stabilizer::CssCode;
 /// assert_eq!(Code::BaconShor913.physical_per_logical(), 9);
 /// assert!(Code::BaconShor913.l1_syndrome_cycles() < Code::Steane713.l1_syndrome_cycles());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Code {
     /// Steane \[\[7,1,3\]\] — smallest code with fully transversal Clifford
     /// gates; the QLA baseline's code.
@@ -207,9 +205,7 @@ impl core::fmt::Display for Code {
 /// assert!(Level::ONE < Level::TWO);
 /// assert_eq!(Level::TWO.get(), 2);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Level(u8);
 
 impl Level {
@@ -255,9 +251,7 @@ impl core::fmt::Display for Level {
 /// assert_eq!(cache.code(), Code::BaconShor913);
 /// assert_eq!(format!("{mem}"), "9-L2");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CodeLevel {
     code: Code,
     level: Level,

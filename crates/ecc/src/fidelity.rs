@@ -56,7 +56,7 @@ pub fn gottesman_failure_rate(p0: Probability, p_th: Probability, level: Level) 
 /// let shor = AppSize::shor_factoring(1024);
 /// assert!(shor.op_count() > 1e12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppSize {
     timesteps: f64,
     qubits: f64,

@@ -23,7 +23,7 @@ pub const SUBTILE_ROUTING_OVERHEAD: f64 = 1.2;
 /// // Paper: 3.1e-3 s level-1 EC for the Steane code.
 /// assert!((m.ec_time().as_millis() - 3.08).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EccMetrics {
     code: Code,
     level: Level,

@@ -17,7 +17,7 @@ use cqla_units::{Cycles, Seconds};
 use crate::code::Code;
 
 /// One phase of a syndrome-extraction schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EcPhase {
     /// Preparing the ancilla (encoded block for Steane, bare ions for
     /// Bacon-Shor gauge measurement).

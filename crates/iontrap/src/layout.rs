@@ -20,9 +20,7 @@ use crate::params::TechnologyParams;
 /// let b = RegionCoord::new(3, 4);
 /// assert_eq!(a.manhattan_distance(b), 7);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionCoord {
     /// Column index.
     pub x: u32,
@@ -64,7 +62,7 @@ impl core::fmt::Display for RegionCoord {
 /// let area = grid.area(&tech).to_square_millimeters();
 /// assert!((area.value() - 0.2025).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrapGrid {
     cols: u32,
     rows: u32,
@@ -204,7 +202,7 @@ impl ShuttleRoute {
 /// let tile = TileLayout::from_regions(42);
 /// assert!((tile.area(&tech).value() - 0.105).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileLayout {
     regions: u64,
 }

@@ -7,7 +7,7 @@ use cqla_units::{Micrometers, Probability, Seconds};
 /// The paper defines the fundamental time-step as "any physical, unencoded
 /// logic operation (one-bit or two-bit), a basic move operation from one
 /// trapping region to another, and measurement".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhysicalOp {
     /// Single-qubit laser gate.
     SingleGate,
@@ -131,7 +131,7 @@ impl core::fmt::Display for TechPoint {
 /// assert!(now.duration(PhysicalOp::Measure) > future.duration(PhysicalOp::Measure));
 /// assert!(now.failure_rate(PhysicalOp::DoubleGate) > future.failure_rate(PhysicalOp::DoubleGate));
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechnologyParams {
     name: &'static str,
     single_gate: Seconds,

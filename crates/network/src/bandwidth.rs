@@ -119,7 +119,7 @@ impl SuperblockBandwidth {
 }
 
 /// One point of the Fig 6b curves.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthSample {
     /// Superblock size in compute blocks.
     pub blocks: u32,

@@ -10,9 +10,7 @@
 use std::collections::HashMap;
 
 /// A node (tile or compute block) position on the mesh.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeCoord {
     /// Column.
     pub x: u32,
@@ -54,7 +52,7 @@ pub struct Link {
 /// let route = mesh.xy_route(NodeCoord::new(0, 0), NodeCoord::new(3, 2));
 /// assert_eq!(route.len(), 5); // 3 hops in X, then 2 in Y
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     cols: u32,
     rows: u32,

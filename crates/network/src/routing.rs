@@ -14,7 +14,7 @@ use cqla_units::Seconds;
 use crate::mesh::{Link, Mesh, NodeCoord};
 
 /// Configuration of a routing run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
     /// Teleportation channels per directed link.
     pub channels_per_link: u32,

@@ -13,23 +13,24 @@
 //!
 //! Every registry run is a pure function of `(experiment id, parameter
 //! overrides)`, so responses are cached under that key in a bounded
-//! LRU: once one request has computed a run, every later identical
-//! request is a cache hit, and when the cache fills the
+//! single-flight [`Memo`]: once one request has computed a run, every
+//! later identical request is a cache hit, and when the cache fills the
 //! least-recently-used entry is evicted (counted in `/v1/stats`). Grid
 //! requests (`?key=value-set`, `POST /v1/sweep/{id}`) read and populate
 //! the same cache *per point*, and stream each point's fragment to the
 //! client as the pool finishes it — the concatenated chunks are
 //! byte-identical to the merged document. Concurrent *cold* misses on
-//! one key are **single-flight**: the first arrival computes, later
-//! arrivals park on the in-flight entry and reuse its body (counted as
-//! `coalesced`), so a thundering herd costs one evaluation.
+//! one key coalesce: the first arrival computes, later arrivals wait
+//! and reuse its body (counted as `coalesced`), so a thundering herd
+//! costs one evaluation. A request that fails (bad params, failed
+//! self-checks, a panic) caches nothing and hands the key to a waiter.
 //!
 //! Sweep jobs (`POST /v1/jobs/{id}`) run the same grid machinery on a
 //! background thread: creation answers immediately with a job id,
 //! `GET /v1/jobs/{jid}` polls progress, and
 //! `GET /v1/jobs/{jid}/stream?from=K` streams fragments — resumable
 //! after a dropped connection from any fragment offset, with no point
-//! recomputed. Completed jobs keep their merged document in the LRU and
+//! recomputed. Completed jobs keep their merged document in the cache and
 //! are retired after `job_retention` newer completions.
 //!
 //! Shutdown (`POST /v1/shutdown` or [`ServerHandle::shutdown`]) drains:
@@ -52,6 +53,7 @@ use cqla_core::experiments::{
     find, ids, is_set_clause, listing_json, params_usage, suggest, Experiment, Grid,
 };
 use cqla_core::Json;
+use cqla_ecc::memo::{Memo, Outcome};
 use cqla_sweep::engine::{sweep_fragment, sweep_prologue};
 use cqla_sweep::grid::{document_prologue, point_fragment, PointSink, DOCUMENT_EPILOGUE};
 use cqla_sweep::{GridRun, PointCache, Sweep, SweepRun, SweepSink};
@@ -72,7 +74,7 @@ const MAX_REQUESTS_PER_CONNECTION: usize = 100;
 const IDLE_SLICE: Duration = Duration::from_millis(200);
 
 /// How many entries the results cache holds. Past this, inserting
-/// evicts the least-recently-used entry (see [`LruCache`]).
+/// evicts the least-recently-used entry.
 const CACHE_CAPACITY: usize = 4096;
 
 /// The most jobs that may run concurrently; creation past the cap is
@@ -102,181 +104,6 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(30),
             job_retention: 16,
             fleet: Vec::new(),
-        }
-    }
-}
-
-/// A bounded least-recently-used results cache: canonical
-/// `(id, sorted params)` key → shared body, stamped with a logical
-/// clock on every touch. When full, inserting evicts the entry with
-/// the oldest stamp — an O(n) scan, which at this capacity is far
-/// cheaper than the experiment evaluation a miss implies (and runs
-/// only on insertions, never on hits).
-struct LruCache {
-    capacity: usize,
-    /// Logical clock: bumped on every get/insert, stamped per entry.
-    tick: u64,
-    map: HashMap<String, (Arc<String>, u64)>,
-}
-
-impl LruCache {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            tick: 0,
-            map: HashMap::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Looks `key` up, refreshing its recency stamp on a hit.
-    fn get(&mut self, key: &str) -> Option<Arc<String>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|entry| {
-            entry.1 = tick;
-            Arc::clone(&entry.0)
-        })
-    }
-
-    /// Inserts `key`, evicting the least-recently-used entry when the
-    /// cache is full. Returns the number of evictions (0 or 1).
-    fn insert(&mut self, key: String, body: Arc<String>) -> u64 {
-        self.tick += 1;
-        let mut evicted = 0;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            let lru = self
-                .map
-                .iter()
-                .min_by_key(|(_, &(_, stamp))| stamp)
-                .map(|(k, _)| k.clone());
-            if let Some(lru) = lru {
-                self.map.remove(&lru);
-                evicted = 1;
-            }
-        }
-        self.map.insert(key, (body, self.tick));
-        evicted
-    }
-}
-
-/// One in-flight computation other requests for the same key can park
-/// on instead of recomputing.
-struct Flight {
-    state: Mutex<FlightState>,
-    cv: Condvar,
-}
-
-enum FlightState {
-    /// The owner is still computing.
-    Pending,
-    /// The owner finished; the body is ready for every waiter.
-    Done(Arc<String>),
-    /// The owner gave up (failed self-checks, invalid params, panic);
-    /// waiters retry and one of them becomes the new owner.
-    Abandoned,
-}
-
-/// What a cache lookup resolved to.
-enum Lookup {
-    /// The body was already in the LRU.
-    Hit(Arc<String>),
-    /// Another request computed it while we waited on its flight.
-    Coalesced(Arc<String>),
-    /// Cold miss: the caller now owns the flight for this key and
-    /// *must* end it with [`resolve_flight`] or [`abandon_flight`].
-    Owned,
-}
-
-/// Looks `key` up in the results cache, joining (or registering) the
-/// single-flight entry on a miss. See [`Lookup::Owned`] for the
-/// contract a cold miss imposes on the caller.
-fn lookup(shared: &Shared, key: &str) -> Lookup {
-    loop {
-        if let Some(body) = shared.cache.lock().expect("cache lock").get(key) {
-            return Lookup::Hit(body);
-        }
-        let (flight, owned) = {
-            let mut flights = shared.flights.lock().expect("flight table lock");
-            match flights.get(key) {
-                Some(flight) => (Arc::clone(flight), false),
-                None => {
-                    let flight = Arc::new(Flight {
-                        state: Mutex::new(FlightState::Pending),
-                        cv: Condvar::new(),
-                    });
-                    flights.insert(key.to_owned(), Arc::clone(&flight));
-                    (flight, true)
-                }
-            }
-        };
-        if owned {
-            // Another owner may have resolved between our cache miss
-            // and our flight registration; re-check so we never
-            // recompute a body the cache already has.
-            if let Some(body) = shared.cache.lock().expect("cache lock").get(key) {
-                abandon_flight(shared, key);
-                return Lookup::Hit(body);
-            }
-            return Lookup::Owned;
-        }
-        let mut state = flight.state.lock().expect("flight state lock");
-        loop {
-            match &*state {
-                FlightState::Pending => state = flight.cv.wait(state).expect("flight wait"),
-                FlightState::Done(body) => return Lookup::Coalesced(Arc::clone(body)),
-                FlightState::Abandoned => break,
-            }
-        }
-        // Abandoned: loop back — either the cache has it by now, or we
-        // (or another waiter) become the new owner.
-    }
-}
-
-/// Ends an owned flight with a body: inserts it into the LRU *first*
-/// (so new arrivals hit), then releases every waiter with the body.
-fn resolve_flight(shared: &Shared, key: &str, body: Arc<String>) {
-    let evicted = shared
-        .cache
-        .lock()
-        .expect("cache lock")
-        .insert(key.to_owned(), Arc::clone(&body));
-    shared.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
-    complete_flight(shared, key, FlightState::Done(body));
-}
-
-/// Ends an owned flight without a body; parked waiters retry.
-fn abandon_flight(shared: &Shared, key: &str) {
-    complete_flight(shared, key, FlightState::Abandoned);
-}
-
-fn complete_flight(shared: &Shared, key: &str, outcome: FlightState) {
-    let flight = shared
-        .flights
-        .lock()
-        .expect("flight table lock")
-        .remove(key);
-    if let Some(flight) = flight {
-        *flight.state.lock().expect("flight state lock") = outcome;
-        flight.cv.notify_all();
-    }
-}
-
-/// Abandons an owned flight on drop unless disarmed — keeps the
-/// single-flight promise across early returns and panics.
-struct FlightGuard<'a> {
-    shared: &'a Shared,
-    key: String,
-    armed: bool,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            abandon_flight(self.shared, &self.key);
         }
     }
 }
@@ -325,10 +152,9 @@ struct Shared {
     addr: SocketAddr,
     /// Tunables from `cqla serve` flags.
     config: ServeConfig,
-    /// Bounded LRU response cache over `(id, sorted params)` keys.
-    cache: Mutex<LruCache>,
-    /// In-flight computations keyed like the cache (single-flight).
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
+    /// Bounded LRU response cache over `(id, sorted params)` keys; its
+    /// hit, coalesced and eviction counters are the `/v1/stats` ones.
+    cache: Memo<String, Arc<String>>,
     /// Background sweep jobs.
     jobs: Mutex<JobTable>,
     /// Join handles for job threads, drained by [`Server::run`] so
@@ -336,14 +162,8 @@ struct Shared {
     job_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Total requests answered (any status).
     requests: AtomicU64,
-    /// Run responses (or grid points) served from the cache.
-    cache_hits: AtomicU64,
     /// Run responses (or grid points) that had to be computed.
     cache_misses: AtomicU64,
-    /// Entries evicted to make room (LRU policy).
-    cache_evictions: AtomicU64,
-    /// Requests that reused another request's in-flight computation.
-    coalesced: AtomicU64,
     /// Jobs currently running (gauge).
     jobs_active: AtomicU64,
     /// Chunked streams currently open (gauge).
@@ -445,8 +265,7 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 addr,
                 config,
-                cache: Mutex::new(LruCache::new(CACHE_CAPACITY)),
-                flights: Mutex::new(HashMap::new()),
+                cache: Memo::with_capacity(CACHE_CAPACITY),
                 jobs: Mutex::new(JobTable {
                     next: 0,
                     map: HashMap::new(),
@@ -454,10 +273,7 @@ impl Server {
                 }),
                 job_threads: Mutex::new(Vec::new()),
                 requests: AtomicU64::new(0),
-                cache_hits: AtomicU64::new(0),
                 cache_misses: AtomicU64::new(0),
-                cache_evictions: AtomicU64::new(0),
-                coalesced: AtomicU64::new(0),
                 jobs_active: AtomicU64::new(0),
                 streams_open: AtomicU64::new(0),
                 compiles: AtomicU64::new(0),
@@ -800,22 +616,22 @@ fn health_json(shared: &Shared, pool_threads: usize) -> Json {
 /// The observability document: request, cache, coalescing,
 /// job/stream, compile, and evaluation-memo counters.
 fn stats_json(shared: &Shared) -> Json {
-    let entries = shared.cache.lock().expect("cache lock").len();
     let load = |counter: &AtomicU64| Json::Int(counter.load(Ordering::Relaxed) as i64);
+    let count = |n: u64| Json::Int(n as i64);
     let (memo_hits, memo_misses) = cqla_core::memo_counters();
     Json::obj([
         ("requests", load(&shared.requests)),
-        ("cache_hits", load(&shared.cache_hits)),
+        ("cache_hits", count(shared.cache.hits())),
         ("cache_misses", load(&shared.cache_misses)),
-        ("coalesced", load(&shared.coalesced)),
-        ("cache_evictions", load(&shared.cache_evictions)),
-        ("cache_entries", Json::Int(entries as i64)),
+        ("coalesced", count(shared.cache.coalesced())),
+        ("cache_evictions", count(shared.cache.evictions())),
+        ("cache_entries", count(shared.cache.len() as u64)),
         ("jobs_active", load(&shared.jobs_active)),
         ("streams_open", load(&shared.streams_open)),
         ("compiles", load(&shared.compiles)),
         ("compile_cache_hits", load(&shared.compile_cache_hits)),
-        ("memo_hits", Json::Int(memo_hits as i64)),
-        ("memo_misses", Json::Int(memo_misses as i64)),
+        ("memo_hits", count(memo_hits)),
+        ("memo_misses", count(memo_misses)),
     ])
 }
 
@@ -830,7 +646,7 @@ fn stats_json(shared: &Shared) -> Json {
 /// pins) fans out into a streamed grid run instead — its concatenated
 /// chunks byte-identical to `cqla run <id> key=value-set… --format json`.
 fn run_endpoint(id: &str, query: &[(String, String)], shared: &Shared) -> Routed {
-    let Some(mut experiment) = find(id) else {
+    let Some(experiment) = find(id) else {
         return Routed::Full(unknown_artifact(id));
     };
     if query.iter().any(|(k, v)| is_set_clause(k, v)) {
@@ -846,46 +662,45 @@ fn run_endpoint(id: &str, query: &[(String, String)], shared: &Shared) -> Routed
     }
     let mut params: Vec<(String, String)> = query.to_vec();
     params.sort();
-    let key = canonical_key(id, &params);
-    match lookup(shared, &key) {
-        Lookup::Hit(body) => {
-            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Routed::Full(Response::shared(body));
-        }
-        Lookup::Coalesced(body) => {
-            shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            return Routed::Full(Response::shared(body));
-        }
-        Lookup::Owned => {}
-    }
-    // We own the flight now; the guard abandons it on every path that
-    // does not produce a cacheable body (param errors, failed checks,
-    // a panicking run).
-    let mut guard = FlightGuard {
-        shared,
-        key,
-        armed: true,
-    };
-    for (param, value) in &params {
-        if let Err(e) = experiment.set(param, value) {
-            return Routed::Full(Response::error(
-                Status::BadRequest,
-                e.to_string(),
-                Some(format!("{id} takes: {}", params_usage(experiment.as_ref()))),
-            ));
-        }
-    }
-    let output = experiment.run();
-    let body = Arc::new(format!("{}\n", output.document(id).to_pretty()));
-    shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-    // Failing runs (a broken `verify`) are never cached: cached bodies
-    // carry no verdict, and the grid executor reports hits as passed.
-    if output.passed {
-        guard.armed = false;
-        resolve_flight(shared, &guard.key, Arc::clone(&body));
-    }
-    drop(guard);
-    Routed::Full(Response::shared(body))
+    Routed::Full(match cached_run(shared, id, experiment, &params) {
+        Ok((body, _)) => Response::shared(body),
+        Err(response) => response,
+    })
+}
+
+/// One registry run through the results cache, keyed by `id` and the
+/// sorted `params` (applied in that order): a hit, or a wait on the
+/// identical in-flight request, shares the cached body; a miss runs the
+/// experiment. Param errors are answered 400 and failing runs (a broken
+/// `verify`) are answered with their body, both uncached — cached bodies
+/// carry no verdict, and the grid executor reports hits as passed.
+fn cached_run(
+    shared: &Shared,
+    id: &str,
+    mut experiment: Box<dyn Experiment>,
+    params: &[(String, String)],
+) -> Result<(Arc<String>, Outcome), Response> {
+    shared
+        .cache
+        .try_get_or_compute(canonical_key(id, params), || {
+            for (param, value) in params {
+                experiment.set(param, value).map_err(|e| {
+                    Response::error(
+                        Status::BadRequest,
+                        e.to_string(),
+                        Some(format!("{id} takes: {}", params_usage(experiment.as_ref()))),
+                    )
+                })?;
+            }
+            let output = experiment.run();
+            shared.cache_misses.fetch_add(1, Ordering::Relaxed);
+            let body = Arc::new(format!("{}\n", output.document(id).to_pretty()));
+            if output.passed {
+                Ok(body)
+            } else {
+                Err(Response::shared(body))
+            }
+        })
 }
 
 fn unknown_artifact(id: &str) -> Response {
@@ -905,36 +720,23 @@ struct SharedPointCache<'a> {
     id: &'a str,
 }
 
-impl SharedPointCache<'_> {
-    fn key(&self, overrides: &[(String, String)]) -> String {
+impl PointCache for SharedPointCache<'_> {
+    fn get_or_compute(
+        &self,
+        overrides: &[(String, String)],
+        compute: &mut dyn FnMut() -> Option<String>,
+    ) -> Option<String> {
         let mut params = overrides.to_vec();
         params.sort();
-        canonical_key(self.id, &params)
-    }
-}
-
-impl PointCache for SharedPointCache<'_> {
-    fn get(&self, overrides: &[(String, String)]) -> Option<String> {
-        match lookup(self.shared, &self.key(overrides)) {
-            Lookup::Hit(body) => {
-                self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-                Some((*body).clone())
-            }
-            Lookup::Coalesced(body) => {
-                self.shared.coalesced.fetch_add(1, Ordering::Relaxed);
-                Some((*body).clone())
-            }
-            Lookup::Owned => None,
-        }
-    }
-
-    fn put(&self, overrides: &[(String, String)], body: &str) {
-        self.shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-        resolve_flight(self.shared, &self.key(overrides), Arc::new(body.to_owned()));
-    }
-
-    fn abandon(&self, overrides: &[(String, String)]) {
-        abandon_flight(self.shared, &self.key(overrides));
+        let (body, _) = self
+            .shared
+            .cache
+            .try_get_or_compute(canonical_key(self.id, &params), || {
+                self.shared.cache_misses.fetch_add(1, Ordering::Relaxed);
+                compute().map(Arc::new).ok_or(())
+            })
+            .ok()?;
+        Some((*body).clone())
     }
 }
 
@@ -1283,7 +1085,7 @@ impl PointSink for JobSink<'_> {
 }
 
 /// The job thread: execute the grid through the shared point cache,
-/// park the merged document in the LRU, mark the job done, apply
+/// park the merged document in the results cache, mark the job done, apply
 /// retention. A panicking run still marks the job done (failed) so
 /// streams and shutdown never wait forever.
 fn run_job(shared: &Arc<Shared>, job: &Arc<Job>, grid: &Grid, pool_threads: usize) {
@@ -1298,12 +1100,9 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>, grid: &Grid, pool_threads: usiz
     let passed = match &outcome {
         Ok(run) => {
             let merged = Arc::new(format!("{}\n", run.to_json().to_pretty()));
-            let evicted = shared
+            shared
                 .cache
-                .lock()
-                .expect("cache lock")
                 .insert(grid_document_key(&job.artifact, &job.spec), merged);
-            shared.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
             run.passed()
         }
         Err(_) => {
@@ -1487,11 +1286,11 @@ fn sweep_endpoint(body: &[u8], shared: &Shared, pool_threads: usize) -> Response
 /// The response is byte-identical to `cqla compile FILE --format json`
 /// with the same program and overrides: the pretty-printed `compile`
 /// artifact document plus the trailing newline. Bodies ride the same
-/// results cache and single-flight machinery as `/v1/run/{id}` — the
+/// results cache as `/v1/run/{id}` — the
 /// program text is one more (length-prefixed) component of the
 /// canonical key — and programs that fail to parse are answered 400
-/// with the spanned caret diagnostic and its hint, before any flight
-/// is registered.
+/// with the spanned caret diagnostic and its hint, before the cache is
+/// consulted.
 fn compile_endpoint(body: &[u8], query: &[(String, String)], shared: &Shared) -> Response {
     shared.compiles.fetch_add(1, Ordering::Relaxed);
     let Ok(source) = core::str::from_utf8(body) else {
@@ -1541,46 +1340,16 @@ fn compile_endpoint(body: &[u8], query: &[(String, String)], shared: &Shared) ->
         params.push(("program".to_owned(), source.to_owned()));
     }
     params.sort();
-    let key = canonical_key("compile", &params);
-    match lookup(shared, &key) {
-        Lookup::Hit(body) => {
-            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            shared.compile_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Response::shared(body);
+    let experiment = find("compile").expect("the registry always has `compile`");
+    match cached_run(shared, "compile", experiment, &params) {
+        Ok((body, outcome)) => {
+            if outcome == Outcome::Hit {
+                shared.compile_cache_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            Response::shared(body)
         }
-        Lookup::Coalesced(body) => {
-            shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            return Response::shared(body);
-        }
-        Lookup::Owned => {}
+        Err(response) => response,
     }
-    let mut guard = FlightGuard {
-        shared,
-        key,
-        armed: true,
-    };
-    let mut experiment = find("compile").expect("the registry always has `compile`");
-    for (param, value) in &params {
-        if let Err(e) = experiment.set(param, value) {
-            return Response::error(
-                Status::BadRequest,
-                e.to_string(),
-                Some(format!(
-                    "compile takes: {}",
-                    params_usage(experiment.as_ref())
-                )),
-            );
-        }
-    }
-    let output = experiment.run();
-    let body = Arc::new(format!("{}\n", output.document("compile").to_pretty()));
-    shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-    if output.passed {
-        guard.armed = false;
-        resolve_flight(shared, &guard.key, Arc::clone(&body));
-    }
-    drop(guard);
-    Response::shared(body)
 }
 
 #[cfg(test)]
@@ -1594,6 +1363,22 @@ mod tests {
             Routed::GridStream(_) => panic!("expected a full response, got a grid stream"),
             Routed::JobStream { .. } => panic!("expected a full response, got a job stream"),
         }
+    }
+
+    /// The body cached under `key`, if any (a lookup that never
+    /// computes).
+    fn cached(shared: &Shared, key: String) -> Option<Arc<String>> {
+        let lookup = shared.cache.try_get_or_compute(key, || Err(()));
+        lookup.ok().map(|(body, _)| body)
+    }
+
+    /// Runs `f` on another thread and returns its result, failing the
+    /// test instead of hanging if a key stayed blocked.
+    fn promptly<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the key must not stay blocked")
     }
 
     /// Materializes a routed outcome into a full response, executing
@@ -1667,90 +1452,48 @@ mod tests {
         // cached allocation instead of copying it.
         let again = full(run_endpoint("table4", &[], shared));
         assert_eq!(*again.body, expected);
-        let cached = shared
-            .cache
-            .lock()
-            .unwrap()
-            .map
-            .values()
-            .next()
-            .unwrap()
-            .0
-            .clone();
-        assert!(Arc::ptr_eq(&again.body, &cached), "hits must share the Arc");
-        assert_eq!(shared.cache_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.cache.hits(), 1);
         assert_eq!(shared.cache_misses.load(Ordering::Relaxed), 1);
-        // The flight was resolved, not leaked.
-        assert!(shared.flights.lock().unwrap().is_empty());
+        let cached = cached(shared, canonical_key("table4", &[])).unwrap();
+        assert!(Arc::ptr_eq(&again.body, &cached), "hits must share the Arc");
     }
 
     #[test]
     fn run_endpoint_maps_param_errors_to_400_and_releases_the_flight() {
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
-        let resp = full(run_endpoint(
-            "table4",
-            &[("tech".to_owned(), "warp".to_owned())],
-            &server.shared,
-        ));
+        let warp = [("tech".to_owned(), "warp".to_owned())];
+        let resp = full(run_endpoint("table4", &warp, &server.shared));
         assert_eq!(resp.status, Status::BadRequest);
         assert!(resp.body.contains("bad value"), "{}", resp.body);
-        assert!(
-            server.shared.flights.lock().unwrap().is_empty(),
-            "a 400 must abandon its flight"
-        );
+        // The 400 cached nothing and left the key free: a retry is
+        // evaluated (and rejected) again instead of waiting forever.
+        assert!(server.shared.cache.is_empty());
+        let shared = Arc::clone(&server.shared);
+        let retry = promptly(move || full(run_endpoint("table4", &warp, &shared)).status);
+        assert_eq!(retry, Status::BadRequest);
+        assert!(server.shared.cache.is_empty());
         let resp = full(run_endpoint("table9", &[], &server.shared));
         assert_eq!(resp.status, Status::NotFound);
     }
 
     #[test]
-    fn single_flight_protocol_resolves_hits_and_retries_abandons() {
+    fn failed_grid_points_are_neither_cached_nor_blocked() {
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
-        let shared = &server.shared;
-        // Cold miss: the caller owns the flight.
-        assert!(matches!(lookup(shared, "k"), Lookup::Owned));
-        // Abandoning re-opens the key: the next lookup owns a new flight.
-        abandon_flight(shared, "k");
-        assert!(matches!(lookup(shared, "k"), Lookup::Owned));
-        // Resolving lands the body in the cache; later lookups hit.
-        resolve_flight(shared, "k", Arc::new("body".to_owned()));
-        match lookup(shared, "k") {
-            Lookup::Hit(body) => assert_eq!(*body, "body"),
-            _ => panic!("resolved key must hit"),
-        }
-        assert!(shared.flights.lock().unwrap().is_empty());
-        // A parked waiter receives the owner's body as coalesced.
-        assert!(matches!(lookup(shared, "k2"), Lookup::Owned));
-        let waiter = std::thread::spawn({
-            let shared = Arc::clone(shared);
-            move || match lookup(&shared, "k2") {
-                // Coalesced if it parked before the resolve, a plain
-                // hit if it arrived after — both must carry the body.
-                Lookup::Hit(body) | Lookup::Coalesced(body) => (*body).clone(),
-                Lookup::Owned => panic!("waiter must never own a resolved key"),
-            }
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        resolve_flight(shared, "k2", Arc::new("body2".to_owned()));
-        assert_eq!(waiter.join().unwrap(), "body2");
-    }
-
-    #[test]
-    fn lru_cache_evicts_the_least_recently_used_entry() {
-        let mut cache = LruCache::new(2);
-        let body = |s: &str| Arc::new(s.to_owned());
-        assert_eq!(cache.insert("a".to_owned(), body("A")), 0);
-        assert_eq!(cache.insert("b".to_owned(), body("B")), 0);
-        // Touch `a` so `b` becomes the least recently used…
-        assert!(cache.get("a").is_some());
-        // …then overflow: `b` must go, `a` must stay.
-        assert_eq!(cache.insert("c".to_owned(), body("C")), 1);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get("b").is_none(), "LRU entry must be evicted");
-        assert!(cache.get("a").is_some());
-        assert!(cache.get("c").is_some());
-        // Re-inserting an existing key is an update, not an eviction.
-        assert_eq!(cache.insert("c".to_owned(), body("C2")), 0);
-        assert_eq!(cache.len(), 2);
+        let cache = SharedPointCache {
+            shared: &server.shared,
+            id: "fig2",
+        };
+        let point = [("bits".to_owned(), "8".to_owned())];
+        // A run that fails its self-checks delivers no body…
+        assert_eq!(cache.get_or_compute(&point, &mut || None), None);
+        assert!(server.shared.cache.is_empty());
+        // …so the next request for the point computes it afresh.
+        let body = cache.get_or_compute(&point, &mut || Some("body".to_owned()));
+        assert_eq!(body.as_deref(), Some("body"));
+        assert_eq!(server.shared.cache_misses.load(Ordering::Relaxed), 2);
+        let hit = cache.get_or_compute(&point, &mut || unreachable!("cached"));
+        assert_eq!(hit.as_deref(), Some("body"));
+        assert_eq!(server.shared.cache.hits(), 1);
     }
 
     #[test]
@@ -1771,7 +1514,7 @@ mod tests {
             shared,
         );
         assert_eq!(grid.status, Status::Ok);
-        assert_eq!(shared.cache_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.cache.hits(), 1);
         assert_eq!(shared.cache_misses.load(Ordering::Relaxed), 2);
         let doc = cqla_core::json::parse(&grid.body).unwrap();
         assert_eq!(doc.get("points").and_then(Json::as_f64), Some(2.0));
@@ -1782,7 +1525,7 @@ mod tests {
             shared,
         ));
         assert_eq!(warm.status, Status::Ok);
-        assert_eq!(shared.cache_hits.load(Ordering::Relaxed), 2);
+        assert_eq!(shared.cache.hits(), 2);
         // Bad grid values are spanned 400s.
         let bad = full(run_endpoint(
             "fig2",
@@ -1825,12 +1568,8 @@ mod tests {
         }
         // The merged document landed in the results cache.
         let job = find_job(shared, "j1").unwrap();
-        let merged = shared
-            .cache
-            .lock()
-            .unwrap()
-            .get(&grid_document_key("fig2", &job.spec))
-            .expect("merged document cached");
+        let merged =
+            cached(shared, grid_document_key("fig2", &job.spec)).expect("merged document cached");
         assert!(merged.contains("\"artifact\": \"fig2\""));
         // A second completed job retires the first (retention 1)…
         let created = jobs_create_endpoint("fig2", b"bits=8", shared, 1);
@@ -1889,7 +1628,7 @@ mod tests {
         assert_eq!(shared.compiles.load(Ordering::Relaxed), 2);
         assert_eq!(shared.compile_cache_hits.load(Ordering::Relaxed), 1);
         assert_eq!(shared.cache_misses.load(Ordering::Relaxed), 1);
-        assert!(shared.flights.lock().unwrap().is_empty());
+        assert_eq!(shared.cache.len(), 1);
     }
 
     #[test]
@@ -1926,11 +1665,19 @@ mod tests {
         let fanout = compile_endpoint(program, &grid, shared);
         assert_eq!(fanout.status, Status::BadRequest);
         assert!(fanout.body.contains("value set"), "{}", fanout.body);
-        // Bad machine params get the usage hint and release the flight.
-        let bad = compile_endpoint(program, &[("tech".to_owned(), "warp".to_owned())], shared);
+        // Bad machine params get the usage hint, are not cached, and
+        // leave the key free for the next request.
+        let warp = [("tech".to_owned(), "warp".to_owned())];
+        let bad = compile_endpoint(program, &warp, shared);
         assert_eq!(bad.status, Status::BadRequest);
         assert!(bad.body.contains("compile takes"), "{}", bad.body);
-        assert!(shared.flights.lock().unwrap().is_empty());
+        let entries = shared.cache.len();
+        let again = {
+            let shared = Arc::clone(shared);
+            promptly(move || compile_endpoint(program, &warp, &shared).status)
+        };
+        assert_eq!(again, Status::BadRequest);
+        assert_eq!(shared.cache.len(), entries);
     }
 
     #[test]
@@ -1941,10 +1688,10 @@ mod tests {
         assert_eq!(resp.status, Status::BadRequest);
         assert!(resp.body.contains("unknown mnemonic"), "{}", resp.body);
         assert!(resp.body.contains("^^^^^^^^^^"), "{}", resp.body);
-        // Parse errors are rejected before any flight is registered
-        // and never cached.
-        assert!(shared.flights.lock().unwrap().is_empty());
-        assert_eq!(shared.cache.lock().unwrap().len(), 0);
+        // Parse errors are rejected before the cache is consulted and
+        // never cached.
+        assert!(shared.cache.is_empty());
+        assert_eq!(shared.cache_misses.load(Ordering::Relaxed), 0);
         let binary = compile_endpoint(&[0xff, 0xfe], &[], shared);
         assert_eq!(binary.status, Status::BadRequest);
         assert!(binary.body.contains("not UTF-8"), "{}", binary.body);

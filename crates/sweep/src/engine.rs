@@ -32,18 +32,12 @@ pub struct PointOutcome {
 }
 
 impl PointOutcome {
-    /// Evaluates one design point. This is the pure function the pool
-    /// fans out.
-    #[must_use]
-    pub fn evaluate(point: &DesignPoint) -> Self {
-        Self::evaluate_ctx(point, &EvalCtx::new())
-    }
-
-    /// Evaluates one design point against a shared memoization context.
-    /// Neighboring grid points differ in one axis and share the rest, so
-    /// a sweep-wide `ctx` lets each DAG schedule, cache-simulator pass,
-    /// and ECC table be computed once per distinct key instead of once
-    /// per point. Byte-identical to [`PointOutcome::evaluate`].
+    /// Evaluates one design point against a memoization context — the
+    /// pure function the pool fans out. Neighboring grid points differ
+    /// in one axis and share the rest, so a sweep-wide `ctx` lets each
+    /// DAG schedule, cache-simulator pass, and ECC table be computed once
+    /// per distinct key instead of once per point. The outcome is
+    /// byte-identical whether `ctx` is shared or fresh.
     #[must_use]
     pub fn evaluate_ctx(point: &DesignPoint, ctx: &EvalCtx) -> Self {
         let tech = point.tech.params();
@@ -192,7 +186,8 @@ impl SweepRun {
         });
         // One memoization context for the whole run: points share DAG
         // schedules, cache-simulator passes, and ECC tables across
-        // worker threads (same lock discipline as a grid `PointCache`).
+        // worker threads, and each shared key is computed once (a worker
+        // racing another onto the same key waits for its value).
         let ctx = EvalCtx::new();
         pool::map(sweep.points(), threads, |index, point| {
             let started = std::time::Instant::now();
@@ -371,12 +366,30 @@ mod tests {
     }
 
     #[test]
+    fn shared_ctx_computes_each_key_once_at_any_thread_count() {
+        let sweep = Sweep::builtin("grid").unwrap();
+        let misses = |threads| {
+            let ctx = EvalCtx::new();
+            pool::map(sweep.points(), threads, |_, point| {
+                PointOutcome::evaluate_ctx(point, &ctx)
+            });
+            ctx.counters().1
+        };
+        let serial = misses(1);
+        for threads in 2..=8 {
+            assert_eq!(misses(threads), serial, "threads {threads}");
+        }
+    }
+
+    #[test]
     fn hierarchy_evaluated_only_when_requested() {
         let flat = DesignPoint::paper_default();
-        assert!(PointOutcome::evaluate(&flat).hierarchy.is_none());
+        assert!(PointOutcome::evaluate_ctx(&flat, &EvalCtx::new())
+            .hierarchy
+            .is_none());
         let mut with = flat;
         with.par_xfer = Some(10);
-        let outcome = PointOutcome::evaluate(&with);
+        let outcome = PointOutcome::evaluate_ctx(&with, &EvalCtx::new());
         let h = outcome.hierarchy.expect("hierarchy requested");
         assert!(h.l1_speedup > 1.0);
         // Both views price the same flat machine.
@@ -391,7 +404,9 @@ mod tests {
         let mut p = DesignPoint::paper_default();
         p.par_xfer = Some(10);
         p.cache_factor = 1.5;
-        let h = PointOutcome::evaluate(&p).hierarchy.unwrap();
+        let h = PointOutcome::evaluate_ctx(&p, &EvalCtx::new())
+            .hierarchy
+            .unwrap();
         assert!((h.config.cache_factor - 1.5).abs() < 1e-12);
     }
 

@@ -107,56 +107,26 @@ pub fn point_fragment(index: usize, point: &GridPoint) -> String {
 /// the document, with the trailing newline every CLI/HTTP body carries.
 pub const DOCUMENT_EPILOGUE: &str = "\n  ]\n}\n";
 
-/// A per-point result cache the grid executor can read through and
-/// populate — the HTTP service plugs its results cache in here, so a
-/// grid run reuses previously computed single-run documents and leaves
-/// one cache entry per point behind.
+/// A per-point result cache the grid executor reads through — the HTTP
+/// service plugs its results cache in here, so a grid run reuses
+/// previously computed single-run documents and leaves one cache entry
+/// per point behind.
 ///
-/// `get` returns the cached *single-run body* for a point's overrides
-/// (the pretty `{"artifact", "data"}` document plus trailing newline —
-/// exactly what a single-value request produces); `put` stores a body
-/// the executor just computed. Only *passing* runs are ever `put` (the
-/// body format does not record the verdict, so a cached point is
-/// reported as passed); implementations should uphold the same
-/// invariant for entries they populate elsewhere.
-///
-/// # The single-flight contract
-///
-/// An implementation may *coalesce* concurrent cold misses: `get` may
-/// block while another thread computes the same point, then return that
-/// thread's body. To support it, the executor promises that every `get`
-/// returning `None` is followed by exactly one of `put` (the computed
-/// body) or [`abandon`] (the run failed its self-checks, or the
-/// computation unwound) for the same overrides — `abandon` runs from a
-/// drop guard, so the promise holds even across a panic. A plain
-/// non-coalescing cache ignores `abandon` (the default no-op).
-///
-/// [`abandon`]: PointCache::abandon
+/// Bodies are *single-run bodies*: the pretty `{"artifact", "data"}`
+/// document plus trailing newline — exactly what a single-value request
+/// produces. `compute` runs the point and returns its body, or `None`
+/// for a run that failed its self-checks; implementations store only
+/// `Some` bodies (the body format does not record the verdict, so a
+/// cached point is reported as passed). An implementation may coalesce
+/// concurrent calls on one point onto a single `compute`.
 pub trait PointCache: Sync {
-    /// The cached single-run body for these overrides, if any.
-    fn get(&self, overrides: &[(String, String)]) -> Option<String>;
-    /// Stores a freshly computed single-run body for these overrides.
-    fn put(&self, overrides: &[(String, String)], body: &str);
-    /// Signals that the computation promised after a `None` from `get`
-    /// will not deliver a cacheable body, releasing any waiters a
-    /// single-flight implementation parked on it. Default: no-op.
-    fn abandon(&self, _overrides: &[(String, String)]) {}
-}
-
-/// Calls [`PointCache::abandon`] on drop unless disarmed by `put` —
-/// the executor's half of the single-flight contract, panic-safe.
-struct AbandonGuard<'a> {
-    cache: &'a dyn PointCache,
-    overrides: &'a [(String, String)],
-    armed: bool,
-}
-
-impl Drop for AbandonGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.cache.abandon(self.overrides);
-        }
-    }
+    /// The cached body for these overrides, or the one `compute`
+    /// produces — `None` when it produced none.
+    fn get_or_compute(
+        &self,
+        overrides: &[(String, String)],
+        compute: &mut dyn FnMut() -> Option<String>,
+    ) -> Option<String>;
 }
 
 /// Receives grid points incrementally, **in submission order**, as the
@@ -180,15 +150,17 @@ impl PointSink for NoSink {
     fn point(&self, _index: usize, _point: &GridPoint) {}
 }
 
-/// The no-op cache behind plain [`GridRun::execute`].
+/// The pass-through cache behind plain [`GridRun::execute`].
 struct NoCache;
 
 impl PointCache for NoCache {
-    fn get(&self, _overrides: &[(String, String)]) -> Option<String> {
-        None
+    fn get_or_compute(
+        &self,
+        _overrides: &[(String, String)],
+        compute: &mut dyn FnMut() -> Option<String>,
+    ) -> Option<String> {
+        compute()
     }
-
-    fn put(&self, _overrides: &[(String, String)], _body: &str) {}
 }
 
 /// A completed grid run: every point's document in submission order.
@@ -276,9 +248,7 @@ impl GridRun {
             next: 0,
         });
         // One evaluation context for the whole grid: neighboring points
-        // share most memo keys, and the lock discipline matches the
-        // `PointCache` single-flight contract (workers never serialize
-        // on each other's computations).
+        // share most memo keys, each computed once across the workers.
         let ctx = EvalCtx::new();
         pool::map(&assignments, threads, |index, overrides| {
             let point = run_point(&id, overrides, cache, &ctx);
@@ -377,8 +347,7 @@ impl GridRun {
 }
 
 /// Executes one grid point: resolve the experiment, apply the
-/// overrides, read through the cache (upholding the single-flight
-/// contract), run on a miss.
+/// overrides, and read it through the cache, running it on a miss.
 fn run_point(
     id: &str,
     overrides: &[(String, String)],
@@ -395,26 +364,31 @@ fn run_point(
         .iter()
         .map(|p| (p.key.to_owned(), p.value.clone()))
         .collect();
-    if let Some(point) = cached_point(cache, overrides, &params) {
-        return point;
+    let mut computed = None;
+    let body = cache.get_or_compute(overrides, &mut || {
+        let output = exp.run_ctx(ctx);
+        // Failing runs are never cached: the cached body cannot carry
+        // the verdict, so a hit is reported as passed.
+        let body = output
+            .passed
+            .then(|| format!("{}\n", output.document(id).to_pretty()));
+        computed = Some(output);
+        body
+    });
+    if computed.is_none() {
+        let data = body.and_then(|b| cqla_core::json::parse(&b).ok()?.get("data").cloned());
+        if let Some(data) = data {
+            return GridPoint {
+                overrides: overrides.to_vec(),
+                params,
+                data,
+                text: String::new(),
+                passed: true,
+            };
+        }
     }
-    // `get` returned None: if the cache coalesces, we now own the
-    // flight and must resolve it — `put` on success, `abandon` (via the
-    // guard, so a panicking run counts too) otherwise.
-    let mut guard = AbandonGuard {
-        cache,
-        overrides,
-        armed: true,
-    };
-    let output = exp.run_ctx(ctx);
-    // Failing runs are never cached: the cached body cannot
-    // carry the verdict, so a hit is reported as passed.
-    if output.passed {
-        let body = format!("{}\n", output.document(id).to_pretty());
-        cache.put(overrides, &body);
-        guard.armed = false;
-    }
-    drop(guard);
+    // Computed here, or the cached body was unreadable.
+    let output = computed.unwrap_or_else(|| exp.run_ctx(ctx));
     GridPoint {
         overrides: overrides.to_vec(),
         params,
@@ -422,24 +396,6 @@ fn run_point(
         text: output.text,
         passed: output.passed,
     }
-}
-
-/// Rebuilds a [`GridPoint`] from a cached single-run body, if present
-/// and parseable.
-fn cached_point(
-    cache: &dyn PointCache,
-    overrides: &[(String, String)],
-    params: &[(String, String)],
-) -> Option<GridPoint> {
-    let body = cache.get(overrides)?;
-    let data = cqla_core::json::parse(&body).ok()?.get("data")?.clone();
-    Some(GridPoint {
-        overrides: overrides.to_vec(),
-        params: params.to_vec(),
-        data,
-        text: String::new(),
-        passed: true,
-    })
 }
 
 #[cfg(test)]
@@ -501,7 +457,7 @@ mod tests {
     #[test]
     fn point_cache_is_read_through_and_populated() {
         struct MapCache(Mutex<std::collections::HashMap<String, String>>);
-        impl PointCache for MapCache {
+        impl MapCache {
             fn get(&self, overrides: &[(String, String)]) -> Option<String> {
                 self.0
                     .lock()
@@ -509,11 +465,22 @@ mod tests {
                     .get(&format!("{overrides:?}"))
                     .cloned()
             }
-            fn put(&self, overrides: &[(String, String)], body: &str) {
+        }
+        impl PointCache for MapCache {
+            fn get_or_compute(
+                &self,
+                overrides: &[(String, String)],
+                compute: &mut dyn FnMut() -> Option<String>,
+            ) -> Option<String> {
+                if let Some(body) = self.get(overrides) {
+                    return Some(body);
+                }
+                let body = compute()?;
                 self.0
                     .lock()
                     .unwrap()
-                    .insert(format!("{overrides:?}"), body.to_owned());
+                    .insert(format!("{overrides:?}"), body.clone());
+                Some(body)
             }
         }
         let cache = MapCache(Mutex::new(std::collections::HashMap::new()));
@@ -584,30 +551,36 @@ mod tests {
 
     #[test]
     fn every_miss_is_resolved_with_a_put_and_never_abandoned() {
+        /// Never hits; records what each computation delivered.
         #[derive(Default)]
         struct Flights {
             puts: Mutex<usize>,
             abandons: Mutex<usize>,
         }
         impl PointCache for Flights {
-            fn get(&self, _overrides: &[(String, String)]) -> Option<String> {
-                None
-            }
-            fn put(&self, _overrides: &[(String, String)], _body: &str) {
-                *self.puts.lock().unwrap() += 1;
-            }
-            fn abandon(&self, _overrides: &[(String, String)]) {
-                *self.abandons.lock().unwrap() += 1;
+            fn get_or_compute(
+                &self,
+                _overrides: &[(String, String)],
+                compute: &mut dyn FnMut() -> Option<String>,
+            ) -> Option<String> {
+                let body = compute();
+                let outcome = if body.is_some() {
+                    &self.puts
+                } else {
+                    &self.abandons
+                };
+                *outcome.lock().unwrap() += 1;
+                body
             }
         }
         let cache = Flights::default();
         let run = GridRun::execute_cached(&grid("fig2", "bits=8,16"), 2, &cache);
         assert!(run.passed());
-        assert_eq!(*cache.puts.lock().unwrap(), 2, "one put per cold miss");
+        assert_eq!(*cache.puts.lock().unwrap(), 2, "one body per cold miss");
         assert_eq!(
             *cache.abandons.lock().unwrap(),
             0,
-            "passing runs resolve via put"
+            "passing runs deliver a body"
         );
     }
 

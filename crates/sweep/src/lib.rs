@@ -29,10 +29,7 @@
 //! * [`engine`] — [`SweepRun`]: execute a sweep, render text, serialize
 //!   deterministic results and (separately) timing stats;
 //! * [`regress`] — the perf regression gate: diff two `BENCH_sweep.json`
-//!   timing documents against a threshold (`cqla bench-diff`);
-//! * [`experiments`] — parallel ports of the paper's own grids that are
-//!   bitwise-identical to the registry generators in
-//!   `cqla_core::experiments`.
+//!   timing documents against a threshold (`cqla bench-diff`).
 //!
 //! The JSON layer ([`Json`], [`ToJson`]) lives in [`cqla_core::json`] and
 //! is re-exported here for compatibility.
@@ -62,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod experiments;
 pub mod grid;
 pub mod parse;
 pub mod pool;

@@ -42,6 +42,7 @@
 
 use cqla_core::experiments::grid;
 use cqla_core::experiments::{primary_blocks, suggest};
+use cqla_workloads::MAX_ADDER_BITS;
 
 pub use cqla_core::experiments::grid::{SpecError, MAX_INT, MAX_POINTS};
 
@@ -198,7 +199,13 @@ fn parse_axis(spec: &str, key: &str, values: &str, values_start: usize) -> Resul
             "cache ratio",
         )?)),
         _ => {
-            let v = grid::parse_int_set(spec, values, values_start)?;
+            // `width` and `bits` size the adder; the rest are counts.
+            let max = if matches!(key, "width" | "bits") {
+                MAX_ADDER_BITS
+            } else {
+                MAX_INT
+            };
+            let v = grid::parse_int_set(spec, values, values_start, max)?;
             Ok(match key {
                 "width" => Axis::InputBitsPrimaryBlocks(v),
                 "bits" => Axis::InputBits(v),
@@ -437,10 +444,11 @@ mod tests {
 
     #[test]
     fn point_count_overflow_is_capped_not_wrapped() {
-        // 2^20 values on four axes = 2^80 points: an unchecked usize
-        // product would wrap (to 0 on 64-bit) and slip under the cap.
-        let err = parse("width=1..=1048576 bits=1..=1048576 blocks=1..=1048576 xfer=1..=1048576")
-            .unwrap_err();
+        // Four maxed-out axes — 2^12 adder widths twice, 2^20 counts
+        // twice — are 2^64 points: an unchecked usize product would wrap
+        // (to 0 on 64-bit) and slip under the cap.
+        let err =
+            parse("width=1..=4096 bits=1..=4096 blocks=1..=1048576 xfer=1..=1048576").unwrap_err();
         assert!(err.message.contains("cap is 10000"), "{}", err.message);
     }
 

@@ -12,9 +12,7 @@
 /// let tile = region * 81.0;
 /// assert!((tile.to_square_millimeters().value() - 0.2025).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, PartialOrd, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SquareMicrometers(f64);
 
 impl SquareMicrometers {
@@ -85,9 +83,7 @@ impl core::iter::Sum for SquareMicrometers {
 /// let qla_site = steane_l2 * 3.0; // one data + two ancilla tiles
 /// assert!((qla_site.value() - 10.2).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, PartialOrd, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SquareMillimeters(f64);
 
 impl SquareMillimeters {

@@ -47,9 +47,7 @@ pub use time::{Cycles, Seconds};
 /// let region = trap * 10.0; // ten electrodes per trapping region
 /// assert_eq!(region, Micrometers::new(50.0));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, PartialOrd, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Micrometers(f64);
 
 impl Micrometers {

@@ -40,9 +40,7 @@ impl std::error::Error for ProbabilityError {}
 /// assert!((p_any.value() - 1e-5).abs() < 1e-9);
 /// # Ok::<(), cqla_units::ProbabilityError>(())
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, PartialOrd, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Probability(f64);
 
 impl Probability {

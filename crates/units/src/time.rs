@@ -16,9 +16,7 @@
 /// assert!(ec > gate);
 /// assert!((ec / gate - 30_000.0).abs() < 1e-6);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, PartialOrd, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Seconds(f64);
 
 impl Seconds {
@@ -179,19 +177,7 @@ impl core::iter::Sum for Seconds {
 /// let cycle_time = Seconds::from_micros(10.0);
 /// assert!((syndrome.to_duration(cycle_time).as_millis() - 1.54).abs() < 1e-9);
 /// ```
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
 
 impl Cycles {

@@ -22,6 +22,11 @@ use cqla_circuit::{Circuit, ClassicalState};
 
 use crate::width::{combine_carry, validate_width, MAX_VERIFIED_WIDTH};
 
+/// The widest adder [`DraperAdder::new`] builds: the ceiling every
+/// front end bounds adder-width parameters by, so an oversized width is
+/// a usage error rather than a panic.
+pub const MAX_ADDER_BITS: u32 = 4096;
+
 /// Generator for Draper carry-lookahead adders.
 ///
 /// # Examples
@@ -45,16 +50,17 @@ pub struct DraperAdder {
 impl DraperAdder {
     /// Builds the `n`-bit adder circuit.
     ///
-    /// Circuits can be generated up to 4096 bits for scheduling studies;
-    /// classical verification ([`DraperAdder::compute`]) is limited to 128
-    /// bits by `u128` arithmetic.
+    /// Circuits can be generated up to [`MAX_ADDER_BITS`] bits for
+    /// scheduling studies; classical verification
+    /// ([`DraperAdder::compute`]) is limited to 128 bits by `u128`
+    /// arithmetic.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or exceeds 4096.
+    /// Panics if `n` is zero or exceeds [`MAX_ADDER_BITS`].
     #[must_use]
     pub fn new(n: u32) -> Self {
-        validate_width("adder", n, 4096);
+        validate_width("adder", n, MAX_ADDER_BITS);
         let mut builder = Builder::new(n);
         let circuit = builder.build();
         Self {

@@ -42,7 +42,7 @@ pub mod width;
 
 pub use comparator::Comparator;
 pub use cuccaro::CuccaroAdder;
-pub use draper::DraperAdder;
+pub use draper::{DraperAdder, MAX_ADDER_BITS};
 pub use modadd::ModularAdder;
 pub use modexp::ModExp;
 pub use qft::Qft;

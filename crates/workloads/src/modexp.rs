@@ -26,7 +26,7 @@ use crate::draper::DraperAdder;
 /// assert_eq!(me.additions(), 2 * 2048 * 1024);
 /// assert_eq!(me.working_qubits(), 6 * 1024);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModExp {
     n: u32,
 }

@@ -20,7 +20,7 @@ use crate::qft::Qft;
 /// assert!(timesteps > 1e9);
 /// assert_eq!(qubits, 6.0 * 1024.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShorInstance {
     n: u32,
 }

@@ -7,7 +7,7 @@
 
 use cqla_repro::core::experiments::find;
 use cqla_repro::core::report::{fmt3, TextTable};
-use cqla_repro::core::{AreaModel, CqlaConfig, SpecializationStudy, TABLE4_GRID};
+use cqla_repro::core::{AreaModel, CqlaConfig, EvalCtx, SpecializationStudy, TABLE4_GRID};
 use cqla_repro::ecc::fidelity::AppSize;
 use cqla_repro::ecc::Code;
 use cqla_repro::iontrap::TechnologyParams;
@@ -30,7 +30,7 @@ fn main() {
     ]);
     for (bits, [blocks, _]) in TABLE4_GRID {
         let config = CqlaConfig::new(Code::BaconShor913, bits, blocks);
-        let result = study.evaluate(config);
+        let result = study.evaluate_ctx(config, &EvalCtx::new());
         let shor = ShorInstance::new(bits);
         let (k, q) = shor.app_size();
         let app = AppSize::new(k, q);

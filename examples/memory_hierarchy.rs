@@ -5,7 +5,7 @@
 //! cargo run --example memory_hierarchy
 //! ```
 
-use cqla_repro::core::{HierarchyConfig, HierarchyStudy};
+use cqla_repro::core::{EvalCtx, HierarchyConfig, HierarchyStudy};
 use cqla_repro::ecc::fidelity::{AppSize, FidelityBudget};
 use cqla_repro::ecc::Code;
 use cqla_repro::iontrap::TechnologyParams;
@@ -18,7 +18,10 @@ fn main() {
     println!("Memory hierarchy study: 256-bit Draper additions, 36 blocks\n");
     for code in Code::ALL {
         for par_xfer in [10u32, 5] {
-            let r = study.evaluate(HierarchyConfig::new(code, 256, par_xfer, 36));
+            let r = study.evaluate_ctx(
+                HierarchyConfig::new(code, 256, par_xfer, 36),
+                &EvalCtx::new(),
+            );
             println!("{code}, {par_xfer} parallel transfers:");
             println!(
                 "  cache hit rate          {:.0}% ({} fetches/addition)",

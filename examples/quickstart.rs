@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use cqla_repro::core::{CqlaConfig, QlaBaseline, SpecializationStudy};
+use cqla_repro::core::{CqlaConfig, EvalCtx, QlaBaseline, SpecializationStudy};
 use cqla_repro::ecc::Code;
 use cqla_repro::iontrap::TechnologyParams;
 
@@ -27,7 +27,7 @@ fn main() {
 
     let study = SpecializationStudy::new(&tech);
     for code in Code::ALL {
-        let result = study.evaluate(CqlaConfig::new(code, 1024, 100));
+        let result = study.evaluate_ctx(CqlaConfig::new(code, 1024, 100), &EvalCtx::new());
         println!("CQLA with {code}, 100 compute blocks:");
         println!("  area reduced        {:.2}x", result.area_reduction);
         println!("  adder speedup       {:.2}x", result.speedup);

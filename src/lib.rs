@@ -27,13 +27,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use cqla_repro::core::{CqlaConfig, SpecializationStudy};
+//! use cqla_repro::core::{CqlaConfig, EvalCtx, SpecializationStudy};
 //! use cqla_repro::ecc::Code;
 //! use cqla_repro::iontrap::TechnologyParams;
 //!
 //! let tech = TechnologyParams::projected();
 //! let study = SpecializationStudy::new(&tech);
-//! let machine = study.evaluate(CqlaConfig::new(Code::BaconShor913, 1024, 100));
+//! let config = CqlaConfig::new(Code::BaconShor913, 1024, 100);
+//! let machine = study.evaluate_ctx(config, &EvalCtx::new());
 //! println!(
 //!     "area reduced {:.1}x, speedup {:.2}x, gain product {:.1}",
 //!     machine.area_reduction, machine.speedup, machine.gain_product

@@ -4,7 +4,9 @@
 
 use cqla_repro::circuit::{asm, DependencyDag, Gate, ListScheduler, Width};
 use cqla_repro::core::experiments::{Fig6b, Fig7};
-use cqla_repro::core::{CacheSim, CqlaConfig, FetchPolicy, QlaBaseline, SpecializationStudy};
+use cqla_repro::core::{
+    CacheSim, CqlaConfig, EvalCtx, FetchPolicy, QlaBaseline, SpecializationStudy,
+};
 use cqla_repro::ecc::{Code, EccMetrics, Level};
 use cqla_repro::iontrap::TechnologyParams;
 use cqla_repro::workloads::{DraperAdder, ModExp, ShorInstance};
@@ -62,7 +64,7 @@ fn figure_generators_are_consistent_with_each_other() {
         assert!(*crossover >= 9, "superblocks must fit at least a 3x3 group");
     }
     // Fig 7's optimized rates must dominate in-order everywhere.
-    let fig7_rows = Fig7.rows();
+    let fig7_rows = Fig7.rows_ctx(&EvalCtx::new());
     let opt_min = fig7_rows
         .iter()
         .filter(|r| r.policy == FetchPolicy::OptimizedLookahead)
@@ -83,7 +85,10 @@ fn figure_generators_are_consistent_with_each_other() {
 fn modexp_sizing_feeds_the_area_model() {
     let me = ModExp::new(512);
     let study = SpecializationStudy::new(&tech());
-    let result = study.evaluate(CqlaConfig::new(Code::BaconShor913, 512, 64));
+    let result = study.evaluate_ctx(
+        CqlaConfig::new(Code::BaconShor913, 512, 64),
+        &EvalCtx::new(),
+    );
     assert_eq!(
         CqlaConfig::new(Code::BaconShor913, 512, 64).memory_qubits(),
         me.working_qubits()
@@ -97,7 +102,7 @@ fn qla_baseline_consistent_with_specialization_at_saturation() {
     // the QLA's own code.
     let study = SpecializationStudy::new(&tech());
     let qla = QlaBaseline::new(&tech());
-    let r = study.evaluate(CqlaConfig::new(Code::Steane713, 64, 512));
+    let r = study.evaluate_ctx(CqlaConfig::new(Code::Steane713, 64, 512), &EvalCtx::new());
     let ratio = r.adder_time / qla.adder_time(64);
     assert!((ratio - 1.0).abs() < 1e-9, "ratio {ratio}");
 }
@@ -301,11 +306,11 @@ mod cli {
 
     #[test]
     fn astronomically_large_specs_are_rejected_not_expanded() {
-        // Four maxed-out axes multiply to 2^80; the cap check must not
+        // Four maxed-out axes multiply to 2^64; the cap check must not
         // wrap. This must come back in milliseconds with exit 2.
         let out = cqla(&[
             "sweep",
-            "width=1..=1048576 bits=1..=1048576 blocks=1..=1048576 xfer=1..=1048576",
+            "width=1..=4096 bits=1..=4096 blocks=1..=1048576 xfer=1..=1048576",
         ]);
         assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
         assert!(stderr(&out).contains("cap is 10000"), "{}", stderr(&out));
@@ -567,6 +572,30 @@ mod cli {
             "{}",
             stderr(&out)
         );
+    }
+
+    #[test]
+    fn adder_widths_past_the_ceiling_are_usage_errors() {
+        // Every spelling that sizes an adder stops at the Draper ceiling
+        // with a usage error instead of a panic (exit 101).
+        for args in [
+            &["run", "machine", "bits=4097"][..],
+            &["run", "fig2", "bits=100000"],
+            &["sweep", "bits=5000"],
+            &["sweep", "width=5000"],
+            &["run", "fig2", "bits=32,100000"],
+        ] {
+            let out = cqla(args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+            let err = stderr(&out);
+            assert!(err.contains("1..=4096"), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+        }
+        // Value sets point a caret at the offending value.
+        let err = stderr(&cqla(&["sweep", "bits=5000"]));
+        assert!(err.contains("^^^^"), "{err}");
+        // The ceiling itself is still a valid width.
+        assert!(cqla(&["run", "machine", "bits=4096"]).status.success());
     }
 
     #[test]
@@ -893,6 +922,23 @@ mod cli {
             let (status, body) = serve.get("/v1/run/fig2?bits=32");
             assert_eq!(status, 200);
             assert_eq!(body, stdout(&single), "per-point cache entry");
+            let _ = serve.post("/v1/shutdown", "");
+        }
+
+        #[test]
+        fn oversized_adder_widths_are_400s() {
+            let serve = Serve::start("1");
+            let (status, body) = serve.get("/v1/run/fig2?bits=100000");
+            assert_eq!(status, 400, "{body}");
+            assert!(body.contains("1..=4096"), "{body}");
+            let (status, body) = serve.get("/v1/run/fig2?bits=32,100000");
+            assert_eq!(status, 400, "{body}");
+            let (status, body) = serve.post("/v1/sweep", "bits=5000");
+            assert_eq!(status, 400, "{body}");
+            // Nothing was cached or left blocked: the service still
+            // answers, and a valid width runs.
+            let (status, _) = serve.get("/v1/run/fig2?bits=4096");
+            assert_eq!(status, 200);
             let _ = serve.post("/v1/shutdown", "");
         }
 

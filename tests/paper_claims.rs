@@ -2,7 +2,7 @@
 //! reproduction. Each test cites the claim it checks.
 
 use cqla_repro::core::experiments::{Fig2, Fig6b, Fig7, Table4, Table5};
-use cqla_repro::core::{AreaModel, FetchPolicy};
+use cqla_repro::core::{AreaModel, EvalCtx, FetchPolicy};
 use cqla_repro::ecc::fidelity::{AppSize, FidelityBudget};
 use cqla_repro::ecc::{Code, EccMetrics, Level, TransferNetwork};
 use cqla_repro::iontrap::TechnologyParams;
@@ -35,7 +35,7 @@ fn claim_memory_hierarchy_speedup_band() {
     // Abstract: "we can increase time performance by a factor of eight."
     // Our policy bracket must contain that figure for the Bacon-Shor
     // configurations (conservative below, balanced above).
-    let rows = Table5::default().rows();
+    let rows = Table5::default().rows_ctx(&EvalCtx::new());
     let mut bracket_contains_8 = false;
     for r in rows.iter().filter(|r| r.code == Code::BaconShor913) {
         if r.result.adder_speedup_interleave <= 8.0 && 8.0 <= r.result.adder_speedup_balanced {
@@ -100,7 +100,7 @@ fn claim_superblock_crossover_a_few_dozen_blocks() {
 fn claim_optimized_fetch_beats_cache_size() {
     // §5.2: "the increase in hit-rate is more pronounced due to the
     // optimized fetch than increasing cache size."
-    let rows = Fig7.rows();
+    let rows = Fig7.rows_ctx(&EvalCtx::new());
     for bits in [64u32, 256, 1024] {
         let rate = |factor: f64, policy: FetchPolicy| {
             rows.iter()
@@ -153,7 +153,7 @@ fn claim_transfer_asymmetry() {
 fn claim_gain_products_always_beat_qla() {
     // Table 4: every CQLA configuration's gain product exceeds the QLA's
     // 1.0 for both codes.
-    let rows = Table4::default().rows();
+    let rows = Table4::default().rows_ctx(&EvalCtx::new());
     for r in &rows {
         assert!(r.steane.gain_product > 1.0, "{}-bit Steane", r.input_bits);
         assert!(
