@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use cqla_core::experiments::Grid;
 use cqla_core::json;
-use cqla_sweep::{engine, grid, DesignPoint, Sweep};
+use cqla_sweep::{frame, DesignPoint, GridRun, Sweep, SweepRun};
 
 use crate::client::Client;
 
@@ -210,7 +210,7 @@ struct Sched {
 /// [`DistError`] when the fleet cannot complete the grid: no workers,
 /// a protocol rejection, or every worker dead.
 pub fn run_grid(grid: &Grid, config: &FleetConfig) -> Result<DistRun, DistError> {
-    let prologue = grid::document_prologue(grid.id(), grid.spec(), grid.len());
+    let prologue = frame::prologue(GridRun::head(grid.id(), grid.spec(), grid.len()));
     run_work(Work::Grid(grid.clone()), prologue, grid.len(), config)
 }
 
@@ -221,7 +221,7 @@ pub fn run_grid(grid: &Grid, config: &FleetConfig) -> Result<DistRun, DistError>
 /// [`DistError`] when the fleet cannot complete the sweep: no
 /// workers, a protocol rejection, or every worker dead.
 pub fn run_sweep(sweep: &Sweep, config: &FleetConfig) -> Result<DistRun, DistError> {
-    let prologue = engine::sweep_prologue(sweep.name(), sweep.len());
+    let prologue = frame::prologue(SweepRun::head(sweep.name(), sweep.len()));
     run_work(
         Work::Sweep(sweep.points().to_vec()),
         prologue,
@@ -296,7 +296,7 @@ fn run_work(
         }
         document.push_str(fragment);
     }
-    document.push_str(grid::DOCUMENT_EPILOGUE);
+    document.push_str(frame::DOCUMENT_EPILOGUE);
     Ok(DistRun {
         document,
         passed: sched.passed,
@@ -507,7 +507,7 @@ fn stream_unit(
                 // not the merged grid, so it never enters the merge.
                 return;
             }
-            if chunk == grid::DOCUMENT_EPILOGUE {
+            if chunk == frame::DOCUMENT_EPILOGUE {
                 complete = true;
                 return;
             }

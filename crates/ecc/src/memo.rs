@@ -228,15 +228,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         Ok((value, Outcome::Computed))
     }
 
-    /// Stores `value` under `key` outside any computation, replacing a
-    /// stored value and counting as a use for eviction.
-    pub fn insert(&self, key: K, value: V) {
-        let mut table = self.lock();
-        self.store(&mut table, key, value);
-        drop(table);
-        self.settled.notify_all();
-    }
-
     /// Stores a value, first evicting the least-recently-used entry if
     /// the table is full and `key` is new. The O(n) scan runs only on
     /// stores into a full table, never on hits.
@@ -436,8 +427,8 @@ mod tests {
     #[test]
     fn lru_cache_evicts_the_least_recently_used_entry() {
         let memo: Memo<&str, &str> = Memo::with_capacity(2);
-        memo.insert("a", "A");
-        memo.insert("b", "B");
+        assert_eq!(memo.get_or_compute("a", || "A"), "A");
+        assert_eq!(memo.get_or_compute("b", || "B"), "B");
         assert_eq!(memo.evictions(), 0);
         // Touch `a` so `b` becomes the least recently used…
         assert_eq!(memo.get_or_compute("a", || unreachable!()), "A");
@@ -448,10 +439,5 @@ mod tests {
         assert_eq!(stored(&memo, "b"), None, "LRU entry must be evicted");
         assert_eq!(stored(&memo, "a"), Some("A"));
         assert_eq!(stored(&memo, "c"), Some("C"));
-        // Re-inserting an existing key is an update, not an eviction.
-        memo.insert("c", "C2");
-        assert_eq!(memo.evictions(), 1);
-        assert_eq!(memo.len(), 2);
-        assert_eq!(stored(&memo, "c"), Some("C2"));
     }
 }

@@ -25,13 +25,13 @@
 //! costs one evaluation. A request that fails (bad params, failed
 //! self-checks, a panic) caches nothing and hands the key to a waiter.
 //!
-//! Sweep jobs (`POST /v1/jobs/{id}`) run the same grid machinery on a
-//! background thread: creation answers immediately with a job id,
-//! `GET /v1/jobs/{jid}` polls progress, and
+//! Jobs (`POST /v1/jobs/{id}` for grids, `POST /v1/jobs/sweep` for
+//! sweep batches) run on one background job runner: creation answers
+//! immediately with a job id, `GET /v1/jobs/{jid}` polls progress, and
 //! `GET /v1/jobs/{jid}/stream?from=K` streams fragments — resumable
 //! after a dropped connection from any fragment offset, with no point
-//! recomputed. Completed jobs keep their merged document in the cache and
-//! are retired after `job_retention` newer completions.
+//! recomputed. Completed jobs are retired after `job_retention` newer
+//! completions.
 //!
 //! Shutdown (`POST /v1/shutdown` or [`ServerHandle::shutdown`]) drains:
 //! workers finish the request or stream they are serving, idle
@@ -54,9 +54,8 @@ use cqla_core::experiments::{
 };
 use cqla_core::Json;
 use cqla_ecc::memo::{Memo, Outcome};
-use cqla_sweep::engine::{sweep_fragment, sweep_prologue};
-use cqla_sweep::grid::{document_prologue, point_fragment, PointSink, DOCUMENT_EPILOGUE};
-use cqla_sweep::{GridRun, PointCache, Sweep, SweepRun, SweepSink};
+use cqla_sweep::frame::{self, DOCUMENT_EPILOGUE};
+use cqla_sweep::{GridRun, PointCache, Sweep, SweepRun};
 
 use crate::http::{self, read_request, ChunkedWriter, Request, RequestError, Response, Status};
 
@@ -775,27 +774,6 @@ fn sweep_grid_endpoint(id: &str, body: &[u8]) -> Routed {
     }
 }
 
-/// Streams one [`PointSink`] fragment per completed point into a
-/// [`ChunkedWriter`], remembering (rather than propagating — the pool
-/// must finish either way) the first write failure.
-struct StreamSink<'w, W: std::io::Write> {
-    writer: Mutex<ChunkedWriter<'w, W>>,
-    failed: AtomicBool,
-}
-
-impl<W: std::io::Write + Send> PointSink for StreamSink<'_, W> {
-    fn point(&self, index: usize, point: &cqla_sweep::grid::GridPoint) {
-        if self.failed.load(Ordering::Relaxed) {
-            return;
-        }
-        let fragment = point_fragment(index, point);
-        let mut writer = self.writer.lock().expect("stream writer lock");
-        if writer.chunk(&fragment).is_err() {
-            self.failed.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Executes a grid and streams it: prologue chunk, one chunk per point
 /// as the pool finishes it, epilogue chunk, terminal chunk. If the
 /// client hangs up mid-stream the execution still completes (points
@@ -809,27 +787,34 @@ fn stream_grid(
     close: bool,
 ) -> std::io::Result<()> {
     let _open = Gauge::new(&shared.streams_open);
-    let total = grid.points().len();
     let mut w: &TcpStream = stream;
     let mut body = ChunkedWriter::start(&mut w, Status::Ok, close)?;
-    body.chunk(&document_prologue(grid.id(), grid.spec(), total))?;
+    body.chunk(&frame::prologue(GridRun::head(
+        grid.id(),
+        grid.spec(),
+        grid.len(),
+    )))?;
     let cache = SharedPointCache {
         shared,
         id: grid.id(),
     };
-    let sink = StreamSink {
-        writer: Mutex::new(body),
-        failed: AtomicBool::new(false),
-    };
-    let _run = GridRun::execute_streamed(grid, pool_threads, &cache, &sink);
-    let failed = sink.failed.load(Ordering::Relaxed);
-    let mut body = sink.writer.into_inner().expect("stream writer lock");
-    if failed {
+    // `None` once a write failed: the pool must finish either way, so
+    // the failure is remembered rather than propagated.
+    let writer = Mutex::new(Some(body));
+    let _run = GridRun::execute_streamed(grid, pool_threads, &cache, |index, result| {
+        let mut writer = writer.lock().expect("stream writer lock");
+        if let Some(body) = writer.as_mut() {
+            if body.chunk(&frame::fragment(index, result)).is_err() {
+                *writer = None;
+            }
+        }
+    });
+    let Some(mut body) = writer.into_inner().expect("stream writer lock") else {
         return Err(std::io::Error::new(
             std::io::ErrorKind::BrokenPipe,
             "client left mid-stream",
         ));
-    }
+    };
     body.chunk(DOCUMENT_EPILOGUE)?;
     body.finish()
 }
@@ -977,11 +962,22 @@ fn jobs_create_endpoint(
         Ok(grid) => grid,
         Err(response) => return response,
     };
-    let total = grid.points().len();
-    let prologue = document_prologue(id, grid.spec(), total);
-    start_job(shared, id, grid.spec().to_owned(), total, prologue, {
-        move |shared, job| run_job(&shared, &job, &grid, pool_threads)
-    })
+    let total = grid.len();
+    let prologue = frame::prologue(GridRun::head(id, grid.spec(), total));
+    start_job(
+        shared,
+        id,
+        grid.spec().to_owned(),
+        total,
+        prologue,
+        move |shared, append| {
+            let cache = SharedPointCache {
+                shared,
+                id: grid.id(),
+            };
+            GridRun::execute_streamed(&grid, pool_threads, &cache, append).passed()
+        },
+    )
 }
 
 /// `POST /v1/jobs/sweep` — the body is a design-space batch: one
@@ -1005,24 +1001,27 @@ fn jobs_create_sweep_endpoint(body: &[u8], shared: &Arc<Shared>, pool_threads: u
         }
     };
     let total = sweep.len();
-    let prologue = sweep_prologue(sweep.name(), total);
+    let prologue = frame::prologue(SweepRun::head(sweep.name(), total));
     let spec = sweep.name().to_owned();
-    start_job(shared, "sweep", spec, total, prologue, {
-        move |shared, job| run_sweep_job(&shared, &job, &sweep, pool_threads)
+    // Sweeps carry no pass/fail verdict: completing is `passed`.
+    start_job(shared, "sweep", spec, total, prologue, move |_, append| {
+        let _run = SweepRun::execute_streamed(&sweep, pool_threads, append);
+        true
     })
 }
 
 /// Registers a job under the next id, bumps the active gauge, and
-/// starts its runner thread — the shared tail of both job-creation
-/// endpoints. The runner must end with [`finish_job`]. Creation past
-/// [`MAX_ACTIVE_JOBS`] is refused with a 503.
+/// starts [`run_job`] on its own thread — the shared tail of both
+/// job-creation endpoints. `execute` runs the job streamed through the
+/// fragment appender it is handed and returns the verdict. Creation
+/// past [`MAX_ACTIVE_JOBS`] is refused with a 503.
 fn start_job(
     shared: &Arc<Shared>,
     artifact: &str,
     spec: String,
     total: usize,
     prologue: String,
-    runner: impl FnOnce(Arc<Shared>, Arc<Job>) + Send + 'static,
+    execute: impl FnOnce(&Shared, &(dyn Fn(usize, &Json) + Sync)) -> bool + Send + 'static,
 ) -> Response {
     if shared.jobs_active.load(Ordering::Relaxed) >= MAX_ACTIVE_JOBS as u64 {
         return Response::error(
@@ -1055,7 +1054,7 @@ fn start_job(
     let handle = std::thread::spawn({
         let shared = Arc::clone(shared);
         let job = Arc::clone(&job);
-        move || runner(shared, job)
+        move || run_job(&shared, &job, execute)
     });
     shared
         .job_threads
@@ -1068,85 +1067,27 @@ fn start_job(
     }
 }
 
-/// Appends each completed point's fragment to the job log and wakes
-/// pollers/streamers.
-struct JobSink<'a> {
-    job: &'a Job,
-}
-
-impl PointSink for JobSink<'_> {
-    fn point(&self, index: usize, point: &cqla_sweep::grid::GridPoint) {
-        let fragment = point_fragment(index, point);
-        let mut state = self.job.state.lock().expect("job state lock");
+/// The job thread: execute the run, appending each result's fragment
+/// to the job log and waking pollers/streamers; then mark the job done,
+/// apply completed-job retention, and drop the active-jobs gauge. A
+/// panicking run still marks the job done (failed) so streams and
+/// shutdown never wait forever.
+fn run_job(
+    shared: &Shared,
+    job: &Job,
+    execute: impl FnOnce(&Shared, &(dyn Fn(usize, &Json) + Sync)) -> bool,
+) {
+    let append = |index: usize, result: &Json| {
+        let fragment = frame::fragment(index, result);
+        let mut state = job.state.lock().expect("job state lock");
         debug_assert_eq!(state.fragments.len(), index, "fragments arrive in order");
         state.fragments.push(fragment);
-        self.job.cv.notify_all();
-    }
-}
-
-/// The job thread: execute the grid through the shared point cache,
-/// park the merged document in the results cache, mark the job done, apply
-/// retention. A panicking run still marks the job done (failed) so
-/// streams and shutdown never wait forever.
-fn run_job(shared: &Arc<Shared>, job: &Arc<Job>, grid: &Grid, pool_threads: usize) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let cache = SharedPointCache {
-            shared,
-            id: &job.artifact,
-        };
-        let sink = JobSink { job };
-        GridRun::execute_streamed(grid, pool_threads, &cache, &sink)
-    }));
-    let passed = match &outcome {
-        Ok(run) => {
-            let merged = Arc::new(format!("{}\n", run.to_json().to_pretty()));
-            shared
-                .cache
-                .insert(grid_document_key(&job.artifact, &job.spec), merged);
-            run.passed()
-        }
-        Err(_) => {
-            eprintln!("cqla-serve: job {} panicked; marked failed", job.id);
-            false
-        }
+        job.cv.notify_all();
     };
-    finish_job(shared, job, passed);
-}
-
-/// Appends each completed design point's fragment to the job log and
-/// wakes pollers/streamers — [`JobSink`]'s twin for design-space
-/// sweep jobs.
-struct SweepJobSink<'a> {
-    job: &'a Job,
-}
-
-impl SweepSink for SweepJobSink<'_> {
-    fn result(&self, index: usize, result: &cqla_sweep::JobResult) {
-        let fragment = sweep_fragment(index, result);
-        let mut state = self.job.state.lock().expect("job state lock");
-        debug_assert_eq!(state.fragments.len(), index, "fragments arrive in order");
-        state.fragments.push(fragment);
-        self.job.cv.notify_all();
-    }
-}
-
-/// The sweep-job thread: execute the design-space sweep on the pool,
-/// streaming fragments into the job log. Sweeps carry no pass/fail
-/// verdict, so completing without a panic is `passed`.
-fn run_sweep_job(shared: &Arc<Shared>, job: &Arc<Job>, sweep: &Sweep, pool_threads: usize) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let sink = SweepJobSink { job };
-        let _run = SweepRun::execute_streamed(sweep, pool_threads, &sink);
-    }));
-    if outcome.is_err() {
+    let passed = catch_unwind(AssertUnwindSafe(|| execute(shared, &append))).unwrap_or_else(|_| {
         eprintln!("cqla-serve: job {} panicked; marked failed", job.id);
-    }
-    finish_job(shared, job, outcome.is_ok());
-}
-
-/// Marks a job done, applies completed-job retention, and drops the
-/// active-jobs gauge — the mandatory tail of every job runner.
-fn finish_job(shared: &Shared, job: &Job, passed: bool) {
+        false
+    });
     {
         let mut state = job.state.lock().expect("job state lock");
         state.done = true;
@@ -1219,13 +1160,6 @@ fn canonical_key(id: &str, sorted_params: &[(String, String)]) -> String {
         let _ = write!(key, "|{}:{param}|{}:{value}", param.len(), value.len());
     }
     key
-}
-
-/// The cache key a completed job's *merged* document lands under.
-/// Starts with a letter, so it can never collide with [`canonical_key`]
-/// (whose first byte is always a digit of the id's length).
-fn grid_document_key(id: &str, spec: &str) -> String {
-    format!("grid|{}:{id}|{}:{spec}", id.len(), spec.len())
 }
 
 /// `POST /v1/sweep` — the body is one sweep-spec expression (or builtin
@@ -1382,8 +1316,8 @@ mod tests {
     }
 
     /// Materializes a routed outcome into a full response, executing
-    /// grid streams inline through the shared point cache exactly as
-    /// the connection loop would.
+    /// grid streams inline through the shared point cache and framing
+    /// them exactly as the connection loop would.
     fn materialize(routed: Routed, shared: &Shared) -> Response {
         match routed {
             Routed::Full(response) => response,
@@ -1392,8 +1326,16 @@ mod tests {
                     shared,
                     id: grid.id(),
                 };
-                let run = GridRun::execute_cached(&grid, 1, &cache);
-                Response::ok(format!("{}\n", run.to_json().to_pretty()))
+                let head = GridRun::head(grid.id(), grid.spec(), grid.len());
+                let body = Mutex::new(frame::prologue(head));
+                let _run = GridRun::execute_streamed(&grid, 1, &cache, |index, result| {
+                    body.lock()
+                        .unwrap()
+                        .push_str(&frame::fragment(index, result));
+                });
+                let mut body = body.into_inner().unwrap();
+                body.push_str(DOCUMENT_EPILOGUE);
+                Response::ok(body)
             }
             Routed::JobStream { .. } => panic!("expected a grid outcome, got a job stream"),
         }
@@ -1430,11 +1372,6 @@ mod tests {
                 "{smuggled:?} must not forge the two-param key"
             );
         }
-        // A job's merged-document key lives in its own namespace.
-        assert_ne!(
-            grid_document_key("fig2", "bits=8"),
-            canonical_key("fig2", &[("bits".to_owned(), "8".to_owned())])
-        );
     }
 
     #[test]
@@ -1566,11 +1503,8 @@ mod tests {
             assert!(Instant::now() < deadline, "job never completed");
             std::thread::sleep(Duration::from_millis(10));
         }
-        // The merged document landed in the results cache.
-        let job = find_job(shared, "j1").unwrap();
-        let merged =
-            cached(shared, grid_document_key("fig2", &job.spec)).expect("merged document cached");
-        assert!(merged.contains("\"artifact\": \"fig2\""));
+        // The results cache holds one body per point and nothing else.
+        assert_eq!(shared.cache.len(), 2);
         // A second completed job retires the first (retention 1)…
         let created = jobs_create_endpoint("fig2", b"bits=8", shared, 1);
         let jid = cqla_core::json::parse(&created.body)
@@ -1590,6 +1524,34 @@ mod tests {
         // …and an id never handed out is 404, not 410.
         assert_eq!(err_status(find_job(shared, "j99")), Some(Status::NotFound));
         assert_eq!(err_status(find_job(shared, "nope")), Some(Status::NotFound));
+    }
+
+    #[test]
+    fn a_panicking_job_is_marked_failed_and_releases_its_slot() {
+        let server = Server::bind("127.0.0.1:0", 1).unwrap();
+        let shared = &server.shared;
+        let created = start_job(
+            shared,
+            "fig2",
+            String::new(),
+            2,
+            String::new(),
+            |_, append| {
+                append(0, &Json::Int(1));
+                panic!("job blew up mid-run");
+            },
+        );
+        assert_eq!(created.status, Status::Accepted);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let job = find_job(shared, "j1").expect("job exists");
+        while !job.state.lock().unwrap().done {
+            assert!(Instant::now() < deadline, "panicked job never finished");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let doc = job_json(&job);
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
+        assert_eq!(doc.get("done").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(shared.jobs_active.load(Ordering::Relaxed), 0);
     }
 
     #[test]

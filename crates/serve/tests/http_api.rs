@@ -475,37 +475,59 @@ fn grid_responses_stream_chunked_and_concatenate_byte_identically() {
 #[test]
 fn jobs_run_in_the_background_and_streams_resume_from_any_offset() {
     let live = Live::start(2);
-    let (status, created) = post(live.addr, "/v1/jobs/fig2", "bits=8,16");
-    assert_eq!(status, 202, "{created}");
-    let doc = json::parse(&created).expect("job document is JSON");
-    let jid = doc.get("job").and_then(|v| v.as_str()).unwrap().to_owned();
-    assert_eq!(doc.get("points").and_then(|v| v.as_f64()), Some(2.0));
-    // Poll until done.
-    let done = wait_for_job(live.addr, &jid);
-    assert_eq!(done.get("status").and_then(|v| v.as_str()), Some("done"));
-    assert_eq!(done.get("done").and_then(|v| v.as_f64()), Some(2.0));
-    assert_eq!(done.get("passed"), Some(&json::Json::Bool(true)));
-    // The full stream is byte-identical to the grid response.
-    let (status, full) = get(live.addr, &format!("/v1/jobs/{jid}/stream"));
-    assert_eq!(status, 200);
-    let (_, expected) = post(live.addr, "/v1/sweep/fig2", "bits=8,16");
-    assert_eq!(full, expected, "job stream == grid response");
-    // Resuming from offset K yields exactly the suffix after K
-    // fragments: prefix + resume == full document.
-    let (status, tail) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from=1"));
-    assert_eq!(status, 200);
-    assert!(full.ends_with(&tail), "resume must be a suffix:\n{tail}");
-    assert!(tail.len() < full.len(), "resume skips delivered fragments");
-    // from == total: only the epilogue remains.
-    let (status, epilogue) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from=2"));
-    assert_eq!(status, 200);
-    assert!(full.ends_with(&epilogue));
-    assert!(epilogue.contains(']'), "epilogue closes the results array");
-    // Past the end is a 400; bad offsets are 400; unknown jobs 404.
-    let (status, _) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from=3"));
-    assert_eq!(status, 400);
-    let (status, _) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from=x"));
-    assert_eq!(status, 400);
+    // A registry grid job streams the `POST /v1/sweep/{id}` document…
+    let (_, grid_doc) = post(live.addr, "/v1/sweep/fig2", "bits=8,16");
+    // …and a two-line sweep batch streams the `POST /v1/sweep` document
+    // for the same points, named after the batch text.
+    let batch = "code=steane bits=32 xfer=5\ncode=steane bits=64 xfer=5\n";
+    let (_, sweep_doc) = post(live.addr, "/v1/sweep", "code=steane bits=32,64 xfer=5");
+    let sweep_doc = sweep_doc.replacen(
+        r#""sweep": "code=steane bits=32,64 xfer=5""#,
+        r#""sweep": "code=steane bits=32 xfer=5\ncode=steane bits=64 xfer=5""#,
+        1,
+    );
+    assert!(sweep_doc.contains(r#"bits=32 xfer=5\ncode"#), "{sweep_doc}");
+    for (route, body, expected) in [
+        ("/v1/jobs/fig2", "bits=8,16", grid_doc),
+        ("/v1/jobs/sweep", batch, sweep_doc),
+    ] {
+        let (status, created) = post(live.addr, route, body);
+        assert_eq!(status, 202, "{route}: {created}");
+        let doc = json::parse(&created).expect("job document is JSON");
+        let jid = doc.get("job").and_then(|v| v.as_str()).unwrap().to_owned();
+        assert_eq!(doc.get("points").and_then(|v| v.as_f64()), Some(2.0));
+        // Poll until done.
+        let done = wait_for_job(live.addr, &jid);
+        assert_eq!(done.get("status").and_then(|v| v.as_str()), Some("done"));
+        assert_eq!(done.get("done").and_then(|v| v.as_f64()), Some(2.0));
+        assert_eq!(done.get("passed"), Some(&json::Json::Bool(true)));
+        // The full stream is byte-identical to the direct response.
+        let (status, full) = get(live.addr, &format!("/v1/jobs/{jid}/stream"));
+        assert_eq!(status, 200);
+        assert_eq!(full, expected, "{route}: job stream == direct response");
+        // Resuming from offset K yields exactly the suffix after K
+        // fragments: prefix + resume == full document.
+        let (status, tail) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from=1"));
+        assert_eq!(status, 200);
+        assert!(
+            full.ends_with(&tail),
+            "{route}: resume must be a suffix:\n{tail}"
+        );
+        assert!(tail.len() < full.len(), "resume skips delivered fragments");
+        // from == total: only the epilogue remains.
+        let (status, epilogue) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from=2"));
+        assert_eq!(status, 200);
+        assert_eq!(
+            epilogue, "\n  ]\n}\n",
+            "{route}: epilogue closes the document"
+        );
+        // Past the end is a 400; bad offsets are 400.
+        let (status, _) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from=3"));
+        assert_eq!(status, 400);
+        let (status, _) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from=x"));
+        assert_eq!(status, 400);
+    }
+    // Unknown jobs are 404.
     let (status, _) = get(live.addr, "/v1/jobs/j999/stream");
     assert_eq!(status, 404);
     let (status, body) = get(live.addr, "/v1/jobs/nope");
@@ -516,6 +538,31 @@ fn jobs_run_in_the_background_and_streams_resume_from_any_offset() {
     assert!(doc.get("jobs_active").is_some(), "{stats}");
     assert!(doc.get("streams_open").is_some(), "{stats}");
     assert!(doc.get("coalesced").is_some(), "{stats}");
+}
+
+#[test]
+fn completed_grid_jobs_leave_one_cache_entry_per_point() {
+    let live = Live::start(2);
+    let (status, created) = post(live.addr, "/v1/jobs/fig2", "bits=8,16,24");
+    assert_eq!(status, 202, "{created}");
+    let jid = json::parse(&created)
+        .unwrap()
+        .get("job")
+        .and_then(|v| v.as_str())
+        .unwrap()
+        .to_owned();
+    let done = wait_for_job(live.addr, &jid);
+    assert_eq!(done.get("status").and_then(|v| v.as_str()), Some("done"));
+    // Each fresh point is one cached single-run body; the completed
+    // job adds nothing else to the cache.
+    let (_, stats) = get(live.addr, "/v1/stats");
+    let doc = json::parse(&stats).unwrap();
+    assert_eq!(doc.get("cache_misses").and_then(|v| v.as_f64()), Some(3.0));
+    assert_eq!(
+        doc.get("cache_entries").and_then(|v| v.as_f64()),
+        Some(3.0),
+        "{stats}"
+    );
 }
 
 #[test]

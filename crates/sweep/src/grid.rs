@@ -17,9 +17,10 @@
 //! }
 //! ```
 //!
-//! Determinism contract: like [`crate::SweepRun::to_json`], the merged
-//! document depends only on the grid description — byte-identical across
-//! runs and thread counts. The CLI (`cqla run <id> k=set…`,
+//! Sweep documents share this framing ([`crate::frame`]). Determinism
+//! contract: like [`crate::SweepRun::to_json`], the merged document
+//! depends only on the grid description — byte-identical across runs and
+//! thread counts. The CLI (`cqla run <id> k=set…`,
 //! `cqla sweep <id> k=set…`) and the HTTP service (`GET /v1/run/{id}`,
 //! `POST /v1/sweep/{id}`) all emit exactly this document, which is what
 //! lets the service cache *per point*: every point's single-run body is
@@ -30,7 +31,7 @@ use cqla_core::experiments::{find, Grid};
 use cqla_core::json::Json;
 use cqla_core::EvalCtx;
 
-use crate::pool;
+use crate::{frame, pool};
 
 /// One executed grid point.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +54,8 @@ pub struct GridPoint {
 
 impl GridPoint {
     /// This point's entry in the merged document's `results` array —
-    /// the unit the streamed-document framing re-indents into a
-    /// fragment (see [`point_fragment`]).
+    /// the unit [`crate::frame::fragment`] re-indents into a streamed
+    /// fragment.
     #[must_use]
     pub fn result_json(&self) -> Json {
         Json::obj([
@@ -70,42 +71,6 @@ impl GridPoint {
         ])
     }
 }
-
-/// The streamed grid document's head: everything up to and including
-/// the opening bracket of the `results` array. Concatenating
-/// `document_prologue` + [`point_fragment`] for every point in order +
-/// [`DOCUMENT_EPILOGUE`] is byte-identical to the merged document
-/// (`format!("{}\n", run.to_json().to_pretty())`) — the contract that
-/// lets the HTTP service stream a grid without buffering it.
-#[must_use]
-pub fn document_prologue(id: &str, spec: &str, points: usize) -> String {
-    let head = Json::obj([
-        ("artifact", Json::from(id)),
-        ("grid", Json::from(spec)),
-        ("points", Json::Int(points as i64)),
-    ])
-    .to_pretty();
-    let head = head
-        .strip_suffix("\n}")
-        .expect("pretty object ends with a closing brace");
-    format!("{head},\n  \"results\": [")
-}
-
-/// One point's streamed fragment: the separator (for every point after
-/// the first) plus the result object re-indented to its depth inside
-/// the `results` array. The re-indent is a plain string substitution on
-/// newlines, which is exact because the JSON printer never emits a
-/// literal newline inside a string (control characters are escaped).
-#[must_use]
-pub fn point_fragment(index: usize, point: &GridPoint) -> String {
-    let pretty = point.result_json().to_pretty().replace('\n', "\n    ");
-    let sep = if index == 0 { "" } else { "," };
-    format!("{sep}\n    {pretty}")
-}
-
-/// The streamed grid document's tail: closes the `results` array and
-/// the document, with the trailing newline every CLI/HTTP body carries.
-pub const DOCUMENT_EPILOGUE: &str = "\n  ]\n}\n";
 
 /// A per-point result cache the grid executor reads through — the HTTP
 /// service plugs its results cache in here, so a grid run reuses
@@ -129,29 +94,8 @@ pub trait PointCache: Sync {
     ) -> Option<String>;
 }
 
-/// Receives grid points incrementally, **in submission order**, as the
-/// pool completes them: point `i` is delivered only after points
-/// `0..i`, no matter which worker finished first. The HTTP service
-/// streams each point's rendered fragment to the client from here;
-/// job runs append fragments to their progress log.
-///
-/// Called from pool worker threads (hence `Sync`), one call at a time
-/// (the executor serializes delivery behind its reorder lock) — but not
-/// necessarily from the same thread each time.
-pub trait PointSink: Sync {
-    /// One completed point, at its submission-order index.
-    fn point(&self, index: usize, point: &GridPoint);
-}
-
-/// The no-op sink behind the non-streaming executors.
-struct NoSink;
-
-impl PointSink for NoSink {
-    fn point(&self, _index: usize, _point: &GridPoint) {}
-}
-
 /// The pass-through cache behind plain [`GridRun::execute`].
-struct NoCache;
+pub(crate) struct NoCache;
 
 impl PointCache for NoCache {
     fn get_or_compute(
@@ -196,33 +140,17 @@ impl GridRun {
     /// `tests/registry.rs` pins that contract).
     #[must_use]
     pub fn execute(grid: &Grid, threads: usize) -> Self {
-        Self::execute_cached(grid, threads, &NoCache)
+        Self::run(grid, threads, &NoCache, |_, _| {})
     }
 
-    /// Executes the grid, reading each point through `cache` and
-    /// populating it on misses. Cached points keep their JSON but have
-    /// no text rendering (cached bodies are JSON documents).
-    ///
-    /// # Panics
-    ///
-    /// As [`GridRun::execute`].
-    #[must_use]
-    pub fn execute_cached(grid: &Grid, threads: usize, cache: &dyn PointCache) -> Self {
-        Self::execute_streamed(grid, threads, cache, &NoSink)
-    }
-
-    /// Executes the grid, delivering each completed point to `sink` in
-    /// submission order as soon as it (and every earlier point) is
-    /// done — the incremental hook behind the HTTP service's streamed
-    /// grid responses and resumable jobs. The pool completes points in
-    /// whatever order work-stealing dictates; a reorder buffer holds
-    /// early finishers and flushes the contiguous prefix, so the sink
-    /// observes exactly the order [`GridRun::points`] will report.
-    ///
-    /// The sink runs on pool worker threads while the reorder lock is
-    /// held: a sink that blocks (say, on a slow client's socket) stalls
-    /// delivery, not correctness — callers on the serving path bound
-    /// that with write timeouts.
+    /// Executes the grid, reading each point through `cache` (populating
+    /// it on misses) and handing each point's `results` entry to
+    /// `on_point` in submission order, as [`pool::map_streamed`]
+    /// delivers — the hook behind the HTTP service's streamed grid
+    /// responses and jobs. Cached points keep their JSON but have no
+    /// text rendering (cached bodies are JSON documents). A blocking
+    /// `on_point` (a slow client's socket) stalls delivery, not
+    /// correctness; the serving path bounds it with write timeouts.
     ///
     /// # Panics
     ///
@@ -232,46 +160,48 @@ impl GridRun {
         grid: &Grid,
         threads: usize,
         cache: &dyn PointCache,
-        sink: &dyn PointSink,
+        on_point: impl Fn(usize, &Json) + Sync,
+    ) -> Self {
+        Self::run(grid, threads, cache, |index, point| {
+            on_point(index, &point.result_json());
+        })
+    }
+
+    fn run(
+        grid: &Grid,
+        threads: usize,
+        cache: &dyn PointCache,
+        deliver: impl Fn(usize, &GridPoint) + Sync,
     ) -> Self {
         let id = grid.id().to_owned();
-        let assignments = grid.points();
-        let total = assignments.len();
-        // Reorder state: completed-but-undelivered points, plus the
-        // index of the next point to deliver.
-        struct Reorder {
-            slots: Vec<Option<GridPoint>>,
-            next: usize,
-        }
-        let reorder = std::sync::Mutex::new(Reorder {
-            slots: (0..total).map(|_| None).collect(),
-            next: 0,
-        });
         // One evaluation context for the whole grid: neighboring points
         // share most memo keys, each computed once across the workers.
         let ctx = EvalCtx::new();
-        pool::map(&assignments, threads, |index, overrides| {
-            let point = run_point(&id, overrides, cache, &ctx);
-            let mut state = reorder.lock().expect("grid reorder lock");
-            state.slots[index] = Some(point);
-            while state.next < total && state.slots[state.next].is_some() {
-                let i = state.next;
-                sink.point(i, state.slots[i].as_ref().expect("flushed slot is filled"));
-                state.next += 1;
-            }
-        });
-        let points = reorder
-            .into_inner()
-            .expect("grid reorder lock")
-            .slots
-            .into_iter()
-            .map(|slot| slot.expect("every grid point completed"))
-            .collect();
+        let points = pool::map_streamed(
+            &grid.points(),
+            threads,
+            |_, overrides| run_point(&id, overrides, cache, &ctx),
+            deliver,
+        )
+        .into_iter()
+        .map(|t| t.value)
+        .collect();
         Self {
             id,
             spec: grid.spec().to_owned(),
             points,
         }
+    }
+
+    /// The grid document's head fields, shared by [`GridRun::to_json`]
+    /// and the streamed [`crate::frame::prologue`].
+    #[must_use]
+    pub fn head(id: &str, spec: &str, points: usize) -> Vec<(&'static str, Json)> {
+        vec![
+            ("artifact", Json::from(id)),
+            ("grid", Json::from(spec)),
+            ("points", Json::Int(points as i64)),
+        ]
     }
 
     /// The experiment id the grid ran.
@@ -302,15 +232,10 @@ impl GridRun {
     /// grid description, never on thread count or cache state.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("artifact", Json::from(self.id.as_str())),
-            ("grid", Json::from(self.spec.as_str())),
-            ("points", Json::Int(self.points.len() as i64)),
-            (
-                "results",
-                Json::Arr(self.points.iter().map(GridPoint::result_json).collect()),
-            ),
-        ])
+        frame::document(
+            Self::head(&self.id, &self.spec, self.points.len()),
+            self.points.iter().map(GridPoint::result_json).collect(),
+        )
     }
 
     /// Renders the paper-style text for terminal output: one banner and
@@ -485,7 +410,7 @@ mod tests {
         }
         let cache = MapCache(Mutex::new(std::collections::HashMap::new()));
         let g = grid("fig2", "bits=8,16");
-        let cold = GridRun::execute_cached(&g, 2, &cache);
+        let cold = GridRun::execute_streamed(&g, 2, &cache, |_, _| {});
         assert_eq!(cache.0.lock().unwrap().len(), 2, "one entry per point");
         // Every cached body is the exact single-run document.
         for point in cold.points() {
@@ -497,21 +422,37 @@ mod tests {
             assert_eq!(cache.get(&point.overrides).as_deref(), Some(&*expected));
         }
         // A warm run produces the same merged document without text.
-        let warm = GridRun::execute_cached(&g, 2, &cache);
+        let warm = GridRun::execute_streamed(&g, 2, &cache, |_, _| {});
         assert_eq!(warm.to_json().to_pretty(), cold.to_json().to_pretty());
         assert!(warm.points().iter().all(|p| p.text.is_empty()));
+    }
+
+    #[test]
+    fn empty_expression_runs_the_default_point() {
+        let run = GridRun::execute(&grid("table2", ""), 1);
+        assert_eq!(run.points().len(), 1);
+        let default = experiments::find("table2").unwrap().run();
+        assert_eq!(run.points()[0].data, default.data);
+        assert!(run.render_text().contains("== table2 =="));
     }
 
     #[test]
     fn streamed_framing_concatenates_to_the_merged_document() {
         for expr in ["", "bits=8,16 cap=4,8", "bits=8..=32:*2"] {
             let g = grid("fig2", expr);
-            let run = GridRun::execute(&g, 3);
-            let mut streamed = document_prologue(run.id(), run.spec(), run.points().len());
-            for (i, point) in run.points().iter().enumerate() {
-                streamed.push_str(&point_fragment(i, point));
-            }
-            streamed.push_str(DOCUMENT_EPILOGUE);
+            let fragments = Mutex::new(String::new());
+            let run = GridRun::execute_streamed(&g, 3, &NoCache, |index, result| {
+                fragments
+                    .lock()
+                    .unwrap()
+                    .push_str(&frame::fragment(index, result));
+            });
+            let streamed = format!(
+                "{}{}{}",
+                frame::prologue(GridRun::head(run.id(), run.spec(), run.points().len())),
+                fragments.into_inner().unwrap(),
+                frame::DOCUMENT_EPILOGUE
+            );
             assert_eq!(
                 streamed,
                 format!("{}\n", run.to_json().to_pretty()),
@@ -522,74 +463,16 @@ mod tests {
 
     #[test]
     fn sink_sees_every_point_in_submission_order() {
-        type Delivery = (usize, Vec<(String, String)>);
-        struct Recorder(Mutex<Vec<Delivery>>);
-        impl PointSink for Recorder {
-            fn point(&self, index: usize, point: &GridPoint) {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .push((index, point.overrides.clone()));
-            }
-        }
         let g = grid("fig2", "bits=8,16,24 cap=4,8");
         for threads in [1, 4] {
-            let sink = Recorder(Mutex::new(Vec::new()));
-            let run = GridRun::execute_streamed(&g, threads, &NoCache, &sink);
-            let seen = sink.0.into_inner().unwrap();
-            assert_eq!(seen.len(), run.points().len(), "threads {threads}");
-            for (slot, (index, overrides)) in seen.iter().enumerate() {
-                assert_eq!(*index, slot, "threads {threads}");
-                assert_eq!(
-                    overrides,
-                    &run.points()[slot].overrides,
-                    "threads {threads}"
-                );
-            }
+            let seen = Mutex::new(Vec::new());
+            let run = GridRun::execute_streamed(&g, threads, &NoCache, |index, result| {
+                seen.lock().unwrap().push((index, result.clone()));
+            });
+            let doc = run.to_json();
+            let results = doc.get("results").and_then(Json::as_arr).unwrap();
+            let expected: Vec<(usize, Json)> = results.iter().cloned().enumerate().collect();
+            assert_eq!(seen.into_inner().unwrap(), expected, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn every_miss_is_resolved_with_a_put_and_never_abandoned() {
-        /// Never hits; records what each computation delivered.
-        #[derive(Default)]
-        struct Flights {
-            puts: Mutex<usize>,
-            abandons: Mutex<usize>,
-        }
-        impl PointCache for Flights {
-            fn get_or_compute(
-                &self,
-                _overrides: &[(String, String)],
-                compute: &mut dyn FnMut() -> Option<String>,
-            ) -> Option<String> {
-                let body = compute();
-                let outcome = if body.is_some() {
-                    &self.puts
-                } else {
-                    &self.abandons
-                };
-                *outcome.lock().unwrap() += 1;
-                body
-            }
-        }
-        let cache = Flights::default();
-        let run = GridRun::execute_cached(&grid("fig2", "bits=8,16"), 2, &cache);
-        assert!(run.passed());
-        assert_eq!(*cache.puts.lock().unwrap(), 2, "one body per cold miss");
-        assert_eq!(
-            *cache.abandons.lock().unwrap(),
-            0,
-            "passing runs deliver a body"
-        );
-    }
-
-    #[test]
-    fn empty_expression_runs_the_default_point() {
-        let run = GridRun::execute(&grid("table2", ""), 1);
-        assert_eq!(run.points().len(), 1);
-        let default = experiments::find("table2").unwrap().run();
-        assert_eq!(run.points()[0].data, default.data);
-        assert!(run.render_text().contains("== table2 =="));
     }
 }

@@ -7,40 +7,36 @@
 //!
 //! The paper's central exercise is exactly this kind of multi-point
 //! design-space exploration — Tables 4–5 and Figures 6–8 are grids of
-//! independent evaluations. This crate turns that shape into
-//! infrastructure:
+//! independent evaluations. This crate runs that one shape through one
+//! stack:
 //!
-//! * [`spec`] — [`Sweep`] descriptions: named axes over design
-//!   parameters, cartesian products, explicit point lists, and the
-//!   built-in specs `cqla sweep <spec>` accepts;
-//! * [`parse`] — the sweep-spec expression language: parse strings like
-//!   `"tech=current,projected width=64..=512:*2 xfer=5,10"` into
-//!   [`Sweep`]s, with spanned error messages (a thin client of the
-//!   registry-driven grammar in `cqla_core::experiments::grid`);
-//! * [`grid`] — [`GridRun`]: execute a per-experiment parameter [`Grid`]
-//!   (`cqla run fig2 bits=32..=128:*2`) on the pool and merge the
-//!   per-point artifact documents, with a [`PointCache`] hook for the
-//!   HTTP service's results cache;
-//!
-//! [`Grid`]: cqla_core::experiments::Grid
-//! * [`pool`] — a scoped-thread work-stealing executor
-//!   ([`std::thread::scope`], zero dependencies) with per-job timing and
-//!   deterministic result ordering;
-//! * [`engine`] — [`SweepRun`]: execute a sweep, render text, serialize
-//!   deterministic results and (separately) timing stats;
-//! * [`regress`] — the perf regression gate: diff two `BENCH_sweep.json`
-//!   timing documents against a threshold (`cqla bench-diff`).
+//! * [`pool`] — the one in-order executor: a scoped-thread
+//!   work-stealing pool with per-job timing whose single reorder buffer
+//!   hands each result to a callback in submission order
+//!   ([`pool::map_streamed`]);
+//! * [`frame`] — the one document framing: head fields plus a
+//!   `results` array, merged or streamed as prologue, fragments and
+//!   epilogue whose concatenation is byte-identical to the merged form;
+//! * two run kinds on top, each with `execute` and a streaming
+//!   `execute_streamed`: [`engine`]'s [`SweepRun`] evaluates a [`Sweep`]
+//!   of design points, and [`grid`]'s [`GridRun`] runs a registry
+//!   experiment over a parameter grid (`cqla run fig2 bits=32..=128:*2`)
+//!   through a [`PointCache`] (the HTTP service's results cache);
+//! * [`spec`] and [`parse`] — [`Sweep`] descriptions and the sweep-spec
+//!   language (`"tech=current,projected width=64..=512:*2 xfer=5,10"`),
+//!   a thin client of `cqla_core::experiments::grid`;
+//! * [`regress`] — the perf regression gate behind `cqla bench-diff`.
 //!
 //! The JSON layer ([`Json`], [`ToJson`]) lives in [`cqla_core::json`] and
 //! is re-exported here for compatibility.
 //!
 //! # Determinism
 //!
-//! [`SweepRun::to_json`] is byte-identical across runs and thread
-//! counts: jobs are pure functions of their design point, the pool
-//! restores submission order, objects keep insertion order, and floats
-//! use Rust's shortest round-trip formatting. Timing is quarantined in
-//! [`SweepRun::timing_json`].
+//! [`SweepRun::to_json`] and [`GridRun::to_json`] are byte-identical
+//! across runs and thread counts: jobs are pure functions of their
+//! point, the pool delivers in submission order, objects keep insertion
+//! order, and floats use Rust's shortest round-trip formatting. Timing
+//! is quarantined in [`SweepRun::timing_json`].
 //!
 //! # Examples
 //!
@@ -59,6 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod frame;
 pub mod grid;
 pub mod parse;
 pub mod pool;
@@ -67,7 +64,7 @@ pub mod spec;
 
 pub use cqla_core::json;
 pub use cqla_core::json::{Json, ToJson};
-pub use engine::{JobResult, PointOutcome, SweepRun, SweepSink};
+pub use engine::{JobResult, PointOutcome, SweepRun};
 pub use grid::{GridPoint, GridRun, PointCache};
 pub use parse::SpecError;
 pub use regress::{BenchDiff, BenchDoc, DocError};

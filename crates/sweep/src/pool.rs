@@ -8,10 +8,11 @@
 //! cost (a 1024-bit adder point costs ~100× a 32-bit one), so stealing —
 //! not static chunking — is what keeps all cores busy to the end.
 //!
-//! Results are written back by job index, so output order is always the
-//! submission order no matter which worker ran what: callers get
-//! determinism for free and can diff parallel output byte-for-byte
-//! against a serial run.
+//! Results come back in submission order no matter which worker ran
+//! what: one reorder buffer holds early finishers and hands the
+//! contiguous prefix to an in-order callback ([`map_streamed`]), so
+//! streamed and collected output both diff byte-for-byte against a
+//! serial run.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -33,22 +34,11 @@ pub fn default_threads() -> usize {
 }
 
 /// Runs `f` over every item on `threads` workers and returns the timed
-/// results in submission order.
-///
-/// `threads == 1` runs inline on the calling thread (no spawn, same code
-/// path for the closure), which gives tests a serial reference. Requests
-/// beyond the job count are clamped — a worker without a possible job is
-/// never spawned.
-///
-/// A zero thread count is a caller bug: front ends must validate user
-/// input (the CLI rejects `--threads 0` with a usage error) before it
-/// reaches the pool. Debug builds assert; release builds clamp to one
-/// worker rather than deadlock or spawn nothing.
+/// results in submission order — [`map_streamed`] without a callback.
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` (the scope joins all workers first), and
-/// asserts `threads > 0` in debug builds.
+/// As [`map_streamed`].
 ///
 /// # Examples
 ///
@@ -66,22 +56,54 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    map_streamed(items, threads, f, |_, _| {})
+}
+
+/// Runs `f` over every item on `threads` workers, hands each result to
+/// `deliver` as soon as it and every earlier result are done, and
+/// returns the timed results in submission order. `deliver` sees each
+/// index of `0..items.len()` exactly once, in order, one call at a time
+/// (behind the reorder lock) but not always on the same thread; one
+/// that blocks stalls delivery, not correctness. `Timed::duration`
+/// covers `f` only.
+///
+/// `threads == 1` runs inline on the calling thread (no spawn, same code
+/// path for the closure), which gives tests a serial reference. Requests
+/// beyond the job count are clamped — a worker without a possible job is
+/// never spawned. A zero thread count is a caller bug (the CLI rejects
+/// `--threads 0`): debug builds assert; release builds clamp to one
+/// worker rather than deadlock or spawn nothing.
+///
+/// # Panics
+///
+/// Propagates panics from `f` and `deliver` (the scope joins all
+/// workers first), and asserts `threads > 0` in debug builds.
+pub fn map_streamed<T, R, F, D>(items: &[T], threads: usize, f: F, deliver: D) -> Vec<Timed<R>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+    D: Fn(usize, &R) + Sync,
+{
     debug_assert!(
         threads > 0,
         "pool::map called with zero threads; validate --threads at the CLI layer"
     );
     let threads = threads.clamp(1, items.len().max(1));
+    let run = |idx: usize| {
+        let t0 = Instant::now();
+        let value = f(idx, &items[idx]);
+        Timed {
+            value,
+            duration: t0.elapsed(),
+        }
+    };
     if threads <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let t0 = Instant::now();
-                let value = f(i, item);
-                Timed {
-                    value,
-                    duration: t0.elapsed(),
-                }
+        return (0..items.len())
+            .map(|idx| {
+                let timed = run(idx);
+                deliver(idx, &timed.value);
+                timed
             })
             .collect();
     }
@@ -91,43 +113,32 @@ where
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
         .map(|w| Mutex::new((w..items.len()).step_by(threads).collect()))
         .collect();
-
-    let mut harvested: Vec<Vec<(usize, Timed<R>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let queues = &queues;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, Timed<R>)> = Vec::new();
-                    while let Some(idx) = next_job(queues, w) {
-                        let t0 = Instant::now();
-                        let value = f(idx, &items[idx]);
-                        local.push((
-                            idx,
-                            Timed {
-                                value,
-                                duration: t0.elapsed(),
-                            },
-                        ));
+    // The reorder buffer: completed results by index, plus the index of
+    // the next one to deliver.
+    let reorder = Mutex::new((
+        (0..items.len())
+            .map(|_| None)
+            .collect::<Vec<Option<Timed<R>>>>(),
+        0,
+    ));
+    std::thread::scope(|scope| {
+        for w in 0..threads {
+            let (queues, reorder, run, deliver) = (&queues, &reorder, &run, &deliver);
+            scope.spawn(move || {
+                while let Some(idx) = next_job(queues, w) {
+                    let timed = run(idx);
+                    let (slots, next) = &mut *reorder.lock().expect("reorder lock");
+                    debug_assert!(slots[idx].is_none(), "job {idx} ran twice");
+                    slots[idx] = Some(timed);
+                    while let Some(Some(ready)) = slots.get(*next) {
+                        deliver(*next, &ready.value);
+                        *next += 1;
                     }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-
-    // Reassemble in submission order: index-addressed slots, then unwrap.
-    let mut slots: Vec<Option<Timed<R>>> = (0..items.len()).map(|_| None).collect();
-    for batch in &mut harvested {
-        for (idx, timed) in batch.drain(..) {
-            debug_assert!(slots[idx].is_none(), "job {idx} ran twice");
-            slots[idx] = Some(timed);
+                }
+            });
         }
-    }
+    });
+    let (slots, _) = reorder.into_inner().expect("reorder lock");
     slots
         .into_iter()
         .map(|slot| slot.expect("every job ran exactly once"))
@@ -168,6 +179,39 @@ mod tests {
                 assert_eq!(t.value, i * 3, "threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn callback_sees_every_index_once_in_order_under_uneven_costs() {
+        // Early indices are the slowest, so later ones finish first and
+        // must wait in the reorder buffer.
+        let items: Vec<u64> = (0..40).collect();
+        for threads in 1..=8 {
+            let seen = Mutex::new(Vec::new());
+            let out = map_streamed(
+                &items,
+                threads,
+                |_, &x| {
+                    let mut acc = x;
+                    for i in 0..(40 - x) * 20_000 {
+                        acc = std::hint::black_box(acc.wrapping_add(i ^ x));
+                    }
+                    (x, acc)
+                },
+                |i, &(x, _)| seen.lock().unwrap().push((i, x)),
+            );
+            let expected: Vec<(usize, u64)> = (0..40).map(|i| (i, i as u64)).collect();
+            assert_eq!(seen.into_inner().unwrap(), expected, "threads {threads}");
+            let order: Vec<u64> = out.iter().map(|t| t.value.0).collect();
+            assert_eq!(order, items, "threads {threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn worker_panics_propagate_to_the_caller() {
+        let items: Vec<u32> = (0..16).collect();
+        map(&items, 4, |_, &x| assert_ne!(x, 7, "job 7 fails"));
     }
 
     #[test]
