@@ -3,15 +3,21 @@
 //! the paper's tables are assembled from.
 //!
 //! The evaluation pipeline recomputes a handful of expensive pure
-//! sub-computations from scratch at every design point: the Draper-adder
-//! dependency DAG and its bounded-width schedule (keyed by `(bits,
-//! blocks)`), the unlimited-parallelism QLA makespan (keyed by `bits`),
-//! the cache-simulator steady state (keyed by `(bits, capacity)`), ECC
-//! metrics (keyed by `(tech, code, level)`), the Eq. 1 level-mixing
-//! budget, and floorplan area reductions. Neighboring grid points share
-//! most of these — the 24-point builtin sweep has only six distinct
-//! `(bits, blocks)` pairs — so a shared context turns a grid's cost from
-//! `points × full evaluation` into `distinct keys × computation`.
+//! sub-computations from scratch at every design point. `EvalCtx` keeps
+//! six tables: the Draper-adder [`ScheduleCosts`] (keyed by `(bits,
+//! blocks)`), the cache-simulator steady state (keyed by `(bits,
+//! capacity)`), ECC metrics (keyed by `(tech, code, level)`), the Eq. 1
+//! level-mixing budget, floorplan area reductions, and compiled-program
+//! [`ScheduleCosts`]. Neighboring grid points share most of these — the
+//! 24-point builtin sweep has only six distinct `(bits, blocks)` pairs —
+//! so a shared context turns a grid's cost from `points × full
+//! evaluation` into `distinct keys × computation`.
+//!
+//! [`cqla_compile::schedule_costs`] is the one schedule path: both
+//! schedule tables call it, and one adder entry carries everything the
+//! studies read off the DAG — the bounded-width utilization, the packed
+//! makespan bound, and the critical path, which is the QLA's
+//! unlimited-parallelism makespan.
 //!
 //! Every value cached here is a pure function of its key, computed by
 //! exactly the same code path the unmemoized evaluation used, so results
@@ -29,7 +35,7 @@
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cqla_circuit::{asm, Circuit, DependencyDag, Gate, ListScheduler, QubitId, Width};
+use cqla_circuit::{asm, Circuit, QubitId};
 use cqla_compile::ScheduleCosts;
 use cqla_ecc::fidelity::{AppSize, FidelityBudget};
 use cqla_ecc::memo::{Memo, Outcome};
@@ -75,17 +81,6 @@ fn memoized<K: Eq + Hash + Clone, V: Clone>(
     value
 }
 
-/// Schedule-derived costs of one `(bits, blocks)` adder configuration:
-/// everything the studies extract from the dependency DAG.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdderCosts {
-    /// Mean compute-block utilization of the online list schedule.
-    pub utilization: f64,
-    /// Perfectly packed makespan bound `max(critical path, work / B)` in
-    /// two-qubit-gate-step units.
-    pub ideal_makespan: u64,
-}
-
 /// Steady-state cache behavior of repeated `bits`-bit additions through a
 /// cache of a given capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,8 +115,7 @@ pub struct CacheBehavior {
 #[derive(Debug, Default)]
 pub struct EvalCtx {
     ecc: Memo<(&'static str, Code, Level), EccMetrics>,
-    adder: Memo<(u32, u32), AdderCosts>,
-    qla_makespan: Memo<u32, u64>,
+    adder: Memo<(u32, u32), ScheduleCosts>,
     cache: Memo<(u32, usize), CacheBehavior>,
     level1_share: Memo<(&'static str, Code, u32), f64>,
     area: Memo<(&'static str, Code, u64, u32), f64>,
@@ -152,45 +146,24 @@ impl EvalCtx {
         tech.duration(PhysicalOp::DoubleGate) + self.ecc_metrics(code, level, tech).ec_time()
     }
 
-    /// Memoized schedule costs of the `bits`-bit adder on `blocks` gate
-    /// slots: one DAG construction serves both the bounded-width list
-    /// schedule and the ideal-makespan bound.
+    /// Memoized [`cqla_compile::schedule_costs`] of the `bits`-bit
+    /// Draper adder on `blocks` compute blocks: one DAG serves the
+    /// bounded-width utilization, the packed bound
+    /// [`ScheduleCosts::ideal_makespan`], and the critical path.
     #[must_use]
-    pub fn adder_costs(&self, bits: u32, blocks: u32) -> AdderCosts {
+    pub fn adder_costs(&self, bits: u32, blocks: u32) -> ScheduleCosts {
         memoized(&self.adder, (bits, blocks), || {
-            let adder = DraperAdder::new(bits);
-            let dag = DependencyDag::new(adder.circuit_ref());
-            let weight = Gate::two_qubit_gate_equivalents;
-            let schedule =
-                ListScheduler::new(&dag).schedule(Width::Blocks(blocks as usize), weight);
-            let cp = dag.critical_path(weight);
-            let work = dag.total_work(weight);
-            AdderCosts {
-                utilization: schedule.utilization(),
-                ideal_makespan: cp.max(work.div_ceil(u64::from(blocks))),
-            }
-        })
-    }
-
-    /// Memoized [`QlaBaseline::adder_makespan_units`] (technology
-    /// independent: the unlimited-width schedule of the adder DAG).
-    #[must_use]
-    pub fn qla_adder_makespan_units(&self, bits: u32) -> u64 {
-        memoized(&self.qla_makespan, bits, || {
-            let adder = DraperAdder::new(bits);
-            let dag = DependencyDag::new(adder.circuit_ref());
-            ListScheduler::new(&dag)
-                .schedule(Width::Unlimited, Gate::two_qubit_gate_equivalents)
-                .makespan()
+            cqla_compile::schedule_costs(DraperAdder::new(bits).circuit_ref(), blocks)
         })
     }
 
     /// [`QlaBaseline::adder_time`] assembled from memoized parts: the
-    /// technology-independent makespan times the tech-priced gate step.
+    /// tech-priced QLA gate step times the adder's critical path, read
+    /// off any `costs` entry of that adder (the critical path does not
+    /// depend on the block count).
     #[must_use]
-    pub fn qla_adder_time(&self, tech: &TechnologyParams, bits: u32) -> Seconds {
-        self.gate_step_time(QlaBaseline::CODE, Level::TWO, tech)
-            * self.qla_adder_makespan_units(bits) as f64
+    pub fn qla_adder_time(&self, tech: &TechnologyParams, costs: &ScheduleCosts) -> Seconds {
+        self.gate_step_time(QlaBaseline::CODE, Level::TWO, tech) * costs.critical_path as f64
     }
 
     /// Memoized steady-state cache behavior: one two-repetition
@@ -266,7 +239,6 @@ impl EvalCtx {
         [
             count(&self.ecc),
             count(&self.adder),
-            count(&self.qla_makespan),
             count(&self.cache),
             count(&self.level1_share),
             count(&self.area),
@@ -279,7 +251,10 @@ impl EvalCtx {
 
 #[cfg(test)]
 mod tests {
+    use cqla_circuit::{DependencyDag, Gate, ListScheduler, Width};
+
     use super::*;
+    use crate::specialize::TABLE4_GRID;
 
     fn tech() -> TechnologyParams {
         TechnologyParams::projected()
@@ -293,25 +268,52 @@ mod tests {
             ctx.ecc_metrics(Code::Steane713, Level::TWO, &t),
             EccMetrics::compute(Code::Steane713, Level::TWO, &t)
         );
-        let qla = QlaBaseline::new(&t);
+        let costs = ctx.adder_costs(64, 9);
         assert_eq!(
-            ctx.qla_adder_makespan_units(64),
-            qla.adder_makespan_units(64)
+            ctx.qla_adder_time(&t, &costs),
+            QlaBaseline::new(&t).adder_time(&costs)
         );
-        assert_eq!(ctx.qla_adder_time(&t, 64), qla.adder_time(64));
         assert_eq!(
             ctx.area_reduction(&t, Code::BaconShor913, 6 * 64, 16),
             AreaModel::new(&t).area_reduction(Code::BaconShor913, 6 * 64, 16)
         );
     }
 
+    /// The identity the QLA pricing rests on: with positive gate weights,
+    /// an unlimited-width list schedule starts every gate as soon as its
+    /// predecessors finish, so its makespan is the DAG critical path that
+    /// [`cqla_compile::schedule_costs`] reports at any width.
+    #[test]
+    fn adder_critical_path_is_the_unlimited_width_makespan() {
+        let table4 = TABLE4_GRID.iter().map(|&(n, _)| n);
+        for n in (1..=64).chain(table4).chain([4096]) {
+            let adder = DraperAdder::new(n);
+            let dag = DependencyDag::new(adder.circuit_ref());
+            let unlimited = ListScheduler::new(&dag)
+                .schedule(Width::Unlimited, Gate::two_qubit_gate_equivalents)
+                .makespan();
+            let blocks = TABLE4_GRID
+                .iter()
+                .find(|&&(bits, _)| bits == n)
+                .map_or(n.min(16), |&(_, [b, _])| b);
+            let costs = cqla_compile::schedule_costs(adder.circuit_ref(), blocks);
+            assert_eq!(costs.critical_path, unlimited, "n={n}, B={blocks}");
+        }
+    }
+
     #[test]
     fn adder_costs_match_the_study() {
         let ctx = EvalCtx::new();
-        let study = crate::SpecializationStudy::new(&tech());
         let costs = ctx.adder_costs(64, 9);
-        assert_eq!(costs.ideal_makespan, study.ideal_makespan_units(64, 9));
-        assert_eq!(costs.utilization, study.schedule_adder(64, 9).utilization());
+        assert_eq!(
+            costs,
+            cqla_compile::schedule_costs(DraperAdder::new(64).circuit_ref(), 9)
+        );
+        let study = crate::SpecializationStudy::new(&tech());
+        assert_eq!(
+            costs.ideal_makespan(9),
+            study.ideal_makespan_units(&DraperAdder::new(64), 9)
+        );
     }
 
     #[test]
@@ -352,11 +354,30 @@ mod tests {
     }
 
     #[test]
+    fn fresh_context_misses_are_pinned() {
+        // One miss per distinct key a run computes. A second table
+        // caching a fact another table already holds (the adder's
+        // critical path, say) shows up here as extra misses.
+        for (id, misses) in [
+            ("table4", 38),
+            ("table5", 16),
+            ("fig6a", 42),
+            ("fig7", 15),
+            ("machine", 7),
+            ("compile", 5),
+        ] {
+            let ctx = EvalCtx::new();
+            let _ = crate::experiments::find(id).unwrap().run_ctx(&ctx);
+            assert_eq!(ctx.counters().1, misses, "{id}");
+        }
+    }
+
+    #[test]
     fn global_counters_accumulate() {
         let (h0, m0) = memo_counters();
         let ctx = EvalCtx::new();
-        let _ = ctx.qla_adder_makespan_units(16);
-        let _ = ctx.qla_adder_makespan_units(16);
+        let _ = ctx.adder_costs(16, 4);
+        let _ = ctx.adder_costs(16, 4);
         let (h1, m1) = memo_counters();
         // Other tests run concurrently, so only lower-bound the deltas.
         assert!(h1 > h0);
@@ -366,7 +387,7 @@ mod tests {
     #[test]
     fn process_counters_are_visible() {
         let ctx = EvalCtx::new();
-        let _ = ctx.qla_adder_makespan_units(32);
+        let _ = ctx.adder_costs(32, 4);
         let (_, misses) = memo_counters();
         assert!(misses > 0);
     }

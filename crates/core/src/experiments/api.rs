@@ -282,22 +282,20 @@ pub trait Experiment {
         Err(unknown_key(key, &self.params()))
     }
 
-    /// Runs the experiment under its current parameters.
-    fn run(&self) -> ExperimentOutput;
-
     /// Runs the experiment, reusing sub-results memoized in `ctx`.
     ///
     /// Grid executors share one context across all points so neighboring
     /// parameterizations reuse DAG schedules, cache-simulator passes, and
-    /// ECC tables. The default forwards to [`Experiment::run`] (correct
-    /// for artifacts with nothing worth caching); study-backed
-    /// experiments override it. Implementations must stay byte-identical
-    /// to `run` — everything cached in an [`EvalCtx`](crate::eval::EvalCtx)
-    /// is a pure function
-    /// of its key.
-    fn run_ctx(&self, ctx: &crate::eval::EvalCtx) -> ExperimentOutput {
-        let _ = ctx;
-        self.run()
+    /// ECC tables. Results are byte-identical whether `ctx` is fresh or
+    /// shared — everything cached in an [`EvalCtx`](crate::eval::EvalCtx)
+    /// is a pure function of its key. Artifacts with nothing worth
+    /// caching ignore `ctx`.
+    fn run_ctx(&self, ctx: &crate::eval::EvalCtx) -> ExperimentOutput;
+
+    /// Runs the experiment under its current parameters on a fresh
+    /// context.
+    fn run(&self) -> ExperimentOutput {
+        self.run_ctx(&crate::eval::EvalCtx::new())
     }
 }
 

@@ -13,6 +13,7 @@ use cqla_iontrap::{PhysicalOp, TechPoint, TechnologyParams};
 use cqla_units::Seconds;
 use cqla_workloads::{DraperAdder, ModExp, Qft};
 
+use crate::eval::EvalCtx;
 use crate::json::ToJson;
 use crate::report::{fmt3, TextTable};
 use crate::specialize::SpecializationStudy;
@@ -70,10 +71,11 @@ pub fn fig8a_row(tech: &TechnologyParams, n: u32) -> AppTimeRow {
     let per_qubit_service = epr.logical_service_time(code);
     let blocks = f64::from(primary_blocks(n));
     let me = ModExp::new(n);
-    let makespan = study.ideal_makespan_units(n, primary_blocks(n));
+    let adder = DraperAdder::new(n);
+    let makespan = study.ideal_makespan_units(&adder, primary_blocks(n));
     let adder_time = study.gate_step_time(code) * makespan as f64;
     let computation = adder_time * me.additions() as f64 / blocks;
-    let toffolis = DraperAdder::new(n).circuit_ref().counts().toffoli;
+    let toffolis = adder.circuit_ref().counts().toffoli;
     // Each block feeds its own Toffolis through its own channel group
     // (3 operands over `channels_required` channels), so the per-
     // addition communication is the per-block Toffoli share times the
@@ -144,7 +146,7 @@ impl Experiment for Fig8a {
         Ok(())
     }
 
-    fn run(&self) -> ExperimentOutput {
+    fn run_ctx(&self, _ctx: &EvalCtx) -> ExperimentOutput {
         let rows = self.rows();
         ExperimentOutput::new(Self::render(&rows), rows.to_json())
     }
@@ -230,7 +232,7 @@ impl Experiment for Fig8b {
         Ok(())
     }
 
-    fn run(&self) -> ExperimentOutput {
+    fn run_ctx(&self, _ctx: &EvalCtx) -> ExperimentOutput {
         let rows = self.rows();
         ExperimentOutput::new(Self::render(&rows), rows.to_json())
     }

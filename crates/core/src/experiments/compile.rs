@@ -170,10 +170,6 @@ impl Experiment for Compile {
         Ok(())
     }
 
-    fn run(&self) -> ExperimentOutput {
-        self.run_ctx(&EvalCtx::new())
-    }
-
     fn run_ctx(&self, ctx: &EvalCtx) -> ExperimentOutput {
         use std::fmt::Write as _;
         let program = match self.resolve_program() {

@@ -135,7 +135,7 @@ impl Experiment for Fig2 {
         Ok(())
     }
 
-    fn run(&self) -> ExperimentOutput {
+    fn run_ctx(&self, _ctx: &EvalCtx) -> ExperimentOutput {
         let data = self.data();
         ExperimentOutput::new(self.render(&data), data.to_json())
     }
@@ -247,10 +247,6 @@ impl Experiment for Fig6a {
             _ => return Err(unknown_key(key, &self.params())),
         }
         Ok(())
-    }
-
-    fn run(&self) -> ExperimentOutput {
-        self.run_ctx(&EvalCtx::new())
     }
 
     fn run_ctx(&self, ctx: &EvalCtx) -> ExperimentOutput {
@@ -374,7 +370,7 @@ impl Experiment for Fig6b {
         Ok(())
     }
 
-    fn run(&self) -> ExperimentOutput {
+    fn run_ctx(&self, _ctx: &EvalCtx) -> ExperimentOutput {
         let data = self.data();
         ExperimentOutput::new(Self::render(&data), data.to_json())
     }
@@ -503,10 +499,6 @@ impl Experiment for Fig7 {
 
     fn title(&self) -> &'static str {
         "Figure 7: cache hit rates"
-    }
-
-    fn run(&self) -> ExperimentOutput {
-        self.run_ctx(&EvalCtx::new())
     }
 
     fn run_ctx(&self, ctx: &EvalCtx) -> ExperimentOutput {

@@ -82,10 +82,6 @@ impl Experiment for Machine {
         Ok(())
     }
 
-    fn run(&self) -> ExperimentOutput {
-        self.run_ctx(&EvalCtx::new())
-    }
-
     fn run_ctx(&self, ctx: &EvalCtx) -> ExperimentOutput {
         use std::fmt::Write as _;
         let tech = self.tech.params();

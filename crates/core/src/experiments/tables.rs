@@ -25,7 +25,7 @@ impl Experiment for Table1 {
         "Table 1: ion-trap technology parameters"
     }
 
-    fn run(&self) -> ExperimentOutput {
+    fn run_ctx(&self, _ctx: &EvalCtx) -> ExperimentOutput {
         ExperimentOutput::new(
             format!(
                 "{}\n\n{}",
@@ -105,7 +105,7 @@ impl Experiment for Table2 {
         Ok(())
     }
 
-    fn run(&self) -> ExperimentOutput {
+    fn run_ctx(&self, _ctx: &EvalCtx) -> ExperimentOutput {
         let rows = self.rows();
         ExperimentOutput::new(Self::render(&rows), rows.to_json())
     }
@@ -180,7 +180,7 @@ impl Experiment for Table3 {
         Ok(())
     }
 
-    fn run(&self) -> ExperimentOutput {
+    fn run_ctx(&self, _ctx: &EvalCtx) -> ExperimentOutput {
         let data = self.data();
         ExperimentOutput::new(Self::render(&data), data.to_json())
     }
@@ -298,10 +298,6 @@ impl Experiment for Table4 {
             _ => return Err(unknown_key(key, &self.params())),
         }
         Ok(())
-    }
-
-    fn run(&self) -> ExperimentOutput {
-        self.run_ctx(&EvalCtx::new())
     }
 
     fn run_ctx(&self, ctx: &EvalCtx) -> ExperimentOutput {
@@ -450,10 +446,6 @@ impl Experiment for Table5 {
             _ => return Err(unknown_key(key, &self.params())),
         }
         Ok(())
-    }
-
-    fn run(&self) -> ExperimentOutput {
-        self.run_ctx(&EvalCtx::new())
     }
 
     fn run_ctx(&self, ctx: &EvalCtx) -> ExperimentOutput {

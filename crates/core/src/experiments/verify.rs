@@ -3,6 +3,7 @@
 use cqla_stabilizer::{CssCode, LookupDecoder, PauliOp, PauliString};
 use cqla_workloads::DraperAdder;
 
+use crate::eval::EvalCtx;
 use crate::json::{Json, ToJson};
 
 use super::api::{Experiment, ExperimentOutput};
@@ -49,7 +50,7 @@ impl Experiment for Verify {
         "Verify: built-in self-checks"
     }
 
-    fn run(&self) -> ExperimentOutput {
+    fn run_ctx(&self, _ctx: &EvalCtx) -> ExperimentOutput {
         let checks = self.checks();
         let text = checks
             .iter()

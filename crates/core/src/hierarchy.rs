@@ -209,7 +209,8 @@ impl HierarchyStudy {
         let cache_hit_rate = behavior.hit_rate;
 
         // --- Level-1 adder time: compute vs transfer pipeline. ---
-        let makespan = ctx.adder_costs(n, config.blocks).ideal_makespan;
+        let costs = ctx.adder_costs(n, config.blocks);
+        let makespan = costs.ideal_makespan(config.blocks);
         let gate_l1 = ctx.gate_step_time(code, Level::ONE, &self.tech);
         let l1_compute_time = gate_l1 * makespan as f64;
 
@@ -233,7 +234,7 @@ impl HierarchyStudy {
         // --- Level-2 region and QLA reference. ---
         let gate_l2 = ctx.gate_step_time(code, Level::TWO, &self.tech);
         let l2_adder_time = gate_l2 * makespan as f64;
-        let qla_time = ctx.qla_adder_time(&self.tech, n);
+        let qla_time = ctx.qla_adder_time(&self.tech, &costs);
 
         let l1_speedup = l2_adder_time / l1_adder_time;
         let l2_speedup = qla_time / l2_adder_time;

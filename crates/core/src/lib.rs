@@ -57,7 +57,7 @@ pub use area::{
     MEMORY_DATA_PER_ANCILLA, QLA_CHANNEL_FACTOR,
 };
 pub use cache::{CacheRun, CacheSim, CacheTrace, FetchPolicy, TraceStep};
-pub use eval::{memo_counters, AdderCosts, CacheBehavior, EvalCtx};
+pub use eval::{memo_counters, CacheBehavior, EvalCtx};
 pub use hierarchy::{HierarchyConfig, HierarchyResult, HierarchyStudy, MixPolicy};
 pub use json::{Json, ToJson};
 pub use pipeline::{PipelineConfig, PipelineReport, PipelineSim};

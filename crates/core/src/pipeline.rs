@@ -256,7 +256,7 @@ mod tests {
         assert_eq!(report.fetches, 0);
         assert_eq!(report.stall_time, Seconds::ZERO);
         let study = crate::SpecializationStudy::new(&TechnologyParams::projected());
-        let ideal = gate_step(Code::Steane713) * study.ideal_makespan_units(32, 8) as f64;
+        let ideal = gate_step(Code::Steane713) * study.ideal_makespan_units(&adder, 8) as f64;
         let ratio = report.total_time / ideal;
         // Issue follows the cache-optimized trace order, not critical-path
         // priority, so it trails the ideal bound by up to ~2.5x.

@@ -1,11 +1,10 @@
 //! The QLA baseline (paper §2; Metodi et al., MICRO-38) — the
 //! sea-of-qubits architecture every CQLA result is normalized against.
 
-use cqla_circuit::{DependencyDag, Gate, ListScheduler, Width};
+use cqla_compile::ScheduleCosts;
 use cqla_ecc::{Code, EccMetrics, Level};
 use cqla_iontrap::TechnologyParams;
 use cqla_units::{Seconds, SquareMillimeters};
-use cqla_workloads::DraperAdder;
 
 use crate::area::AreaModel;
 
@@ -16,11 +15,11 @@ use crate::area::AreaModel;
 /// # Examples
 ///
 /// ```
-/// use cqla_core::QlaBaseline;
+/// use cqla_core::{EvalCtx, QlaBaseline};
 /// use cqla_iontrap::TechnologyParams;
 ///
 /// let qla = QlaBaseline::new(&TechnologyParams::projected());
-/// let t = qla.adder_time(64);
+/// let t = qla.adder_time(&EvalCtx::new().adder_costs(64, 9));
 /// // A 64-bit carry-lookahead addition takes minutes at level 2 (the
 /// // paper's ~0.3 s per EC, ~22 Toffoli layers).
 /// assert!(t.as_secs() > 60.0 && t.as_secs() < 600.0);
@@ -50,22 +49,12 @@ impl QlaBaseline {
         self.tech.duration(cqla_iontrap::PhysicalOp::DoubleGate) + self.metrics.ec_time()
     }
 
-    /// Unlimited-parallelism makespan of one `n`-bit Draper addition, in
-    /// two-qubit-gate-step units (the DAG critical path with Toffoli = 15).
+    /// Wall-clock time of one Draper addition under maximum parallelism:
+    /// the gate step times the adder DAG's critical path (Toffoli = 15
+    /// steps), taken from its [`ScheduleCosts`] at any block count.
     #[must_use]
-    pub fn adder_makespan_units(&self, n: u32) -> u64 {
-        let adder = DraperAdder::new(n);
-        let dag = DependencyDag::new(adder.circuit_ref());
-        ListScheduler::new(&dag)
-            .schedule(Width::Unlimited, Gate::two_qubit_gate_equivalents)
-            .makespan()
-    }
-
-    /// Wall-clock time of one `n`-bit Draper addition under maximum
-    /// parallelism.
-    #[must_use]
-    pub fn adder_time(&self, n: u32) -> Seconds {
-        self.gate_step_time() * self.adder_makespan_units(n) as f64
+    pub fn adder_time(&self, costs: &ScheduleCosts) -> Seconds {
+        self.gate_step_time() * costs.critical_path as f64
     }
 
     /// Processor area for an application of `data_qubits` logical qubits.
@@ -95,9 +84,9 @@ mod tests {
 
     #[test]
     fn makespan_grows_logarithmically() {
-        let q = qla();
-        let m64 = q.adder_makespan_units(64);
-        let m1024 = q.adder_makespan_units(1024);
+        let ctx = crate::EvalCtx::new();
+        let m64 = ctx.adder_costs(64, 16).critical_path;
+        let m1024 = ctx.adder_costs(1024, 121).critical_path;
         // 4 extra Toffoli rounds (60 units) per doubling: 1024 vs 64 is 4
         // doublings ≈ +240 units.
         assert!(m1024 > m64);

@@ -6,8 +6,10 @@
 //! the resulting makespan, together with the area model, yields the
 //! paper's three Table 4 columns: area reduction, speedup (vs the
 //! maximally parallel Steane QLA), and their product, the *gain product*.
+//! One [`EvalCtx::adder_costs`] entry prices both machines: the CQLA by
+//! its packed makespan on `B` blocks, the QLA by the critical path.
 
-use cqla_circuit::{DependencyDag, Gate, ListScheduler, Schedule, Width};
+use cqla_circuit::{DependencyDag, Gate};
 use cqla_ecc::{Code, EccMetrics, Level};
 use cqla_iontrap::TechnologyParams;
 use cqla_units::Seconds;
@@ -124,28 +126,16 @@ impl SpecializationStudy {
         Self { tech: tech.clone() }
     }
 
-    /// Schedules the `n`-bit Draper adder onto `blocks` gate slots with an
-    /// online list scheduler (used for utilization and occupancy studies).
-    #[must_use]
-    pub fn schedule_adder(&self, n: u32, blocks: u32) -> Schedule {
-        let adder = DraperAdder::new(n);
-        let dag = DependencyDag::new(adder.circuit_ref());
-        ListScheduler::new(&dag).schedule(
-            Width::Blocks(blocks as usize),
-            Gate::two_qubit_gate_equivalents,
-        )
-    }
-
     /// The perfectly packed makespan bound `max(critical path, work / B)`
-    /// in two-qubit-gate-step units.
+    /// of `adder` in two-qubit-gate-step units, from the DAG alone,
+    /// without a list schedule (Fig 8a needs only this bound).
     ///
     /// The paper's Table 4 speedups correspond to this bound (a static
     /// scheduler with full lookahead and overlapped communication packs
-    /// the adder almost perfectly); the online list schedule from
-    /// [`SpecializationStudy::schedule_adder`] lands within ~30% of it.
+    /// the adder almost perfectly); the online list schedule behind
+    /// [`EvalCtx::adder_costs`] lands within ~30% of it.
     #[must_use]
-    pub fn ideal_makespan_units(&self, n: u32, blocks: u32) -> u64 {
-        let adder = DraperAdder::new(n);
+    pub fn ideal_makespan_units(&self, adder: &DraperAdder, blocks: u32) -> u64 {
         let dag = DependencyDag::new(adder.circuit_ref());
         let weight = Gate::two_qubit_gate_equivalents;
         let cp = dag.critical_path(weight);
@@ -168,8 +158,8 @@ impl SpecializationStudy {
     pub fn evaluate_ctx(&self, config: CqlaConfig, ctx: &EvalCtx) -> SpecializationResult {
         let costs = ctx.adder_costs(config.input_bits, config.compute_blocks);
         let step = ctx.gate_step_time(config.code, Level::TWO, &self.tech);
-        let adder_time = step * costs.ideal_makespan as f64;
-        let qla_time = ctx.qla_adder_time(&self.tech, config.input_bits);
+        let adder_time = step * costs.ideal_makespan(config.compute_blocks) as f64;
+        let qla_time = ctx.qla_adder_time(&self.tech, &costs);
         let speedup = qla_time / adder_time;
         let area_reduction = ctx.area_reduction(
             &self.tech,
@@ -185,16 +175,6 @@ impl SpecializationStudy {
             adder_time,
             gain_product: area_reduction * speedup,
         }
-    }
-
-    /// Compute-block utilization of the `n`-bit adder at each block count
-    /// (the Fig 6a series).
-    #[must_use]
-    pub fn utilization_sweep(&self, n: u32, block_counts: &[u32]) -> Vec<(u32, f64)> {
-        block_counts
-            .iter()
-            .map(|&b| (b, self.schedule_adder(n, b).utilization()))
-            .collect()
     }
 }
 
@@ -276,7 +256,11 @@ mod tests {
     #[test]
     fn utilization_decreases_with_blocks() {
         // Paper Fig 6a: utilization falls as blocks are added.
-        let sweep = study().utilization_sweep(128, &[4, 16, 36, 100]);
+        let ctx = EvalCtx::new();
+        let sweep: Vec<(u32, f64)> = [4, 16, 36, 100]
+            .into_iter()
+            .map(|b| (b, ctx.adder_costs(128, b).utilization))
+            .collect();
         for pair in sweep.windows(2) {
             assert!(pair[1].1 <= pair[0].1 + 1e-9, "utilization rose: {pair:?}");
         }
@@ -286,9 +270,9 @@ mod tests {
     fn larger_adders_sustain_higher_utilization() {
         // Paper Fig 6a: at a fixed block count, bigger adders keep blocks
         // busier.
-        let s = study();
-        let small = s.schedule_adder(32, 36).utilization();
-        let large = s.schedule_adder(512, 36).utilization();
+        let ctx = EvalCtx::new();
+        let small = ctx.adder_costs(32, 36).utilization;
+        let large = ctx.adder_costs(512, 36).utilization;
         assert!(large > small, "small {small}, large {large}");
     }
 

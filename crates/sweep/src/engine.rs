@@ -327,9 +327,11 @@ mod tests {
             });
             ctx.counters().1
         };
-        let serial = misses(1);
+        // Pinned: a table caching a fact another table already holds
+        // shows up as extra misses.
+        assert_eq!(misses(1), 68);
         for threads in 2..=8 {
-            assert_eq!(misses(threads), serial, "threads {threads}");
+            assert_eq!(misses(threads), 68, "threads {threads}");
         }
     }
 

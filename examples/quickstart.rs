@@ -14,6 +14,7 @@ fn main() {
     println!("{tech}\n");
 
     let qla = QlaBaseline::new(&tech);
+    let ctx = EvalCtx::new();
     let qubits = 6 * 1024;
     println!(
         "QLA baseline (sea of qubits, Steane code): {:.3} m^2 for {} logical qubits",
@@ -22,12 +23,12 @@ fn main() {
     );
     println!(
         "  one 1024-bit carry-lookahead addition: {}\n",
-        qla.adder_time(1024)
+        qla.adder_time(&ctx.adder_costs(1024, 100))
     );
 
     let study = SpecializationStudy::new(&tech);
     for code in Code::ALL {
-        let result = study.evaluate_ctx(CqlaConfig::new(code, 1024, 100), &EvalCtx::new());
+        let result = study.evaluate_ctx(CqlaConfig::new(code, 1024, 100), &ctx);
         println!("CQLA with {code}, 100 compute blocks:");
         println!("  area reduced        {:.2}x", result.area_reduction);
         println!("  adder speedup       {:.2}x", result.speedup);

@@ -102,8 +102,9 @@ fn qla_baseline_consistent_with_specialization_at_saturation() {
     // the QLA's own code.
     let study = SpecializationStudy::new(&tech());
     let qla = QlaBaseline::new(&tech());
-    let r = study.evaluate_ctx(CqlaConfig::new(Code::Steane713, 64, 512), &EvalCtx::new());
-    let ratio = r.adder_time / qla.adder_time(64);
+    let ctx = EvalCtx::new();
+    let r = study.evaluate_ctx(CqlaConfig::new(Code::Steane713, 64, 512), &ctx);
+    let ratio = r.adder_time / qla.adder_time(&ctx.adder_costs(64, 512));
     assert!((ratio - 1.0).abs() < 1e-9, "ratio {ratio}");
 }
 

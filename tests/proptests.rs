@@ -222,13 +222,12 @@ proptest! {
 
     #[test]
     fn ideal_makespan_bounds_scheduled_makespan(n in 4u32..=64, blocks in 1u32..32) {
-        use cqla_repro::core::SpecializationStudy;
-        let study = SpecializationStudy::new(&TechnologyParams::projected());
-        let ideal = study.ideal_makespan_units(n, blocks);
-        let scheduled = study.schedule_adder(n, blocks).makespan();
-        prop_assert!(scheduled >= ideal);
+        use cqla_repro::core::EvalCtx;
+        let costs = EvalCtx::new().adder_costs(n, blocks);
+        let ideal = costs.ideal_makespan(blocks);
+        prop_assert!(ideal <= costs.makespan);
         // List scheduling is within 2x of the bound (Graham).
-        prop_assert!(scheduled <= 2 * ideal);
+        prop_assert!(costs.makespan <= 2 * ideal);
     }
 }
 
