@@ -22,11 +22,11 @@
 
 use cqla_ecc::{Code, CodeLevel, Level, TransferNetwork};
 use cqla_iontrap::TechnologyParams;
-use cqla_sim::{ChannelPool, SimTime};
 use cqla_units::Seconds;
 
 use crate::area::{AreaModel, BLOCK_ANCILLA_QUBITS, BLOCK_DATA_QUBITS, CQLA_CHANNEL_FACTOR};
 use crate::eval::EvalCtx;
+use crate::pipeline::{from_nanos, to_nanos};
 
 /// How additions are split between the level-1 and level-2 compute
 /// regions.
@@ -224,11 +224,7 @@ impl HierarchyStudy {
         // teleportations per channel service.
         let batch_size = BLOCK_DATA_QUBITS;
         let batches = fetches_per_addition.div_ceil(batch_size);
-        let mut pool = ChannelPool::new(config.par_xfer as usize);
-        for _ in 0..batches {
-            pool.book(SimTime::ZERO, down);
-        }
-        let l1_transfer_time = pool.all_idle_at().to_duration();
+        let l1_transfer_time = transfer_rounds_time(batches, config.par_xfer, down);
         let l1_adder_time = l1_compute_time.max(l1_transfer_time) + down;
 
         // --- Level-2 region and QLA reference. ---
@@ -285,6 +281,14 @@ impl HierarchyStudy {
             gain_product_optimistic: area_reduction * adder_speedup_balanced,
         }
     }
+}
+
+/// Completion time of `batches` identical transfers of `latency` each,
+/// all requested at t=0 on `par_xfer` parallel channels: whole rounds of
+/// `latency`, which is rounded to the nanosecond once per round on the
+/// pipeline simulator's integer-nanosecond clock.
+fn transfer_rounds_time(batches: u64, par_xfer: u32, latency: Seconds) -> Seconds {
+    from_nanos(batches.div_ceil(u64::from(par_xfer)) * to_nanos(latency))
 }
 
 /// Speedup of the `l1:l2` interleave with concurrent regions: `l1 + l2`
@@ -421,6 +425,25 @@ mod tests {
         // L1 stream still fits in the window.
         let one_one = r.adder_speedup(MixPolicy::Interleave { l1: 1, l2: 1 });
         assert!(one_one > 0.0);
+    }
+
+    #[test]
+    fn transfer_rounds_are_whole_latencies() {
+        let latency = Seconds::new(2e-3);
+        assert_eq!(transfer_rounds_time(0, 10, latency), Seconds::ZERO);
+        for batches in 1..=10 {
+            assert_eq!(transfer_rounds_time(batches, 10, latency), latency);
+        }
+        assert_eq!(
+            transfer_rounds_time(11, 10, latency),
+            Seconds::new(4_000_000.0 / 1e9)
+        );
+        // A sub-nanosecond remainder is rounded per round, then
+        // multiplied: 3 rounds of 1.6 ns book 6 ns, not round(4.8) = 5.
+        assert_eq!(
+            transfer_rounds_time(3, 1, Seconds::new(1.6e-9)),
+            Seconds::new(6.0 / 1e9)
+        );
     }
 
     #[test]

@@ -13,14 +13,21 @@
 //!   execution,
 //! * data dependencies from the circuit DAG gate every issue.
 //!
-//! Agreement between the two models (within tens of percent) is asserted
-//! in the test suite; the pipeline additionally exposes *where* the time
-//! goes (compute, transfer, stall).
+//! Agreement between the two models (within a factor 0.4..2.5 over a
+//! grid of codes, widths, blocks and channels) is asserted in the test
+//! suite; the pipeline additionally exposes *where* the time goes
+//! (compute, transfer, stall).
+//!
+//! Event times are integer nanoseconds, so ordering is exact and runs are
+//! reproducible; one nanosecond is four orders of magnitude below the
+//! 10 µs ion-trap clock cycle.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use cqla_circuit::{Circuit, DependencyDag, QubitId};
 use cqla_ecc::{Code, CodeLevel, EccMetrics, Level, TransferNetwork};
 use cqla_iontrap::{PhysicalOp, TechnologyParams};
-use cqla_sim::{ChannelPool, SimTime};
 use cqla_units::Seconds;
 
 use crate::cache::{CacheSim, CacheTrace, FetchPolicy};
@@ -169,16 +176,16 @@ impl PipelineSim {
             CodeLevel::new(config.code, Level::ONE),
         ) / crate::area::BLOCK_DATA_QUBITS as f64;
 
-        let mut slots = ChannelPool::new(config.blocks as usize);
-        let mut channels = ChannelPool::new(config.par_xfer as usize);
+        let mut slots = SlotPool::new(config.blocks);
+        let mut channels = SlotPool::new(config.par_xfer);
         let steps = trace.steps();
         let n = steps.len();
-        // Transfer completion time per trace position (ZERO = no fetch).
-        let mut transfer_done = vec![SimTime::ZERO; n];
+        // Transfer completion time per trace position (0 = no fetch).
+        let mut transfer_done = vec![0; n];
         let mut booked = 0usize;
-        let mut finish = vec![SimTime::ZERO; circuit.len()];
+        let mut finish = vec![0; circuit.len()];
         let mut stall = Seconds::ZERO;
-        let mut now = SimTime::ZERO;
+        let mut now = 0;
 
         for (pos, step) in steps.iter().enumerate() {
             assert!(step.instr < circuit.len(), "trace out of range");
@@ -187,10 +194,10 @@ impl PipelineSim {
             while booked < window_end {
                 let fetches = steps[booked].fetches;
                 if fetches > 0 {
-                    let mut done = SimTime::ZERO;
+                    let mut done = 0;
                     for _ in 0..fetches {
-                        let b = channels.book(now, transfer_latency);
-                        done = done.max(b.end);
+                        let (_, end) = channels.book(now, transfer_latency);
+                        done = done.max(end);
                     }
                     transfer_done[booked] = done;
                 }
@@ -203,30 +210,82 @@ impl PipelineSim {
                 .iter()
                 .map(|&p| finish[p])
                 .max()
-                .unwrap_or(SimTime::ZERO);
+                .unwrap_or(0);
             let data_ready = deps_done.max(transfer_done[pos]);
             if transfer_done[pos] > deps_done {
-                stall += transfer_done[pos].since(deps_done);
+                stall += from_nanos(transfer_done[pos] - deps_done);
             }
             let duration =
                 gate_step * circuit.gates()[step.instr].two_qubit_gate_equivalents() as f64;
-            let booking = slots.book(data_ready, duration);
-            finish[step.instr] = booking.end;
-            now = now.max(booking.start);
+            let (start, end) = slots.book(data_ready, duration);
+            finish[step.instr] = end;
+            now = now.max(start);
         }
 
-        let compute_end = slots.all_idle_at();
-        let transfer_end = channels.all_idle_at();
-        let total = compute_end.max(transfer_end).to_duration();
+        let total = from_nanos(slots.all_idle_at().max(channels.all_idle_at()));
         PipelineReport {
             total_time: total,
-            compute_busy: slots.busy_time(),
-            transfer_busy: channels.busy_time(),
+            compute_busy: slots.busy,
+            transfer_busy: channels.busy,
             stall_time: stall,
             instructions: n,
             fetches: trace.total_fetches(),
             block_utilization: slots.utilization(total),
             channel_utilization: channels.utilization(total),
+        }
+    }
+}
+
+/// Rounds a duration to whole nanoseconds on the simulation clock.
+pub(crate) fn to_nanos(d: Seconds) -> u64 {
+    (d.as_secs() * 1e9).round() as u64
+}
+
+/// The duration of `nanos` clock ticks.
+pub(crate) fn from_nanos(nanos: u64) -> Seconds {
+    Seconds::new(nanos as f64 / 1e9)
+}
+
+/// `k` identical slots (gate slots or transfer channels), each carrying
+/// one booking at a time.
+#[derive(Debug)]
+struct SlotPool {
+    /// Earliest free time per slot, in nanoseconds (min-heap).
+    free_at: BinaryHeap<Reverse<u64>>,
+    /// Aggregate booked duration across the pool.
+    busy: Seconds,
+}
+
+impl SlotPool {
+    fn new(capacity: u32) -> Self {
+        Self {
+            free_at: (0..capacity).map(|_| Reverse(0)).collect(),
+            busy: Seconds::ZERO,
+        }
+    }
+
+    /// Books the earliest free slot at or after `now` for `duration`,
+    /// returning the granted `(start, end)` window.
+    fn book(&mut self, now: u64, duration: Seconds) -> (u64, u64) {
+        let Reverse(free) = self.free_at.pop().expect("pool has a slot");
+        let start = free.max(now);
+        let end = start + to_nanos(duration);
+        self.free_at.push(Reverse(end));
+        self.busy += duration;
+        (start, end)
+    }
+
+    /// The instant at which every booking has completed.
+    fn all_idle_at(&self) -> u64 {
+        self.free_at.iter().map(|Reverse(t)| *t).max().unwrap_or(0)
+    }
+
+    /// Mean slot utilization over `[0, horizon]` (0 for a zero horizon).
+    fn utilization(&self, horizon: Seconds) -> f64 {
+        if horizon.as_secs() <= 0.0 {
+            0.0
+        } else {
+            (self.busy / horizon) / self.free_at.len() as f64
         }
     }
 }
@@ -320,21 +379,40 @@ mod tests {
 
     #[test]
     fn agrees_with_analytic_hierarchy_model_within_factor_two() {
+        // The differential oracle: the event-driven pipeline and the
+        // analytic bottleneck model price the same level-1 addition.
+        // Widths stay at 64 bits and up. At 32 bits × 100 blocks the 900
+        // compute qubits exceed what the adder can use and nothing is
+        // fetched, yet the analytic model still adds one fill latency
+        // (`+ down` in `l1_adder_time`), which drops the ratio to ~0.3.
         let tech = TechnologyParams::projected();
-        let adder = DraperAdder::new(256);
-        let config = PipelineConfig::new(Code::Steane713, 36, 10).with_cache_capacity(2 * 9 * 36);
-        let report = PipelineSim::new(&tech).run_adder(&adder, &config);
-        let analytic = crate::HierarchyStudy::new(&tech).evaluate_ctx(
-            crate::HierarchyConfig::new(Code::Steane713, 256, 10, 36),
-            &crate::EvalCtx::new(),
-        );
-        let ratio = report.total_time / analytic.l1_adder_time;
-        assert!(
-            (0.4..2.5).contains(&ratio),
-            "pipeline {} vs analytic {} (ratio {ratio:.2})",
-            report.total_time,
-            analytic.l1_adder_time
-        );
+        let sim = PipelineSim::new(&tech);
+        let study = crate::HierarchyStudy::new(&tech);
+        let ctx = crate::EvalCtx::new();
+        for code in Code::ALL {
+            for bits in [64, 256] {
+                let adder = DraperAdder::new(bits);
+                for blocks in [16, 36] {
+                    for xfer in [1, 10] {
+                        let config = PipelineConfig::new(code, blocks, xfer)
+                            .with_cache_capacity(2 * 9 * blocks as usize);
+                        let report = sim.run_adder(&adder, &config);
+                        let analytic = study.evaluate_ctx(
+                            crate::HierarchyConfig::new(code, bits, xfer, blocks),
+                            &ctx,
+                        );
+                        let ratio = report.total_time / analytic.l1_adder_time;
+                        assert!(
+                            (0.4..2.5).contains(&ratio),
+                            "{code} {bits} bits, {blocks} blocks, {xfer} xfer: pipeline {} \
+                             vs analytic {} (ratio {ratio:.2})",
+                            report.total_time,
+                            analytic.l1_adder_time
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

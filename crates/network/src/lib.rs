@@ -7,40 +7,16 @@
 //!
 //! * [`EprModel`] — pair generation, distribution infidelity, purification
 //!   trees, and the resulting per-channel service rate,
-//! * [`Mesh`] — the 2D interconnect with XY routing and link-load
-//!   (congestion) accounting,
-//! * [`AllToAll`] — the QFT's all-to-all personalized exchange and its
-//!   bisection bottleneck (Fig 8b),
 //! * [`SuperblockBandwidth`] — the perimeter supply-vs-demand model whose
 //!   crossover sizes compute superblocks (Fig 6b).
-//!
-//! # Examples
-//!
-//! ```
-//! use cqla_network::{Mesh, NodeCoord};
-//!
-//! let mesh = Mesh::new(8, 8);
-//! // Uniform traffic: everyone sends one message to the node across.
-//! let demands: Vec<_> = (0..8)
-//!     .map(|y| (NodeCoord::new(0, y), NodeCoord::new(7, y), 1))
-//!     .collect();
-//! // Disjoint rows: no link carries more than one message.
-//! assert_eq!(mesh.max_link_load(demands), 1);
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod alltoall;
 mod bandwidth;
 mod epr;
-mod mesh;
-mod routing;
 
-pub use alltoall::AllToAll;
 pub use bandwidth::{
     BandwidthSample, SuperblockBandwidth, OPERANDS_PER_TOFFOLI, WORST_CASE_QUBITS_PER_BLOCK,
 };
 pub use epr::{EprModel, DEFAULT_PURIFICATION_ROUNDS};
-pub use mesh::{Link, Mesh, NodeCoord};
-pub use routing::{RoutingConfig, RoutingReport, RoutingSim};

@@ -49,6 +49,7 @@
 //! Exit codes: 0 success; 1 runtime failure (a failing `verify`, a
 //! `bench-diff` regression, unreadable files); 2 usage errors.
 
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
 use cqla_repro::core::experiments::{
@@ -180,9 +181,24 @@ impl Cli {
     /// Prints either the rendered text or the pretty JSON document.
     fn emit(&self, text: impl FnOnce() -> String, json: impl FnOnce() -> Json) {
         match self.format {
-            Format::Text => println!("{}", text()),
-            Format::Json => println!("{}", json().to_pretty()),
+            Format::Text => out(format_args!("{}\n", text())),
+            Format::Json => out(format_args!("{}\n", json().to_pretty())),
         }
+    }
+}
+
+/// Writes to stdout and flushes; every stdout write goes through here. A
+/// reader that closes the pipe early (`cqla list | head -1`) already has
+/// what it wanted, so a broken pipe exits 0 quietly instead of panicking.
+/// Any other write failure is a runtime error (exit 1).
+fn out(args: std::fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cqla: cannot write to stdout: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -203,14 +219,17 @@ fn main() -> ExitCode {
         Some("machine") => machine_alias(&cli),
         Some("verify") => run(&cli, Some(&"verify".to_owned()), &[]),
         Some("floorplan") => {
-            println!("{}", TileFloorplan::steane_level1());
-            println!("{}", TileFloorplan::bacon_shor_level1());
+            out(format_args!(
+                "{}\n{}\n",
+                TileFloorplan::steane_level1(),
+                TileFloorplan::bacon_shor_level1()
+            ));
             Ok(ExitCode::SUCCESS)
         }
         // An explicit help request succeeds on stdout; a missing
         // subcommand is a usage error on stderr.
         Some("help") => {
-            println!("{USAGE}");
+            out(format_args!("{USAGE}\n"));
             Ok(ExitCode::SUCCESS)
         }
         None => {
@@ -482,7 +501,7 @@ fn extract_fleet(cli: &Cli) -> Result<(Cli, Option<FleetConfig>), UsageError> {
 fn emit_dist(result: Result<dist::DistRun, dist::DistError>) -> ExitCode {
     match result {
         Ok(run) => {
-            print!("{}", run.document());
+            out(format_args!("{}", run.document()));
             if run.passed() {
                 ExitCode::SUCCESS
             } else {
@@ -801,15 +820,13 @@ fn serve(cli: &Cli) -> Result<ExitCode, UsageError> {
             return Ok(ExitCode::FAILURE);
         }
     };
-    // Announce on stdout and flush: when stdout is a pipe (tests, CI)
-    // the line must reach the parent before the accept loop blocks.
-    println!(
-        "cqla-serve listening on http://{} ({} worker thread(s))",
+    // Announce on stdout (`out` flushes): when stdout is a pipe (tests,
+    // CI) the line must reach the parent before the accept loop blocks.
+    out(format_args!(
+        "cqla-serve listening on http://{} ({} worker thread(s))\n",
         server.local_addr(),
         server.workers()
-    );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    ));
     match server.run() {
         Ok(()) => Ok(ExitCode::SUCCESS),
         Err(e) => {

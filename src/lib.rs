@@ -11,14 +11,13 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`units`] | `cqla-units` | typed time/area/probability quantities |
-//! | [`sim`] | `cqla-sim` | discrete-event kernel (queues, channels) |
 //! | [`stabilizer`] | `cqla-stabilizer` | Pauli algebra, tableau simulator, CSS codes |
 //! | [`iontrap`] | `cqla-iontrap` | Table 1 technology model, trap geometry |
 //! | [`ecc`] | `cqla-ecc` | concatenated-EC costs (Tables 2–3), Eq. 1 fidelity |
 //! | [`circuit`] | `cqla-circuit` | gate IR, DAGs, scheduling, reversible sim |
 //! | [`compile`] | `cqla-compile` | asm program pipeline + seeded workload generator |
 //! | [`workloads`] | `cqla-workloads` | Draper/ripple adders, modexp, QFT, Shor |
-//! | [`network`] | `cqla-network` | EPR purification, mesh, bandwidth (Fig 6b) |
+//! | [`network`] | `cqla-network` | EPR purification, superblock bandwidth (Fig 6b) |
 //! | [`core`] | `cqla-core` | the CQLA itself + the experiment registry + JSON |
 //! | [`sweep`] | `cqla-sweep` | parallel experiment engine + sweep-spec language |
 //! | [`serve`] | `cqla-serve` | long-running HTTP service over the registry |
@@ -53,7 +52,6 @@ pub use cqla_ecc as ecc;
 pub use cqla_iontrap as iontrap;
 pub use cqla_network as network;
 pub use cqla_serve as serve;
-pub use cqla_sim as sim;
 pub use cqla_stabilizer as stabilizer;
 pub use cqla_sweep as sweep;
 pub use cqla_units as units;

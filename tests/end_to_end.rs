@@ -195,6 +195,29 @@ mod cli {
     }
 
     #[test]
+    fn closed_stdout_pipe_exits_zero_quietly() {
+        use std::io::{BufRead as _, BufReader};
+        // ~100 KB of JSON: more than a pipe buffer holds, so the binary is
+        // still writing when the reader hangs up (`cqla ... | head -1`).
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cqla"))
+            .args(["run", "machine", "bits=8..=512:+8", "--format", "json"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("cqla binary spawns");
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().expect("stdout piped"))
+            .read_line(&mut first)
+            .expect("first line read");
+        assert_eq!(first, "{\n");
+        // The reader is dropped above, closing the pipe.
+        let out = child.wait_with_output().expect("cqla completes");
+        let err = stderr(&out);
+        assert!(out.status.success(), "exit: {:?}\n{err}", out.status);
+        assert!(!err.contains("panicked"), "{err}");
+    }
+
+    #[test]
     fn table_4_prints_the_specialization_grid() {
         let out = cqla(&["table", "4"]);
         assert!(out.status.success(), "exit: {:?}", out.status);
