@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cqla_circuit::{DependencyDag, Gate, ListScheduler, Width};
-use cqla_workloads::{CuccaroAdder, DraperAdder, RippleCarryAdder};
+use cqla_workloads::{DraperAdder, RippleCarryAdder};
 
 fn bench(c: &mut Criterion) {
     c.bench_function("adders/draper_128_generate", |b| {
@@ -14,11 +14,6 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("adders/ripple_128_generate", |b| {
         b.iter(|| black_box(RippleCarryAdder::new(128).circuit()))
-    });
-    // CuccaroAdder caps the width at 127 (one borrowed high bit), so it
-    // benches one notch below the other adders.
-    c.bench_function("adders/cuccaro_96_generate", |b| {
-        b.iter(|| black_box(CuccaroAdder::new(96).circuit()))
     });
 
     let circuit = DraperAdder::new(128).circuit();

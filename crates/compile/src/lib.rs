@@ -1,7 +1,7 @@
 //! Program compilation front end: user-submitted circuits → paper-style
 //! schedule artifacts.
 //!
-//! The paper evaluates the CQLA on two fixed workloads (Draper/Cuccaro
+//! The paper evaluates the CQLA on two fixed workloads (Draper/ripple
 //! adders, modexp). This crate opens the same pipeline to *programs*:
 //! parse the asm IR, decompose Toffolis into the 15-gate network (§5.1),
 //! build the dependency DAG, and list-schedule it under a compute-block

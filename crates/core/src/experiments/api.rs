@@ -204,6 +204,11 @@ pub enum ParamError {
         /// What the parameter accepts.
         accepts: &'static str,
     },
+    /// The key was given more than once in one override list.
+    DuplicateKey {
+        /// The repeated key.
+        key: String,
+    },
 }
 
 impl core::fmt::Display for ParamError {
@@ -231,6 +236,7 @@ impl core::fmt::Display for ParamError {
             } => {
                 write!(f, "bad value `{value}` for `{key}`; expected {accepts}")
             }
+            Self::DuplicateKey { key } => write!(f, "duplicate parameter `{key}`"),
         }
     }
 }
@@ -314,6 +320,32 @@ pub fn params_usage(exp: &dyn Experiment) -> String {
         .map(|p| format!("{}=<{}>", p.key, p.accepts()))
         .collect::<Vec<_>>()
         .join(" ")
+}
+
+/// Applies `key=value` overrides in order. A key given twice is
+/// rejected, as the grid grammar rejects it, rather than letting one
+/// value silently win. Shared by the CLI and the HTTP service so a
+/// repeated key means the same thing on both.
+///
+/// # Errors
+///
+/// [`ParamError::DuplicateKey`] on the second occurrence of a key, or
+/// the first error [`Experiment::set`] returns.
+pub fn apply_overrides<'a>(
+    exp: &mut dyn Experiment,
+    pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
+) -> Result<(), ParamError> {
+    let mut seen = Vec::new();
+    for (key, value) in pairs {
+        if seen.contains(&key) {
+            return Err(ParamError::DuplicateKey {
+                key: key.to_owned(),
+            });
+        }
+        seen.push(key);
+        exp.set(key, value)?;
+    }
+    Ok(())
 }
 
 /// Builds the [`ParamError::UnknownKey`] for `key` against an

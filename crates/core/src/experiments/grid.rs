@@ -39,7 +39,7 @@ use cqla_ecc::Code;
 use cqla_iontrap::TechPoint;
 use cqla_workloads::MAX_ADDER_BITS;
 
-use super::api::{suggest, Domain, ParamSpec};
+use super::api::{suggest, Domain, ParamError, ParamSpec};
 
 /// Hard cap on the points one expression may expand to.
 pub const MAX_POINTS: usize = 10_000;
@@ -457,7 +457,10 @@ impl Grid {
                 return Err(SpecError::new(
                     input,
                     key_span,
-                    format!("duplicate parameter `{key}`"),
+                    ParamError::DuplicateKey {
+                        key: key.to_owned(),
+                    }
+                    .to_string(),
                 ));
             }
             seen.push(spec.key);

@@ -29,10 +29,10 @@ mod tables;
 mod verify;
 
 pub use api::{
-    find, ids, listing_json, params_usage, parse_bits, parse_code, parse_positive, parse_ratio,
-    parse_source, parse_tech, registry, suggest, unknown_key, Domain, Experiment, ExperimentOutput,
-    Param, ParamError, ParamSpec, BITS_ACCEPTS, CODE_ACCEPTS, INT_ACCEPTS, RATIO_ACCEPTS,
-    SOURCE_ACCEPTS, TECH_ACCEPTS,
+    apply_overrides, find, ids, listing_json, params_usage, parse_bits, parse_code, parse_positive,
+    parse_ratio, parse_source, parse_tech, registry, suggest, unknown_key, Domain, Experiment,
+    ExperimentOutput, Param, ParamError, ParamSpec, BITS_ACCEPTS, CODE_ACCEPTS, INT_ACCEPTS,
+    RATIO_ACCEPTS, SOURCE_ACCEPTS, TECH_ACCEPTS,
 };
 pub use apps::{fig8a_row, fig8b_row, AppTimeRow, Fig8a, Fig8b, FIG8A_SIZES, FIG8B_SIZES};
 pub use compile::{Compile, CompileSource};

@@ -9,8 +9,6 @@
 //!   area and qubit counts per `(code, level)` (reproduces Table 2),
 //! * [`TransferNetwork`] — code-teleportation latencies between encodings
 //!   (reproduces Table 3),
-//! * [`schedule`] — the cycle-level phase structure behind the level-1
-//!   numbers,
 //! * [`fidelity`] — Gottesman's Eq. 1 failure model and the level-mixing
 //!   budget that authorizes running part of the workload at level 1.
 //!
@@ -31,15 +29,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ancilla;
 mod code;
 pub mod fidelity;
 pub mod memo;
 mod metrics;
-pub mod schedule;
 mod transfer;
 
-pub use ancilla::AncillaFactory;
 pub use code::{Code, CodeLevel, Level};
 pub use metrics::{table2_metrics, EccMetrics, SUBTILE_ROUTING_OVERHEAD};
 pub use transfer::{TransferNetwork, DEST_EC_FACTOR, SOURCE_EC_FACTOR};

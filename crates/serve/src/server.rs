@@ -50,7 +50,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cqla_core::experiments::{
-    find, ids, is_set_clause, listing_json, params_usage, suggest, Experiment, Grid,
+    apply_overrides, find, ids, is_set_clause, listing_json, params_usage, suggest, Experiment,
+    Grid,
 };
 use cqla_core::Json;
 use cqla_ecc::memo::{Memo, Outcome};
@@ -682,15 +683,14 @@ fn cached_run(
     shared
         .cache
         .try_get_or_compute(canonical_key(id, params), || {
-            for (param, value) in params {
-                experiment.set(param, value).map_err(|e| {
-                    Response::error(
-                        Status::BadRequest,
-                        e.to_string(),
-                        Some(format!("{id} takes: {}", params_usage(experiment.as_ref()))),
-                    )
-                })?;
-            }
+            let pairs = params.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+            apply_overrides(experiment.as_mut(), pairs).map_err(|e| {
+                Response::error(
+                    Status::BadRequest,
+                    e.to_string(),
+                    Some(format!("{id} takes: {}", params_usage(experiment.as_ref()))),
+                )
+            })?;
             let output = experiment.run();
             shared.cache_misses.fetch_add(1, Ordering::Relaxed);
             let body = Arc::new(format!("{}\n", output.document(id).to_pretty()));
@@ -1411,6 +1411,19 @@ mod tests {
         assert!(server.shared.cache.is_empty());
         let resp = full(run_endpoint("table9", &[], &server.shared));
         assert_eq!(resp.status, Status::NotFound);
+        // A repeated key is rejected, not settled by the sorted order.
+        let twice = [
+            ("bits".to_owned(), "64".to_owned()),
+            ("bits".to_owned(), "128".to_owned()),
+        ];
+        let resp = full(run_endpoint("machine", &twice, &server.shared));
+        assert_eq!(resp.status, Status::BadRequest);
+        assert!(
+            resp.body.contains("duplicate parameter `bits`"),
+            "{}",
+            resp.body
+        );
+        assert!(server.shared.cache.is_empty());
     }
 
     #[test]
@@ -1639,6 +1652,18 @@ mod tests {
             promptly(move || compile_endpoint(program, &warp, &shared).status)
         };
         assert_eq!(again, Status::BadRequest);
+        assert_eq!(shared.cache.len(), entries);
+        let widths = [
+            ("width".to_owned(), "4".to_owned()),
+            ("width".to_owned(), "36".to_owned()),
+        ];
+        let twice = compile_endpoint(program, &widths, shared);
+        assert_eq!(twice.status, Status::BadRequest);
+        assert!(
+            twice.body.contains("duplicate parameter `width`"),
+            "{}",
+            twice.body
+        );
         assert_eq!(shared.cache.len(), entries);
     }
 

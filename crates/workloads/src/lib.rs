@@ -30,20 +30,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod comparator;
-mod cuccaro;
 mod draper;
-mod modadd;
 mod modexp;
 mod qft;
 mod ripple;
 mod shor;
 pub mod width;
 
-pub use comparator::Comparator;
-pub use cuccaro::CuccaroAdder;
 pub use draper::{DraperAdder, MAX_ADDER_BITS};
-pub use modadd::ModularAdder;
 pub use modexp::ModExp;
 pub use qft::Qft;
 pub use ripple::RippleCarryAdder;

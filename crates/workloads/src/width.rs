@@ -1,12 +1,11 @@
-//! Shared width validation for the adder/comparator generators.
+//! Shared width validation for the adder generators.
 //!
 //! Every workload that verifies itself by classical reversible
-//! simulation is bounded by `u128` arithmetic. Historically each
-//! generator asserted its own ad-hoc cap (the CDKM adder stopped one
-//! notch short at 127); this module is the single contract: widths run
-//! `1..=`[`MAX_VERIFIED_WIDTH`] unless a generator documents a different
-//! ceiling, and carry-outs are reassembled through [`combine_carry`] so
-//! that width-128 sums work instead of overflowing a `u128` shift.
+//! simulation is bounded by `u128` arithmetic. This module is the single
+//! contract: widths run `1..=`[`MAX_VERIFIED_WIDTH`] unless a generator
+//! documents a different ceiling, and carry-outs are reassembled through
+//! [`combine_carry`] so that width-128 sums work instead of overflowing a
+//! `u128` shift.
 
 /// The canonical verified width ceiling: operands are `u128`, so every
 /// self-checking generator accepts widths up to 128 bits.
@@ -58,7 +57,7 @@ pub fn combine_carry(sum: u128, carry: bool, n: u32) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CuccaroAdder, DraperAdder, RippleCarryAdder};
+    use crate::{DraperAdder, RippleCarryAdder};
 
     #[test]
     fn combine_carry_places_the_carry_bit() {
@@ -81,26 +80,12 @@ mod tests {
 
     #[test]
     fn all_adders_agree_at_width_128() {
-        // The unified contract: every adder accepts the full u128 width
-        // (the CDKM adder was historically capped at 127).
+        // The unified contract: every adder accepts the full u128 width.
         let a = u128::MAX / 3;
         let b = u128::MAX / 5;
         let expected = a + b; // < 2^128: no carry out
         assert_eq!(DraperAdder::new(128).compute(a, b), expected);
-        assert_eq!(CuccaroAdder::new(128).compute(a, b), expected);
         assert_eq!(RippleCarryAdder::new(128).compute(a, b), expected);
-    }
-
-    #[test]
-    fn comparator_works_at_width_128() {
-        // The comparator shares the unified 1..=128 contract; its flag is
-        // the carry of ~a + b at bit 127, so full-width operands exercise
-        // the boundary.
-        let cmp = crate::Comparator::new(128);
-        assert!(cmp.compare(u128::MAX - 1, u128::MAX));
-        assert!(!cmp.compare(u128::MAX, u128::MAX - 1));
-        assert!(!cmp.compare(u128::MAX, u128::MAX));
-        assert!(cmp.compare(0, u128::MAX));
     }
 
     #[test]
@@ -108,13 +93,13 @@ mod tests {
         // all-ones + 0 exercises the full carry chain width with no
         // carry out; the result is exact.
         let ones = u128::MAX;
-        assert_eq!(CuccaroAdder::new(128).compute(ones, 0), ones);
+        assert_eq!(DraperAdder::new(128).compute(ones, 0), ones);
         assert_eq!(RippleCarryAdder::new(128).compute(0, ones), ones);
     }
 
     #[test]
     #[should_panic(expected = "does not fit in u128")]
     fn width_128_carry_out_is_a_loud_error() {
-        let _ = CuccaroAdder::new(128).compute(u128::MAX, 1);
+        let _ = RippleCarryAdder::new(128).compute(u128::MAX, 1);
     }
 }

@@ -1,14 +1,14 @@
-//! A bottom-up tour of the CQLA machine: from individual trapped ions to a
-//! running modular addition.
+//! A bottom-up tour of the CQLA machine: from individual trapped ions to
+//! one addition running through the level-1 pipeline.
 //!
 //! ```text
 //! cargo run --example machine_tour
 //! ```
 
 use cqla_repro::core::{PipelineConfig, PipelineSim};
-use cqla_repro::ecc::{AncillaFactory, Code};
+use cqla_repro::ecc::Code;
 use cqla_repro::iontrap::{TechnologyParams, TileFloorplan};
-use cqla_repro::workloads::{DraperAdder, ModularAdder};
+use cqla_repro::workloads::DraperAdder;
 
 fn main() {
     let tech = TechnologyParams::projected();
@@ -22,29 +22,7 @@ fn main() {
         plan.syndrome_shuttle_cycles(7)
     );
 
-    println!("== 2. The ancilla factories feeding error correction ==\n");
-    for code in Code::ALL {
-        let factory = AncillaFactory::new(code, &tech);
-        println!("{factory}");
-        println!(
-            "  lines to feed one 9-qubit compute block: {:.1}\n",
-            factory.lines_for_compute_block(9)
-        );
-    }
-
-    println!("== 3. The arithmetic the machine exists to run ==\n");
-    let modadd = ModularAdder::new(16, 40_503);
-    println!(
-        "16-bit modular adder (N = 40503): {} over {} qubits",
-        modadd.circuit_ref().counts(),
-        modadd.circuit_ref().num_qubits()
-    );
-    println!(
-        "  check: (31000 + 30000) mod 40503 = {}\n",
-        modadd.compute(31_000, 30_000)
-    );
-
-    println!("== 4. One addition through the level-1 pipeline ==\n");
+    println!("== 2. One addition through the level-1 pipeline ==\n");
     let sim = PipelineSim::new(&tech);
     let adder = DraperAdder::new(64);
     for par_xfer in [10u32, 5, 2] {

@@ -53,7 +53,8 @@ use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
 use cqla_repro::core::experiments::{
-    find, is_set_clause, listing_json, params_usage, registry, suggest, Experiment, Grid,
+    apply_overrides, find, is_set_clause, listing_json, params_usage, registry, suggest,
+    Experiment, Grid,
 };
 use cqla_repro::core::{Json, ToJson};
 use cqla_repro::dist::{self, FleetConfig};
@@ -341,20 +342,19 @@ fn run(cli: &Cli, id: Option<&String>, overrides: &[String]) -> Result<ExitCode,
     if is_grid_syntax(overrides) {
         return run_grid(cli, exp.as_ref(), overrides);
     }
+    let takes = format!("{} takes: {}", exp.id(), params_usage(exp.as_ref()));
+    let mut pairs = Vec::new();
     for pair in overrides {
-        let Some((key, value)) = pair.split_once('=') else {
+        let Some(kv) = pair.split_once('=') else {
             return Err(UsageError::with_hint(
                 format!("expected key=value, got `{pair}`"),
-                format!("{} takes: {}", exp.id(), params_usage(exp.as_ref())),
+                takes,
             ));
         };
-        exp.set(key, value).map_err(|e| {
-            UsageError::with_hint(
-                e.to_string(),
-                format!("{} takes: {}", exp.id(), params_usage(exp.as_ref())),
-            )
-        })?;
+        pairs.push(kv);
     }
+    apply_overrides(exp.as_mut(), pairs)
+        .map_err(|e| UsageError::with_hint(e.to_string(), takes))?;
     let output = exp.run();
     cli.emit(|| output.text.clone(), || output.document(exp.id()));
     Ok(if output.passed {
@@ -675,6 +675,7 @@ fn compile(cli: &Cli) -> Result<ExitCode, UsageError> {
         .expect("inline-asm is valid");
     exp.set("program", &source)
         .expect("program accepts any text");
+    let mut pairs = Vec::new();
     for pair in &cli.args[2..] {
         let Some((key, value)) = pair.split_once('=') else {
             return Err(UsageError::with_hint(
@@ -694,13 +695,14 @@ fn compile(cli: &Cli) -> Result<ExitCode, UsageError> {
                 "grid over machines with `cqla run compile source=inline-asm width=4,9,16`",
             ));
         }
-        exp.set(key, value).map_err(|e| {
-            UsageError::with_hint(
-                e.to_string(),
-                format!("compile takes: {}", params_usage(exp.as_ref())),
-            )
-        })?;
+        pairs.push((key, value));
     }
+    apply_overrides(exp.as_mut(), pairs).map_err(|e| {
+        UsageError::with_hint(
+            e.to_string(),
+            format!("compile takes: {}", params_usage(exp.as_ref())),
+        )
+    })?;
     let output = exp.run();
     cli.emit(|| output.text.clone(), || output.document(exp.id()));
     Ok(if output.passed {

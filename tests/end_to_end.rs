@@ -297,6 +297,7 @@ mod cli {
             &["run", "table9"][..],
             &["run", "table4", "tech=warp"][..],
             &["run", "table4", "notakeyvalue"][..],
+            &["run", "machine", "bits=64", "bits=128"][..],
             &["sweep", "frobnicate"][..],
             &["sweep", "width=0"][..],
             &["sweep", "--spec-file"][..],
@@ -305,6 +306,7 @@ mod cli {
             &["compile"][..],
             &["compile", "-", "source=random"][..],
             &["compile", "-", "width=4,9"][..],
+            &["compile", "-", "width=4", "width=9"][..],
             &["--format", "yaml", "table", "4"][..],
             &["--threads", "0", "sweep", "quick"][..],
         ] {

@@ -9,9 +9,7 @@ use cqla_repro::ecc::{CodeLevel, TransferNetwork};
 use cqla_repro::iontrap::TechnologyParams;
 use cqla_repro::stabilizer::{CssCode, LookupDecoder, PauliOp, PauliString};
 use cqla_repro::units::{Probability, Seconds};
-use cqla_repro::workloads::{
-    Comparator, CuccaroAdder, DraperAdder, ModularAdder, RippleCarryAdder,
-};
+use cqla_repro::workloads::{DraperAdder, RippleCarryAdder};
 
 /// A random classical-reversible circuit on `n` qubits.
 fn classical_circuit(n: u32, max_gates: usize) -> impl Strategy<Value = Circuit> {
@@ -55,28 +53,6 @@ proptest! {
         let (a, b) = (u128::from(a & mask), u128::from(b & mask));
         let expect = DraperAdder::new(n).compute(a, b);
         prop_assert_eq!(RippleCarryAdder::new(n).compute(a, b), expect);
-        prop_assert_eq!(CuccaroAdder::new(n).compute(a, b), expect);
-    }
-
-    #[test]
-    fn comparator_matches_integers(n in 1u32..=32, a in any::<u32>(), b in any::<u32>()) {
-        let mask = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-        let (a, b) = (u128::from(a & mask), u128::from(b & mask));
-        prop_assert_eq!(Comparator::new(n).compare(a, b), a < b);
-    }
-
-    #[test]
-    fn modular_adder_matches_integers(
-        n in 2u32..=16,
-        modulus_seed in any::<u32>(),
-        a_seed in any::<u32>(),
-        b_seed in any::<u32>(),
-    ) {
-        let modulus = 2 + u128::from(modulus_seed) % ((1u128 << n) - 1);
-        let a = u128::from(a_seed) % modulus;
-        let b = u128::from(b_seed) % modulus;
-        let adder = ModularAdder::new(n, modulus);
-        prop_assert_eq!(adder.compute(a, b), (a + b) % modulus);
     }
 
     #[test]
