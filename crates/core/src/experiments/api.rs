@@ -69,9 +69,9 @@ impl ExperimentOutput {
 ///
 /// This is the *single* value-parsing layer of the parameter surface:
 /// [`Experiment::set`] (via [`parse_tech`], [`parse_code`],
-/// [`parse_positive`], [`parse_ratio`]) and the grid/sweep value-set
-/// grammars ([`super::grid`], `cqla-sweep::parse`) share the same
-/// underlying predicates — [`TechPoint::parse`], [`Code::parse`], and
+/// [`parse_positive`], [`parse_ratio`]) and the value-set grammar
+/// ([`super::grid`], which `cqla-sweep` specs parse through too) share
+/// the same underlying predicates — [`TechPoint::parse`], [`Code::parse`], and
 /// the capped integer / positive-decimal parsers behind
 /// [`Domain::admits`] — so a value that parses in a sweep spec can
 /// never be rejected by `set`, and vice versa (the registry

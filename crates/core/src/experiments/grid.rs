@@ -10,18 +10,16 @@
 //!
 //! into a [`Grid`]: a deterministic, submission-order list of parameter
 //! assignments (points) over the experiment's paper-default base point.
-//! The grammar is the same one the sweep-spec language uses — comma
-//! lists, inclusive ranges `a..=b[:*k|:+k]`, spanned caret errors with
-//! did-you-mean suggestions — but where `cqla-sweep::parse` hard-codes
-//! its seven design-space axes, this layer accepts exactly the keys the
-//! experiment's registry entry declares, each validated through the same
-//! typed [`Domain`] that backs [`super::Experiment::set`]. A value that
-//! parses here can therefore never be rejected by `set`, and vice versa.
+//! The grammar — comma lists, inclusive ranges `a..=b[:*k|:+k]`,
+//! spanned caret errors with did-you-mean suggestions — accepts exactly
+//! the keys the caller declares, each validated through the same typed
+//! [`Domain`] that backs [`super::Experiment::set`]. A value that parses
+//! here can therefore never be rejected by `set`, and vice versa.
 //!
 //! A clause `base.<key>=v` pins a single value without contributing an
-//! axis: it is applied to every point, which is how table4/table5-style
-//! "explicit point list over a shifted base" studies are written down
-//! without a code-defined builtin.
+//! axis: it is applied to every point, which is how "grid over a
+//! shifted base" studies are written down without a code-defined
+//! builtin.
 //!
 //! A parsed [`Grid`] round-trips: [`Grid::render`] prints it back as
 //! expression text (range sugar expanded to comma lists) that
@@ -30,10 +28,10 @@
 //! transcripts all carry a grid as its `spec` string and reconstruct
 //! it losslessly.
 //!
-//! The low-level machinery — [`SpecError`], [`words`], [`parse_items`],
-//! [`parse_int_item`] and the typed set parsers — is shared with (and
-//! was lifted out of) the sweep-spec parser, which is now a thin client
-//! of this module.
+//! Registry experiments parse against their [`super::Experiment::specs`];
+//! `cqla-sweep` parses its design-space sweep specs against its own
+//! seven-key surface through the same [`Grid::parse`], so there is one
+//! implementation of the grammar.
 
 use cqla_ecc::Code;
 use cqla_iontrap::TechPoint;
@@ -45,9 +43,9 @@ use super::api::{suggest, Domain, ParamError, ParamSpec};
 pub const MAX_POINTS: usize = 10_000;
 
 /// Hard cap on any integer value (adders beyond this would not fit in
-/// memory anyway). Shared by the grid grammar, the sweep-spec language,
-/// and [`super::parse_positive`], so the three layers accept exactly the
-/// same integers.
+/// memory anyway). Shared by the grid grammar and
+/// [`super::parse_positive`], so both layers accept exactly the same
+/// integers.
 pub const MAX_INT: u32 = 1 << 20;
 
 /// A parse error with the byte span of the offending token.
@@ -90,16 +88,16 @@ impl core::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// One whitespace-delimited token with its byte span.
-pub struct Word<'a> {
+struct Word<'a> {
     /// The token text.
-    pub text: &'a str,
+    text: &'a str,
     /// Byte offset of the token within the expression.
-    pub start: usize,
+    start: usize,
 }
 
 /// Splits an expression into whitespace-delimited tokens with spans.
 #[must_use]
-pub fn words(input: &str) -> Vec<Word<'_>> {
+fn words(input: &str) -> Vec<Word<'_>> {
     let mut out = Vec::new();
     let mut start = None;
     for (i, c) in input.char_indices() {
@@ -130,7 +128,7 @@ pub fn words(input: &str) -> Vec<Word<'_>> {
 ///
 /// A [`SpecError`] for an empty list or empty item, or whatever `item`
 /// rejects.
-pub fn parse_items<T>(
+fn parse_items<T>(
     spec: &str,
     values: &str,
     values_start: usize,
@@ -164,7 +162,7 @@ pub fn parse_items<T>(
 ///
 /// A [`SpecError`] for out-of-range integers, exclusive-range syntax,
 /// empty ranges, or bad steps.
-pub fn parse_int_item(
+fn parse_int_item(
     spec: &str,
     piece: &str,
     span: (usize, usize),
@@ -253,7 +251,7 @@ pub fn parse_int_item(
 /// # Errors
 ///
 /// A [`SpecError`] naming the unknown preset.
-pub fn parse_tech_set(
+fn parse_tech_set(
     spec: &str,
     values: &str,
     values_start: usize,
@@ -274,11 +272,7 @@ pub fn parse_tech_set(
 /// # Errors
 ///
 /// A [`SpecError`] naming the unknown code.
-pub fn parse_code_set(
-    spec: &str,
-    values: &str,
-    values_start: usize,
-) -> Result<Vec<Code>, SpecError> {
+fn parse_code_set(spec: &str, values: &str, values_start: usize) -> Result<Vec<Code>, SpecError> {
     parse_items(spec, values, values_start, |piece, span| {
         Code::parse(piece).map(|c| vec![c]).ok_or_else(|| {
             SpecError::new(
@@ -296,7 +290,7 @@ pub fn parse_code_set(
 /// # Errors
 ///
 /// A [`SpecError`] from [`parse_int_item`].
-pub fn parse_int_set(
+fn parse_int_set(
     spec: &str,
     values: &str,
     values_start: usize,
@@ -304,31 +298,6 @@ pub fn parse_int_set(
 ) -> Result<Vec<u32>, SpecError> {
     parse_items(spec, values, values_start, |piece, span| {
         parse_int_item(spec, piece, span, max)
-    })
-}
-
-/// Parses a positive-decimal value set; `noun` names the quantity in the
-/// error message (`"cache ratio"`, `"ratio"`, …).
-///
-/// # Errors
-///
-/// A [`SpecError`] naming the rejected decimal.
-pub fn parse_ratio_set(
-    spec: &str,
-    values: &str,
-    values_start: usize,
-    noun: &str,
-) -> Result<Vec<f64>, SpecError> {
-    parse_items(spec, values, values_start, |piece, span| {
-        super::api::parse_pos_ratio(piece)
-            .map(|x| vec![x])
-            .ok_or_else(|| {
-                SpecError::new(
-                    spec,
-                    span,
-                    format!("bad {noun} `{piece}`; expected a positive decimal"),
-                )
-            })
     })
 }
 

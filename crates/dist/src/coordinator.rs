@@ -5,14 +5,17 @@
 //!
 //! # How a run flows
 //!
-//! 1. **Partition.** The grid is split into one contiguous sub-grid
-//!    per worker ([`Grid::shard`] for registry grids, contiguous
-//!    point chunks for design-space sweeps). Each shard knows the
+//! 1. **Partition.** Every workload is a list of grids: a registry
+//!    grid is one, a design-space sweep is its [`Sweep::grids`]. Each
+//!    grid is split into contiguous sub-grids with [`Grid::shard`] so
+//!    there is at least one shard per worker. Each shard knows the
 //!    global index of its first point, so fragments land in the right
 //!    slot no matter which worker computes them.
 //! 2. **Fan out.** One scheduler thread per worker pops shards off a
 //!    shared queue, creates a background job on its worker
-//!    (`POST /v1/jobs/…`), and streams the job's chunked fragments.
+//!    (`POST /v1/jobs/{grid id}` with the shard's expression as the
+//!    body; sweep grids have the id `sweep`), and streams the job's
+//!    chunked fragments.
 //! 3. **Retry and re-shard.** Transient failures (connect refused,
 //!    timeouts, 5xx, a mid-stream hangup) are retried with capped
 //!    exponential backoff, resuming streams from the last fragment
@@ -34,7 +37,7 @@ use std::time::Duration;
 
 use cqla_core::experiments::Grid;
 use cqla_core::json;
-use cqla_sweep::{frame, DesignPoint, GridRun, Sweep, SweepRun};
+use cqla_sweep::{frame, GridRun, Sweep, SweepRun};
 
 use crate::client::Client;
 
@@ -117,75 +120,29 @@ impl DistRun {
     }
 }
 
-/// One distributable workload: a registry grid or a design-space
-/// point list. Both render back to the worker protocol (a spec body
-/// and a jobs route) and both split into contiguous sub-workloads.
-#[derive(Debug, Clone)]
-enum Work {
-    /// A per-experiment parameter grid (`cqla run fig2 bits=8,16`).
-    Grid(Grid),
-    /// A contiguous slice of a design-space sweep's points.
-    Sweep(Vec<DesignPoint>),
-}
-
-impl Work {
-    fn len(&self) -> usize {
-        match self {
-            Self::Grid(grid) => grid.len(),
-            Self::Sweep(points) => points.len(),
-        }
-    }
-
-    /// The `POST` target that creates this workload as a background
-    /// job on a worker.
-    fn route(&self) -> String {
-        match self {
-            Self::Grid(grid) => format!("/v1/jobs/{}", grid.id()),
-            Self::Sweep(_) => "/v1/jobs/sweep".to_owned(),
-        }
-    }
-
-    /// The request body: a grid expression, or one rendered design
-    /// point per line (the `/v1/jobs/sweep` batch format).
-    fn body(&self) -> String {
-        match self {
-            Self::Grid(grid) => grid.spec().to_owned(),
-            Self::Sweep(points) => points
-                .iter()
-                .map(cqla_sweep::parse::render_point)
-                .collect::<Vec<_>>()
-                .join("\n"),
-        }
-    }
-
-    /// Splits into at most `n` contiguous non-empty sub-workloads
-    /// whose concatenation is `self`, in order.
-    fn split(&self, n: usize) -> Vec<Self> {
-        match self {
-            Self::Grid(grid) => grid.shard(n).into_iter().map(Self::Grid).collect(),
-            Self::Sweep(points) => {
-                let n = n.clamp(1, points.len().max(1));
-                let mut shards = Vec::with_capacity(n);
-                let mut rest = &points[..];
-                for i in 0..n {
-                    let size = points.len() / n + usize::from(i < points.len() % n);
-                    let (head, tail) = rest.split_at(size);
-                    if !head.is_empty() {
-                        shards.push(Self::Sweep(head.to_vec()));
-                    }
-                    rest = tail;
-                }
-                shards
-            }
-        }
-    }
-}
-
-/// A shard in flight: the workload plus the global index of its first
-/// point, so fragments can be slotted into the merged document.
+/// A shard in flight: a contiguous sub-grid plus the global index of
+/// its first point, so fragments can be slotted into the merged
+/// document.
 struct Unit {
-    work: Work,
+    grid: Grid,
     offset: usize,
+}
+
+impl Unit {
+    /// Splits into at most `n` contiguous units whose points
+    /// concatenate to this unit's, in order.
+    fn split(&self, n: usize) -> Vec<Self> {
+        let mut offset = self.offset;
+        self.grid
+            .shard(n)
+            .into_iter()
+            .map(|grid| {
+                let unit = Self { grid, offset };
+                offset += unit.grid.len();
+                unit
+            })
+            .collect()
+    }
 }
 
 /// Scheduler state shared by the per-worker threads.
@@ -211,7 +168,7 @@ struct Sched {
 /// a protocol rejection, or every worker dead.
 pub fn run_grid(grid: &Grid, config: &FleetConfig) -> Result<DistRun, DistError> {
     let prologue = frame::prologue(GridRun::head(grid.id(), grid.spec(), grid.len()));
-    run_work(Work::Grid(grid.clone()), prologue, grid.len(), config)
+    run_grids(std::slice::from_ref(grid), prologue, config)
 }
 
 /// Executes a design-space sweep across the fleet.
@@ -222,20 +179,10 @@ pub fn run_grid(grid: &Grid, config: &FleetConfig) -> Result<DistRun, DistError>
 /// workers, a protocol rejection, or every worker dead.
 pub fn run_sweep(sweep: &Sweep, config: &FleetConfig) -> Result<DistRun, DistError> {
     let prologue = frame::prologue(SweepRun::head(sweep.name(), sweep.len()));
-    run_work(
-        Work::Sweep(sweep.points().to_vec()),
-        prologue,
-        sweep.len(),
-        config,
-    )
+    run_grids(sweep.grids(), prologue, config)
 }
 
-fn run_work(
-    work: Work,
-    prologue: String,
-    total: usize,
-    config: &FleetConfig,
-) -> Result<DistRun, DistError> {
+fn run_grids(grids: &[Grid], prologue: String, config: &FleetConfig) -> Result<DistRun, DistError> {
     if config.workers.is_empty() {
         return Err(DistError {
             worker: None,
@@ -257,22 +204,25 @@ fn run_work(
             }
         }
     }
+    // Enough shards per grid that every worker starts with one.
+    let per_grid = config.workers.len().div_ceil(grids.len().max(1));
     let mut queue = VecDeque::new();
     let mut offset = 0;
-    for shard in work.split(config.workers.len()) {
-        let len = shard.len();
-        queue.push_back(Unit {
-            work: shard,
+    for grid in grids {
+        let unit = Unit {
+            grid: grid.clone(),
             offset,
-        });
-        offset += len;
+        };
+        offset += grid.len();
+        queue.extend(unit.split(per_grid));
     }
     let sched = Mutex::new(Sched {
         pending: queue.len(),
         queue,
         alive: config.workers.len(),
         fatal: None,
-        slots: (0..total).map(|_| None).collect(),
+        // One slot per point: `offset` has run past the last grid.
+        slots: (0..offset).map(|_| None).collect(),
         passed: true,
     });
     let cv = Condvar::new();
@@ -350,18 +300,9 @@ fn worker_loop(
                     cv.notify_all();
                     return;
                 }
-                let survivors = state.alive;
-                let pieces = unit.work.split(survivors);
+                let pieces = unit.split(state.alive);
                 state.pending += pieces.len() - 1;
-                let mut offset = unit.offset;
-                for piece in pieces {
-                    let len = piece.len();
-                    state.queue.push_back(Unit {
-                        work: piece,
-                        offset,
-                    });
-                    offset += len;
-                }
+                state.queue.extend(pieces);
                 cv.notify_all();
                 return;
             }
@@ -471,9 +412,9 @@ fn run_unit(
 }
 
 fn create_job(addr: &str, client: &Client, unit: &Unit) -> Result<String, CallError> {
-    let route = unit.work.route();
+    let route = format!("/v1/jobs/{}", unit.grid.id());
     let response = client
-        .post(addr, &route, &unit.work.body())
+        .post(addr, &route, unit.grid.spec())
         .map_err(|e| CallError::Retry(format!("POST {route}: {e}")))?;
     if response.status != 202 {
         return Err(classify_status(
@@ -569,46 +510,62 @@ mod tests {
         Grid::parse("fig2", &find("fig2").unwrap().specs(), expr).unwrap()
     }
 
+    /// Splits `grid` into `n` units the way the scheduler does and
+    /// checks they cover its points in order, each re-parsing from its
+    /// own spec text (the job body) via `reparse`.
+    fn assert_units_cover(
+        grid: &Grid,
+        n: usize,
+        reparse: impl Fn(&str) -> Vec<Vec<(String, String)>>,
+    ) {
+        let unit = Unit {
+            grid: grid.clone(),
+            offset: 0,
+        };
+        let units = unit.split(n);
+        assert_eq!(units.len(), n.min(grid.len()));
+        let merged: Vec<_> = units.iter().flat_map(|u| u.grid.points()).collect();
+        assert_eq!(merged, grid.points());
+        let mut offset = 0;
+        for u in &units {
+            assert_eq!(u.offset, offset, "units carry their global offset");
+            offset += u.grid.len();
+            assert_eq!(reparse(u.grid.spec()), u.grid.points());
+        }
+    }
+
     #[test]
     fn grid_work_splits_cover_the_grid_in_order() {
         let grid = fig2_grid("bits=8,16,24 cap=4,8");
-        let work = Work::Grid(grid.clone());
         for n in 1..=8 {
-            let shards = work.split(n);
-            assert_eq!(shards.len(), n.min(grid.len()));
-            let merged: Vec<_> = shards
-                .iter()
-                .flat_map(|s| match s {
-                    Work::Grid(g) => g.points(),
-                    Work::Sweep(_) => unreachable!("grid work splits into grids"),
-                })
-                .collect();
-            assert_eq!(merged, grid.points());
+            assert_units_cover(&grid, n, |spec| fig2_grid(spec).points());
         }
     }
 
     #[test]
     fn sweep_work_splits_cover_the_points_in_order() {
-        let sweep = Sweep::builtin("quick").unwrap();
-        let work = Work::Sweep(sweep.points().to_vec());
-        for n in [1, 2, 3, 5, 8, 20] {
-            let shards = work.split(n);
-            assert_eq!(shards.len(), n.min(sweep.len()));
-            let merged: Vec<_> = shards
-                .iter()
-                .flat_map(|s| match s {
-                    Work::Sweep(points) => points.clone(),
-                    Work::Grid(_) => unreachable!("sweep work splits into sweeps"),
-                })
-                .collect();
-            assert_eq!(merged, sweep.points());
-            // Every shard re-enters the worker protocol losslessly.
-            for shard in &shards {
-                let reparsed = Sweep::parse_batch(&shard.body()).unwrap();
-                match shard {
-                    Work::Sweep(points) => assert_eq!(reparsed.points(), &points[..]),
-                    Work::Grid(_) => unreachable!(),
+        for name in ["quick", "table4"] {
+            let sweep = Sweep::builtin(name).unwrap();
+            let mut offset = 0;
+            for grid in sweep.grids() {
+                assert_eq!(grid.id(), "sweep", "sweeps post to /v1/jobs/sweep");
+                for n in [1, 2, 3, 5, 8, 20] {
+                    assert_units_cover(grid, n, |spec| {
+                        Sweep::parse_batch(spec).unwrap().grids()[0].points()
+                    });
+                    // Every shard body re-parses, on the worker, to
+                    // exactly its slice of the sweep's design points.
+                    let unit = Unit {
+                        grid: grid.clone(),
+                        offset,
+                    };
+                    for u in unit.split(n) {
+                        let reparsed = Sweep::parse_batch(u.grid.spec()).unwrap();
+                        let slice = &sweep.points()[u.offset..u.offset + u.grid.len()];
+                        assert_eq!(reparsed.points(), slice, "{name}: {}", u.grid.spec());
+                    }
                 }
+                offset += grid.len();
             }
         }
     }
@@ -616,13 +573,7 @@ mod tests {
     #[test]
     fn grid_work_bodies_reparse_to_the_shard() {
         let grid = fig2_grid("bits=8,16,24,32");
-        for shard in Work::Grid(grid).split(3) {
-            let Work::Grid(g) = &shard else {
-                unreachable!("grid work splits into grids")
-            };
-            let reparsed = fig2_grid(&shard.body());
-            assert_eq!(reparsed.points(), g.points());
-        }
+        assert_units_cover(&grid, 3, |spec| fig2_grid(spec).points());
     }
 
     #[test]
@@ -632,25 +583,10 @@ mod tests {
         // reparseable splits the analytic grids get.
         let specs = find("compile").unwrap().specs();
         let grid = Grid::parse("compile", &specs, "seed=1,2,3,4,5 qubits=8 gates=32").unwrap();
-        let work = Work::Grid(grid.clone());
         for n in 1..=6 {
-            let shards = work.split(n);
-            assert_eq!(shards.len(), n.min(grid.len()));
-            let merged: Vec<_> = shards
-                .iter()
-                .flat_map(|s| match s {
-                    Work::Grid(g) => g.points(),
-                    Work::Sweep(_) => unreachable!("grid work splits into grids"),
-                })
-                .collect();
-            assert_eq!(merged, grid.points());
-            for shard in &shards {
-                let Work::Grid(g) = shard else {
-                    unreachable!("grid work splits into grids")
-                };
-                let reparsed = Grid::parse("compile", &specs, &shard.body()).unwrap();
-                assert_eq!(reparsed.points(), g.points());
-            }
+            assert_units_cover(&grid, n, |spec| {
+                Grid::parse("compile", &specs, spec).unwrap().points()
+            });
         }
     }
 

@@ -19,8 +19,9 @@
 //!   `Content-Length` and chunked-transfer decoding, and a streaming
 //!   mode that hands each chunk to a callback as it arrives. Also the
 //!   shared test client for the repo's HTTP test suites.
-//! * [`coordinator`] — the partitioner ([`Grid::shard`][shard] plus
-//!   contiguous point chunks), the per-worker scheduler threads with
+//! * [`coordinator`] — the partitioner ([`Grid::shard`][shard] over a
+//!   registry grid or each of a sweep's grids), the per-worker
+//!   scheduler threads with
 //!   capped-exponential-backoff retries, stream resume (`?from=K`),
 //!   re-sharding onto survivors when a worker dies, and the
 //!   byte-exact merger.

@@ -57,9 +57,14 @@ fn fleet_of(workers: &[&Worker]) -> FleetConfig {
 fn distributed_sweeps_match_the_single_process_document() {
     let workers = [Worker::start(), Worker::start(), Worker::start()];
     let fleet = fleet_of(&[&workers[0], &workers[1], &workers[2]]);
-    // A builtin, a cartesian expression, and an explicit point list no
-    // expression describes — every sweep shape the engine has.
-    for spec in ["quick", "code=steane bits=32,64 xfer=5,10", "table5"] {
+    // One-grid builtins, an expression, and `table4` — one grid per
+    // Table 4 row, so its shards come from several grids.
+    for spec in [
+        "quick",
+        "code=steane bits=32,64 xfer=5,10",
+        "table5",
+        "table4",
+    ] {
         let sweep = Sweep::parse(spec).unwrap();
         let expected = format!("{}\n", SweepRun::execute(&sweep, 2).to_json().to_pretty());
         let run = run_sweep(&sweep, &fleet).expect("fleet completes");

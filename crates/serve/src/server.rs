@@ -983,9 +983,8 @@ fn jobs_create_endpoint(
 /// `POST /v1/jobs/sweep` — the body is a design-space batch: one
 /// sweep-spec expression per line (blank lines and `#` comments
 /// skipped), concatenated into one background job. This is the route
-/// the [`cqla_dist`] coordinator ships sweep shards over — any sweep,
-/// including explicit point lists, travels as rendered single-point
-/// lines.
+/// the [`cqla_dist`] coordinator ships sweep shards over: every sweep is
+/// a list of grids, and each shard travels as one grid expression.
 fn jobs_create_sweep_endpoint(body: &[u8], shared: &Arc<Shared>, pool_threads: usize) -> Response {
     let Ok(batch) = core::str::from_utf8(body) else {
         return Response::error(Status::BadRequest, "sweep batch is not UTF-8", None);

@@ -284,23 +284,11 @@ impl SweepRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Axis, TechPoint};
-    use cqla_ecc::Code;
     use std::sync::Mutex;
 
     fn small_sweep() -> Sweep {
-        Sweep::cartesian(
-            "test",
-            DesignPoint {
-                par_xfer: Some(10),
-                ..DesignPoint::paper_default()
-            },
-            &[
-                Axis::Tech(TechPoint::ALL.to_vec()),
-                Axis::Code(Code::ALL.to_vec()),
-                Axis::InputBitsPrimaryBlocks(vec![32, 64]),
-            ],
-        )
+        Sweep::parse("base.xfer=10 tech=current,projected code=steane,bacon-shor width=32,64")
+            .unwrap()
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //!   experiment over a parameter grid (`cqla run fig2 bits=32..=128:*2`)
 //!   through a [`PointCache`] (the HTTP service's results cache);
 //! * [`spec`] and [`parse`] — [`Sweep`] descriptions and the sweep-spec
-//!   language (`"tech=current,projected width=64..=512:*2 xfer=5,10"`),
-//!   a thin client of `cqla_core::experiments::grid`;
+//!   language (`"tech=current,projected width=64..=512:*2 xfer=5,10"`):
+//!   seven design-space keys parsed by the registry grammar,
+//!   `cqla_core::experiments::Grid::parse`, so a sweep is a list of
+//!   grids and ships to a worker fleet as grid expressions;
 //! * [`regress`] — the perf regression gate behind `cqla bench-diff`.
 //!
 //! The JSON layer ([`Json`], [`ToJson`]) lives in [`cqla_core::json`] and
@@ -68,4 +70,4 @@ pub use engine::{JobResult, PointOutcome, SweepRun};
 pub use grid::{GridPoint, GridRun, PointCache};
 pub use parse::SpecError;
 pub use regress::{BenchDiff, BenchDoc, DocError};
-pub use spec::{Axis, DesignPoint, Sweep, TechPoint};
+pub use spec::{DesignPoint, Sweep, TechPoint};

@@ -1,14 +1,15 @@
 //! The sweep-spec expression language.
 //!
-//! A spec is a whitespace-separated list of `key=values` clauses, each
-//! contributing one [`Axis`] to a cartesian [`Sweep`] over the paper's
-//! default design point:
+//! A spec is a whitespace-separated list of `key=values` clauses over
+//! the paper's default design point, parsed by the registry grammar
+//! ([`Grid::parse`]) against the seven design-space keys of
+//! [`design_specs`]:
 //!
 //! ```text
 //! tech=current,projected code=bacon-shor width=64..=512:*2 cache=0.25,0.5 xfer=5,10
 //! ```
 //!
-//! | key      | axis                                   | values |
+//! | key      | sets                                   | values |
 //! |----------|----------------------------------------|--------|
 //! | `tech`   | technology preset                      | `current`, `projected` |
 //! | `code`   | error-correcting code                  | `steane`, `bacon-shor` |
@@ -20,273 +21,86 @@
 //!
 //! Integer values are comma lists (`64,128`) or inclusive ranges with an
 //! optional step: `64..=512:*2` doubles (64, 128, 256, 512) and
-//! `4..=10:+3` counts up (4, 7, 10); a bare `a..=b` steps by one. Clause
-//! order is axis order: later clauses vary fastest, exactly like nested
-//! `for` loops.
+//! `4..=10:+3` counts up (4, 7, 10); a bare `a..=b` steps by one. Later
+//! clauses vary fastest, exactly like nested `for` loops, and each
+//! point's overrides apply in clause order through [`DesignPoint::set`]:
+//! `width=64 blocks=4,9` keeps the explicit block counts, while
+//! `blocks=4,9 width=64` re-provisions both points with 64 bits'
+//! primary blocks.
 //!
-//! A clause `base.<key>=v` moves the *base point* instead of adding an
-//! axis: `base.xfer=10 code=steane,bacon-shor width=64..=512:*2` runs the
-//! code×width grid with every point on ten transfer channels. This is
-//! how table4/table5-style "grid over a shifted base" studies are spelled
-//! without a code-defined builtin.
+//! A clause `base.<key>=v` pins one value on every point instead of
+//! adding an axis: `base.xfer=10 code=steane,bacon-shor width=64..=512:*2`
+//! runs the code×width grid with every point on ten transfer channels.
 //!
 //! Errors are *spanned*: [`SpecError`] carries the byte range of the
 //! offending token and renders a caret underline, so a typo in a long
 //! spec is pinpointed rather than guessed at.
-//!
-//! The tokenizer, the value-set parsers, and [`SpecError`] itself live in
-//! [`cqla_core::experiments::grid`] — the registry-driven grammar layer
-//! that `cqla run <id> key=value-set` grids also parse through. This
-//! module is a thin client: it only maps the seven fixed design-space
-//! keys onto [`Axis`] values.
 
-use cqla_core::experiments::grid;
-use cqla_core::experiments::{primary_blocks, suggest};
-use cqla_workloads::MAX_ADDER_BITS;
+use cqla_core::experiments::{suggest, Domain, Grid, ParamSpec};
 
-pub use cqla_core::experiments::grid::{SpecError, MAX_INT, MAX_POINTS};
+pub use cqla_core::experiments::grid::{SpecError, MAX_POINTS};
 
-use crate::spec::{Axis, DesignPoint, Sweep};
+use crate::spec::{DesignPoint, Sweep};
 
-/// The spec keys, in documentation order, with the axis each drives.
-pub const KEYS: [(&str, &str); 7] = [
-    ("tech", "technology preset: current|projected"),
-    ("code", "error-correcting code: steane|bacon-shor"),
-    (
-        "width",
-        "adder bits, provisioned with Table 4 primary blocks",
-    ),
-    ("bits", "adder bits, leaving the block count untouched"),
-    ("blocks", "compute blocks"),
-    (
-        "xfer",
-        "parallel memory<->cache transfers (enables the hierarchy)",
-    ),
-    (
-        "cache",
-        "cache capacity as a multiple of compute-region qubits",
-    ),
-];
+/// The design-space surface sweep specs parse against: one
+/// [`ParamSpec`] per key, defaulting to [`DesignPoint::paper_default`].
+#[must_use]
+pub fn design_specs() -> [ParamSpec; 7] {
+    let base = DesignPoint::paper_default();
+    let spec = |key, domain, default: String| ParamSpec {
+        key,
+        domain,
+        default,
+    };
+    [
+        spec("tech", Domain::Tech, base.tech.label().to_owned()),
+        spec("code", Domain::Code, base.code.slug().to_owned()),
+        spec("width", Domain::Bits, base.input_bits.to_string()),
+        spec("bits", Domain::Bits, base.input_bits.to_string()),
+        spec("blocks", Domain::PosInt, base.blocks.to_string()),
+        // The paper default is the flat CQLA: no transfer channels.
+        spec("xfer", Domain::PosInt, "none".to_owned()),
+        spec("cache", Domain::Ratio, base.cache_factor.to_string()),
+    ]
+}
 
-/// Parses a spec expression into a [`Sweep`] over the paper-default base
-/// point. The sweep is named by the (trimmed) spec text itself.
+/// Parses a spec expression into a one-grid [`Sweep`] over the
+/// paper-default design point. The sweep is named by the (trimmed) spec
+/// text itself.
 ///
 /// # Errors
 ///
-/// A [`SpecError`] pointing at the offending token: unknown or duplicate
-/// keys (with did-you-mean suggestions), unparseable values, degenerate
-/// ranges, multi-value `base.` clauses, or a grid exceeding
+/// A [`SpecError`] pointing at the offending token: an empty spec,
+/// unknown or duplicate keys (with did-you-mean suggestions, including
+/// a built-in spec name typed as a bare word), unparseable values,
+/// degenerate ranges, multi-value `base.` clauses, or a grid exceeding
 /// [`MAX_POINTS`].
 pub fn parse(input: &str) -> Result<Sweep, SpecError> {
-    let trimmed = input.trim();
-    if trimmed.is_empty() {
+    if input.trim().is_empty() {
         return Err(SpecError::new(
             input,
             (0, input.len()),
             "empty spec; expected key=values clauses (e.g. `tech=projected width=64,128`)",
         ));
     }
-    let mut base = DesignPoint::paper_default();
-    let mut axes: Vec<Axis> = Vec::new();
-    let mut seen: Vec<&str> = Vec::new();
-    for word in grid::words(input) {
-        let Some(eq) = word.text.find('=') else {
-            let mut message = "expected a `key=values` clause".to_owned();
-            let builtins = Sweep::BUILTIN.map(|(name, _)| name);
-            if let Some(b) = suggest(word.text, builtins) {
-                message = format!("{message} (or did you mean the built-in spec `{b}`?)");
+    let grid = Grid::parse("sweep", &design_specs(), input).map_err(|mut e| {
+        // A bare word is more likely a mistyped builtin than a clause.
+        if e.message.starts_with("expected a `key=values` clause") {
+            let word = &input[e.span.0..e.span.1];
+            if let Some(b) = suggest(word, Sweep::BUILTIN.map(|(name, _)| name)) {
+                e.message = format!(
+                    "expected a `key=values` clause (or did you mean the built-in spec `{b}`?)"
+                );
             }
-            return Err(SpecError::new(
-                input,
-                (word.start, word.start + word.text.len()),
-                message,
-            ));
-        };
-        let raw_key = &word.text[..eq];
-        let key_span = (word.start, word.start + eq);
-        let (key, pinned) = match raw_key.strip_prefix("base.") {
-            Some(rest) => (rest, true),
-            None => (raw_key, false),
-        };
-        if !KEYS.iter().any(|&(k, _)| k == key) {
-            let mut message = format!("unknown axis `{key}`");
-            if let Some(s) = suggest(key, KEYS.iter().map(|&(k, _)| k)) {
-                message = format!("{message} (did you mean `{s}`?)");
-            }
-            let valid: Vec<&str> = KEYS.iter().map(|&(k, _)| k).collect();
-            message = format!("{message}; valid: {}", valid.join(", "));
-            return Err(SpecError::new(input, key_span, message));
         }
-        if seen.contains(&key) {
-            return Err(SpecError::new(
-                input,
-                key_span,
-                format!("duplicate axis `{key}`"),
-            ));
-        }
-        // `seen` borrows from `input` via `word.text`.
-        let key: &str = key;
-        seen.push(key);
-        let values = &word.text[eq + 1..];
-        let values_start = word.start + eq + 1;
-        let axis = parse_axis(input, key, values, values_start)?;
-        if pinned {
-            if axis.len() != 1 {
-                return Err(SpecError::new(
-                    input,
-                    (values_start, values_start + values.len()),
-                    format!("base.{key} pins exactly one value, got {}", axis.len()),
-                ));
-            }
-            apply_base(&mut base, &axis);
-        } else {
-            axes.push(axis);
-        }
-    }
-    // Checked product: four maxed-out range axes multiply to 2^80, which
-    // would wrap a plain `product()` back under the cap.
-    let points = axes
-        .iter()
-        .try_fold(1usize, |acc, axis| acc.checked_mul(axis.len()));
-    match points {
-        Some(points) if points <= MAX_POINTS => {}
-        _ => {
-            let shown = points.map_or_else(|| format!("over {}", usize::MAX), |p| p.to_string());
-            return Err(SpecError::new(
-                input,
-                (0, input.len()),
-                format!("spec expands to {shown} points; the cap is {MAX_POINTS}"),
-            ));
-        }
-    }
-    Ok(Sweep::cartesian(trimmed, base, &axes))
-}
-
-/// Applies a single-value `base.` clause to the base design point, with
-/// the same field semantics as the matching axis (`width` couples the
-/// block count, `xfer` enables the hierarchy).
-fn apply_base(base: &mut DesignPoint, axis: &Axis) {
-    match axis {
-        Axis::Tech(v) => base.tech = v[0],
-        Axis::Code(v) => base.code = v[0],
-        Axis::InputBits(v) => base.input_bits = v[0],
-        Axis::InputBitsPrimaryBlocks(v) => {
-            base.input_bits = v[0];
-            base.blocks = primary_blocks(v[0]);
-        }
-        Axis::Blocks(v) => base.blocks = v[0],
-        Axis::ParXfer(v) => base.par_xfer = Some(v[0]),
-        Axis::CacheFactor(v) => base.cache_factor = v[0],
-    }
-}
-
-fn parse_axis(spec: &str, key: &str, values: &str, values_start: usize) -> Result<Axis, SpecError> {
-    match key {
-        "tech" => Ok(Axis::Tech(grid::parse_tech_set(
-            spec,
-            values,
-            values_start,
-        )?)),
-        "code" => Ok(Axis::Code(grid::parse_code_set(
-            spec,
-            values,
-            values_start,
-        )?)),
-        "cache" => Ok(Axis::CacheFactor(grid::parse_ratio_set(
-            spec,
-            values,
-            values_start,
-            "cache ratio",
-        )?)),
-        _ => {
-            // `width` and `bits` size the adder; the rest are counts.
-            let max = if matches!(key, "width" | "bits") {
-                MAX_ADDER_BITS
-            } else {
-                MAX_INT
-            };
-            let v = grid::parse_int_set(spec, values, values_start, max)?;
-            Ok(match key {
-                "width" => Axis::InputBitsPrimaryBlocks(v),
-                "bits" => Axis::InputBits(v),
-                "blocks" => Axis::Blocks(v),
-                "xfer" => Axis::ParXfer(v),
-                _ => unreachable!("key validated against KEYS"),
-            })
-        }
-    }
-}
-
-/// Renders one fully specified [`DesignPoint`] as a spec expression that
-/// re-parses (over the paper-default base) to exactly that point — the
-/// inverse of [`parse`] at the single-point level. This is what lets a
-/// sweep shard travel as text: any sweep, including explicit point lists
-/// no cartesian expression describes (table4, table5), can be shipped as
-/// one single-point expression per line and reassembled losslessly.
-///
-/// ```
-/// use cqla_sweep::parse::{parse, render_point};
-/// use cqla_sweep::DesignPoint;
-///
-/// let point = DesignPoint { par_xfer: Some(10), ..DesignPoint::paper_default() };
-/// let spec = render_point(&point);
-/// assert!(spec.starts_with("tech=projected code=bacon-shor bits=64 blocks="));
-/// assert_eq!(parse(&spec).unwrap().points(), [point]);
-/// ```
-#[must_use]
-pub fn render_point(point: &DesignPoint) -> String {
-    let mut clauses = vec![
-        format!("tech={}", point.tech.label()),
-        format!("code={}", point.code.slug()),
-        // `bits` (not `width`) so the explicit `blocks` value is what
-        // lands, never a re-derived primary-block count.
-        format!("bits={}", point.input_bits),
-        format!("blocks={}", point.blocks),
-    ];
-    if let Some(xfer) = point.par_xfer {
-        clauses.push(format!("xfer={xfer}"));
-    }
-    // f64 Display is shortest-round-trip, so the reparsed ratio is
-    // bit-identical to the original.
-    clauses.push(format!("cache={}", point.cache_factor));
-    clauses.join(" ")
-}
-
-/// Renders cartesian axes back into spec-expression text, the inverse of
-/// [`parse`] up to range sugar (values render as comma lists).
-///
-/// ```
-/// use cqla_sweep::parse::{parse, render};
-/// use cqla_sweep::{Axis, TechPoint};
-///
-/// let axes = [Axis::Tech(vec![TechPoint::Current]), Axis::Blocks(vec![4, 16])];
-/// let spec = render(&axes);
-/// assert_eq!(spec, "tech=current blocks=4,16");
-/// assert_eq!(parse(&spec).unwrap().len(), 2);
-/// ```
-#[must_use]
-pub fn render(axes: &[Axis]) -> String {
-    let clause = |key: &str, values: Vec<String>| format!("{key}={}", values.join(","));
-    axes.iter()
-        .map(|axis| match axis {
-            Axis::Tech(v) => clause("tech", v.iter().map(|t| t.label().to_owned()).collect()),
-            Axis::Code(v) => clause("code", v.iter().map(|c| c.slug().to_owned()).collect()),
-            Axis::InputBitsPrimaryBlocks(v) => {
-                clause("width", v.iter().map(u32::to_string).collect())
-            }
-            Axis::InputBits(v) => clause("bits", v.iter().map(u32::to_string).collect()),
-            Axis::Blocks(v) => clause("blocks", v.iter().map(u32::to_string).collect()),
-            Axis::ParXfer(v) => clause("xfer", v.iter().map(u32::to_string).collect()),
-            Axis::CacheFactor(v) => clause("cache", v.iter().map(f64::to_string).collect()),
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
+        e
+    })?;
+    Ok(Sweep::from_grids(input.trim(), vec![grid]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqla_ecc::Code;
     use cqla_iontrap::TechPoint;
 
     #[test]
@@ -342,7 +156,7 @@ mod tests {
         let err = parse("base.widht=64").unwrap_err();
         assert!(err.message.contains("did you mean `width`?"), "{err}");
         let err = parse("base.tech=current tech=projected").unwrap_err();
-        assert!(err.message.contains("duplicate axis `tech`"), "{err}");
+        assert!(err.message.contains("duplicate parameter `tech`"), "{err}");
     }
 
     #[test]
@@ -378,6 +192,12 @@ mod tests {
         assert_eq!(a.len(), b.len());
         assert_ne!(a.points(), b.points(), "order encodes loop nesting");
         assert_eq!(a.points()[1].input_bits, 64, "later clauses vary fastest");
+        // Overrides apply in clause order: `width` re-provisions blocks.
+        let explicit = parse("width=64 blocks=4,9").unwrap();
+        let blocks: Vec<u32> = explicit.points().iter().map(|p| p.blocks).collect();
+        assert_eq!(blocks, [4, 9]);
+        let provisioned = parse("blocks=4,9 width=64").unwrap();
+        assert!(provisioned.points().iter().all(|p| p.blocks == 9));
     }
 
     #[test]
@@ -426,7 +246,7 @@ mod tests {
     #[test]
     fn duplicate_and_bare_words_are_rejected() {
         let err = parse("tech=current tech=projected").unwrap_err();
-        assert!(err.message.contains("duplicate axis `tech`"));
+        assert!(err.message.contains("duplicate parameter `tech`"));
         let err = parse("gird").unwrap_err();
         assert!(
             err.message
@@ -453,37 +273,18 @@ mod tests {
     }
 
     #[test]
-    fn render_point_round_trips_every_builtin_point() {
-        // Every point of every builtin — including the explicit
-        // non-cartesian table4/table5 lists — survives the text trip.
-        for (name, _) in Sweep::BUILTIN {
-            for point in Sweep::builtin(name).unwrap().points() {
-                let spec = render_point(point);
-                let reparsed = parse(&spec)
-                    .unwrap_or_else(|e| panic!("{name}: render_point produced `{spec}`: {e}"));
-                assert_eq!(reparsed.points(), [*point], "{name}: {spec}");
-            }
-        }
-        // Flat points (no hierarchy) omit the xfer clause.
-        let flat = DesignPoint::paper_default();
-        assert!(!render_point(&flat).contains("xfer="));
-        assert_eq!(parse(&render_point(&flat)).unwrap().points(), [flat]);
-    }
-
-    #[test]
     fn render_round_trips_every_axis_kind() {
-        let axes = [
-            Axis::Tech(vec![TechPoint::Current, TechPoint::Projected]),
-            Axis::Code(vec![Code::BaconShor913]),
-            Axis::InputBitsPrimaryBlocks(vec![32, 64]),
-            Axis::InputBits(vec![5]),
-            Axis::Blocks(vec![4, 9]),
-            Axis::ParXfer(vec![5, 10]),
-            Axis::CacheFactor(vec![0.25, 1.5]),
-        ];
-        let spec = render(&axes);
-        let reparsed = parse(&spec).unwrap();
-        let direct = Sweep::cartesian("t", DesignPoint::paper_default(), &axes);
-        assert_eq!(reparsed.points(), direct.points(), "spec: {spec}");
+        let sweep = parse(
+            "base.xfer=5 tech=current,projected code=bacon-shor width=32..=64:*2 bits=5 \
+             blocks=4,9 cache=0.25,1.5",
+        )
+        .unwrap();
+        let rendered = sweep.grids()[0].render();
+        assert_eq!(
+            rendered,
+            "base.xfer=5 tech=current,projected code=bacon-shor width=32,64 bits=5 \
+             blocks=4,9 cache=0.25,1.5"
+        );
+        assert_eq!(parse(&rendered).unwrap().points(), sweep.points());
     }
 }

@@ -1,16 +1,22 @@
-//! Sweep descriptions: named axes over the CQLA design space.
+//! Sweep descriptions: value-set grids over the CQLA design space.
 //!
-//! A [`Sweep`] is a list of [`DesignPoint`]s — fully specified
-//! architecture evaluations. Points come from either an explicit list or
-//! a cartesian product of [`Axis`] values over a base point, which is
-//! how the paper's own grids (Table 4's size×blocks sweep, Table 5's
-//! code×transfer×size cube) and the multi-technology grids beyond them
-//! are written down.
+//! A [`Sweep`] is a list of [`Grid`]s parsed against the design-space
+//! surface ([`crate::parse::design_specs`]) and the [`DesignPoint`]s they
+//! expand to — fully specified architecture evaluations. The paper's own
+//! grids (Table 4's size×blocks sweep, Table 5's code×transfer×size
+//! cube) and the multi-technology grids beyond them are built-in specs
+//! written in that same grammar.
 
-use cqla_core::experiments::primary_blocks;
+use cqla_core::experiments::{
+    parse_bits, parse_code, parse_positive, parse_ratio, parse_tech, primary_blocks, suggest, Grid,
+    ParamError, TABLE5_PAR_XFER, TABLE5_SIZES,
+};
 use cqla_core::json::{Json, ToJson};
+use cqla_core::TABLE4_GRID;
 use cqla_ecc::Code;
 pub use cqla_iontrap::TechPoint;
+
+use crate::parse::design_specs;
 
 /// A fully specified design point: everything the engine needs to price
 /// one architecture.
@@ -72,6 +78,39 @@ impl DesignPoint {
             cache
         )
     }
+
+    /// Applies one `key=value` override of the sweep-spec grammar:
+    /// `width` sets the adder bits *and* their Table 4 primary block
+    /// count, `bits` only the bits, and `xfer` turns the hierarchy on.
+    ///
+    /// # Errors
+    ///
+    /// [`ParamError::UnknownKey`] for a key outside
+    /// [`crate::parse::design_specs`], [`ParamError::BadValue`] for a
+    /// value its domain rejects.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), ParamError> {
+        match key {
+            "tech" => self.tech = parse_tech("tech", value)?,
+            "code" => self.code = parse_code("code", value)?,
+            "width" => {
+                self.input_bits = parse_bits("width", value)?;
+                self.blocks = primary_blocks(self.input_bits);
+            }
+            "bits" => self.input_bits = parse_bits("bits", value)?,
+            "blocks" => self.blocks = parse_positive("blocks", value)?,
+            "xfer" => self.par_xfer = Some(parse_positive("xfer", value)?),
+            "cache" => self.cache_factor = parse_ratio("cache", value)?,
+            _ => {
+                let valid = design_specs().map(|s| s.key).to_vec();
+                return Err(ParamError::UnknownKey {
+                    key: key.to_owned(),
+                    suggestion: suggest(key, valid.iter().copied()),
+                    valid,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 impl ToJson for DesignPoint {
@@ -87,137 +126,35 @@ impl ToJson for DesignPoint {
     }
 }
 
-/// One named axis of a cartesian sweep. Applying an axis value to a
-/// [`DesignPoint`] overrides the corresponding field(s).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Axis {
-    /// Sweep the technology preset.
-    Tech(Vec<TechPoint>),
-    /// Sweep the error-correcting code.
-    Code(Vec<Code>),
-    /// Sweep the adder width, leaving the block count untouched.
-    InputBits(Vec<u32>),
-    /// Sweep the adder width, provisioning each size with its Table 4
-    /// primary block count (the paper's coupling of size to machine).
-    InputBitsPrimaryBlocks(Vec<u32>),
-    /// Sweep the compute-block count.
-    Blocks(Vec<u32>),
-    /// Sweep the parallel transfer channels (turns on the hierarchy).
-    ParXfer(Vec<u32>),
-    /// Sweep the cache ratio.
-    CacheFactor(Vec<f64>),
-}
-
-impl Axis {
-    /// The axis name as it appears in JSON and `cqla sweep` output.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Tech(_) => "tech",
-            Self::Code(_) => "code",
-            Self::InputBits(_) => "input_bits",
-            Self::InputBitsPrimaryBlocks(_) => "input_bits(primary blocks)",
-            Self::Blocks(_) => "blocks",
-            Self::ParXfer(_) => "par_xfer",
-            Self::CacheFactor(_) => "cache_factor",
-        }
-    }
-
-    /// Number of values on the axis.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::Tech(v) => v.len(),
-            Self::Code(v) => v.len(),
-            Self::InputBits(v)
-            | Self::InputBitsPrimaryBlocks(v)
-            | Self::Blocks(v)
-            | Self::ParXfer(v) => v.len(),
-            Self::CacheFactor(v) => v.len(),
-        }
-    }
-
-    /// Whether the axis has no values (its cartesian product is empty).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Applies value `i` of this axis to a point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    fn apply(&self, mut point: DesignPoint, i: usize) -> DesignPoint {
-        match self {
-            Self::Tech(v) => point.tech = v[i],
-            Self::Code(v) => point.code = v[i],
-            Self::InputBits(v) => point.input_bits = v[i],
-            Self::InputBitsPrimaryBlocks(v) => {
-                point.input_bits = v[i];
-                point.blocks = primary_blocks(v[i]);
-            }
-            Self::Blocks(v) => point.blocks = v[i],
-            Self::ParXfer(v) => point.par_xfer = Some(v[i]),
-            Self::CacheFactor(v) => point.cache_factor = v[i],
-        }
-        point
-    }
-}
-
-/// A named experiment sweep: the job list the engine executes.
+/// A named experiment sweep: the grids it was written as and the job
+/// list the engine executes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sweep {
     name: String,
+    grids: Vec<Grid>,
     points: Vec<DesignPoint>,
 }
 
 impl Sweep {
-    /// Builds a sweep from an explicit point list.
-    #[must_use]
-    pub fn from_points(name: impl Into<String>, points: Vec<DesignPoint>) -> Self {
+    /// Expands `grids`, in order, over the paper-default design point:
+    /// each grid point's overrides apply in clause order.
+    pub(crate) fn from_grids(name: impl Into<String>, grids: Vec<Grid>) -> Self {
+        let points = grids
+            .iter()
+            .flat_map(Grid::points)
+            .map(|overrides| {
+                let mut point = DesignPoint::paper_default();
+                for (key, value) in &overrides {
+                    point
+                        .set(key, value)
+                        .expect("grid values validate through the same domains as `set`");
+                }
+                point
+            })
+            .collect();
         Self {
             name: name.into(),
-            points,
-        }
-    }
-
-    /// Builds the cartesian product of `axes` over `base`, later axes
-    /// varying fastest (row-major, like nested for-loops in axis order).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cqla_sweep::{Axis, DesignPoint, Sweep, TechPoint};
-    /// use cqla_ecc::Code;
-    ///
-    /// let sweep = Sweep::cartesian(
-    ///     "demo",
-    ///     DesignPoint::paper_default(),
-    ///     &[
-    ///         Axis::Tech(TechPoint::ALL.to_vec()),
-    ///         Axis::Code(Code::ALL.to_vec()),
-    ///         Axis::InputBitsPrimaryBlocks(vec![32, 64, 128]),
-    ///     ],
-    /// );
-    /// assert_eq!(sweep.len(), 2 * 2 * 3);
-    /// ```
-    #[must_use]
-    pub fn cartesian(name: impl Into<String>, base: DesignPoint, axes: &[Axis]) -> Self {
-        let mut points = vec![base];
-        for axis in axes {
-            points = points
-                .into_iter()
-                .flat_map(|p| (0..axis.len()).map(move |i| axis.apply(p, i)))
-                .collect();
-        }
-        // A zero-length axis nulls the product, mirroring an empty
-        // nested loop.
-        if axes.iter().any(Axis::is_empty) {
-            points.clear();
-        }
-        Self {
-            name: name.into(),
+            grids,
             points,
         }
     }
@@ -226,6 +163,14 @@ impl Sweep {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The grids the sweep was written as; their points, concatenated in
+    /// order, are [`Sweep::points`]. Each grid re-parses from its own
+    /// `spec()` text, which is how a shard travels to a worker.
+    #[must_use]
+    pub fn grids(&self) -> &[Grid] {
+        &self.grids
     }
 
     /// The design points in execution (submission) order.
@@ -294,17 +239,16 @@ impl Sweep {
 
     /// Parses a *batch*: one spec per line (builtin names or
     /// expressions; blank lines and `#` comments skipped), concatenating
-    /// every line's points in line order into one sweep named by the
-    /// trimmed batch text. This is the wire format a coordinator ships a
-    /// sweep shard in — typically one [`crate::parse::render_point`]
-    /// line per point — but any spec the single-line parser accepts
-    /// works.
+    /// every line's grids and points in line order into one sweep named
+    /// by the trimmed batch text. A coordinator ships a sweep shard as
+    /// one grid expression (a [`Grid::shard`] `spec()`) in this format.
     ///
     /// ```
     /// use cqla_sweep::Sweep;
     ///
     /// let batch = Sweep::parse_batch("code=steane bits=32\ncode=steane bits=64\n").unwrap();
     /// assert_eq!(batch.len(), 2);
+    /// assert_eq!(batch.grids().len(), 2);
     /// assert_eq!(batch.points()[1].input_bits, 64);
     /// ```
     ///
@@ -325,6 +269,7 @@ impl Sweep {
                 "empty batch; expected one spec per line",
             ));
         }
+        let mut grids = Vec::new();
         let mut points = Vec::new();
         for line in &lines {
             let sweep = Self::parse(line)?;
@@ -339,88 +284,57 @@ impl Sweep {
                     ),
                 ));
             }
-            points.extend_from_slice(sweep.points());
+            grids.extend(sweep.grids);
+            points.extend(sweep.points);
         }
-        Ok(Self::from_points(input.trim(), points))
+        Ok(Self {
+            name: input.trim().to_owned(),
+            grids,
+            points,
+        })
     }
 
     /// Resolves a built-in spec by name.
     #[must_use]
     pub fn builtin(name: &str) -> Option<Self> {
-        let base = DesignPoint::paper_default();
-        match name {
+        let list = |values: &[u32]| {
+            values
+                .iter()
+                .map(u32::to_string)
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let exprs = match name {
             // The flagship multi-technology grid: every Table 4 size at
             // its primary block count, under both codes and both
             // technology columns, with the full memory hierarchy.
-            "grid" => Some(Self::cartesian(
-                "grid",
-                DesignPoint {
-                    par_xfer: Some(10),
-                    ..base
-                },
-                &[
-                    Axis::Tech(TechPoint::ALL.to_vec()),
-                    Axis::Code(Code::ALL.to_vec()),
-                    Axis::InputBitsPrimaryBlocks(vec![32, 64, 128, 256, 512, 1024]),
-                ],
-            )),
-            "quick" => Some(Self::cartesian(
-                "quick",
-                base,
-                &[
-                    Axis::Tech(TechPoint::ALL.to_vec()),
-                    Axis::Code(Code::ALL.to_vec()),
-                    Axis::InputBitsPrimaryBlocks(vec![32, 64]),
-                ],
-            )),
-            "cache" => Some(Self::cartesian(
-                "cache",
-                DesignPoint {
-                    par_xfer: Some(10),
-                    ..base
-                },
-                &[
-                    Axis::CacheFactor(vec![1.0, 1.5, 2.0]),
-                    Axis::Code(Code::ALL.to_vec()),
-                    Axis::InputBitsPrimaryBlocks(vec![64, 128, 256]),
-                ],
-            )),
-            "table4" => {
-                let mut points = Vec::new();
-                for (bits, blocks) in cqla_core::TABLE4_GRID {
-                    for b in blocks {
-                        for code in Code::ALL {
-                            points.push(DesignPoint {
-                                code,
-                                input_bits: bits,
-                                blocks: b,
-                                par_xfer: None,
-                                ..base
-                            });
-                        }
-                    }
-                }
-                Some(Self::from_points("table4", points))
-            }
-            "table5" => {
-                let mut points = Vec::new();
-                for code in Code::ALL {
-                    for par_xfer in cqla_core::experiments::TABLE5_PAR_XFER {
-                        for bits in cqla_core::experiments::TABLE5_SIZES {
-                            points.push(DesignPoint {
-                                code,
-                                input_bits: bits,
-                                blocks: primary_blocks(bits),
-                                par_xfer: Some(par_xfer),
-                                ..base
-                            });
-                        }
-                    }
-                }
-                Some(Self::from_points("table5", points))
-            }
-            _ => None,
-        }
+            "grid" => vec![
+                "base.xfer=10 tech=current,projected code=steane,bacon-shor width=32..=1024:*2"
+                    .to_owned(),
+            ],
+            "quick" => vec!["tech=current,projected code=steane,bacon-shor width=32,64".to_owned()],
+            "cache" => vec![
+                "base.xfer=10 cache=1,1.5,2 code=steane,bacon-shor width=64,128,256".to_owned(),
+            ],
+            // Table 4 lists two block counts per size: one grid per row.
+            "table4" => TABLE4_GRID
+                .iter()
+                .map(|(bits, blocks)| {
+                    format!("bits={bits} blocks={} code=steane,bacon-shor", list(blocks))
+                })
+                .collect(),
+            "table5" => vec![format!(
+                "code=steane,bacon-shor xfer={} width={}",
+                list(&TABLE5_PAR_XFER),
+                list(&TABLE5_SIZES)
+            )],
+            _ => return None,
+        };
+        let grids = exprs
+            .iter()
+            .map(|expr| Grid::parse("sweep", &design_specs(), expr).expect("built-in specs parse"))
+            .collect();
+        Some(Self::from_grids(name, grids))
     }
 }
 
@@ -430,14 +344,7 @@ mod tests {
 
     #[test]
     fn cartesian_order_is_row_major() {
-        let sweep = Sweep::cartesian(
-            "t",
-            DesignPoint::paper_default(),
-            &[
-                Axis::Code(Code::ALL.to_vec()),
-                Axis::InputBits(vec![32, 64]),
-            ],
-        );
+        let sweep = Sweep::parse("code=steane,bacon-shor bits=32,64").unwrap();
         let points = sweep.points();
         assert_eq!(points.len(), 4);
         assert_eq!(
@@ -456,23 +363,29 @@ mod tests {
 
     #[test]
     fn primary_blocks_axis_couples_size_to_machine() {
-        let sweep = Sweep::cartesian(
-            "t",
-            DesignPoint::paper_default(),
-            &[Axis::InputBitsPrimaryBlocks(vec![256, 1024])],
-        );
+        let sweep = Sweep::parse("width=256,1024").unwrap();
         assert_eq!(sweep.points()[0].blocks, 36);
         assert_eq!(sweep.points()[1].blocks, 100);
+        let mut point = DesignPoint::paper_default();
+        point.set("bits", "256").unwrap();
+        assert_eq!(point.blocks, DesignPoint::paper_default().blocks);
+        let err = point.set("widht", "64").unwrap_err();
+        assert!(err.to_string().contains("did you mean `width`?"), "{err}");
     }
 
     #[test]
-    fn empty_axis_produces_empty_sweep() {
-        let sweep = Sweep::cartesian(
-            "t",
-            DesignPoint::paper_default(),
-            &[Axis::Code(Code::ALL.to_vec()), Axis::Blocks(Vec::new())],
-        );
-        assert!(sweep.is_empty());
+    fn builtin_point_lists_match_the_golden() {
+        // One `name: label` line per point, captured before the builtins
+        // were rewritten as grid expressions.
+        let golden = include_str!("../../../tests/golden/sweep_builtins.txt");
+        let mut expected: Vec<String> = Vec::new();
+        for name in ["quick", "cache", "table4", "table5"] {
+            for point in Sweep::builtin(name).unwrap().points() {
+                expected.push(format!("{name}: {}", point.label()));
+            }
+        }
+        let lines: Vec<&str> = golden.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(lines, expected);
     }
 
     #[test]
@@ -512,6 +425,7 @@ mod tests {
         // Errors point at the offending line; an empty batch is rejected.
         let err = Sweep::parse_batch("quick\ntech=currant\n").unwrap_err();
         assert!(err.message.contains("unknown technology"), "{err}");
+        assert_eq!(batch.grids().len(), quick.grids().len() + 1);
         assert!(Sweep::parse_batch("  \n# only comments\n")
             .unwrap_err()
             .message

@@ -1,6 +1,6 @@
 //! Sweep tour: drive the parallel experiment engine end to end —
-//! describe an architecture-space sweep three ways (built-in name,
-//! spec-expression string, typed axes), execute it on all cores,
+//! describe an architecture-space sweep (built-in name, spec-expression
+//! string, an expression over a pinned base point), execute it on all cores,
 //! serialize the results as JSON, and grid-run a registry artifact over
 //! a value-set expression.
 //!
@@ -9,8 +9,7 @@
 //! ```
 
 use cqla_repro::core::experiments::{find, Grid};
-use cqla_repro::ecc::Code;
-use cqla_repro::sweep::{pool, Axis, DesignPoint, GridRun, Sweep, SweepRun, TechPoint, ToJson};
+use cqla_repro::sweep::{pool, GridRun, Sweep, SweepRun, TechPoint, ToJson};
 
 fn main() {
     // 1. A built-in spec: the multi-technology grid behind `cqla sweep`.
@@ -36,24 +35,13 @@ fn main() {
         println!("a typo'd spec reports exactly where it went wrong:\n{e}\n");
     }
 
-    // 4. A custom sweep from typed axes: how does the cache ratio trade
-    //    against the transfer-channel budget for a 256-bit machine, per
-    //    code? (As an expression, this is
-    //    `code=steane,bacon-shor xfer=5,10 cache=1,2 bits=256`
-    //    over a 36-block base point.)
-    let sweep = Sweep::cartesian(
-        "cache-vs-channels",
-        DesignPoint {
-            input_bits: 256,
-            blocks: 36,
-            ..DesignPoint::paper_default()
-        },
-        &[
-            Axis::Code(Code::ALL.to_vec()),
-            Axis::ParXfer(vec![5, 10]),
-            Axis::CacheFactor(vec![1.0, 2.0]),
-        ],
-    );
+    // 4. A custom sweep over a pinned base point: how does the cache
+    //    ratio trade against the transfer-channel budget for a 256-bit
+    //    machine on 36 blocks, per code? `base.` clauses pin a value on
+    //    every point without adding an axis.
+    let sweep =
+        Sweep::parse("base.bits=256 base.blocks=36 code=steane,bacon-shor xfer=5,10 cache=1,2")
+            .expect("the expression parses");
     println!("custom sweep '{}': {} points", sweep.name(), sweep.len());
 
     // 5. Execute on every available core. Result order is submission

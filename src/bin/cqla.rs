@@ -364,7 +364,8 @@ fn run(cli: &Cli, id: Option<&String>, overrides: &[String]) -> Result<ExitCode,
     })
 }
 
-/// Legacy `cqla table N` / `cqla figure N` spellings.
+/// Legacy `cqla table N [key=value ...]` / `cqla figure N [key=value ...]`
+/// spellings: the overrides after `N` go to `run` like any `cqla run`.
 fn legacy(cli: &Cli, kind: &str, number: Option<&str>) -> Result<ExitCode, UsageError> {
     let expected = match kind {
         "table" => "1-5",
@@ -381,7 +382,7 @@ fn legacy(cli: &Cli, kind: &str, number: Option<&str>) -> Result<ExitCode, Usage
             "unknown {kind} `{number}`; expected {expected}"
         )));
     }
-    run(cli, Some(&id), &[])
+    run(cli, Some(&id), &cli.args[2..])
 }
 
 /// Legacy `cqla machine BITS BLOCKS [CODE]` positional spelling.

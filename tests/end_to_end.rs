@@ -309,6 +309,8 @@ mod cli {
             &["compile", "-", "width=4", "width=9"][..],
             &["--format", "yaml", "table", "4"][..],
             &["--threads", "0", "sweep", "quick"][..],
+            &["table", "2", "tech=bogus"][..],
+            &["figure", "7", "bits=64"][..],
         ] {
             let out = cqla(args);
             assert_eq!(
@@ -367,15 +369,19 @@ mod cli {
     fn golden_json_is_byte_identical_across_the_registry_redesign() {
         // Golden output contract: the JSON artifacts are stable byte for
         // byte, across both the legacy and registry spellings. Regenerate
-        // tests/golden/*.json deliberately (cargo run --release --bin
-        // cqla -- run <id> --format json) when the model changes.
+        // tests/golden/registry/<id>.json deliberately (cargo run
+        // --release --bin cqla -- run <id> --format json) when the model
+        // changes.
+        let table4 = include_str!("golden/registry/table4.json");
+        let table5 = include_str!("golden/registry/table5.json");
+        let fig7 = include_str!("golden/registry/fig7.json");
         for (args, golden) in [
-            (&["table", "4"][..], include_str!("golden/table4.json")),
-            (&["run", "table4"][..], include_str!("golden/table4.json")),
-            (&["run", "table5"][..], include_str!("golden/table5.json")),
-            (&["table", "5"][..], include_str!("golden/table5.json")),
-            (&["run", "fig7"][..], include_str!("golden/fig7.json")),
-            (&["figure", "7"][..], include_str!("golden/fig7.json")),
+            (&["table", "4"][..], table4),
+            (&["run", "table4"][..], table4),
+            (&["run", "table5"][..], table5),
+            (&["table", "5"][..], table5),
+            (&["run", "fig7"][..], fig7),
+            (&["figure", "7"][..], fig7),
         ] {
             let out = cqla(&[args, &["--format", "json"]].concat());
             assert!(out.status.success(), "{args:?}: {:?}", out.status);
@@ -385,6 +391,12 @@ mod cli {
                 "{args:?} JSON drifted from the golden file"
             );
         }
+        // The legacy spellings forward their overrides to `run`.
+        let legacy = cqla(&["table", "4", "tech=current"]);
+        let registry = cqla(&["run", "table4", "tech=current"]);
+        assert!(legacy.status.success(), "{}", stderr(&legacy));
+        assert_eq!(stdout(&legacy), stdout(&registry));
+        assert_ne!(stdout(&legacy), stdout(&cqla(&["table", "4"])));
     }
 
     #[test]

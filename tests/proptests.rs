@@ -404,100 +404,134 @@ mod grid_spec {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep-spec expression language: random axis lists survive the
-// Sweep -> spec string -> Sweep round trip.
+// Sweep-spec expression language: every shard of a random design-space
+// sweep travels as its grid expression and re-parses to exactly its
+// slice of the sweep's design points — the contract `cqla-dist` relies
+// on when it ships sweep shards to workers as text.
 
 mod sweep_spec {
     use proptest::prelude::*;
 
-    use cqla_repro::ecc::Code;
-    use cqla_repro::iontrap::TechPoint;
-    use cqla_repro::sweep::{parse, Axis, DesignPoint, Sweep};
+    use cqla_repro::sweep::Sweep;
 
-    /// Builds one axis of the given kind from raw integer seeds; the
-    /// mapping is total so every sampled seed is a valid axis.
-    fn axis(kind: u8, seeds: &[u32]) -> Axis {
-        match kind % 7 {
-            0 => Axis::Tech(
+    /// Builds one clause over the seven design-space keys from raw
+    /// integer seeds; the mapping is total so every sample is valid.
+    fn clause(kind: u8, seeds: &[u32], pinned: bool) -> String {
+        let label = |v: u32, a: &str, b: &str| if v % 2 == 0 { a } else { b }.to_owned();
+        let ints = |max: u32| seeds.iter().map(|&v| (v % max + 1).to_string()).collect();
+        let (key, values): (&str, Vec<String>) = match kind % 7 {
+            0 => (
+                "tech",
                 seeds
                     .iter()
-                    .map(|&v| {
-                        if v % 2 == 0 {
-                            TechPoint::Current
-                        } else {
-                            TechPoint::Projected
-                        }
-                    })
+                    .map(|&v| label(v, "current", "projected"))
                     .collect(),
             ),
-            1 => Axis::Code(
+            1 => (
+                "code",
                 seeds
                     .iter()
-                    .map(|&v| {
-                        if v % 2 == 0 {
-                            Code::Steane713
-                        } else {
-                            Code::BaconShor913
-                        }
-                    })
+                    .map(|&v| label(v, "steane", "bacon-shor"))
                     .collect(),
             ),
-            2 => Axis::InputBitsPrimaryBlocks(seeds.to_vec()),
-            3 => Axis::InputBits(seeds.to_vec()),
-            4 => Axis::Blocks(seeds.to_vec()),
-            5 => Axis::ParXfer(seeds.to_vec()),
+            2 => ("width", ints(4096)),
+            3 => ("bits", ints(4096)),
+            4 => ("blocks", ints(2048)),
+            5 => ("xfer", ints(2048)),
             // Quarter steps exercise non-integer decimals exactly.
-            _ => Axis::CacheFactor(seeds.iter().map(|&v| f64::from(v) / 4.0).collect()),
-        }
+            _ => (
+                "cache",
+                seeds
+                    .iter()
+                    .map(|&v| (f64::from(v) / 4.0).to_string())
+                    .collect(),
+            ),
+        };
+        let values = if pinned {
+            vec![values[0].clone()]
+        } else {
+            values
+        };
+        let prefix = if pinned { "base." } else { "" };
+        format!("{prefix}{key}={}", values.join(","))
+    }
+
+    /// Joins one clause per distinct key (the grammar rejects duplicates).
+    fn spec(raw: &[(u8, Vec<u32>, bool)]) -> String {
+        let mut used = [false; 7];
+        let clauses: Vec<String> = raw
+            .iter()
+            .filter(|(kind, _, _)| !std::mem::replace(&mut used[usize::from(kind % 7)], true))
+            .map(|(kind, seeds, pinned)| clause(*kind, seeds, *pinned))
+            .collect();
+        clauses.join(" ")
+    }
+
+    fn raw_clauses() -> impl Strategy<Value = Vec<(u8, Vec<u32>, bool)>> {
+        prop::collection::vec(
+            (
+                0u8..7,
+                prop::collection::vec(1u32..2048, 1..4),
+                any::<bool>(),
+            ),
+            1..6,
+        )
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
+        /// `Grid::render` -> `Sweep::parse` reproduces the parsed sweep's
+        /// design points exactly, for any mix of axes and `base.` pins.
         #[test]
-        fn spec_round_trips(raw in prop::collection::vec((0u8..7, prop::collection::vec(1u32..2048, 1..4)), 1..6)) {
-            // One clause per axis kind: the grammar rejects duplicates.
-            let mut used = [false; 7];
-            let axes: Vec<Axis> = raw
-                .iter()
-                .filter(|(kind, _)| !std::mem::replace(&mut used[usize::from(kind % 7)], true))
-                .map(|(kind, seeds)| axis(*kind, seeds))
-                .collect();
-            let spec = parse::render(&axes);
-            let reparsed = Sweep::parse(&spec)
+        fn spec_round_trips(raw in raw_clauses()) {
+            let spec = spec(&raw);
+            let sweep = Sweep::parse(&spec)
+                .unwrap_or_else(|e| panic!("generated spec must parse: {e}"));
+            prop_assert_eq!(sweep.grids().len(), 1, "spec: {}", spec);
+            let rendered = sweep.grids()[0].render();
+            let reparsed = Sweep::parse(&rendered)
                 .unwrap_or_else(|e| panic!("rendered spec must reparse: {e}"));
-            let direct = Sweep::cartesian("t", DesignPoint::paper_default(), &axes);
-            prop_assert_eq!(reparsed.points(), direct.points(), "spec: {}", spec);
+            prop_assert_eq!(reparsed.points(), sweep.points(), "rendered: {}", rendered);
         }
 
-        /// Single design points survive `render_point` -> `Sweep::parse`
-        /// exactly — the property that lets `cqla-dist` ship arbitrary
-        /// point lists (shards of non-cartesian sweeps) to workers as
-        /// one spec line per point.
+        /// Single design points survive as one-point shard specs exactly:
+        /// every field a point carries re-parses to the same value.
         #[test]
-        fn render_point_round_trips_every_field(
-            raw in prop::collection::vec((0u8..7, prop::collection::vec(1u32..2048, 1..4)), 1..6),
-        ) {
-            let mut used = [false; 7];
-            let axes: Vec<Axis> = raw
-                .iter()
-                .filter(|(kind, _)| !std::mem::replace(&mut used[usize::from(kind % 7)], true))
-                .map(|(kind, seeds)| axis(*kind, seeds))
-                .collect();
-            let sweep = Sweep::cartesian("t", DesignPoint::paper_default(), &axes);
-            // A prefix is plenty: every field combination the axes can
-            // produce appears within the first few points.
-            for point in sweep.points().iter().take(16) {
-                let line = parse::render_point(point);
-                let single = Sweep::parse(&line)
-                    .unwrap_or_else(|e| panic!("rendered point must reparse: {e}\n{line}"));
+        fn render_point_round_trips_every_field(raw in raw_clauses()) {
+            let spec = spec(&raw);
+            let sweep = Sweep::parse(&spec)
+                .unwrap_or_else(|e| panic!("generated spec must parse: {e}"));
+            prop_assert_eq!(sweep.grids().len(), 1, "spec: {}", spec);
+            let shards = sweep.grids()[0].shard(sweep.len());
+            prop_assert_eq!(shards.len(), sweep.len(), "spec: {}", spec);
+            for (shard, point) in shards.iter().zip(sweep.points()) {
+                let single = Sweep::parse(shard.spec())
+                    .unwrap_or_else(|e| panic!("point spec must reparse: {e}"));
                 prop_assert_eq!(
                     single.points(),
                     std::slice::from_ref(point),
-                    "line: {}",
-                    line
+                    "point spec: {}",
+                    shard.spec()
                 );
             }
+        }
+
+        #[test]
+        fn grid_shards_reparse_to_their_design_points(raw in raw_clauses(), n in 1usize..9) {
+            let spec = spec(&raw);
+            let sweep = Sweep::parse(&spec)
+                .unwrap_or_else(|e| panic!("generated spec must parse: {e}"));
+            prop_assert_eq!(sweep.grids().len(), 1, "spec: {}", spec);
+            let mut offset = 0;
+            for shard in sweep.grids()[0].shard(n) {
+                let reparsed = Sweep::parse(shard.spec())
+                    .unwrap_or_else(|e| panic!("shard spec must reparse: {e}"));
+                let slice = &sweep.points()[offset..offset + shard.len()];
+                prop_assert_eq!(reparsed.points(), slice, "shard spec: {}", shard.spec());
+                offset += shard.len();
+            }
+            prop_assert_eq!(offset, sweep.len(), "shards cover the sweep; spec: {}", spec);
         }
     }
 }
