@@ -2,19 +2,22 @@
 //! Toffoli lowering plus list scheduling, and the full registry
 //! `compile` experiment (schedule, hierarchy placement, cache
 //! simulation) — the path `cqla compile` and `POST /v1/compile` walk
-//! per request.
+//! per request. The `_65536` rungs time the DAG build, the list
+//! schedule and the optimized cache run one by one on a 2^16-gate
+//! program, large enough to show their per-gate cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cqla_circuit::{asm, decompose_toffolis};
+use cqla_circuit::{asm, decompose_toffolis, DependencyDag, QubitId};
 use cqla_compile::{random::random_circuit, schedule_costs};
 use cqla_core::experiments::find;
+use cqla_core::{CacheSim, BLOCK_DATA_QUBITS};
 
 fn bench(c: &mut Criterion) {
     let circuit = random_circuit(16, 256, 1);
     let program = asm::emit(&circuit);
-    let lowered = decompose_toffolis(&circuit);
+    let dag = DependencyDag::new(&decompose_toffolis(&circuit));
     cqla_bench::print_artifact(
         "Compile: 256-gate seeded workload (seed 1)",
         &find("compile").expect("registry has `compile`").run().text,
@@ -29,7 +32,23 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(asm::parse(&program)))
     });
     c.bench_function("compile/schedule_256", |b| {
-        b.iter(|| black_box(schedule_costs(&lowered, 9)))
+        b.iter(|| black_box(schedule_costs(&dag, 9)))
+    });
+
+    // A 64-qubit, 2^16-gate program lowered as `compile` lowers it, and
+    // the artifact's cache at its defaults: 2 × 9 blocks × 9 data qubits.
+    let big = decompose_toffolis(&random_circuit(64, 1 << 16, 1));
+    let big_dag = DependencyDag::new(&big);
+    let capacity = (2 * 9 * BLOCK_DATA_QUBITS) as usize;
+    let inputs: Vec<QubitId> = (0..big.num_qubits()).map(QubitId::new).collect();
+    c.bench_function("compile/dag_65536", |b| {
+        b.iter(|| black_box(DependencyDag::new(&big)))
+    });
+    c.bench_function("compile/schedule_65536", |b| {
+        b.iter(|| black_box(schedule_costs(&big_dag, 9)))
+    });
+    c.bench_function("compile/cache_optimized_65536", |b| {
+        b.iter(|| black_box(CacheSim::new(capacity).run_optimized(&big_dag, &inputs, 2)))
     });
     // The whole artifact, defaults — what one cold `/v1/compile` costs.
     c.bench_function("compile/experiment_default", |b| {

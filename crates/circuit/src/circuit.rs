@@ -19,7 +19,7 @@ use crate::gate::{Gate, QubitId};
 /// assert_eq!(c.len(), 2);
 /// assert_eq!(c.counts().toffoli, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Circuit {
     num_qubits: u32,
     gates: Vec<Gate>,
@@ -70,8 +70,9 @@ impl Circuit {
     ///
     /// Panics if any operand is out of range or operands repeat.
     pub fn push(&mut self, gate: Gate) {
-        let qs = gate.qubits();
-        for q in &qs {
+        let (qs, len) = gate.qubit_array();
+        let qs = &qs[..len];
+        for q in qs {
             assert!(
                 q.index() < self.num_qubits,
                 "gate {gate} references {q} outside register of {}",

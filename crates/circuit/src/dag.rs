@@ -1,13 +1,39 @@
 //! Dependency analysis: the gate DAG, critical paths, and parallelism
 //! profiles (paper Fig 2).
+//!
+//! # Layout
+//!
+//! The DAG is stored in compressed-sparse-row form: the predecessors of
+//! gate `i` are `pred_edges[pred_offsets[i]..pred_offsets[i + 1]]`, and
+//! the successors likewise over `succ_offsets`/`succ_edges`. Building it
+//! takes two linear passes and no per-node allocation. The first walks
+//! the gates in program order, appending each gate's predecessor list
+//! and counting every node's successors. The second transposes the
+//! predecessor lists into the successor array, so each successor list is
+//! ascending.
+//!
+//! # One ready gate per qubit
+//!
+//! Two gates sharing a qubit are always ordered: the later one depends,
+//! through the chain of latest touchers of that qubit, on the earlier
+//! one. So in any execution that respects the DAG, at most one
+//! dependency-ready gate touches each qubit at a time. The cache
+//! simulator's optimized fetch relies on this to index the ready set by
+//! qubit with one slot per qubit.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
+
+/// Marks "no gate yet" in the build's last-toucher table.
+const NONE: usize = usize::MAX;
 
 /// The data-dependency DAG of a circuit: gate `j` depends on gate `i` when
 /// they share an operand and `i` precedes `j` in program order (with only
 /// the *latest* prior toucher of each operand kept, which is sufficient for
 /// scheduling).
+///
+/// Each predecessor list follows the gate's operand order with duplicates
+/// dropped; each successor list is in ascending program order.
 ///
 /// # Examples
 ///
@@ -24,10 +50,12 @@ use crate::gate::Gate;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DependencyDag {
-    num_gates: usize,
-    preds: Vec<Vec<usize>>,
-    succs: Vec<Vec<usize>>,
+    num_qubits: u32,
     gates: Vec<Gate>,
+    pred_offsets: Vec<u32>,
+    pred_edges: Vec<usize>,
+    succ_offsets: Vec<u32>,
+    succ_edges: Vec<usize>,
 }
 
 impl DependencyDag {
@@ -36,32 +64,70 @@ impl DependencyDag {
     pub fn new(circuit: &Circuit) -> Self {
         let gates: Vec<Gate> = circuit.gates().to_vec();
         let n = gates.len();
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut last_touch: Vec<Option<usize>> = vec![None; circuit.num_qubits() as usize];
+
+        assert!(
+            3 * n < u32::MAX as usize,
+            "DAG edge offsets are 32-bit: {n} gates is too many"
+        );
+
+        // Pass 1: predecessor lists in program order, plus each node's
+        // successor count (shifted by one slot for the prefix sum below).
+        let mut pred_offsets = Vec::with_capacity(n + 1);
+        let mut pred_edges = Vec::with_capacity(2 * n);
+        let mut succ_offsets = vec![0u32; n + 1];
+        let mut last_touch = vec![NONE; circuit.num_qubits() as usize];
+        pred_offsets.push(0);
         for (i, gate) in gates.iter().enumerate() {
-            for q in gate.qubits() {
-                if let Some(p) = last_touch[q.index() as usize] {
-                    if !preds[i].contains(&p) {
-                        preds[i].push(p);
-                        succs[p].push(i);
-                    }
+            let start = pred_edges.len();
+            let (qubits, arity) = gate.qubit_array();
+            for q in &qubits[..arity] {
+                let p = std::mem::replace(&mut last_touch[q.index() as usize], i);
+                if p != NONE && !pred_edges[start..].contains(&p) {
+                    pred_edges.push(p);
+                    succ_offsets[p + 1] += 1;
                 }
-                last_touch[q.index() as usize] = Some(i);
+            }
+            pred_offsets.push(pred_edges.len() as u32);
+        }
+
+        // Pass 2: transpose. After the prefix sum `succ_offsets[p]` is
+        // the start of `p`'s list; it serves as the fill cursor, which
+        // leaves it at the start of `p + 1`'s list, so a shift by one
+        // slot restores the offsets. Visiting nodes in program order
+        // fills every successor list in ascending order.
+        for i in 0..n {
+            succ_offsets[i + 1] += succ_offsets[i];
+        }
+        let mut succ_edges = vec![0usize; pred_edges.len()];
+        for i in 0..n {
+            for &p in &pred_edges[pred_offsets[i] as usize..pred_offsets[i + 1] as usize] {
+                succ_edges[succ_offsets[p] as usize] = i;
+                succ_offsets[p] += 1;
             }
         }
+        succ_offsets.copy_within(0..n, 1);
+        succ_offsets[0] = 0;
+
         Self {
-            num_gates: n,
-            preds,
-            succs,
+            num_qubits: circuit.num_qubits(),
             gates,
+            pred_offsets,
+            pred_edges,
+            succ_offsets,
+            succ_edges,
         }
     }
 
     /// Number of gates (DAG nodes).
     #[must_use]
     pub fn num_gates(&self) -> usize {
-        self.num_gates
+        self.gates.len()
+    }
+
+    /// Size of the register the circuit's gates act on.
+    #[must_use]
+    pub fn num_qubits(&self) -> u32 {
+        self.num_qubits
     }
 
     /// The gate at node `i`.
@@ -77,23 +143,23 @@ impl DependencyDag {
     /// Direct dependencies of gate `i`.
     #[must_use]
     pub fn predecessors(&self, i: usize) -> &[usize] {
-        &self.preds[i]
+        &self.pred_edges[self.pred_offsets[i] as usize..self.pred_offsets[i + 1] as usize]
     }
 
     /// Gates directly depending on gate `i`.
     #[must_use]
     pub fn successors(&self, i: usize) -> &[usize] {
-        &self.succs[i]
+        &self.succ_edges[self.succ_offsets[i] as usize..self.succ_offsets[i + 1] as usize]
     }
 
     /// ASAP level of every gate with unit gate durations (level 0 = no
     /// dependencies).
     #[must_use]
     pub fn asap_levels(&self) -> Vec<usize> {
-        let mut level = vec![0usize; self.num_gates];
-        for i in 0..self.num_gates {
+        let mut level = vec![0usize; self.num_gates()];
+        for i in 0..self.num_gates() {
             // Program order is a topological order by construction.
-            for &p in &self.preds[i] {
+            for &p in self.predecessors(i) {
                 level[i] = level[i].max(level[p] + 1);
             }
         }
@@ -103,7 +169,7 @@ impl DependencyDag {
     /// Circuit depth in unit-gate layers (0 for an empty circuit).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.asap_levels().iter().map(|&l| l + 1).max().unwrap_or(0)
+        depth_of(&self.asap_levels())
     }
 
     /// Number of gates eligible to run at each unit-time layer under
@@ -111,7 +177,7 @@ impl DependencyDag {
     #[must_use]
     pub fn parallelism_profile(&self) -> Vec<usize> {
         let levels = self.asap_levels();
-        let mut profile = vec![0usize; self.depth()];
+        let mut profile = vec![0usize; depth_of(&levels)];
         for &l in &levels {
             profile[l] += 1;
         }
@@ -123,10 +189,15 @@ impl DependencyDag {
     /// makespan lower bound no amount of parallel hardware can beat.
     #[must_use]
     pub fn critical_path<W: Fn(&Gate) -> u64>(&self, weight: W) -> u64 {
-        let mut finish = vec![0u64; self.num_gates];
+        let mut finish = vec![0u64; self.num_gates()];
         let mut best = 0;
-        for i in 0..self.num_gates {
-            let start = self.preds[i].iter().map(|&p| finish[p]).max().unwrap_or(0);
+        for i in 0..self.num_gates() {
+            let start = self
+                .predecessors(i)
+                .iter()
+                .map(|&p| finish[p])
+                .max()
+                .unwrap_or(0);
             finish[i] = start + weight(&self.gates[i]);
             best = best.max(finish[i]);
         }
@@ -142,23 +213,33 @@ impl DependencyDag {
     /// Average parallelism = total unit-gate count / depth.
     #[must_use]
     pub fn average_parallelism(&self) -> f64 {
-        if self.num_gates == 0 {
+        if self.gates.is_empty() {
             return 0.0;
         }
-        self.num_gates as f64 / self.depth() as f64
+        self.num_gates() as f64 / self.depth() as f64
     }
 
     /// Remaining critical path from each gate to the DAG's exit, under
     /// `weight` — the standard list-scheduling priority.
     #[must_use]
     pub fn downstream_priority<W: Fn(&Gate) -> u64>(&self, weight: W) -> Vec<u64> {
-        let mut prio = vec![0u64; self.num_gates];
-        for i in (0..self.num_gates).rev() {
-            let tail = self.succs[i].iter().map(|&s| prio[s]).max().unwrap_or(0);
+        let mut prio = vec![0u64; self.num_gates()];
+        for i in (0..self.num_gates()).rev() {
+            let tail = self
+                .successors(i)
+                .iter()
+                .map(|&s| prio[s])
+                .max()
+                .unwrap_or(0);
             prio[i] = tail + weight(&self.gates[i]);
         }
         prio
     }
+}
+
+/// Depth in unit-gate layers given every gate's ASAP level.
+fn depth_of(levels: &[usize]) -> usize {
+    levels.iter().map(|&l| l + 1).max().unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -126,9 +126,11 @@ impl Gate {
         }
     }
 
-    /// The qubits this gate touches, in operand order.
+    /// The qubits this gate touches, in operand order, without
+    /// allocating: the first `len` entries of the array are the operands
+    /// (`len` is the [`Gate::arity`]), the rest repeat the first one.
     #[must_use]
-    pub fn qubits(&self) -> Vec<QubitId> {
+    pub fn qubit_array(&self) -> ([QubitId; 3], usize) {
         match *self {
             Self::X(q)
             | Self::Y(q)
@@ -136,20 +138,27 @@ impl Gate {
             | Self::H(q)
             | Self::S(q)
             | Self::T(q)
-            | Self::Measure(q) => vec![q],
-            Self::Cnot { control, target } => vec![control, target],
-            Self::Cz { a, b } => vec![a, b],
-            Self::ControlledPhase {
+            | Self::Measure(q) => ([q; 3], 1),
+            Self::Cnot { control, target }
+            | Self::ControlledPhase {
                 control, target, ..
-            } => vec![control, target],
-            Self::Toffoli { c1, c2, target } => vec![c1, c2, target],
+            } => ([control, target, control], 2),
+            Self::Cz { a, b } => ([a, b, a], 2),
+            Self::Toffoli { c1, c2, target } => ([c1, c2, target], 3),
         }
+    }
+
+    /// The qubits this gate touches, in operand order.
+    #[must_use]
+    pub fn qubits(&self) -> Vec<QubitId> {
+        let (qubits, len) = self.qubit_array();
+        qubits[..len].to_vec()
     }
 
     /// Number of operands.
     #[must_use]
     pub fn arity(&self) -> usize {
-        self.qubits().len()
+        self.qubit_array().1
     }
 
     /// `true` if the gate permutes computational basis states (X, CNOT,
@@ -265,6 +274,10 @@ mod tests {
             vec![QubitId::new(1), QubitId::new(2)]
         );
         assert_eq!(Gate::toffoli(0, 1, 2).arity(), 3);
+        assert_eq!(
+            Gate::toffoli(4, 5, 6).qubit_array(),
+            ([QubitId::new(4), QubitId::new(5), QubitId::new(6)], 3)
+        );
     }
 
     #[test]

@@ -75,8 +75,10 @@ impl ScheduleCosts {
     }
 }
 
-/// Schedules an (already lowered) circuit onto `blocks` compute blocks
-/// and extracts the paper's schedule metrics.
+/// Schedules an (already lowered) circuit, given as its dependency DAG,
+/// onto `blocks` compute blocks and extracts the paper's schedule
+/// metrics. Taking the DAG lets a caller that also simulates the cache
+/// over the same circuit build it once.
 ///
 /// Gates are weighted by [`Gate::two_qubit_gate_equivalents`], so a
 /// not-yet-decomposed Toffoli costs its 15-gate network.
@@ -85,11 +87,10 @@ impl ScheduleCosts {
 ///
 /// Panics if `blocks` is zero.
 #[must_use]
-pub fn schedule_costs(circuit: &Circuit, blocks: u32) -> ScheduleCosts {
+pub fn schedule_costs(dag: &DependencyDag, blocks: u32) -> ScheduleCosts {
     assert!(blocks > 0, "schedule width must be positive");
-    let dag = DependencyDag::new(circuit);
     let weight = Gate::two_qubit_gate_equivalents;
-    let schedule = ListScheduler::new(&dag).schedule(Width::Blocks(blocks as usize), weight);
+    let schedule = ListScheduler::new(dag).schedule(Width::Blocks(blocks as usize), weight);
     ScheduleCosts {
         makespan: schedule.makespan(),
         critical_path: dag.critical_path(weight),
@@ -137,7 +138,7 @@ pub fn compile_source(source: &str, blocks: u32) -> Result<Compiled, ParseAsmErr
 #[must_use]
 pub fn compile_circuit(program: Circuit, blocks: u32) -> Compiled {
     let lowered = decompose_toffolis(&program);
-    let costs = schedule_costs(&lowered, blocks);
+    let costs = schedule_costs(&DependencyDag::new(&lowered), blocks);
     Compiled {
         program,
         lowered,
@@ -180,9 +181,9 @@ mod tests {
     #[test]
     fn narrow_widths_stretch_the_makespan() {
         let circuit = random::random_circuit(16, 128, 7);
-        let lowered = decompose_toffolis(&circuit);
-        let narrow = schedule_costs(&lowered, 1);
-        let wide = schedule_costs(&lowered, 16);
+        let dag = DependencyDag::new(&decompose_toffolis(&circuit));
+        let narrow = schedule_costs(&dag, 1);
+        let wide = schedule_costs(&dag, 16);
         assert!(narrow.makespan >= wide.makespan);
         assert_eq!(narrow.total_work, wide.total_work);
         assert_eq!(narrow.critical_path, wide.critical_path);

@@ -13,9 +13,9 @@
 //!   next instruction is chosen to maximize the probability that all its
 //!   operands are already cached (~85% hit rate).
 
-use std::collections::BTreeSet;
+use std::borrow::Cow;
 
-use cqla_circuit::{Circuit, DependencyDag, QubitId};
+use cqla_circuit::{Circuit, DependencyDag, Gate, QubitId};
 
 /// Instruction-fetch policy of the cache simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -210,10 +210,40 @@ impl CacheSim {
         memory_resident: &[QubitId],
         repetitions: u32,
     ) -> CacheRun {
+        self.simulate(
+            &Program::of_circuit(circuit, policy),
+            memory_resident,
+            repetitions,
+        )
+    }
+
+    /// [`CacheSim::run`] under [`FetchPolicy::OptimizedLookahead`] over
+    /// the circuit of an already built dependency DAG, which the fetch
+    /// selects over directly: a caller that also schedules the circuit
+    /// builds its DAG once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `repetitions` is zero.
+    #[must_use]
+    pub fn run_optimized(
+        &self,
+        dag: &DependencyDag,
+        memory_resident: &[QubitId],
+        repetitions: u32,
+    ) -> CacheRun {
+        self.simulate(&Program::of_dag(dag), memory_resident, repetitions)
+    }
+
+    fn simulate(
+        &self,
+        program: &Program,
+        memory_resident: &[QubitId],
+        repetitions: u32,
+    ) -> CacheRun {
         assert!(repetitions > 0, "at least one repetition required");
-        let program = Program::new(circuit, policy);
-        let mut state = CacheState::new(self.capacity, circuit.num_qubits(), memory_resident);
-        let mut order = Vec::with_capacity(circuit.len() * repetitions as usize);
+        let mut state = CacheState::new(self.capacity, program.num_qubits, memory_resident);
+        let mut order = Vec::with_capacity(program.len() * repetitions as usize);
         let (mut hits, mut fetch_misses, mut allocations) = (0u64, 0u64, 0u64);
         let mut last_fetch_misses = 0;
 
@@ -252,8 +282,8 @@ impl CacheSim {
         memory_resident: &[QubitId],
         warmup: u32,
     ) -> CacheTrace {
-        let program = Program::new(circuit, policy);
-        let mut state = CacheState::new(self.capacity, circuit.num_qubits(), memory_resident);
+        let program = Program::of_circuit(circuit, policy);
+        let mut state = CacheState::new(self.capacity, program.num_qubits, memory_resident);
         for _ in 0..warmup {
             program.execute(&mut state, |_, _| {});
         }
@@ -285,30 +315,51 @@ const MAX_ARITY: usize = 3;
 /// A circuit prepared once per simulation: every gate's operands
 /// flattened into one array, plus — for the optimized policy — the
 /// dependency DAG every repetition selects over.
-struct Program {
+struct Program<'a> {
     /// Operands of instruction `i` are `operands[starts[i]..starts[i + 1]]`.
     operands: Vec<u32>,
-    starts: Vec<usize>,
+    starts: Vec<u32>,
     num_qubits: usize,
-    dag: Option<DependencyDag>,
+    dag: Option<Cow<'a, DependencyDag>>,
 }
 
-impl Program {
-    fn new(circuit: &Circuit, policy: FetchPolicy) -> Self {
-        let mut operands = Vec::with_capacity(2 * circuit.len());
-        let mut starts = Vec::with_capacity(circuit.len() + 1);
+impl<'a> Program<'a> {
+    fn new(
+        gates: impl ExactSizeIterator<Item = Gate>,
+        num_qubits: u32,
+        dag: Option<Cow<'a, DependencyDag>>,
+    ) -> Self {
+        assert!(
+            MAX_ARITY * gates.len() < NO_GATE as usize,
+            "programs are limited to 32-bit operand offsets"
+        );
+        let mut operands = Vec::with_capacity(2 * gates.len());
+        let mut starts = Vec::with_capacity(gates.len() + 1);
         starts.push(0);
-        for gate in circuit.gates() {
-            operands.extend(gate.qubits().iter().map(|q| q.index()));
-            starts.push(operands.len());
+        for gate in gates {
+            let (qubits, arity) = gate.qubit_array();
+            operands.extend(qubits[..arity].iter().map(|q| q.index()));
+            starts.push(operands.len() as u32);
         }
-        let dag = (policy == FetchPolicy::OptimizedLookahead).then(|| DependencyDag::new(circuit));
         Self {
             operands,
             starts,
-            num_qubits: circuit.num_qubits() as usize,
+            num_qubits: num_qubits as usize,
             dag,
         }
+    }
+
+    /// `circuit` under `policy`, building its DAG if the policy needs it.
+    fn of_circuit(circuit: &Circuit, policy: FetchPolicy) -> Self {
+        let dag = (policy == FetchPolicy::OptimizedLookahead)
+            .then(|| Cow::Owned(DependencyDag::new(circuit)));
+        Self::new(circuit.gates().iter().copied(), circuit.num_qubits(), dag)
+    }
+
+    /// The circuit of `dag` under the optimized policy, borrowing the DAG.
+    fn of_dag(dag: &'a DependencyDag) -> Self {
+        let gates = (0..dag.num_gates()).map(|i| dag.gate(i));
+        Self::new(gates, dag.num_qubits(), Some(Cow::Borrowed(dag)))
     }
 
     fn len(&self) -> usize {
@@ -316,7 +367,7 @@ impl Program {
     }
 
     fn operands(&self, i: usize) -> &[u32] {
-        &self.operands[self.starts[i]..self.starts[i + 1]]
+        &self.operands[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 
     /// Executes the stream once against `state`, calling `visit` with
@@ -345,12 +396,19 @@ impl Program {
     ///
     /// The selection key is `(fully cached, cached operands, earliest)`.
     /// Rather than rescoring every ready instruction per pick (quadratic
-    /// in the window), the ready set lives in one ordered bucket per
+    /// in the window), the ready set lives in one [`IndexSet`] bucket per
     /// `(full, cached)` score, and only instructions whose operands
     /// changed residence — the picked gate's operands and the eviction
-    /// victims — are rescored. Scores are unique per instruction (the
-    /// program-order tie-break), so the bucket walk picks exactly the
-    /// instruction the full scan would.
+    /// victims — are rescored. A pick takes the minimum index of the
+    /// highest non-empty bucket, which is exactly the instruction the
+    /// full scan would choose: scores are compared first, and the
+    /// earliest index breaks ties. Every bucket operation touches one
+    /// 64-bit word per level, at most ⌈log₆₄ n⌉ words.
+    ///
+    /// Finding the ready instructions a residence change affects needs
+    /// no list per qubit: at most one ready instruction touches any
+    /// qubit (two gates sharing a qubit are ordered in the DAG), so
+    /// `ready_on` holds one slot per qubit.
     fn execute_optimized(
         &self,
         dag: &DependencyDag,
@@ -358,15 +416,16 @@ impl Program {
         mut visit: impl FnMut(usize, &[AccessKind]),
     ) {
         let n = self.len();
-        let mut indegree: Vec<usize> = (0..n).map(|i| dag.predecessors(i).len()).collect();
+        // At most one predecessor per operand.
+        let mut indegree: Vec<u8> = (0..n).map(|i| dag.predecessors(i).len() as u8).collect();
 
-        // Buckets indexed by `full * 4 + cached` (arity <= 3), each ordered
-        // by instruction index; NOT_READY marks gates outside the window.
+        // Buckets indexed by `full * 4 + cached` (arity <= 3);
+        // NOT_READY marks gates outside the window.
         const NOT_READY: u8 = u8::MAX;
-        let mut buckets: [BTreeSet<usize>; 8] = Default::default();
+        let mut buckets: [IndexSet; 8] = std::array::from_fn(|_| IndexSet::new(n));
         let mut bucket_of: Vec<u8> = vec![NOT_READY; n];
-        // Ready instructions touching each qubit, for targeted rescoring.
-        let mut ready_on: Vec<Vec<usize>> = vec![Vec::new(); self.num_qubits];
+        // The ready instruction touching each qubit, or NO_GATE.
+        let mut ready_on: Vec<u32> = vec![NO_GATE; self.num_qubits];
 
         let score = |i: usize, state: &CacheState| -> u8 {
             let operands = self.operands(i);
@@ -386,20 +445,21 @@ impl Program {
                 bucket_of[i] = b;
                 buckets[b as usize].insert(i);
                 for &q in self.operands(i) {
-                    ready_on[q as usize].push(i);
+                    debug_assert_eq!(ready_on[q as usize], NO_GATE, "two ready gates on q{q}");
+                    ready_on[q as usize] = i as u32;
                 }
             }
 
             // Highest-scoring bucket, earliest instruction within it.
             let chosen = (0..8usize)
                 .rev()
-                .find_map(|b| buckets[b].first().copied())
+                .find_map(|b| buckets[b].first())
                 .expect("a dependency-ready instruction exists");
-            buckets[bucket_of[chosen] as usize].remove(&chosen);
+            buckets[bucket_of[chosen] as usize].remove(chosen);
             bucket_of[chosen] = NOT_READY;
             let operands = self.operands(chosen);
             for &q in operands {
-                ready_on[q as usize].retain(|&g| g != chosen);
+                ready_on[q as usize] = NO_GATE;
             }
 
             flipped.clear();
@@ -422,16 +482,88 @@ impl Program {
 
             // Rescore the ready instructions whose operands moved.
             for &q in &flipped {
-                for &g in &ready_on[q as usize] {
-                    let b = score(g, state);
-                    if b != bucket_of[g] {
-                        buckets[bucket_of[g] as usize].remove(&g);
-                        bucket_of[g] = b;
-                        buckets[b as usize].insert(g);
-                    }
+                let g = ready_on[q as usize];
+                if g == NO_GATE {
+                    continue;
+                }
+                let g = g as usize;
+                let b = score(g, state);
+                if b != bucket_of[g] {
+                    buckets[bucket_of[g] as usize].remove(g);
+                    bucket_of[g] = b;
+                    buckets[b as usize].insert(g);
                 }
             }
         }
+    }
+}
+
+/// Sentinel "no ready gate" slot in the optimized fetch's per-qubit index.
+const NO_GATE: u32 = u32::MAX;
+
+/// A set of indices `0..n` as hierarchical 64-bit occupancy words.
+///
+/// Bit `i % 64` of `levels[0][i / 64]` marks index `i`, and bit `w % 64`
+/// of `levels[k + 1][w / 64]` marks a non-zero word `w` of `levels[k]`.
+/// The top level is a single word. Insert and remove stop climbing as
+/// soon as a word's emptiness is unchanged, and the minimum descends
+/// from the top by trailing zeros, so each takes at most one word
+/// operation per level: ⌈log₆₄ n⌉ (one level up to 64 indices, two up to
+/// 4096, three up to 262 144).
+#[derive(Debug)]
+struct IndexSet {
+    levels: Vec<Vec<u64>>,
+}
+
+impl IndexSet {
+    fn new(n: usize) -> Self {
+        let mut levels = Vec::new();
+        let mut len = n.max(1);
+        loop {
+            let words = len.div_ceil(64);
+            levels.push(vec![0u64; words]);
+            if words == 1 {
+                return Self { levels };
+            }
+            len = words;
+        }
+    }
+
+    fn insert(&mut self, mut i: usize) {
+        for level in &mut self.levels {
+            let word = &mut level[i / 64];
+            let was_empty = *word == 0;
+            *word |= 1 << (i % 64);
+            if !was_empty {
+                return;
+            }
+            i /= 64;
+        }
+    }
+
+    fn remove(&mut self, mut i: usize) {
+        for level in &mut self.levels {
+            let word = &mut level[i / 64];
+            *word &= !(1 << (i % 64));
+            if *word != 0 {
+                return;
+            }
+            i /= 64;
+        }
+    }
+
+    /// The smallest index in the set. Only the top word can be zero on
+    /// the way down.
+    fn first(&self) -> Option<usize> {
+        let mut i = 0;
+        for level in self.levels.iter().rev() {
+            let word = level[i];
+            if word == 0 {
+                return None;
+            }
+            i = i * 64 + word.trailing_zeros() as usize;
+        }
+        Some(i)
     }
 }
 
@@ -456,8 +588,7 @@ struct CacheState {
 }
 
 impl CacheState {
-    fn new(capacity: usize, num_qubits: u32, memory_resident: &[QubitId]) -> Self {
-        let n = num_qubits as usize;
+    fn new(capacity: usize, n: usize, memory_resident: &[QubitId]) -> Self {
         let mut residence = vec![Residence::Unborn; n];
         for q in memory_resident {
             residence[q.index() as usize] = Residence::Memory;
@@ -683,6 +814,119 @@ mod tests {
                 run.accesses(),
                 run.hits() + run.fetch_misses() + run.allocations()
             );
+        }
+    }
+
+    /// The optimized fetch by definition, for the oracle test below: a
+    /// gate is ready when it is the earliest unexecuted gate on each of
+    /// its operands, and every pick rescans every ready gate for the
+    /// largest `(full, cached, earliest index)` key against the current
+    /// cache state. Quadratic, and independent of the DAG and buckets.
+    fn quadratic_optimized(
+        circuit: &Circuit,
+        capacity: usize,
+        memory_resident: &[QubitId],
+        repetitions: u32,
+    ) -> CacheRun {
+        let gates = circuit.gates();
+        let mut state = CacheState::new(capacity, circuit.num_qubits() as usize, memory_resident);
+        let (mut order, mut hits, mut fetch_misses, mut allocations) = (vec![], 0, 0, 0);
+        let mut last_fetch_misses = 0;
+        for _ in 0..repetitions {
+            let before = fetch_misses;
+            // Unexecuted gates touching each qubit, earliest first.
+            let mut pending: Vec<std::collections::VecDeque<usize>> =
+                vec![Default::default(); circuit.num_qubits() as usize];
+            for (i, gate) in gates.iter().enumerate() {
+                for q in gate.qubits() {
+                    pending[q.index() as usize].push_back(i);
+                }
+            }
+            for _ in 0..gates.len() {
+                let ready = pending
+                    .iter()
+                    .filter_map(|p| p.front().copied())
+                    .filter(|&i| {
+                        gates[i]
+                            .qubits()
+                            .iter()
+                            .all(|q| pending[q.index() as usize].front() == Some(&i))
+                    });
+                let key = |i: usize| {
+                    let qubits = gates[i].qubits();
+                    let cached = qubits.iter().filter(|q| state.is_cached(q.index())).count();
+                    (cached == qubits.len(), cached, std::cmp::Reverse(i))
+                };
+                let chosen = ready.max_by_key(|&i| key(i)).expect("a ready gate");
+                for q in gates[chosen].qubits() {
+                    pending[q.index() as usize].pop_front();
+                    match state.access(q.index()).0 {
+                        AccessKind::Hit => hits += 1,
+                        AccessKind::FetchMiss => fetch_misses += 1,
+                        AccessKind::Allocation => allocations += 1,
+                    }
+                }
+                order.push(chosen);
+            }
+            last_fetch_misses = fetch_misses - before;
+        }
+        CacheRun {
+            order,
+            hits,
+            fetch_misses,
+            last_fetch_misses,
+            allocations,
+        }
+    }
+
+    #[test]
+    fn optimized_fetch_matches_the_quadratic_oracle() {
+        // Gate counts straddle the bucket bitsets' level boundaries (64
+        // and 4096 indices per one and two levels).
+        for gates in [1u32, 63, 64, 65, 4095, 4096, 4097] {
+            for (qubits, seed) in [(1u32, 1u64), (3, 2), (12, 3), (40, 4)] {
+                let circuit = cqla_compile::random::random_circuit(qubits, gates, seed);
+                let inputs: Vec<QubitId> = (0..qubits).step_by(2).map(qid).collect();
+                let dag = DependencyDag::new(&circuit);
+                for capacity in [1, 2, 7, 64, qubits as usize + 1] {
+                    for repetitions in [1, 2] {
+                        let case = format!(
+                            "{gates} gates, {qubits} qubits, capacity {capacity}, {repetitions} rep(s)"
+                        );
+                        let expected =
+                            quadratic_optimized(&circuit, capacity, &inputs, repetitions);
+                        let sim = CacheSim::new(capacity);
+                        let run = sim.run(
+                            &circuit,
+                            FetchPolicy::OptimizedLookahead,
+                            &inputs,
+                            repetitions,
+                        );
+                        assert_eq!(run, expected, "{case}");
+                        let on_dag = sim.run_optimized(&dag, &inputs, repetitions);
+                        assert_eq!(on_dag, expected, "{case}, prebuilt DAG");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn index_set_tracks_its_minimum_across_levels() {
+        for n in [1usize, 64, 65, 4096, 4097, 300_000] {
+            let mut set = IndexSet::new(n);
+            assert_eq!(set.first(), None, "n={n}");
+            let mut members = vec![n - 1, n / 2, 64.min(n - 1), 63.min(n - 1), 0];
+            for &i in &members {
+                set.insert(i);
+            }
+            members.sort_unstable();
+            members.dedup();
+            for &i in &members {
+                assert_eq!(set.first(), Some(i), "n={n}");
+                set.remove(i);
+            }
+            assert_eq!(set.first(), None, "n={n}");
         }
     }
 

@@ -8,16 +8,18 @@
 //! blocks)`), the cache-simulator steady state (keyed by `(bits,
 //! capacity)`), ECC metrics (keyed by `(tech, code, level)`), the Eq. 1
 //! level-mixing budget, floorplan area reductions, and compiled-program
-//! [`ScheduleCosts`]. Neighboring grid points share most of these — the
+//! [`ScheduleCosts`] (keyed by the lowered [`Circuit`] itself and the
+//! block count). Neighboring grid points share most of these — the
 //! 24-point builtin sweep has only six distinct `(bits, blocks)` pairs —
 //! so a shared context turns a grid's cost from `points × full
 //! evaluation` into `distinct keys × computation`.
 //!
 //! [`cqla_compile::schedule_costs`] is the one schedule path: both
-//! schedule tables call it, and one adder entry carries everything the
-//! studies read off the DAG — the bounded-width utilization, the packed
-//! makespan bound, and the critical path, which is the QLA's
-//! unlimited-parallelism makespan.
+//! schedule tables call it on a [`DependencyDag`] (the `compile`
+//! artifact hands the same DAG to its cache simulation), and one adder
+//! entry carries everything the studies read off the DAG — the
+//! bounded-width utilization, the packed makespan bound, and the
+//! critical path, which is the QLA's unlimited-parallelism makespan.
 //!
 //! Every value cached here is a pure function of its key, computed by
 //! exactly the same code path the unmemoized evaluation used, so results
@@ -35,7 +37,7 @@
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cqla_circuit::{asm, Circuit, QubitId};
+use cqla_circuit::{Circuit, DependencyDag, QubitId};
 use cqla_compile::ScheduleCosts;
 use cqla_ecc::fidelity::{AppSize, FidelityBudget};
 use cqla_ecc::memo::{Memo, Outcome};
@@ -119,7 +121,7 @@ pub struct EvalCtx {
     cache: Memo<(u32, usize), CacheBehavior>,
     level1_share: Memo<(&'static str, Code, u32), f64>,
     area: Memo<(&'static str, Code, u64, u32), f64>,
-    compiled: Memo<(String, u32), ScheduleCosts>,
+    compiled: Memo<(Circuit, u32), ScheduleCosts>,
 }
 
 impl EvalCtx {
@@ -153,7 +155,8 @@ impl EvalCtx {
     #[must_use]
     pub fn adder_costs(&self, bits: u32, blocks: u32) -> ScheduleCosts {
         memoized(&self.adder, (bits, blocks), || {
-            cqla_compile::schedule_costs(DraperAdder::new(bits).circuit_ref(), blocks)
+            let adder = DraperAdder::new(bits);
+            cqla_compile::schedule_costs(&DependencyDag::new(adder.circuit_ref()), blocks)
         })
     }
 
@@ -218,15 +221,27 @@ impl EvalCtx {
     }
 
     /// Memoized [`cqla_compile::schedule_costs`] of a compiled (already
-    /// lowered) circuit on `blocks` compute blocks. The key is the
-    /// circuit's emitted asm text — exact, collision-free, and identical
-    /// for identical programs however they were produced (inline asm,
-    /// the seeded generator, …) — so every point of a `compile` grid
-    /// that lowers to the same circuit shares one schedule.
+    /// lowered) circuit on `blocks` compute blocks, computed over `dag`,
+    /// which must be `lowered`'s DAG (the caller builds it once for the
+    /// schedule and the cache simulation). The key is the lowered
+    /// [`Circuit`] itself — exact, collision-free, and identical for
+    /// identical programs however they were produced (inline asm, the
+    /// seeded generator, …) — so every point of a `compile` grid that
+    /// lowers to the same circuit shares one schedule.
     #[must_use]
-    pub fn compiled_costs(&self, lowered: &Circuit, blocks: u32) -> ScheduleCosts {
-        memoized(&self.compiled, (asm::emit(lowered), blocks), || {
-            cqla_compile::schedule_costs(lowered, blocks)
+    pub fn compiled_costs(
+        &self,
+        lowered: &Circuit,
+        dag: &DependencyDag,
+        blocks: u32,
+    ) -> ScheduleCosts {
+        debug_assert_eq!(
+            dag.num_gates(),
+            lowered.len(),
+            "dag is not the lowered circuit's"
+        );
+        memoized(&self.compiled, (lowered.clone(), blocks), || {
+            cqla_compile::schedule_costs(dag, blocks)
         })
     }
 
@@ -251,7 +266,7 @@ impl EvalCtx {
 
 #[cfg(test)]
 mod tests {
-    use cqla_circuit::{DependencyDag, Gate, ListScheduler, Width};
+    use cqla_circuit::{Gate, ListScheduler, Width};
 
     use super::*;
     use crate::specialize::TABLE4_GRID;
@@ -296,7 +311,7 @@ mod tests {
                 .iter()
                 .find(|&&(bits, _)| bits == n)
                 .map_or(n.min(16), |&(_, [b, _])| b);
-            let costs = cqla_compile::schedule_costs(adder.circuit_ref(), blocks);
+            let costs = cqla_compile::schedule_costs(&dag, blocks);
             assert_eq!(costs.critical_path, unlimited, "n={n}, B={blocks}");
         }
     }
@@ -307,7 +322,10 @@ mod tests {
         let costs = ctx.adder_costs(64, 9);
         assert_eq!(
             costs,
-            cqla_compile::schedule_costs(DraperAdder::new(64).circuit_ref(), 9)
+            cqla_compile::schedule_costs(
+                &DependencyDag::new(DraperAdder::new(64).circuit_ref()),
+                9
+            )
         );
         let study = crate::SpecializationStudy::new(&tech());
         assert_eq!(
@@ -342,12 +360,13 @@ mod tests {
         let ctx = EvalCtx::new();
         let circuit = cqla_compile::random::random_circuit(8, 64, 5);
         let lowered = cqla_circuit::decompose_toffolis(&circuit);
-        let memoized = ctx.compiled_costs(&lowered, 4);
-        assert_eq!(memoized, cqla_compile::schedule_costs(&lowered, 4));
+        let dag = DependencyDag::new(&lowered);
+        let memoized = ctx.compiled_costs(&lowered, &dag, 4);
+        assert_eq!(memoized, cqla_compile::schedule_costs(&dag, 4));
         // Same circuit, same width: a hit. Different width: a miss.
         let before = ctx.counters();
-        let _ = ctx.compiled_costs(&lowered, 4);
-        let _ = ctx.compiled_costs(&lowered, 8);
+        let _ = ctx.compiled_costs(&lowered, &dag, 4);
+        let _ = ctx.compiled_costs(&lowered, &dag, 8);
         let after = ctx.counters();
         assert_eq!(after.0 - before.0, 1);
         assert_eq!(after.1 - before.1, 1);

@@ -10,13 +10,13 @@
 //! the width budget → hierarchy placement`, priced with the same
 //! memoized [`EvalCtx`] machinery the paper tables use.
 
-use cqla_circuit::{decompose_toffolis, Circuit, QubitId};
+use cqla_circuit::{decompose_toffolis, Circuit, DependencyDag, QubitId};
 use cqla_compile::{random::random_circuit, SAMPLE_PROGRAM};
 use cqla_ecc::{Code, Level};
 use cqla_iontrap::TechPoint;
 
 use crate::area::BLOCK_DATA_QUBITS;
-use crate::cache::{CacheSim, FetchPolicy};
+use crate::cache::CacheSim;
 use crate::eval::EvalCtx;
 use crate::json::Json;
 
@@ -192,7 +192,9 @@ impl Experiment for Compile {
         };
         let tech = self.tech.params();
         let lowered = decompose_toffolis(&program);
-        let costs = ctx.compiled_costs(&lowered, self.width);
+        // One DAG serves both the schedule and the optimized cache run.
+        let dag = DependencyDag::new(&lowered);
+        let costs = ctx.compiled_costs(&lowered, &dag, self.width);
 
         // Latency: every step of the schedule is one logical gate step.
         // L2 prices all steps at level 2; the mixed bound lets the Eq. 1
@@ -214,8 +216,7 @@ impl Experiment for Compile {
         let (hit_rate, fetches) = if lowered.is_empty() {
             (0.0, 0)
         } else {
-            let warm =
-                CacheSim::new(capacity).run(&lowered, FetchPolicy::OptimizedLookahead, &inputs, 2);
+            let warm = CacheSim::new(capacity).run_optimized(&dag, &inputs, 2);
             (warm.hit_rate(), warm.last_fetch_misses())
         };
 

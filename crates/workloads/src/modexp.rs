@@ -106,8 +106,7 @@ impl ModExp {
     pub fn kernel_stats(&self) -> (u64, u64) {
         let gen_width = self.n.min(1024);
         let adder = DraperAdder::new(gen_width);
-        let circuit = adder.circuit();
-        let dag = DependencyDag::new(&circuit);
+        let dag = DependencyDag::new(adder.circuit_ref());
         let weight = cqla_circuit::Gate::two_qubit_gate_equivalents;
         let mut depth = dag.critical_path(weight);
         let mut work = dag.total_work(weight);

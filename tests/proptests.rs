@@ -578,3 +578,93 @@ mod compile_front_end {
         }
     }
 }
+
+// The compressed-sparse-row dependency DAG against its definition: gate
+// `i` depends on the latest earlier toucher of each of its operands, in
+// operand order with duplicates dropped, and a gate's successors are
+// every later gate listing it as a predecessor, in ascending order.
+
+mod dag_oracle {
+    use proptest::prelude::*;
+
+    use cqla_repro::circuit::{Circuit, DependencyDag};
+    use cqla_repro::compile::random::random_circuit;
+
+    /// Predecessor and successor lists computed straight from the
+    /// definition, by scanning the gate list.
+    fn reference(circuit: &Circuit) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let gates = circuit.gates();
+        let preds: Vec<Vec<usize>> = (0..gates.len())
+            .map(|i| {
+                let mut list = Vec::new();
+                for q in gates[i].qubits() {
+                    let latest = (0..i).rev().find(|&j| gates[j].qubits().contains(&q));
+                    if let Some(j) = latest.filter(|j| !list.contains(j)) {
+                        list.push(j);
+                    }
+                }
+                list
+            })
+            .collect();
+        let succs = (0..gates.len())
+            .map(|p| {
+                (p + 1..gates.len())
+                    .filter(|&i| preds[i].contains(&p))
+                    .collect()
+            })
+            .collect();
+        (preds, succs)
+    }
+
+    fn assert_matches_reference(circuit: &Circuit) {
+        let dag = DependencyDag::new(circuit);
+        let (preds, succs) = reference(circuit);
+        assert_eq!(dag.num_gates(), circuit.len());
+        assert_eq!(dag.num_qubits(), circuit.num_qubits());
+        for i in 0..circuit.len() {
+            assert_eq!(dag.gate(i), circuit.gates()[i]);
+            assert_eq!(dag.predecessors(i), &preds[i][..], "predecessors of {i}");
+            assert_eq!(dag.successors(i), &succs[i][..], "successors of {i}");
+        }
+    }
+
+    #[test]
+    fn edge_cases_match_the_definition() {
+        assert_matches_reference(&Circuit::new(3));
+        // Gates repeating an operand pair, in both orders, around a
+        // Toffoli that shares two operands with them.
+        let mut c = Circuit::new(4);
+        c.cnot(0, 1);
+        c.cz(1, 0);
+        c.toffoli(0, 1, 2);
+        c.cnot(0, 1);
+        c.toffoli(2, 3, 0);
+        c.h(3);
+        c.toffoli(1, 2, 3);
+        assert_matches_reference(&c);
+        let dag = DependencyDag::new(&c);
+        assert_eq!(dag.predecessors(1), &[0]);
+        assert_eq!(dag.successors(2), &[3, 4]);
+        assert_eq!(dag.predecessors(6), &[3, 4, 5]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn csr_dag_matches_the_definition(
+            qubits in 1u32..=24,
+            gates in 0u32..=200,
+            seed in any::<u64>(),
+        ) {
+            assert_matches_reference(&random_circuit(qubits, gates, seed));
+        }
+
+        #[test]
+        fn csr_dag_matches_the_definition_on_toffoli_heavy_circuits(
+            circuit in super::classical_circuit(6, 120),
+        ) {
+            assert_matches_reference(&circuit);
+        }
+    }
+}
