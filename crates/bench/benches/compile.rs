@@ -2,9 +2,9 @@
 //! Toffoli lowering plus list scheduling, and the full registry
 //! `compile` experiment (schedule, hierarchy placement, cache
 //! simulation) — the path `cqla compile` and `POST /v1/compile` walk
-//! per request. The `_65536` rungs time the DAG build, the list
-//! schedule and the optimized cache run one by one on a 2^16-gate
-//! program, large enough to show their per-gate cost.
+//! per request. The `_65536` rungs time the asm parse, the DAG build,
+//! the list schedule and the optimized cache run one by one on a
+//! 2^16-gate program, large enough to show their per-gate cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -35,12 +35,18 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(schedule_costs(&dag, 9)))
     });
 
-    // A 64-qubit, 2^16-gate program lowered as `compile` lowers it, and
-    // the artifact's cache at its defaults: 2 × 9 blocks × 9 data qubits.
-    let big = decompose_toffolis(&random_circuit(64, 1 << 16, 1));
+    // A 64-qubit, 2^16-gate program as asm text and lowered as `compile`
+    // lowers it, and the artifact's cache at its defaults: 2 × 9 blocks
+    // × 9 data qubits.
+    let big_program = random_circuit(64, 1 << 16, 1);
+    let big_text = asm::emit(&big_program);
+    let big = decompose_toffolis(&big_program);
     let big_dag = DependencyDag::new(&big);
     let capacity = (2 * 9 * BLOCK_DATA_QUBITS) as usize;
     let inputs: Vec<QubitId> = (0..big.num_qubits()).map(QubitId::new).collect();
+    c.bench_function("compile/parse_65536", |b| {
+        b.iter(|| black_box(asm::parse(&big_text)))
+    });
     c.bench_function("compile/dag_65536", |b| {
         b.iter(|| black_box(DependencyDag::new(&big)))
     });

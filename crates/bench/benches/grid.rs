@@ -1,6 +1,6 @@
 //! The registry grid layer: parse a `key=value-set` expression against
 //! fig2's declared parameters and execute the width grid on the
-//! work-stealing pool — the machinery behind `cqla run fig2
+//! shared job pool — the machinery behind `cqla run fig2
 //! bits=32..=128:*2` (and its HTTP twins).
 
 use criterion::{criterion_group, criterion_main, Criterion};

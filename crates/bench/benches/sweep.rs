@@ -1,5 +1,5 @@
 //! Sweep engine: the multi-technology `grid` spec through the
-//! work-stealing pool, serial vs parallel, plus JSON serialization.
+//! shared job pool, serial vs parallel, plus JSON serialization.
 //!
 //! Besides the criterion timings, this bench seeds the performance
 //! trajectory: it executes the grid once and writes its timing document

@@ -367,6 +367,16 @@ fn parse_qubit(raw: &str, token: &str, lineno: usize) -> Result<QubitId, ParseAs
         )
         .with_hint("the index is a decimal integer, e.g. q7")
     })?;
+    // The register size is the largest index plus one, a `u32` too.
+    if index == u32::MAX {
+        return Err(ParseAsmError::new(
+            lineno,
+            raw,
+            token,
+            format!("qubit index in {token:?} is out of range"),
+        )
+        .with_hint(format!("indices stop at q{}", u32::MAX - 1)));
+    }
     Ok(QubitId::new(index))
 }
 
@@ -489,6 +499,15 @@ mod tests {
         assert!(parse("cnot[2] q0, q1\n").is_err()); // stray order
         let err = parse("x 0\n").unwrap_err();
         assert_eq!(err.span(), (2, 3));
+    }
+
+    #[test]
+    fn an_index_past_the_largest_register_is_an_error_not_a_panic() {
+        // q4294967295 would need a register of 2^32 qubits.
+        let err = parse("x q4294967295\n").unwrap_err();
+        assert!(err.message().contains("out of range"), "{err}");
+        assert_eq!(err.span(), (2, 13));
+        assert_eq!(parse("x q4294967294\n").unwrap().num_qubits(), u32::MAX);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! assert!(output.text.contains("1024-bit"));
 //! ```
 
+use cqla_circuit::asm::ParseAsmError;
 use cqla_ecc::Code;
 use cqla_iontrap::TechPoint;
 use cqla_workloads::MAX_ADDER_BITS;
@@ -209,6 +210,9 @@ pub enum ParamError {
         /// The repeated key.
         key: String,
     },
+    /// The `compile` artifact's `program` text does not parse; displays
+    /// the parser's caret diagnostic, hint included.
+    Program(ParseAsmError),
 }
 
 impl core::fmt::Display for ParamError {
@@ -237,6 +241,7 @@ impl core::fmt::Display for ParamError {
                 write!(f, "bad value `{value}` for `{key}`; expected {accepts}")
             }
             Self::DuplicateKey { key } => write!(f, "duplicate parameter `{key}`"),
+            Self::Program(err) => err.fmt(f),
         }
     }
 }
@@ -282,7 +287,8 @@ pub trait Experiment {
     /// # Errors
     ///
     /// [`ParamError::UnknownKey`] when the experiment has no such
-    /// parameter, [`ParamError::BadValue`] when the value does not parse.
+    /// parameter, [`ParamError::BadValue`] when the value does not parse,
+    /// [`ParamError::Program`] when `compile`'s program text does not.
     fn set(&mut self, key: &str, value: &str) -> Result<(), ParamError> {
         let _ = value;
         Err(unknown_key(key, &self.params()))

@@ -5,12 +5,16 @@
 //! than a parameter tuple: the circuit comes either from inline asm text
 //! (the CLI's `cqla compile FILE`, HTTP's `POST /v1/compile` body) or
 //! from the seeded Clifford+T generator in [`cqla_compile::random`]
-//! (`source=random`, reproducible by `seed=`). Either way the pipeline
-//! is `parse → decompose Toffolis → dependency DAG → list-schedule under
-//! the width budget → hierarchy placement`, priced with the same
-//! memoized [`EvalCtx`] machinery the paper tables use.
+//! (`source=random`, reproducible by `seed=`). Asm text is parsed once,
+//! when the `program` override is set, so a bad program is a
+//! [`super::ParamError::Program`] and a run cannot fail. The pipeline is
+//! `decompose Toffolis → dependency DAG → list-schedule under the width
+//! budget → hierarchy placement`, priced with the same memoized
+//! [`EvalCtx`] machinery the paper tables use.
 
-use cqla_circuit::{decompose_toffolis, Circuit, DependencyDag, QubitId};
+use std::borrow::Cow;
+
+use cqla_circuit::{asm, decompose_toffolis, Circuit, DependencyDag, QubitId};
 use cqla_compile::{random::random_circuit, SAMPLE_PROGRAM};
 use cqla_ecc::{Code, Level};
 use cqla_iontrap::TechPoint;
@@ -88,10 +92,11 @@ pub struct Compile {
     pub gates: u32,
     /// Where the program comes from.
     pub source: CompileSource,
-    /// Inline asm text (`source=inline-asm`); [`SAMPLE_PROGRAM`] when
-    /// absent. Set via the undeclared `program` override — front ends
-    /// pass files/bodies through it.
-    pub program: Option<String>,
+    /// The parsed inline program (`source=inline-asm`);
+    /// [`SAMPLE_PROGRAM`] when absent. Set via the undeclared `program`
+    /// override, which parses the text — front ends pass files/bodies
+    /// through it.
+    pub program: Option<Circuit>,
 }
 
 impl Default for Compile {
@@ -111,20 +116,17 @@ impl Default for Compile {
 }
 
 impl Compile {
-    /// Resolves the program circuit from the configured source.
-    ///
-    /// # Errors
-    ///
-    /// The spanned parse error for inline asm that does not parse.
-    fn resolve_program(&self) -> Result<Circuit, cqla_circuit::asm::ParseAsmError> {
-        match self.source {
-            CompileSource::Random => Ok(random_circuit(
+    /// The program circuit from the configured source.
+    fn resolve_program(&self) -> Cow<'_, Circuit> {
+        match (self.source, &self.program) {
+            (CompileSource::Random, _) => Cow::Owned(random_circuit(
                 self.qubits,
                 self.gates,
                 u64::from(self.seed),
             )),
-            CompileSource::InlineAsm => {
-                cqla_circuit::asm::parse(self.program.as_deref().unwrap_or(SAMPLE_PROGRAM))
+            (CompileSource::InlineAsm, Some(program)) => Cow::Borrowed(program),
+            (CompileSource::InlineAsm, None) => {
+                Cow::Owned(asm::parse(SAMPLE_PROGRAM).expect("the sample program parses"))
             }
         }
     }
@@ -162,9 +164,11 @@ impl Experiment for Compile {
             "qubits" => self.qubits = parse_positive("qubits", value)?,
             "gates" => self.gates = parse_positive("gates", value)?,
             "source" => self.source = parse_source("source", value)?,
-            // Undeclared pass-through: the program text itself. Validated
-            // at run time (front ends pre-validate for spanned errors).
-            "program" => self.program = Some(value.to_owned()),
+            // Undeclared pass-through: the program text itself, parsed
+            // here and only here.
+            "program" => {
+                self.program = Some(asm::parse(value).map_err(super::ParamError::Program)?);
+            }
             _ => return Err(unknown_key(key, &self.params())),
         }
         Ok(())
@@ -172,24 +176,7 @@ impl Experiment for Compile {
 
     fn run_ctx(&self, ctx: &EvalCtx) -> ExperimentOutput {
         use std::fmt::Write as _;
-        let program = match self.resolve_program() {
-            Ok(p) => p,
-            Err(err) => {
-                // Front ends validate first and render the caret
-                // diagnostic; this path is the safety net that keeps a
-                // bad `program=` override from panicking anything.
-                let data = Json::obj([
-                    ("error", Json::from(err.to_string())),
-                    (
-                        "hint",
-                        err.hint().map_or(Json::Null, |h| Json::from(h.to_owned())),
-                    ),
-                ]);
-                let mut out = ExperimentOutput::new(err.to_string(), data);
-                out.passed = false;
-                return out;
-            }
-        };
+        let program = self.resolve_program();
         let tech = self.tech.params();
         let lowered = decompose_toffolis(&program);
         // One DAG serves both the schedule and the optimized cache run.
@@ -394,11 +381,18 @@ mod tests {
     fn bad_program_fails_without_panicking() {
         let mut c = Compile::default();
         c.set("source", "inline-asm").unwrap();
-        c.set("program", "frobnicate q0\n").unwrap();
-        let out = c.run();
-        assert!(!out.passed);
-        assert!(out.text.contains("frobnicate"));
-        assert!(out.data.get("error").is_some());
+        let err = c.set("program", "frobnicate q0\n").unwrap_err();
+        let crate::experiments::ParamError::Program(parse) = &err else {
+            panic!("expected a program error, got {err:?}");
+        };
+        assert_eq!(err.to_string(), parse.to_string());
+        assert!(err.to_string().contains("unknown mnemonic \"frobnicate\""));
+        assert!(err.to_string().contains("  ^^^^^^^^^^"));
+        assert!(parse.hint().is_some());
+        assert_eq!(
+            c.program, None,
+            "a rejected program leaves the sample in place"
+        );
     }
 
     #[test]

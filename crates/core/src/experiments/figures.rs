@@ -164,13 +164,7 @@ pub const FIG6A_BLOCKS: [u32; 7] = [4, 16, 36, 64, 100, 144, 196];
 /// The utilization is schedule-derived and technology independent, so
 /// cells shared with Table 4 (or other grid points) come for free.
 #[must_use]
-pub fn fig6a_cell_ctx(
-    tech: &TechnologyParams,
-    adder_bits: u32,
-    blocks: u32,
-    ctx: &EvalCtx,
-) -> Fig6aRow {
-    let _ = tech; // kept for signature parity with the other per-cell fns
+pub fn fig6a_cell_ctx(adder_bits: u32, blocks: u32, ctx: &EvalCtx) -> Fig6aRow {
     Fig6aRow {
         adder_bits,
         blocks,
@@ -199,11 +193,10 @@ impl Fig6a {
     /// memoized in `ctx`.
     #[must_use]
     pub fn rows_ctx(&self, ctx: &EvalCtx) -> Vec<Fig6aRow> {
-        let tech = self.tech.params();
         let mut rows = Vec::new();
         for &bits in &FIG6A_SIZES {
             for &b in &FIG6A_BLOCKS {
-                rows.push(fig6a_cell_ctx(&tech, bits, b, ctx));
+                rows.push(fig6a_cell_ctx(bits, b, ctx));
             }
         }
         rows

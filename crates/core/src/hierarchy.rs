@@ -12,8 +12,11 @@
 //! The paper's text prescribes "one level 1 addition for every two level 2
 //! additions" with the two compute regions operating concurrently; its
 //! Table 5 "Adder SpeedUp" column, however, is not derivable from that
-//! ratio (see EXPERIMENTS.md). We therefore evaluate three policies that
-//! bracket the design space:
+//! ratio. With both regions busy, a 1:2 mix finishes three additions in
+//! the time of two level-2 ones, so its speedup is at most 1.5× the
+//! level-2 column. For Steane at 256 bits with 10 transfer channels that
+//! is 0.754 (`cqla run table5`), while the paper prints 6.25. We
+//! therefore evaluate three policies that bracket the design space:
 //!
 //! * [`MixPolicy::Interleave`] — the text's 1:2 ratio (conservative),
 //! * [`MixPolicy::FidelityBudgeted`] — as much level-1 work as the Eq. 1

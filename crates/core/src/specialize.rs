@@ -198,11 +198,14 @@ mod tests {
 
     #[test]
     fn speedup_shape_matches_table4() {
-        // Qualitative Table 4 shape (absolute values differ because our
-        // Brent-Kung DAG exposes ~2x the parallelism of the paper's
-        // round-synchronous scheduler; see EXPERIMENTS.md): specializing
-        // never beats maximum parallelism on a single addition, more
-        // blocks always help, and enough blocks reach the unlimited bound.
+        // Qualitative Table 4 shape. Absolute values sit below the
+        // paper's because our Brent-Kung DAG is more parallel: the 64-bit
+        // adder's work/critical-path ratio is ≈ 22 where the paper's
+        // Fig 2 saturates at 15 blocks, so a fixed block count stretches
+        // it more (32 bits on 4 blocks: 0.331 here, `cqla run table4`;
+        // the paper's Steane column spans 0.54-0.98). Specializing never
+        // beats maximum parallelism on a single addition, more blocks
+        // always help, and enough blocks reach the unlimited bound.
         let s = study();
         for (n, [b1, b2]) in TABLE4_GRID {
             let r1 = s.evaluate_ctx(CqlaConfig::new(Code::Steane713, n, b1), &EvalCtx::new());

@@ -53,7 +53,8 @@ pub fn gottesman_failure_rate(p0: Probability, p_th: Probability, level: Level) 
 /// ```
 /// use cqla_ecc::fidelity::AppSize;
 ///
-/// let shor = AppSize::shor_factoring(1024);
+/// // Shor-1024: K and Q as `ShorInstance::app_size` gives them.
+/// let shor = AppSize::new(1_398_801_408.0, 6144.0);
 /// assert!(shor.op_count() > 1e12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,22 +80,6 @@ impl AppSize {
             "qubits must be positive"
         );
         Self { timesteps, qubits }
-    }
-
-    /// Estimated size of factoring an `n`-bit number with Shor's algorithm
-    /// using Draper carry-lookahead addition: ~6n logical qubits, ~2n²
-    /// additions of Toffoli-depth ~4·lg n + 14, with 15 gate rounds per
-    /// Toffoli.
-    #[must_use]
-    pub fn shor_factoring(n: u32) -> Self {
-        let n = f64::from(n);
-        let additions = 2.0 * n * n;
-        let toffoli_depth = 4.0 * n.log2() + 14.0;
-        let timesteps = additions * toffoli_depth * 15.0;
-        Self {
-            timesteps,
-            qubits: 6.0 * n,
-        }
     }
 
     /// `K` — logical time-steps.
@@ -133,7 +118,7 @@ impl AppSize {
 ///
 /// let tech = TechnologyParams::projected();
 /// let budget = FidelityBudget::new(Code::Steane713, &tech);
-/// let app = AppSize::shor_factoring(1024);
+/// let app = AppSize::new(1_398_801_408.0, 6144.0); // Shor-1024
 /// let share = budget.max_level1_share(app);
 /// // Paper: "it can spend only 2% of the total execution time in level 1".
 /// assert!(share > 0.0 && share < 0.2, "share = {share}");
@@ -254,10 +239,16 @@ mod tests {
         );
     }
 
+    /// Shor-1024's size: K and Q as `ShorInstance::app_size` gives them
+    /// (pinned bit-exact in `cqla-workloads`).
+    fn shor_1024() -> AppSize {
+        AppSize::new(1_398_801_408.0, 6144.0)
+    }
+
     #[test]
     fn shor_1024_needs_level_two() {
         let budget = FidelityBudget::new(Code::Steane713, &tech());
-        let app = AppSize::shor_factoring(1024);
+        let app = shor_1024();
         assert_eq!(budget.required_level(app), Some(Level::TWO));
     }
 
@@ -274,7 +265,7 @@ mod tests {
         // Paper §5.2: "for our system to be reliable it can spend only 2%
         // of the total execution time in level 1" (Steane, Shor-1024).
         let budget = FidelityBudget::new(Code::Steane713, &tech());
-        let share = budget.max_level1_share(AppSize::shor_factoring(1024));
+        let share = budget.max_level1_share(shor_1024());
         assert!(
             (0.005..=0.10).contains(&share),
             "expected a few percent, got {share}"
@@ -285,7 +276,7 @@ mod tests {
     fn bacon_shor_budget_is_more_favourable() {
         // Paper: "The Bacon-Shor ECC can be analyzed in a similar manner
         // and their results are more favourable due to a higher threshold."
-        let app = AppSize::shor_factoring(1024);
+        let app = shor_1024();
         let st = FidelityBudget::new(Code::Steane713, &tech()).max_level1_share(app);
         let bs = FidelityBudget::new(Code::BaconShor913, &tech()).max_level1_share(app);
         assert!(bs > st, "steane {st}, bacon-shor {bs}");

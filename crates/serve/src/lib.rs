@@ -11,7 +11,7 @@
 //! bounded accept loop feeds a fixed pool of worker threads serving
 //! **keep-alive** connections (pipelining included, bounded by a
 //! per-connection request cap and an idle timeout); sweep bodies
-//! execute on the `cqla-sweep` work-stealing pool; and because every
+//! execute on the `cqla-sweep` shared job pool; and because every
 //! registry run is a pure function of `(id, params)`, run responses are
 //! cached, **single-flight** (concurrent cold misses coalesce onto one
 //! execution), and served byte-identically forever after.

@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use cqla_core::experiments::{
     apply_overrides, find, ids, is_set_clause, listing_json, params_usage, suggest, Experiment,
-    Grid,
+    Grid, ParamError,
 };
 use cqla_core::Json;
 use cqla_ecc::memo::{Memo, Outcome};
@@ -685,11 +685,11 @@ fn cached_run(
         .try_get_or_compute(canonical_key(id, params), || {
             let pairs = params.iter().map(|(k, v)| (k.as_str(), v.as_str()));
             apply_overrides(experiment.as_mut(), pairs).map_err(|e| {
-                Response::error(
-                    Status::BadRequest,
-                    e.to_string(),
-                    Some(format!("{id} takes: {}", params_usage(experiment.as_ref()))),
-                )
+                let hint = match &e {
+                    ParamError::Program(parse) => parse.hint().map(str::to_owned),
+                    _ => Some(format!("{id} takes: {}", params_usage(experiment.as_ref()))),
+                };
+                Response::error(Status::BadRequest, e.to_string(), hint)
             })?;
             let output = experiment.run();
             shared.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -754,7 +754,7 @@ fn parse_grid(experiment: &dyn Experiment, expr: &str) -> Result<Grid, Response>
 
 /// `POST /v1/sweep/{id}` — the body is one `key=value-set` expression
 /// over the experiment's declared parameters, executed as a grid on the
-/// work-stealing pool and streamed point by point. The concatenated
+/// shared job pool and streamed point by point. The concatenated
 /// chunks are the same merged document the grid-query form of
 /// `GET /v1/run/{id}` produces.
 fn sweep_grid_endpoint(id: &str, body: &[u8]) -> Routed {
@@ -1164,7 +1164,7 @@ fn canonical_key(id: &str, sorted_params: &[(String, String)]) -> String {
 /// `POST /v1/sweep` — the body is one sweep-spec expression (or builtin
 /// name). The response body is byte-identical to
 /// `cqla sweep SPEC --format json`, whether it is computed on the
-/// local work-stealing pool or — when this node fronts a fleet
+/// local shared job pool or — when this node fronts a fleet
 /// (`cqla serve --workers …`) — distributed across the workers by the
 /// [`cqla_dist`] coordinator.
 fn sweep_endpoint(body: &[u8], shared: &Shared, pool_threads: usize) -> Response {
@@ -1221,9 +1221,9 @@ fn sweep_endpoint(body: &[u8], shared: &Shared, pool_threads: usize) -> Response
 /// artifact document plus the trailing newline. Bodies ride the same
 /// results cache as `/v1/run/{id}` — the
 /// program text is one more (length-prefixed) component of the
-/// canonical key — and programs that fail to parse are answered 400
-/// with the spanned caret diagnostic and its hint, before the cache is
-/// consulted.
+/// canonical key. The program is parsed only on a cache miss, when
+/// `program` is set, and one that fails to parse is answered 400 with
+/// the spanned caret diagnostic and its hint, uncached.
 fn compile_endpoint(body: &[u8], query: &[(String, String)], shared: &Shared) -> Response {
     shared.compiles.fetch_add(1, Ordering::Relaxed);
     let Ok(source) = core::str::from_utf8(body) else {
@@ -1263,12 +1263,6 @@ fn compile_endpoint(body: &[u8], query: &[(String, String)], shared: &Shared) ->
                 "`program` is set from the request body",
                 Some("POST the program as the body and drop the query param".to_owned()),
             );
-        }
-        // Pre-validate so a broken program answers 400 with the spanned
-        // diagnostic instead of a failed-run document.
-        if let Err(e) = cqla_circuit::asm::parse(source) {
-            let hint = e.hint().map(str::to_owned);
-            return Response::error(Status::BadRequest, e.to_string(), hint);
         }
         params.push(("program".to_owned(), source.to_owned()));
     }
@@ -1674,8 +1668,7 @@ mod tests {
         assert_eq!(resp.status, Status::BadRequest);
         assert!(resp.body.contains("unknown mnemonic"), "{}", resp.body);
         assert!(resp.body.contains("^^^^^^^^^^"), "{}", resp.body);
-        // Parse errors are rejected before the cache is consulted and
-        // never cached.
+        // Parse errors are rejected before the run and never cached.
         assert!(shared.cache.is_empty());
         assert_eq!(shared.cache_misses.load(Ordering::Relaxed), 0);
         let binary = compile_endpoint(&[0xff, 0xfe], &[], shared);

@@ -1,4 +1,4 @@
-//! The sweep executor: runs a [`Sweep`]'s job grid on the work-stealing
+//! The sweep executor: runs a [`Sweep`]'s job grid on the shared
 //! pool and packages results, timings, and serialization.
 //!
 //! Determinism contract: [`SweepRun::to_json`] depends only on the sweep

@@ -1,4 +1,4 @@
-//! Grid execution: run a registry-driven [`Grid`] on the work-stealing
+//! Grid execution: run a registry-driven [`Grid`] on the shared
 //! pool and merge the per-point artifact documents.
 //!
 //! A [`Grid`] (parsed by [`cqla_core::experiments::grid`] against an

@@ -11,7 +11,7 @@
 //! stack:
 //!
 //! * [`pool`] — the one in-order executor: a scoped-thread
-//!   work-stealing pool with per-job timing whose single reorder buffer
+//!   shared job pool with per-job timing whose single reorder buffer
 //!   hands each result to a callback in submission order
 //!   ([`pool::map_streamed`]);
 //! * [`frame`] — the one document framing: head fields plus a

@@ -1,12 +1,11 @@
-//! A scoped-thread work-stealing executor for embarrassingly parallel
-//! job grids.
+//! A scoped-thread job pool for embarrassingly parallel job grids.
 //!
-//! Built on [`std::thread::scope`] only — no external dependencies. Jobs
-//! are dealt round-robin into one double-ended queue per worker; each
-//! worker drains its own queue from the front and, when empty, steals
-//! from the back of a sibling's queue. The jobs of a sweep vary widely in
-//! cost (a 1024-bit adder point costs ~100× a 32-bit one), so stealing —
-//! not static chunking — is what keeps all cores busy to the end.
+//! Built on [`std::thread::scope`] only — no external dependencies.
+//! Workers claim jobs from one shared atomic cursor: each free worker
+//! takes the next unclaimed index. The jobs of a sweep vary widely in
+//! cost (a 1024-bit adder point costs ~100× a 32-bit one), so claiming
+//! one job at a time — not static chunking — is what keeps all cores
+//! busy to the end.
 //!
 //! Results come back in submission order no matter which worker ran
 //! what: one reorder buffer holds early finishers and hands the
@@ -14,7 +13,7 @@
 //! streamed and collected output both diff byte-for-byte against a
 //! serial run.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -108,11 +107,10 @@ where
             .collect();
     }
 
-    // Deal jobs round-robin so every worker starts with a share spanning
-    // the grid (cheap and expensive points alike).
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| Mutex::new((w..items.len()).step_by(threads).collect()))
-        .collect();
+    // The next unclaimed job. `Relaxed` suffices: the cursor publishes
+    // no data (items are shared read-only, results travel through the
+    // reorder lock), and `fetch_add` alone makes each claim unique.
+    let cursor = AtomicUsize::new(0);
     // The reorder buffer: completed results by index, plus the index of
     // the next one to deliver.
     let reorder = Mutex::new((
@@ -122,18 +120,20 @@ where
         0,
     ));
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (queues, reorder, run, deliver) = (&queues, &reorder, &run, &deliver);
-            scope.spawn(move || {
-                while let Some(idx) = next_job(queues, w) {
-                    let timed = run(idx);
-                    let (slots, next) = &mut *reorder.lock().expect("reorder lock");
-                    debug_assert!(slots[idx].is_none(), "job {idx} ran twice");
-                    slots[idx] = Some(timed);
-                    while let Some(Some(ready)) = slots.get(*next) {
-                        deliver(*next, &ready.value);
-                        *next += 1;
-                    }
+        for _ in 0..threads {
+            let (cursor, reorder, run, deliver) = (&cursor, &reorder, &run, &deliver);
+            scope.spawn(move || loop {
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                if idx >= items.len() {
+                    break;
+                }
+                let timed = run(idx);
+                let (slots, next) = &mut *reorder.lock().expect("reorder lock");
+                debug_assert!(slots[idx].is_none(), "job {idx} ran twice");
+                slots[idx] = Some(timed);
+                while let Some(Some(ready)) = slots.get(*next) {
+                    deliver(*next, &ready.value);
+                    *next += 1;
                 }
             });
         }
@@ -143,22 +143,6 @@ where
         .into_iter()
         .map(|slot| slot.expect("every job ran exactly once"))
         .collect()
-}
-
-/// Pops the next job for worker `w`: front of its own queue, else steal
-/// from the back of the first non-empty sibling queue.
-fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(idx) = queues[w].lock().expect("queue lock").pop_front() {
-        return Some(idx);
-    }
-    let n = queues.len();
-    for offset in 1..n {
-        let victim = (w + offset) % n;
-        if let Some(idx) = queues[victim].lock().expect("queue lock").pop_back() {
-            return Some(idx);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -305,7 +305,7 @@ fn is_grid_syntax(overrides: &[String]) -> bool {
 
 /// Grid-runs one registry artifact over a `key=value-set` expression:
 /// parse against the experiment's declared parameters, execute every
-/// point on the work-stealing pool, emit the merged document. Shared by
+/// point on the shared job pool, emit the merged document. Shared by
 /// `cqla run <id> k=set…` and `cqla sweep <id> k=set…`.
 fn run_grid(cli: &Cli, exp: &dyn Experiment, clauses: &[String]) -> Result<ExitCode, UsageError> {
     let expr = clauses.join(" ");
@@ -635,9 +635,9 @@ fn sweep(cli: &Cli) -> Result<ExitCode, UsageError> {
 }
 
 /// `cqla compile FILE [key=value ...]`: compile one asm program file
-/// (`-` reads stdin) through the registry's `compile` artifact. The
-/// program is pre-validated so a bad file exits 2 with the spanned
-/// caret diagnostic; overrides tune the machine (`width=`, `tech=`,
+/// (`-` reads stdin) through the registry's `compile` artifact. Setting
+/// the program parses it, so a bad file exits 2 with the spanned caret
+/// diagnostic; overrides tune the machine (`width=`, `tech=`,
 /// `code=`, `cache=`). Seed grids live on `cqla run compile` instead —
 /// a single program compile has exactly one point.
 fn compile(cli: &Cli) -> Result<ExitCode, UsageError> {
@@ -665,17 +665,13 @@ fn compile(cli: &Cli) -> Result<ExitCode, UsageError> {
             }
         }
     };
-    // Pre-validate: a program that does not parse is a usage error (exit
-    // 2) with the full caret diagnostic, same contract as bad sweep
-    // specs.
-    if let Err(e) = cqla_repro::circuit::asm::parse(&source) {
-        return Err(UsageError::new(format!("{path}: {e}")));
-    }
     let mut exp = find("compile").expect("compile is registered");
     exp.set("source", "inline-asm")
         .expect("inline-asm is valid");
+    // A program that does not parse is a usage error (exit 2) with the
+    // full caret diagnostic, same contract as bad sweep specs.
     exp.set("program", &source)
-        .expect("program accepts any text");
+        .map_err(|e| UsageError::new(format!("{path}: {e}")))?;
     let mut pairs = Vec::new();
     for pair in &cli.args[2..] {
         let Some((key, value)) = pair.split_once('=') else {
@@ -704,13 +700,10 @@ fn compile(cli: &Cli) -> Result<ExitCode, UsageError> {
             format!("compile takes: {}", params_usage(exp.as_ref())),
         )
     })?;
+    // A parsed program always compiles: only `verify` can fail a run.
     let output = exp.run();
     cli.emit(|| output.text.clone(), || output.document(exp.id()));
-    Ok(if output.passed {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `cqla bench-diff OLD NEW [--threshold X]`: the perf regression gate.

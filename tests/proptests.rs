@@ -541,13 +541,83 @@ mod sweep_spec {
 // survive the asm front door losslessly — emit -> parse -> emit is
 // byte-identical for any (qubits, gates, seed) — and generation itself
 // must be a pure function of the seed, which is what makes `seed=` a
-// cache- and shard-stable parameter across CLI, HTTP, and fleets.
+// cache- and shard-stable parameter across CLI, HTTP, and fleets. The
+// door itself faces untrusted text, so mutated programs fuzz it.
 
 mod compile_front_end {
     use proptest::prelude::*;
 
     use cqla_repro::circuit::asm;
     use cqla_repro::compile::random::random_circuit;
+    use cqla_repro::compile::SAMPLE_PROGRAM;
+
+    /// What a mutation inserts or writes: the grammar's own characters,
+    /// whitespace, and one multi-byte character to test char boundaries.
+    const MUTANT_CHARS: &str = "abcdefghijklmnopqrstuvwxyzQXZ0123456789,[]#: \t\nλ";
+
+    /// Applies `(kind, position, char)` edits — insert, delete or
+    /// replace — to `text`, char by char so the result stays UTF-8.
+    fn mutate(text: &str, edits: &[(u8, usize, usize)]) -> String {
+        let alphabet: Vec<char> = MUTANT_CHARS.chars().collect();
+        let mut chars: Vec<char> = text.chars().collect();
+        for &(kind, pos, pick) in edits {
+            let c = alphabet[pick % alphabet.len()];
+            match kind {
+                0 => chars.insert(pos % (chars.len() + 1), c),
+                _ if chars.is_empty() => {}
+                1 => {
+                    chars.remove(pos % chars.len());
+                }
+                _ => {
+                    let at = pos % chars.len();
+                    chars[at] = c;
+                }
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    proptest! {
+        // Each case parses a few hundred bytes; debug builds run fewer.
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 1024 } else { 16384 }
+        ))]
+
+        #[test]
+        fn mutated_programs_parse_or_fail_with_an_in_line_span(
+            sample in any::<bool>(),
+            qubits in 1u32..=8,
+            gates in 0u32..=24,
+            seed in any::<u64>(),
+            edits in prop::collection::vec((0u8..3, any::<usize>(), any::<usize>()), 1..=8),
+        ) {
+            let valid = if sample {
+                SAMPLE_PROGRAM.to_owned()
+            } else {
+                asm::emit(&random_circuit(qubits, gates, seed))
+            };
+            let text = mutate(&valid, &edits);
+            match asm::parse(&text) {
+                Ok(circuit) => {
+                    let again = asm::parse(&asm::emit(&circuit))
+                        .unwrap_or_else(|e| panic!("emitted text must parse: {e}\n{text:?}"));
+                    prop_assert_eq!(again, circuit, "mutant {:?}", text);
+                }
+                Err(err) => {
+                    let (start, end) = err.span();
+                    let line = err.source_line();
+                    prop_assert!(start <= end && end <= line.len(), "{:?} in {:?}", err.span(), line);
+                    prop_assert!(
+                        line.is_char_boundary(start) && line.is_char_boundary(end),
+                        "{:?} splits a char of {:?}",
+                        err.span(),
+                        line
+                    );
+                    prop_assert!(err.to_string().contains(err.message()), "mutant {:?}", text);
+                }
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
