@@ -2,9 +2,10 @@
 //! Toffoli lowering plus list scheduling, and the full registry
 //! `compile` experiment (schedule, hierarchy placement, cache
 //! simulation) — the path `cqla compile` and `POST /v1/compile` walk
-//! per request. The `_65536` rungs time the asm parse, the DAG build,
-//! the list schedule and the optimized cache run one by one on a
-//! 2^16-gate program, large enough to show their per-gate cost.
+//! per request. The `_65536` rungs time the asm emit and parse, the DAG
+//! build, the list schedule and the optimized cache run one by one on a
+//! 2^16-gate program, large enough to show their per-gate cost, and then
+//! the whole artifact on that program.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -12,7 +13,7 @@ use std::hint::black_box;
 use cqla_circuit::{asm, decompose_toffolis, DependencyDag, QubitId};
 use cqla_compile::{random::random_circuit, schedule_costs};
 use cqla_core::experiments::find;
-use cqla_core::{CacheSim, BLOCK_DATA_QUBITS};
+use cqla_core::{CacheSim, EvalCtx, BLOCK_DATA_QUBITS};
 
 fn bench(c: &mut Criterion) {
     let circuit = random_circuit(16, 256, 1);
@@ -44,6 +45,9 @@ fn bench(c: &mut Criterion) {
     let big_dag = DependencyDag::new(&big);
     let capacity = (2 * 9 * BLOCK_DATA_QUBITS) as usize;
     let inputs: Vec<QubitId> = (0..big.num_qubits()).map(QubitId::new).collect();
+    c.bench_function("compile/emit_65536", |b| {
+        b.iter(|| black_box(asm::emit(&big_program)))
+    });
     c.bench_function("compile/parse_65536", |b| {
         b.iter(|| black_box(asm::parse(&big_text)))
     });
@@ -55,6 +59,16 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("compile/cache_optimized_65536", |b| {
         b.iter(|| black_box(CacheSim::new(capacity).run_optimized(&big_dag, &inputs, 2)))
+    });
+    // The whole artifact on the big program, as `cqla compile FILE`
+    // runs it: set the program (one parse), then run on a fresh context.
+    c.bench_function("compile/experiment_65536", |b| {
+        b.iter(|| {
+            let mut exp = find("compile").expect("registry has `compile`");
+            exp.set("source", "inline-asm").expect("a valid source");
+            exp.set("program", &big_text).expect("the program parses");
+            black_box(exp.run_ctx(&EvalCtx::new()))
+        })
     });
     // The whole artifact, defaults — what one cold `/v1/compile` costs.
     c.bench_function("compile/experiment_default", |b| {

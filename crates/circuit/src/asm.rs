@@ -134,7 +134,11 @@ impl std::error::Error for ParseAsmError {}
 /// `Display` produces).
 #[must_use]
 pub fn emit(circuit: &Circuit) -> String {
-    circuit.to_string()
+    use core::fmt::Write as _;
+    // About one short line per gate; sizing up front skips the regrowth.
+    let mut text = String::with_capacity(32 + 16 * circuit.len());
+    write!(text, "{circuit}").expect("writing to a String cannot fail");
+    text
 }
 
 /// Parses assembly text into a circuit.
@@ -180,7 +184,9 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAsmError> {
             continue;
         }
         let gate = parse_line(raw, line, lineno)?;
-        for q in gate.qubits() {
+        // Unused slots repeat the first operand, so all three count.
+        let (qubits, _) = gate.qubit_array();
+        for q in qubits {
             max_qubit = max_qubit.max(q.index());
         }
         gates.push(gate);
@@ -190,11 +196,9 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAsmError> {
         .unwrap_or(max_qubit + 1)
         .max(max_qubit + 1)
         .max(1);
-    let mut circuit = Circuit::new(num_qubits);
-    for g in gates {
-        circuit.push(g);
-    }
-    Ok(circuit)
+    // `parse_line` rejected repeated operands, and the register covers
+    // the largest index: every gate is valid as `Circuit::push` checks.
+    Ok(Circuit::from_validated(num_qubits, gates))
 }
 
 /// Parses one non-blank, non-comment line. `raw` is the full source line
@@ -239,12 +243,31 @@ fn parse_line(raw: &str, line: &str, lineno: usize) -> Result<Gate, ParseAsmErro
         .with_hint("only cphase takes an order, e.g. cphase[3] q0, q1"));
     }
 
-    let mut operands: Vec<QubitId> = Vec::new();
+    // Operands land in a fixed buffer sized for the widest gate. A longer
+    // list is an error; it spills to the heap only so the diagnostics
+    // below see every operand and the true count.
+    let mut buffer = [QubitId::new(0); 3];
+    let mut spill: Vec<QubitId> = Vec::new();
+    let mut count = 0;
     if !rest.is_empty() {
         for tok in rest.split(',') {
-            operands.push(parse_qubit(raw, tok.trim(), lineno)?);
+            let q = parse_qubit(raw, tok.trim(), lineno)?;
+            if count < buffer.len() {
+                buffer[count] = q;
+            } else {
+                if spill.is_empty() {
+                    spill.extend_from_slice(&buffer);
+                }
+                spill.push(q);
+            }
+            count += 1;
         }
     }
+    let operands = if spill.is_empty() {
+        &buffer[..count]
+    } else {
+        &spill[..]
+    };
 
     let expect = |n: usize| -> Result<(), ParseAsmError> {
         if operands.len() == n {
@@ -508,6 +531,81 @@ mod tests {
         assert!(err.message().contains("out of range"), "{err}");
         assert_eq!(err.span(), (2, 13));
         assert_eq!(parse("x q4294967294\n").unwrap().num_qubits(), u32::MAX);
+    }
+
+    /// Operand-list diagnostics, rendered byte for byte: the repeat
+    /// check covers every operand on the line, however many there are,
+    /// and an arity error reports the true operand count.
+    #[test]
+    fn operand_list_diagnostics_are_pinned() {
+        let distinct = "hint: each operand must name a distinct qubit";
+        for (line, rendered) in [
+            (
+                "x q0, q1, q2, q0",
+                format!(
+                    "parse error at line 1, columns 2..16: x repeats operand q0\n  \
+                     x q0, q1, q2, q0\n    ^^^^^^^^^^^^^^\n  {distinct}"
+                ),
+            ),
+            (
+                "toffoli q0, q1, q2, q1",
+                format!(
+                    "parse error at line 1, columns 8..22: toffoli repeats operand q1\n  \
+                     toffoli q0, q1, q2, q1\n          ^^^^^^^^^^^^^^\n  {distinct}"
+                ),
+            ),
+            (
+                "cnot q0, q1, q2, q3, q4, q0",
+                format!(
+                    "parse error at line 1, columns 5..27: cnot repeats operand q0\n  \
+                     cnot q0, q1, q2, q3, q4, q0\n       ^^^^^^^^^^^^^^^^^^^^^^\n  {distinct}"
+                ),
+            ),
+            (
+                "h q1, q1",
+                format!(
+                    "parse error at line 1, columns 2..8: h repeats operand q1\n  \
+                     h q1, q1\n    ^^^^^^\n  {distinct}"
+                ),
+            ),
+            (
+                "x q0, q1, q2, q3, q3",
+                format!(
+                    "parse error at line 1, columns 2..20: x repeats operand q3\n  \
+                     x q0, q1, q2, q3, q3\n    ^^^^^^^^^^^^^^^^^^\n  {distinct}"
+                ),
+            ),
+            (
+                "cnot q0, q1, q2, q3",
+                "parse error at line 1, columns 5..19: cnot expects 2 operands, got 4\n  \
+                 cnot q0, q1, q2, q3\n       ^^^^^^^^^^^^^^\n  \
+                 hint: operands are comma-separated qubits, e.g. cnot q0, q1"
+                    .to_string(),
+            ),
+            (
+                "  toffoli q5, q6, q7, q8  ",
+                "parse error at line 1, columns 10..24: toffoli expects 3 operands, got 4\n  \
+                 \x20 toffoli q5, q6, q7, q8  \n            ^^^^^^^^^^^^^^\n  \
+                 hint: operands are comma-separated qubits, e.g. toffoli q0, q1, q2"
+                    .to_string(),
+            ),
+            (
+                "measure",
+                "parse error at line 1, columns 0..7: measure expects 1 operands, got 0\n  \
+                 measure\n  ^^^^^^^\n  \
+                 hint: operands are comma-separated qubits, e.g. measure q0"
+                    .to_string(),
+            ),
+            (
+                "x q0, q1, q2, banana, q0",
+                "parse error at line 1, columns 14..20: operand \"banana\" must look like q7\n  \
+                 x q0, q1, q2, banana, q0\n                ^^^^^^\n  \
+                 hint: qubit operands are `q` followed by an index"
+                    .to_string(),
+            ),
+        ] {
+            assert_eq!(parse(line).unwrap_err().to_string(), rendered, "{line:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Circuit container and builder.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use crate::gate::{Gate, QubitId};
 
@@ -38,6 +38,14 @@ impl Circuit {
             num_qubits,
             gates: Vec::new(),
         }
+    }
+
+    /// A circuit over gates the caller has already validated as
+    /// [`Circuit::push`] would: every operand inside the register, none
+    /// repeated within a gate.
+    pub(crate) fn from_validated(num_qubits: u32, gates: Vec<Gate>) -> Self {
+        debug_assert!(num_qubits > 0, "a circuit needs at least one qubit");
+        Self { num_qubits, gates }
     }
 
     /// Number of qubits in the register.
@@ -209,11 +217,10 @@ impl Circuit {
     /// Number of distinct qubits actually touched by gates.
     #[must_use]
     pub fn active_qubits(&self) -> usize {
-        let mut seen = BTreeMap::new();
+        let mut seen: BTreeSet<QubitId> = BTreeSet::new();
         for g in &self.gates {
-            for q in g.qubits() {
-                *seen.entry(q).or_insert(0u32) += 1;
-            }
+            let (qubits, len) = g.qubit_array();
+            seen.extend(&qubits[..len]);
         }
         seen.len()
     }
@@ -228,7 +235,8 @@ impl core::fmt::Display for Circuit {
             self.len()
         )?;
         for g in &self.gates {
-            writeln!(f, "{g}")?;
+            core::fmt::Display::fmt(g, f)?;
+            f.write_str("\n")?;
         }
         Ok(())
     }

@@ -36,7 +36,21 @@ impl From<u32> for QubitId {
 
 impl core::fmt::Display for QubitId {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "q{}", self.0)
+        // Hand-rolled decimal: emitting a program formats one index per
+        // operand, and this skips the formatting machinery.
+        let mut text = [0u8; 11];
+        let mut start = text.len();
+        let mut n = self.0;
+        loop {
+            start -= 1;
+            text[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        text[start - 1] = b'q';
+        f.write_str(core::str::from_utf8(&text[start - 1..]).expect("ASCII digits"))
     }
 }
 
@@ -238,18 +252,14 @@ impl Gate {
 
 impl core::fmt::Display for Gate {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}", self.mnemonic())?;
+        f.write_str(self.mnemonic())?;
         if let Self::ControlledPhase { order, .. } = self {
             write!(f, "[{order}]")?;
         }
-        let mut first = true;
-        for q in self.qubits() {
-            if first {
-                write!(f, " {q}")?;
-                first = false;
-            } else {
-                write!(f, ", {q}")?;
-            }
+        let (qubits, len) = self.qubit_array();
+        for (i, q) in qubits[..len].iter().enumerate() {
+            f.write_str(if i == 0 { " " } else { ", " })?;
+            core::fmt::Display::fmt(q, f)?;
         }
         Ok(())
     }
@@ -305,5 +315,8 @@ mod tests {
             order: 3,
         };
         assert_eq!(cp.to_string(), "cphase[3] q0, q1");
+        assert_eq!(Gate::X(QubitId::new(u32::MAX)).to_string(), "x q4294967295");
+        assert_eq!(QubitId::new(0).to_string(), "q0");
+        assert_eq!(QubitId::new(1_000_000).to_string(), "q1000000");
     }
 }

@@ -171,16 +171,27 @@ impl<'a> ListScheduler<'a> {
         );
         let priority = self.dag.downstream_priority(|g| weight(g));
 
+        // Both heaps order single `u64` keys: a time or priority in the
+        // high bits over the gate index in the low `shift` bits. Every
+        // priority and finish time is at most the total work, so the
+        // packing is exact when the total work fits above the index.
+        let total_work: u64 = weights.iter().sum();
+        let shift = usize::BITS - n.saturating_sub(1).leading_zeros();
+        assert!(
+            total_work <= u64::MAX >> shift,
+            "total work {total_work} of {n} gates overflows the packed heap keys"
+        );
+        let low = (1u64 << shift) - 1;
+        // Ready keys pack `(priority, Reverse(index))`: the max-heap pops
+        // the longest downstream path, ties going to program order.
+        let ready_key = |i: usize| (priority[i] << shift) | (low - i as u64);
         let mut indegree: Vec<usize> = (0..n).map(|i| self.dag.predecessors(i).len()).collect();
-        // Ready heap: max by (priority, Reverse(index)).
-        let mut ready: BinaryHeap<(u64, Reverse<usize>)> = BinaryHeap::new();
-        for i in 0..n {
-            if indegree[i] == 0 {
-                ready.push((priority[i], Reverse(i)));
-            }
-        }
-        // Completion events: min-heap of (finish_time, gate).
-        let mut running: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        let mut ready: BinaryHeap<u64> = (0..n)
+            .filter(|&i| indegree[i] == 0)
+            .map(ready_key)
+            .collect();
+        // Completion keys pack `(finish, index)` in a min-heap.
+        let mut running: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
         let mut start_times = vec![0u64; n];
         let mut busy = 0usize;
         let mut now = 0u64;
@@ -191,33 +202,34 @@ impl<'a> ListScheduler<'a> {
         while scheduled < n || !running.is_empty() {
             // Launch as many ready gates as slots allow.
             while busy < cap {
-                let Some((_, Reverse(i))) = ready.pop() else {
+                let Some(key) = ready.pop() else {
                     break;
                 };
+                let i = (low - (key & low)) as usize;
                 start_times[i] = now;
                 let finish = now + weights[i];
                 intervals.push((now, finish));
-                running.push(Reverse((finish, i)));
+                running.push(Reverse((finish << shift) | i as u64));
                 busy += 1;
                 scheduled += 1;
                 makespan = makespan.max(finish);
             }
             // Advance to the next completion.
-            let Some(Reverse((t, _))) = running.peek().copied() else {
+            let Some(&Reverse(key)) = running.peek() else {
                 assert_eq!(scheduled, n, "deadlock: gates remain but none running");
                 break;
             };
-            now = t;
-            while let Some(&Reverse((t2, i))) = running.peek() {
-                if t2 != now {
+            now = key >> shift;
+            while let Some(&Reverse(key)) = running.peek() {
+                if key >> shift != now {
                     break;
                 }
                 running.pop();
                 busy -= 1;
-                for &s in self.dag.successors(i) {
+                for &s in self.dag.successors((key & low) as usize) {
                     indegree[s] -= 1;
                     if indegree[s] == 0 {
-                        ready.push((priority[s], Reverse(s)));
+                        ready.push(ready_key(s));
                     }
                 }
             }
@@ -227,7 +239,7 @@ impl<'a> ListScheduler<'a> {
         Schedule {
             width,
             makespan,
-            total_work: weights.iter().sum(),
+            total_work,
             start_times,
             occupancy,
         }
@@ -413,6 +425,123 @@ mod tests {
         c.cnot(0, 1);
         let dag = DependencyDag::new(&c);
         let _ = ListScheduler::new(&dag).schedule(Width::Blocks(0), unit);
+    }
+
+    /// Reference list scheduler over two heaps of tuples,
+    /// `(priority, Reverse(index))` ready and `(finish, index)` running:
+    /// the oracle the packed `u64` heap keys must agree with.
+    fn reference_schedule(dag: &DependencyDag, width: Width, weight: fn(&Gate) -> u64) -> Schedule {
+        let n = dag.num_gates();
+        let cap = width.cap();
+        let weights: Vec<u64> = (0..n).map(|i| weight(&dag.gate(i))).collect();
+        let priority = dag.downstream_priority(weight);
+        let mut indegree: Vec<usize> = (0..n).map(|i| dag.predecessors(i).len()).collect();
+        let mut ready: BinaryHeap<(u64, Reverse<usize>)> = BinaryHeap::new();
+        for i in 0..n {
+            if indegree[i] == 0 {
+                ready.push((priority[i], Reverse(i)));
+            }
+        }
+        let mut running: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        let mut start_times = vec![0u64; n];
+        let (mut busy, mut now, mut makespan, mut scheduled) = (0usize, 0u64, 0u64, 0usize);
+        let mut intervals: Vec<(u64, u64)> = Vec::with_capacity(n);
+        while scheduled < n || !running.is_empty() {
+            while busy < cap {
+                let Some((_, Reverse(i))) = ready.pop() else {
+                    break;
+                };
+                start_times[i] = now;
+                let finish = now + weights[i];
+                intervals.push((now, finish));
+                running.push(Reverse((finish, i)));
+                busy += 1;
+                scheduled += 1;
+                makespan = makespan.max(finish);
+            }
+            let Some(Reverse((t, _))) = running.peek().copied() else {
+                break;
+            };
+            now = t;
+            while let Some(&Reverse((t2, i))) = running.peek() {
+                if t2 != now {
+                    break;
+                }
+                running.pop();
+                busy -= 1;
+                for &s in dag.successors(i) {
+                    indegree[s] -= 1;
+                    if indegree[s] == 0 {
+                        ready.push((priority[s], Reverse(s)));
+                    }
+                }
+            }
+        }
+        Schedule {
+            width,
+            makespan,
+            total_work: weights.iter().sum(),
+            start_times,
+            occupancy: occupancy_from_intervals(&intervals, makespan),
+        }
+    }
+
+    /// A seeded Clifford+T circuit with the gate mix of
+    /// `cqla_compile::random::random_circuit` (which sits downstream of
+    /// this crate): mostly CNOT/CZ, single-qubit gates, and Toffolis.
+    fn random_circuit(qubits: u32, gates: usize, seed: u64) -> Circuit {
+        let mut state = seed;
+        // SplitMix64.
+        let mut next = |bound: u32| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % u64::from(bound)) as u32
+        };
+        let mut c = Circuit::new(qubits);
+        for _ in 0..gates {
+            let (draw, a) = (next(100), next(qubits));
+            let b = (a + 1 + next(qubits - 1)) % qubits;
+            let t = (0..qubits).find(|&t| t != a && t != b).unwrap_or(a);
+            match draw {
+                0..=39 => c.h(a),
+                40..=77 => c.cnot(a, b),
+                78..=91 => c.cz(a, b),
+                _ => c.toffoli(a, b, t),
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn packed_keys_make_every_decision_the_tuple_heaps_make() {
+        let widths = [
+            Width::Blocks(1),
+            Width::Blocks(2),
+            Width::Blocks(9),
+            Width::Blocks(36),
+            Width::Unlimited,
+        ];
+        let circuits = (0..24).map(|seed| {
+            let qubits = [3, 8, 16, 64][seed as usize % 4];
+            random_circuit(qubits, 32 * (seed as usize + 1), seed)
+        });
+        for c in std::iter::once(Circuit::new(4)).chain(circuits) {
+            let lowered = crate::decompose_toffolis(&c);
+            for (circuit, weight) in [
+                (&lowered, unit as fn(&Gate) -> u64),
+                (&c, Gate::two_qubit_gate_equivalents as fn(&Gate) -> u64),
+            ] {
+                let dag = DependencyDag::new(circuit);
+                for width in widths {
+                    let s = ListScheduler::new(&dag).schedule(width, weight);
+                    let want = reference_schedule(&dag, width, weight);
+                    assert_eq!(s, want, "{} gates at {width}", circuit.len());
+                    assert_eq!(s.utilization(), want.utilization());
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //! per context via [`EvalCtx::counters`] and process-wide via
 //! [`memo_counters`] (surfaced by `cqla serve` in `/v1/stats`).
 
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use cqla_circuit::{Circuit, DependencyDag, QubitId};
 use cqla_compile::ScheduleCosts;
@@ -83,6 +84,79 @@ fn memoized<K: Eq + Hash + Clone, V: Clone>(
     value
 }
 
+/// The `compiled` table's key: a lowered circuit, shared by reference
+/// count and hashed once, up front. Equality checks the stored hash and
+/// then the full circuit, so a hash collision costs one comparison,
+/// never a wrong answer.
+#[derive(Debug, Clone)]
+struct CircuitKey {
+    hash: u64,
+    circuit: Arc<Circuit>,
+}
+
+impl CircuitKey {
+    fn new(circuit: Arc<Circuit>) -> Self {
+        let mut hasher = WordHasher(0);
+        circuit.hash(&mut hasher);
+        Self {
+            hash: hasher.finish(),
+            circuit,
+        }
+    }
+}
+
+impl PartialEq for CircuitKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && (Arc::ptr_eq(&self.circuit, &other.circuit) || self.circuit == other.circuit)
+    }
+}
+
+impl Eq for CircuitKey {}
+
+impl Hash for CircuitKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// A multiply-rotate hasher (the FxHash step) that folds one word per
+/// integer write: a gate hashes as its discriminant and a few small
+/// fields, so a circuit costs a few multiplies per gate. Crafted
+/// collisions are harmless: each costs one full comparison of a circuit
+/// the caller already holds, never a wrong answer.
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
 /// Steady-state cache behavior of repeated `bits`-bit additions through a
 /// cache of a given capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,7 +195,7 @@ pub struct EvalCtx {
     cache: Memo<(u32, usize), CacheBehavior>,
     level1_share: Memo<(&'static str, Code, u32), f64>,
     area: Memo<(&'static str, Code, u64, u32), f64>,
-    compiled: Memo<(Circuit, u32), ScheduleCosts>,
+    compiled: Memo<(CircuitKey, u32), ScheduleCosts>,
 }
 
 impl EvalCtx {
@@ -224,14 +298,15 @@ impl EvalCtx {
     /// lowered) circuit on `blocks` compute blocks, computed over `dag`,
     /// which must be `lowered`'s DAG (the caller builds it once for the
     /// schedule and the cache simulation). The key is the lowered
-    /// [`Circuit`] itself — exact, collision-free, and identical for
-    /// identical programs however they were produced (inline asm, the
-    /// seeded generator, …) — so every point of a `compile` grid that
-    /// lowers to the same circuit shares one schedule.
+    /// [`Circuit`] itself — exact, and identical for identical programs
+    /// however they were produced (inline asm, the seeded generator, …)
+    /// — so every point of a `compile` grid that lowers to the same
+    /// circuit shares one schedule. The table shares `lowered` rather
+    /// than copying it, and hashes it once per call.
     #[must_use]
     pub fn compiled_costs(
         &self,
-        lowered: &Circuit,
+        lowered: &Arc<Circuit>,
         dag: &DependencyDag,
         blocks: u32,
     ) -> ScheduleCosts {
@@ -240,7 +315,8 @@ impl EvalCtx {
             lowered.len(),
             "dag is not the lowered circuit's"
         );
-        memoized(&self.compiled, (lowered.clone(), blocks), || {
+        let key = CircuitKey::new(Arc::clone(lowered));
+        memoized(&self.compiled, (key, blocks), || {
             cqla_compile::schedule_costs(dag, blocks)
         })
     }
@@ -359,7 +435,7 @@ mod tests {
     fn compiled_costs_match_the_direct_pipeline() {
         let ctx = EvalCtx::new();
         let circuit = cqla_compile::random::random_circuit(8, 64, 5);
-        let lowered = cqla_circuit::decompose_toffolis(&circuit);
+        let lowered = Arc::new(cqla_circuit::decompose_toffolis(&circuit));
         let dag = DependencyDag::new(&lowered);
         let memoized = ctx.compiled_costs(&lowered, &dag, 4);
         assert_eq!(memoized, cqla_compile::schedule_costs(&dag, 4));
@@ -370,6 +446,51 @@ mod tests {
         let after = ctx.counters();
         assert_eq!(after.0 - before.0, 1);
         assert_eq!(after.1 - before.1, 1);
+    }
+
+    #[test]
+    fn circuit_keys_compare_the_circuit_on_a_hash_match() {
+        let a = Arc::new(cqla_compile::random::random_circuit(8, 64, 1));
+        let b = Arc::new(cqla_compile::random::random_circuit(8, 64, 2));
+        assert_ne!(a, b);
+        // The same stored hash, as a collision would give: still unequal.
+        let key = |hash, circuit: &Arc<Circuit>| CircuitKey {
+            hash,
+            circuit: Arc::clone(circuit),
+        };
+        let collided = key(7, &a);
+        assert_ne!(collided, key(7, &b));
+        assert_eq!(collided, key(7, &Arc::new((*a).clone())));
+        // A different hash never compares the circuits.
+        assert_ne!(collided, key(8, &a));
+        // Equal circuits in separate allocations hash alike.
+        let copy = CircuitKey::new(Arc::new((*a).clone()));
+        assert_eq!(CircuitKey::new(a), copy);
+    }
+
+    #[test]
+    fn one_lowered_circuit_reached_two_ways_shares_a_schedule() {
+        let program = cqla_circuit::asm::emit(&cqla_compile::random::random_circuit(16, 256, 1));
+        let mut random = crate::experiments::find("compile").unwrap();
+        for (key, value) in [
+            ("source", "random"),
+            ("qubits", "16"),
+            ("gates", "256"),
+            ("seed", "1"),
+        ] {
+            random.set(key, value).unwrap();
+        }
+        let mut inline = crate::experiments::find("compile").unwrap();
+        inline.set("source", "inline-asm").unwrap();
+        inline.set("program", &program).unwrap();
+
+        let ctx = EvalCtx::new();
+        let first = random.run_ctx(&ctx);
+        assert_eq!((ctx.compiled.hits(), ctx.compiled.misses()), (0, 1));
+        let second = inline.run_ctx(&ctx);
+        assert_eq!((ctx.compiled.hits(), ctx.compiled.misses()), (1, 1));
+        assert!(first.data.get("schedule").is_some());
+        assert_eq!(first.data.get("schedule"), second.data.get("schedule"));
     }
 
     #[test]

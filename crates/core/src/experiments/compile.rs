@@ -13,6 +13,7 @@
 //! [`EvalCtx`] machinery the paper tables use.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use cqla_circuit::{asm, decompose_toffolis, Circuit, DependencyDag, QubitId};
 use cqla_compile::{random::random_circuit, SAMPLE_PROGRAM};
@@ -178,7 +179,7 @@ impl Experiment for Compile {
         use std::fmt::Write as _;
         let program = self.resolve_program();
         let tech = self.tech.params();
-        let lowered = decompose_toffolis(&program);
+        let lowered = Arc::new(decompose_toffolis(&program));
         // One DAG serves both the schedule and the optimized cache run.
         let dag = DependencyDag::new(&lowered);
         let costs = ctx.compiled_costs(&lowered, &dag, self.width);
