@@ -10,7 +10,7 @@ fn bench(c: &mut Criterion) {
     cqla_bench::registry_artifact("fig2");
     let fig = Fig2::default();
     c.bench_function("fig2/schedule_both_profiles", |b| {
-        b.iter(|| black_box(fig.data()))
+        b.iter(|| black_box(fig.data_ctx(&cqla_core::EvalCtx::new())))
     });
 }
 

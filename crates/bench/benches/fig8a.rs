@@ -11,7 +11,7 @@ fn bench(c: &mut Criterion) {
     let fig = Fig8a::default();
     c.bench_function("fig8a/sweep", |b| {
         b.iter(|| {
-            let rows = fig.rows();
+            let rows = fig.rows_ctx(&cqla_core::EvalCtx::new());
             black_box(Fig8a::render(&rows))
         })
     });

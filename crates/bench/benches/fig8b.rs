@@ -15,8 +15,8 @@ fn bench(c: &mut Criterion) {
             black_box(Fig8b::render(&rows))
         })
     });
-    // Eq. 1 sizing of a 1024-bit Shor run: the closed-form QFT count plus
-    // the adder-kernel statistics behind every `level1_share` key.
+    // Eq. 1 sizing of a 1024-bit Shor run on the reference path: the
+    // closed-form QFT count plus a fresh 1024-bit adder DAG.
     c.bench_function("fig8b/shor_app_size_1024", |b| {
         b.iter(|| black_box(ShorInstance::new(black_box(1024)).app_size()))
     });

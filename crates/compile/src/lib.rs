@@ -70,9 +70,15 @@ impl ScheduleCosts {
     /// Perfectly packed makespan bound `max(critical path, work / B)`.
     #[must_use]
     pub fn ideal_makespan(&self, blocks: u32) -> u64 {
-        self.critical_path
-            .max(self.total_work.div_ceil(u64::from(blocks).max(1)))
+        ideal_makespan((self.critical_path, self.total_work), blocks)
     }
+}
+
+/// [`ScheduleCosts::ideal_makespan`] from a DAG's `(critical path, total
+/// work)` alone, without a list schedule.
+#[must_use]
+pub fn ideal_makespan((critical_path, total_work): (u64, u64), blocks: u32) -> u64 {
+    critical_path.max(total_work.div_ceil(u64::from(blocks).max(1)))
 }
 
 /// Schedules an (already lowered) circuit, given as its dependency DAG,

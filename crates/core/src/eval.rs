@@ -2,24 +2,24 @@
 //! (or shared across a whole grid of runs) caches the keyed sub-results
 //! the paper's tables are assembled from.
 //!
-//! The evaluation pipeline recomputes a handful of expensive pure
-//! sub-computations from scratch at every design point. `EvalCtx` keeps
-//! six tables: the Draper-adder [`ScheduleCosts`] (keyed by `(bits,
-//! blocks)`), the cache-simulator steady state (keyed by `(bits,
-//! capacity)`), ECC metrics (keyed by `(tech, code, level)`), the Eq. 1
-//! level-mixing budget, floorplan area reductions, and compiled-program
-//! [`ScheduleCosts`] (keyed by the lowered [`Circuit`] itself and the
-//! block count). Neighboring grid points share most of these — the
-//! 24-point builtin sweep has only six distinct `(bits, blocks)` pairs —
-//! so a shared context turns a grid's cost from `points × full
-//! evaluation` into `distinct keys × computation`.
+//! `EvalCtx` keeps six tables: the Draper adder itself (keyed by width:
+//! its circuit, [`DependencyDag`], memory-resident inputs, critical path,
+//! total work and Toffoli count), the adder's [`ScheduleCosts`] (keyed by
+//! `(bits, blocks)`), the cache-simulator steady state (keyed by `(bits,
+//! capacity)`), ECC metrics (keyed by `(tech, code, level)`), floorplan
+//! area reductions (keyed by `(tech, code, memory qubits, blocks)`), and
+//! compiled-program [`ScheduleCosts`] (keyed by the lowered [`Circuit`]
+//! itself and the block count). Each adder width is built once per
+//! context: every schedule, cache run, Fig 2 profile, Fig 8a row and
+//! Eq. 1 level-mixing budget reads it from the width table (the budget
+//! is then a few float operations, so it is not memoized). Neighboring
+//! grid points share most keys — the 24-point builtin sweep has six
+//! adder widths — so a shared context turns a grid's cost from `points ×
+//! full evaluation` into `distinct keys × computation`.
 //!
 //! [`cqla_compile::schedule_costs`] is the one schedule path: both
-//! schedule tables call it on a [`DependencyDag`] (the `compile`
-//! artifact hands the same DAG to its cache simulation), and one adder
-//! entry carries everything the studies read off the DAG — the
-//! bounded-width utilization, the packed makespan bound, and the
-//! critical path, which is the QLA's unlimited-parallelism makespan.
+//! schedule tables call it on a [`DependencyDag`] (the `compile` artifact
+//! hands the same DAG to its cache simulation).
 //!
 //! Every value cached here is a pure function of its key, computed by
 //! exactly the same code path the unmemoized evaluation used, so results
@@ -38,7 +38,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cqla_circuit::{Circuit, DependencyDag, QubitId};
+use cqla_circuit::{Circuit, DependencyDag, Gate, QubitId};
 use cqla_compile::ScheduleCosts;
 use cqla_ecc::fidelity::{AppSize, FidelityBudget};
 use cqla_ecc::memo::{Memo, Outcome};
@@ -48,7 +48,7 @@ use cqla_units::Seconds;
 use cqla_workloads::{DraperAdder, ShorInstance};
 
 use crate::area::AreaModel;
-use crate::cache::{CacheSim, FetchPolicy};
+use crate::cache::CacheSim;
 use crate::qla::QlaBaseline;
 
 static EVAL_HITS: AtomicU64 = AtomicU64::new(0);
@@ -157,6 +157,34 @@ impl Hasher for WordHasher {
     }
 }
 
+/// One Draper adder width, built once per context.
+#[derive(Debug)]
+pub(crate) struct DraperEntry {
+    pub(crate) adder: DraperAdder,
+    pub(crate) dag: DependencyDag,
+    /// The memory-resident inputs: the `a` and `b` registers.
+    pub(crate) inputs: Vec<QubitId>,
+    /// `(critical path, total work)` in two-qubit-gate units.
+    pub(crate) kernel: (u64, u64),
+    pub(crate) toffolis: u64,
+}
+
+impl DraperEntry {
+    fn new(bits: u32) -> Self {
+        let adder = DraperAdder::new(bits);
+        let dag = DependencyDag::new(adder.circuit_ref());
+        let weight = Gate::two_qubit_gate_equivalents;
+        let inputs = adder.a_register().chain(adder.b_register());
+        Self {
+            inputs: inputs.map(QubitId::new).collect(),
+            kernel: (dag.critical_path(weight), dag.total_work(weight)),
+            toffolis: adder.circuit_ref().counts().toffoli,
+            adder,
+            dag,
+        }
+    }
+}
+
 /// Steady-state cache behavior of repeated `bits`-bit additions through a
 /// cache of a given capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -191,9 +219,9 @@ pub struct CacheBehavior {
 #[derive(Debug, Default)]
 pub struct EvalCtx {
     ecc: Memo<(&'static str, Code, Level), EccMetrics>,
+    draper: Memo<u32, Arc<DraperEntry>>,
     adder: Memo<(u32, u32), ScheduleCosts>,
     cache: Memo<(u32, usize), CacheBehavior>,
-    level1_share: Memo<(&'static str, Code, u32), f64>,
     area: Memo<(&'static str, Code, u64, u32), f64>,
     compiled: Memo<(CircuitKey, u32), ScheduleCosts>,
 }
@@ -222,6 +250,12 @@ impl EvalCtx {
         tech.duration(PhysicalOp::DoubleGate) + self.ecc_metrics(code, level, tech).ec_time()
     }
 
+    /// The `bits`-bit Draper adder, built once per context: every
+    /// registry reader of the adder takes it from here.
+    pub(crate) fn draper(&self, bits: u32) -> Arc<DraperEntry> {
+        memoized(&self.draper, bits, || Arc::new(DraperEntry::new(bits)))
+    }
+
     /// Memoized [`cqla_compile::schedule_costs`] of the `bits`-bit
     /// Draper adder on `blocks` compute blocks: one DAG serves the
     /// bounded-width utilization, the packed bound
@@ -229,8 +263,7 @@ impl EvalCtx {
     #[must_use]
     pub fn adder_costs(&self, bits: u32, blocks: u32) -> ScheduleCosts {
         memoized(&self.adder, (bits, blocks), || {
-            let adder = DraperAdder::new(bits);
-            cqla_compile::schedule_costs(&DependencyDag::new(adder.circuit_ref()), blocks)
+            cqla_compile::schedule_costs(&self.draper(bits).dag, blocks)
         })
     }
 
@@ -244,20 +277,14 @@ impl EvalCtx {
     }
 
     /// Memoized steady-state cache behavior: one two-repetition
-    /// [`CacheSim`] run over the `bits`-bit adder trace, whose second
-    /// repetition gives the per-addition fetches once warm.
+    /// optimized-lookahead [`CacheSim`] run over the `bits`-bit adder's
+    /// DAG, whose second repetition gives the per-addition fetches once
+    /// warm.
     #[must_use]
     pub fn cache_behavior(&self, bits: u32, capacity: usize) -> CacheBehavior {
         memoized(&self.cache, (bits, capacity), || {
-            let adder = DraperAdder::new(bits);
-            let circuit = adder.circuit();
-            let inputs: Vec<QubitId> = adder
-                .a_register()
-                .chain(adder.b_register())
-                .map(QubitId::new)
-                .collect();
-            let warm =
-                CacheSim::new(capacity).run(&circuit, FetchPolicy::OptimizedLookahead, &inputs, 2);
+            let draper = self.draper(bits);
+            let warm = CacheSim::new(capacity).run_optimized(&draper.dag, &draper.inputs, 2);
             CacheBehavior {
                 hit_rate: warm.hit_rate(),
                 fetches_per_addition: warm.last_fetch_misses(),
@@ -265,16 +292,16 @@ impl EvalCtx {
         })
     }
 
-    /// Memoized Eq. 1 level-mixing budget: the maximum share of
-    /// operations a `bits`-bit Shor instance may run at level 1.
+    /// The Eq. 1 level-mixing budget: the maximum share of operations a
+    /// `bits`-bit Shor instance (at least 32 bits) may run at level 1,
+    /// with `K` read off the memoized kernel adder.
     #[must_use]
     pub fn level1_share(&self, code: Code, tech: &TechnologyParams, bits: u32) -> f64 {
-        memoized(&self.level1_share, (tech.name(), code, bits), || {
-            let budget = FidelityBudget::new(code, tech);
-            let shor = ShorInstance::new(bits.max(32));
-            let (k, q) = shor.app_size();
-            budget.max_level1_share(AppSize::new(k, q))
-        })
+        let shor = ShorInstance::new(bits.max(32));
+        let me = shor.modexp();
+        let kernel = me.kernel_stats_from(self.draper(me.kernel_width()).kernel);
+        let (k, q) = shor.app_size_from(kernel);
+        FidelityBudget::new(code, tech).max_level1_share(AppSize::new(k, q))
     }
 
     /// Memoized [`AreaModel::area_reduction`] (the flat-CQLA floorplan
@@ -329,9 +356,9 @@ impl EvalCtx {
         }
         [
             count(&self.ecc),
+            count(&self.draper),
             count(&self.adder),
             count(&self.cache),
-            count(&self.level1_share),
             count(&self.area),
             count(&self.compiled),
         ]
@@ -342,10 +369,11 @@ impl EvalCtx {
 
 #[cfg(test)]
 mod tests {
-    use cqla_circuit::{Gate, ListScheduler, Width};
+    use cqla_circuit::{ListScheduler, Width};
 
     use super::*;
-    use crate::specialize::TABLE4_GRID;
+    use crate::hierarchy::{HierarchyConfig, HierarchyStudy};
+    use crate::specialize::{CqlaConfig, SpecializationStudy, TABLE4_GRID};
 
     fn tech() -> TechnologyParams {
         TechnologyParams::projected()
@@ -403,11 +431,106 @@ mod tests {
                 9
             )
         );
-        let study = crate::SpecializationStudy::new(&tech());
-        assert_eq!(
-            costs.ideal_makespan(9),
-            study.ideal_makespan_units(&DraperAdder::new(64), 9)
-        );
+        // The width entry's unscheduled numbers are the schedule's.
+        let draper = ctx.draper(64);
+        assert_eq!(draper.kernel, (costs.critical_path, costs.total_work));
+    }
+
+    /// The identity that lets one DAG per width serve the Eq. 1 budget:
+    /// the width entry's `(critical path, total work)` is
+    /// [`ModExp::kernel_stats`] — both weigh the same undecomposed
+    /// circuit with [`Gate::two_qubit_gate_equivalents`].
+    #[test]
+    fn adder_entry_kernel_is_the_modexp_kernel() {
+        let ctx = EvalCtx::new();
+        let table4 = TABLE4_GRID.iter().map(|&(n, _)| n);
+        for n in [1, 2, 3, 16, 31, 33].into_iter().chain(table4) {
+            assert_eq!(
+                ctx.draper(n).kernel,
+                cqla_workloads::ModExp::new(n).kernel_stats(),
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn level1_share_is_the_direct_budget_bit_for_bit() {
+        let ctx = EvalCtx::new();
+        let techs = [TechnologyParams::current(), TechnologyParams::projected()];
+        for bits in [
+            1,
+            16,
+            31,
+            32,
+            33,
+            64,
+            1023,
+            1024,
+            1025,
+            2048,
+            4096,
+            1 << 20,
+            u32::MAX,
+        ] {
+            let (k, q) = ShorInstance::new(bits.max(32)).app_size();
+            for tech in &techs {
+                for code in Code::ALL {
+                    let direct =
+                        FidelityBudget::new(code, tech).max_level1_share(AppSize::new(k, q));
+                    let share = ctx.level1_share(code, tech, bits);
+                    assert_eq!(
+                        share.to_bits(),
+                        direct.to_bits(),
+                        "{bits} bits, {}, {code}: {share} vs {direct}",
+                        tech.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_adder_width_is_built_once_per_context() {
+        for (id, widths) in [
+            ("table4", 6),
+            ("table5", 3),
+            ("fig6a", 6),
+            ("fig7", 5),
+            ("fig8a", 6),
+            ("machine", 1),
+        ] {
+            let ctx = EvalCtx::new();
+            let _ = crate::experiments::find(id).unwrap().run_ctx(&ctx);
+            assert_eq!(ctx.draper.misses(), widths, "{id}");
+        }
+        // The builtin 24-point grid (both techs × both codes × six
+        // widths, full hierarchy) on one context shared by all workers.
+        let mut points = Vec::new();
+        for tech in [TechnologyParams::current(), TechnologyParams::projected()] {
+            for code in Code::ALL {
+                for bits in crate::experiments::FIG6A_SIZES {
+                    points.push((tech.clone(), code, bits));
+                }
+            }
+        }
+        for threads in [1, 4] {
+            let ctx = EvalCtx::new();
+            std::thread::scope(|s| {
+                for chunk in points.chunks(points.len().div_ceil(threads)) {
+                    let ctx = &ctx;
+                    s.spawn(move || {
+                        for (tech, code, bits) in chunk {
+                            let blocks = crate::experiments::primary_blocks(*bits);
+                            let config = CqlaConfig::new(*code, *bits, blocks);
+                            let _ = SpecializationStudy::new(tech).evaluate_ctx(config, ctx);
+                            let config = HierarchyConfig::new(*code, *bits, 10, blocks);
+                            let _ = HierarchyStudy::new(tech).evaluate_ctx(config, ctx);
+                        }
+                    });
+                }
+            });
+            assert_eq!(ctx.draper.misses(), 6, "{threads} threads");
+        }
     }
 
     #[test]
@@ -419,7 +542,8 @@ mod tests {
             let _ = ctx.adder_costs(32, 4);
         }
         let (hits, misses) = ctx.counters();
-        assert_eq!(misses, 2);
+        // The ECC entry, the schedule, and the adder it schedules.
+        assert_eq!(misses, 3);
         assert_eq!(hits, 4);
     }
 
@@ -499,10 +623,12 @@ mod tests {
         // caching a fact another table already holds (the adder's
         // critical path, say) shows up here as extra misses.
         for (id, misses) in [
-            ("table4", 38),
-            ("table5", 16),
-            ("fig6a", 42),
-            ("fig7", 15),
+            ("table4", 44),
+            ("table5", 13),
+            ("fig2", 1),
+            ("fig6a", 48),
+            ("fig7", 20),
+            ("fig8a", 7),
             ("machine", 7),
             ("compile", 5),
         ] {

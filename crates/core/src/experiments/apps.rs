@@ -11,12 +11,11 @@
 use cqla_ecc::{Code, EccMetrics, Level};
 use cqla_iontrap::{PhysicalOp, TechPoint, TechnologyParams};
 use cqla_units::Seconds;
-use cqla_workloads::{DraperAdder, ModExp, Qft};
+use cqla_workloads::{ModExp, Qft};
 
 use crate::eval::EvalCtx;
 use crate::json::ToJson;
 use crate::report::{fmt3, TextTable};
-use crate::specialize::SpecializationStudy;
 
 use super::api::{parse_tech, unknown_key, Domain, Experiment, ExperimentOutput, Param};
 use super::tables::primary_blocks;
@@ -63,19 +62,18 @@ fn transport_time(code: Code, tech: &TechnologyParams) -> Seconds {
 /// experiment engine can fan one job out per size and still produce rows
 /// bitwise-identical to [`Fig8a`].
 #[must_use]
-pub fn fig8a_row(tech: &TechnologyParams, n: u32) -> AppTimeRow {
+pub fn fig8a_row_ctx(tech: &TechnologyParams, n: u32, ctx: &EvalCtx) -> AppTimeRow {
     let code = Code::BaconShor913;
-    let study = SpecializationStudy::new(tech);
     let epr = cqla_network::EprModel::new(tech).with_purification_rounds(2);
     // EPR channel service per logical operand qubit.
     let per_qubit_service = epr.logical_service_time(code);
     let blocks = f64::from(primary_blocks(n));
     let me = ModExp::new(n);
-    let adder = DraperAdder::new(n);
-    let makespan = study.ideal_makespan_units(&adder, primary_blocks(n));
-    let adder_time = study.gate_step_time(code) * makespan as f64;
+    let draper = ctx.draper(n);
+    let makespan = cqla_compile::ideal_makespan(draper.kernel, primary_blocks(n));
+    let adder_time = ctx.gate_step_time(code, Level::TWO, tech) * makespan as f64;
     let computation = adder_time * me.additions() as f64 / blocks;
-    let toffolis = adder.circuit_ref().counts().toffoli;
+    let toffolis = draper.toffolis;
     // Each block feeds its own Toffolis through its own channel group
     // (3 operands over `channels_required` channels), so the per-
     // addition communication is the per-block Toffoli share times the
@@ -111,11 +109,11 @@ impl Default for Fig8a {
 }
 
 impl Fig8a {
-    /// One sample per adder size, in sweep order.
+    /// One sample per adder size, in sweep order, reusing `ctx`.
     #[must_use]
-    pub fn rows(&self) -> Vec<AppTimeRow> {
+    pub fn rows_ctx(&self, ctx: &EvalCtx) -> Vec<AppTimeRow> {
         let tech = self.tech.params();
-        FIG8A_SIZES.iter().map(|&n| fig8a_row(&tech, n)).collect()
+        FIG8A_SIZES.map(|n| fig8a_row_ctx(&tech, n, ctx)).into()
     }
 
     /// Renders the paper-style series (hours) for `rows`.
@@ -146,8 +144,8 @@ impl Experiment for Fig8a {
         Ok(())
     }
 
-    fn run_ctx(&self, _ctx: &EvalCtx) -> ExperimentOutput {
-        let rows = self.rows();
+    fn run_ctx(&self, ctx: &EvalCtx) -> ExperimentOutput {
+        let rows = self.rows_ctx(ctx);
         ExperimentOutput::new(Self::render(&rows), rows.to_json())
     }
 }
@@ -268,7 +266,7 @@ mod tests {
 
     #[test]
     fn fig8a_communication_tracks_but_never_exceeds_computation() {
-        let rows = Fig8a::default().rows();
+        let rows = Fig8a::default().rows_ctx(&EvalCtx::new());
         assert_eq!(rows.len(), 6);
         for r in &rows {
             let frac = r.comm_fraction();
@@ -283,7 +281,7 @@ mod tests {
 
     #[test]
     fn fig8a_times_grow_with_size_and_land_in_paper_scale() {
-        let rows = Fig8a::default().rows();
+        let rows = Fig8a::default().rows_ctx(&EvalCtx::new());
         for pair in rows.windows(2) {
             assert!(pair[1].computation > pair[0].computation);
         }

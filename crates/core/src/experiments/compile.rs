@@ -20,9 +20,9 @@ use cqla_compile::{random::random_circuit, SAMPLE_PROGRAM};
 use cqla_ecc::{Code, Level};
 use cqla_iontrap::TechPoint;
 
-use crate::area::BLOCK_DATA_QUBITS;
 use crate::cache::CacheSim;
 use crate::eval::EvalCtx;
+use crate::hierarchy::cache_capacity;
 use crate::json::Json;
 
 use super::api::{
@@ -198,8 +198,7 @@ impl Experiment for Compile {
         // data qubits), two repetitions of the lowered stream with every
         // program input memory-resident; fetches are the warm second
         // repetition's.
-        let compute_qubits = BLOCK_DATA_QUBITS * u64::from(self.width);
-        let capacity = (self.cache * compute_qubits as f64).round().max(1.0) as usize;
+        let capacity = cache_capacity(self.cache, self.width);
         let inputs: Vec<QubitId> = (0..program.num_qubits()).map(QubitId::new).collect();
         let (hit_rate, fetches) = if lowered.is_empty() {
             (0.0, 0)

@@ -1,14 +1,13 @@
 //! The paper's Figures 2, 6a, 6b and 7 as [`Experiment`]s.
 
-use cqla_circuit::QubitId;
-use cqla_circuit::{DependencyDag, ListScheduler, Width};
+use cqla_circuit::{Gate, ListScheduler, Width};
 use cqla_ecc::Code;
 use cqla_iontrap::{TechPoint, TechnologyParams};
 use cqla_network::{BandwidthSample, SuperblockBandwidth};
-use cqla_workloads::DraperAdder;
 
 use crate::cache::{CacheSim, FetchPolicy};
 use crate::eval::EvalCtx;
+use crate::hierarchy::cache_capacity;
 use crate::json::ToJson;
 use crate::report::{fmt3, TextTable};
 
@@ -63,15 +62,13 @@ impl Default for Fig2 {
 }
 
 impl Fig2 {
-    /// Schedules both profiles.
+    /// Schedules both profiles on the adder DAG memoized in `ctx`.
     #[must_use]
-    pub fn data(&self) -> Fig2Data {
-        use cqla_circuit::Gate;
-        let adder = DraperAdder::new(self.bits);
-        let dag = DependencyDag::new(adder.circuit_ref());
+    pub fn data_ctx(&self, ctx: &EvalCtx) -> Fig2Data {
+        let dag = &ctx.draper(self.bits).dag;
         let weight = Gate::two_qubit_gate_equivalents;
-        let unlimited = ListScheduler::new(&dag).schedule(Width::Unlimited, weight);
-        let capped = ListScheduler::new(&dag).schedule(Width::Blocks(self.cap as usize), weight);
+        let unlimited = ListScheduler::new(dag).schedule(Width::Unlimited, weight);
+        let capped = ListScheduler::new(dag).schedule(Width::Blocks(self.cap as usize), weight);
         Fig2Data {
             unlimited_profile: unlimited.occupancy().to_vec(),
             capped_profile: capped.occupancy().to_vec(),
@@ -135,8 +132,8 @@ impl Experiment for Fig2 {
         Ok(())
     }
 
-    fn run_ctx(&self, _ctx: &EvalCtx) -> ExperimentOutput {
-        let data = self.data();
+    fn run_ctx(&self, ctx: &EvalCtx) -> ExperimentOutput {
+        let data = self.data_ctx(ctx);
         ExperimentOutput::new(self.render(&data), data.to_json())
     }
 }
@@ -390,9 +387,9 @@ pub const FIG7_FACTORS: [f64; 3] = [1.0, 1.5, 2.0];
 
 /// Computes one Figure 7 cell: the hit rate of one
 /// `(adder, cache size, policy)` simulation. Only the optimized-lookahead
-/// cells go through `ctx` (that is the policy the hierarchy study
-/// simulates, so those steady states are shared); in-order cells always
-/// simulate directly.
+/// steady states are memoized in `ctx` (that is the policy the hierarchy
+/// study simulates, so they are shared); in-order cells simulate the
+/// adder memoized in `ctx` directly.
 #[must_use]
 pub fn fig7_cell_ctx(
     adder_bits: u32,
@@ -400,20 +397,13 @@ pub fn fig7_cell_ctx(
     policy: FetchPolicy,
     ctx: &EvalCtx,
 ) -> Fig7Row {
-    let pe = 9 * primary_blocks(adder_bits) as usize;
-    let capacity = (((pe as f64) * cache_factor).round() as usize).max(1);
+    let capacity = cache_capacity(cache_factor, primary_blocks(adder_bits));
     let hit_rate = if policy == FetchPolicy::OptimizedLookahead {
         ctx.cache_behavior(adder_bits, capacity).hit_rate
     } else {
-        let adder = DraperAdder::new(adder_bits);
-        let circuit = adder.circuit();
-        let inputs: Vec<QubitId> = adder
-            .a_register()
-            .chain(adder.b_register())
-            .map(QubitId::new)
-            .collect();
+        let draper = ctx.draper(adder_bits);
         CacheSim::new(capacity)
-            .run(&circuit, policy, &inputs, 2)
+            .run(draper.adder.circuit_ref(), policy, &draper.inputs, 2)
             .hit_rate()
     };
     Fig7Row {
@@ -511,13 +501,13 @@ mod tests {
         // more parallelism (work/critical-path ≈ 22), so 15 blocks stretch
         // the adder mildly and ~22 capture everything.
         let fig = Fig2::default();
-        let at_paper_cap = fig.data();
+        let at_paper_cap = fig.data_ctx(&EvalCtx::new());
         assert!(
             at_paper_cap.relative_stretch() < 1.8,
             "stretch {}",
             at_paper_cap.relative_stretch()
         );
-        let saturated = Fig2 { bits: 64, cap: 32 }.data();
+        let saturated = Fig2 { bits: 64, cap: 32 }.data_ctx(&EvalCtx::new());
         assert!(
             saturated.relative_stretch() < 1.15,
             "stretch {}",
@@ -533,7 +523,7 @@ mod tests {
     #[test]
     fn fig2_profile_area_is_conserved() {
         // Gate-seconds are conserved between the two schedules.
-        let data = Fig2::default().data();
+        let data = Fig2::default().data_ctx(&EvalCtx::new());
         let a: usize = data.unlimited_profile.iter().sum();
         let b: usize = data.capped_profile.iter().sum();
         assert_eq!(a, b, "both schedules run every gate-step");

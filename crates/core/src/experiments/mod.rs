@@ -34,7 +34,7 @@ pub use api::{
     ExperimentOutput, Param, ParamError, ParamSpec, BITS_ACCEPTS, CODE_ACCEPTS, INT_ACCEPTS,
     RATIO_ACCEPTS, SOURCE_ACCEPTS, TECH_ACCEPTS,
 };
-pub use apps::{fig8a_row, fig8b_row, AppTimeRow, Fig8a, Fig8b, FIG8A_SIZES, FIG8B_SIZES};
+pub use apps::{fig8a_row_ctx, fig8b_row, AppTimeRow, Fig8a, Fig8b, FIG8A_SIZES, FIG8B_SIZES};
 pub use compile::{Compile, CompileSource};
 pub use cqla_iontrap::TechPoint;
 pub use figures::{

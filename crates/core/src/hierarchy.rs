@@ -96,19 +96,20 @@ impl HierarchyConfig {
         }
     }
 
-    /// Logical qubits in the level-1 compute region (`9 × blocks`).
-    #[must_use]
-    pub fn compute_qubits(&self) -> u64 {
-        BLOCK_DATA_QUBITS * u64::from(self.blocks)
-    }
-
     /// Cache capacity in logical qubits.
     #[must_use]
     pub fn cache_capacity(&self) -> usize {
-        (self.cache_factor * self.compute_qubits() as f64)
-            .round()
-            .max(1.0) as usize
+        cache_capacity(self.cache_factor, self.blocks)
     }
+}
+
+/// The capacity rule every cache in the reproduction shares: `factor`
+/// times the data qubits of `blocks` compute blocks, rounded, and at
+/// least one qubit.
+pub(crate) fn cache_capacity(factor: f64, blocks: u32) -> usize {
+    (factor * (BLOCK_DATA_QUBITS * u64::from(blocks)) as f64)
+        .round()
+        .max(1.0) as usize
 }
 
 /// Evaluated memory-hierarchy performance — one Table 5 row.

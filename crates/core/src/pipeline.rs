@@ -314,8 +314,8 @@ mod tests {
         let report = sim().run_adder(&adder, &config);
         assert_eq!(report.fetches, 0);
         assert_eq!(report.stall_time, Seconds::ZERO);
-        let study = crate::SpecializationStudy::new(&TechnologyParams::projected());
-        let ideal = gate_step(Code::Steane713) * study.ideal_makespan_units(&adder, 8) as f64;
+        let costs = crate::EvalCtx::new().adder_costs(32, 8);
+        let ideal = gate_step(Code::Steane713) * costs.ideal_makespan(8) as f64;
         let ratio = report.total_time / ideal;
         // Issue follows the cache-optimized trace order, not critical-path
         // priority, so it trails the ideal bound by up to ~2.5x.

@@ -9,11 +9,10 @@
 //! One [`EvalCtx::adder_costs`] entry prices both machines: the CQLA by
 //! its packed makespan on `B` blocks, the QLA by the critical path.
 
-use cqla_circuit::{DependencyDag, Gate};
-use cqla_ecc::{Code, EccMetrics, Level};
+use cqla_ecc::{Code, Level};
 use cqla_iontrap::TechnologyParams;
 use cqla_units::Seconds;
-use cqla_workloads::{DraperAdder, ModExp};
+use cqla_workloads::ModExp;
 
 use crate::eval::EvalCtx;
 
@@ -124,30 +123,6 @@ impl SpecializationStudy {
     #[must_use]
     pub fn new(tech: &TechnologyParams) -> Self {
         Self { tech: tech.clone() }
-    }
-
-    /// The perfectly packed makespan bound `max(critical path, work / B)`
-    /// of `adder` in two-qubit-gate-step units, from the DAG alone,
-    /// without a list schedule (Fig 8a needs only this bound).
-    ///
-    /// The paper's Table 4 speedups correspond to this bound (a static
-    /// scheduler with full lookahead and overlapped communication packs
-    /// the adder almost perfectly); the online list schedule behind
-    /// [`EvalCtx::adder_costs`] lands within ~30% of it.
-    #[must_use]
-    pub fn ideal_makespan_units(&self, adder: &DraperAdder, blocks: u32) -> u64 {
-        let dag = DependencyDag::new(adder.circuit_ref());
-        let weight = Gate::two_qubit_gate_equivalents;
-        let cp = dag.critical_path(weight);
-        let work = dag.total_work(weight);
-        cp.max(work.div_ceil(u64::from(blocks)))
-    }
-
-    /// Wall-clock duration of one logical gate step for `code` at level 2.
-    #[must_use]
-    pub fn gate_step_time(&self, code: Code) -> Seconds {
-        self.tech.duration(cqla_iontrap::PhysicalOp::DoubleGate)
-            + EccMetrics::compute(code, Level::TWO, &self.tech).ec_time()
     }
 
     /// Evaluates one design point against the QLA baseline, reusing

@@ -317,9 +317,9 @@ mod tests {
         };
         // Pinned: a table caching a fact another table already holds
         // shows up as extra misses.
-        assert_eq!(misses(1), 68);
+        assert_eq!(misses(1), 50);
         for threads in 2..=8 {
-            assert_eq!(misses(threads), 68, "threads {threads}");
+            assert_eq!(misses(threads), 50, "threads {threads}");
         }
     }
 

@@ -434,6 +434,7 @@ mod tests {
         assert_eq!(adder.b_register(), 16..32);
         assert_eq!(adder.z_register(), 32..49);
         assert_eq!(adder.total_qubits(), 3 * 16 + 1 + adder.num_ancilla());
+        assert_eq!(adder.circuit_ref().num_qubits(), adder.total_qubits());
         // Prefix-tree ancilla ≈ n - lg n - 1.
         assert!(adder.num_ancilla() <= 16);
     }

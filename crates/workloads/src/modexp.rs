@@ -9,7 +9,7 @@
 //! inner kernel; this module provides the bookkeeping that turns per-adder
 //! costs into whole-application costs.
 
-use cqla_circuit::{Circuit, DependencyDag};
+use cqla_circuit::{DependencyDag, Gate};
 
 use crate::draper::DraperAdder;
 
@@ -36,9 +36,7 @@ impl ModExp {
     ///
     /// This is pure bookkeeping, so any width is accepted: the counts are
     /// closed forms and [`ModExp::kernel_stats`] extrapolates past the
-    /// widest generated adder. Only [`ModExp::adder`] and
-    /// [`ModExp::addition_circuit`] are bound by the adder-generation
-    /// limit.
+    /// widest generated adder.
     ///
     /// # Panics
     ///
@@ -71,10 +69,11 @@ impl ModExp {
 
     /// Plain (Draper) additions in the whole modular exponentiation:
     /// `2 · 2n · n` — the factor 2 covers the modular-reduction addition
-    /// paired with every arithmetic addition.
+    /// paired with every arithmetic addition. Saturates at `u64::MAX`,
+    /// which widths of 2^31 bits and more reach.
     #[must_use]
     pub fn additions(&self) -> u64 {
-        2 * self.multiplications() * self.additions_per_multiplication()
+        (2 * self.multiplications()).saturating_mul(self.additions_per_multiplication())
     }
 
     /// Logical qubits the application keeps live: `4n` adder registers
@@ -85,50 +84,41 @@ impl ModExp {
         6 * u64::from(self.n)
     }
 
-    /// The inner adder kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the width exceeds the adder-generation bound of 4096 bits
-    /// (the [`crate::width`] contract); use [`ModExp::kernel_stats`] for
-    /// wider instances.
+    /// The width the kernel statistics are generated at: the modulus
+    /// width, capped at 1024 bits ([`ModExp::kernel_stats_from`]
+    /// extrapolates past it).
     #[must_use]
-    pub fn adder(&self) -> DraperAdder {
-        DraperAdder::new(self.n)
+    pub fn kernel_width(&self) -> u32 {
+        self.n.min(1024)
     }
 
-    /// Dependency statistics of the inner adder, generated at width
-    /// `min(n, 1024)` and extrapolated logarithmically when wider.
+    /// Dependency statistics of the inner adder, generated at
+    /// [`ModExp::kernel_width`] and extrapolated logarithmically when
+    /// wider.
     ///
     /// Returns `(toffoli_depth_equivalents, total_gate_equivalents)` of one
     /// addition, in two-qubit-gate units (Toffoli = 15).
     #[must_use]
     pub fn kernel_stats(&self) -> (u64, u64) {
-        let gen_width = self.n.min(1024);
-        let adder = DraperAdder::new(gen_width);
-        let dag = DependencyDag::new(adder.circuit_ref());
-        let weight = cqla_circuit::Gate::two_qubit_gate_equivalents;
-        let mut depth = dag.critical_path(weight);
-        let mut work = dag.total_work(weight);
+        let dag = DependencyDag::new(DraperAdder::new(self.kernel_width()).circuit_ref());
+        let weight = Gate::two_qubit_gate_equivalents;
+        self.kernel_stats_from((dag.critical_path(weight), dag.total_work(weight)))
+    }
+
+    /// [`ModExp::kernel_stats`] from the `(critical path, total work)` of
+    /// the [`ModExp::kernel_width`]-bit Draper adder, for a caller that
+    /// already holds that adder's DAG.
+    #[must_use]
+    pub fn kernel_stats_from(&self, (mut depth, mut work): (u64, u64)) -> (u64, u64) {
         // Extrapolation for n > 1024: depth grows by 4 Toffoli rounds
         // (4×15 units) per doubling; work grows linearly.
-        let mut w = u64::from(gen_width);
+        let mut w = u64::from(self.kernel_width());
         while w < u64::from(self.n) {
             depth += 4 * 15;
             work *= 2;
             w *= 2;
         }
         (depth, work)
-    }
-
-    /// One addition's circuit, for direct scheduling studies.
-    ///
-    /// # Panics
-    ///
-    /// Panics for widths beyond the 4096-bit adder-generation bound.
-    #[must_use]
-    pub fn addition_circuit(&self) -> Circuit {
-        self.adder().circuit()
     }
 }
 
@@ -155,16 +145,6 @@ mod tests {
         assert_eq!(small.additions(), 2 * 64 * 32);
         assert_eq!(big.additions() / small.additions(), 4);
         assert_eq!(big.working_qubits(), 384);
-    }
-
-    #[test]
-    fn adder_kernel_is_correct_width() {
-        let me = ModExp::new(16);
-        assert_eq!(me.adder().width(), 16);
-        assert_eq!(
-            me.addition_circuit().num_qubits(),
-            me.adder().total_qubits()
-        );
     }
 
     #[test]

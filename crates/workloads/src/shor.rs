@@ -49,10 +49,11 @@ impl ShorInstance {
         ModExp::new(self.n)
     }
 
-    /// The final QFT over the `2n`-bit exponent register.
+    /// The final QFT over the `2n`-bit exponent register (saturating at
+    /// `u32::MAX` qubits).
     #[must_use]
     pub fn qft(&self) -> Qft {
-        Qft::new(2 * self.n)
+        Qft::new(self.n.saturating_mul(2))
     }
 
     /// `(K, Q)` — logical time-steps and logical qubits of the whole run,
@@ -62,8 +63,14 @@ impl ShorInstance {
     /// serialized addition stream; `Q` is the working set.
     #[must_use]
     pub fn app_size(&self) -> (f64, f64) {
+        self.app_size_from(self.modexp().kernel_stats())
+    }
+
+    /// [`ShorInstance::app_size`] from one addition's
+    /// [`ModExp::kernel_stats`], for a caller that already holds them.
+    #[must_use]
+    pub fn app_size_from(&self, (depth_per_add, _): (u64, u64)) -> (f64, f64) {
         let me = self.modexp();
-        let (depth_per_add, _) = me.kernel_stats();
         let k = me.additions() as f64 * depth_per_add as f64 + self.qft().total_gates() as f64;
         (k, me.working_qubits() as f64)
     }

@@ -10,6 +10,7 @@
 
 use cqla_repro::circuit::{DependencyDag, Gate, ListScheduler, Width};
 use cqla_repro::core::experiments::Fig2;
+use cqla_repro::core::EvalCtx;
 use cqla_repro::workloads::{DraperAdder, RippleCarryAdder};
 
 fn main() {
@@ -34,9 +35,10 @@ fn main() {
 
     println!("Capping the Draper adder (paper Fig 2):");
     // The registry's Fig2 experiment is a plain struct: setting its
-    // typed fields sweeps the cap without any CLI plumbing.
+    // typed fields sweeps the cap, on one context (one adder DAG).
+    let ctx = EvalCtx::new();
     for cap in [4u32, 9, 15, 22, 32] {
-        let data = Fig2 { bits: 64, cap }.data();
+        let data = Fig2 { bits: 64, cap }.data_ctx(&ctx);
         println!(
             "  {cap:>3} blocks: makespan {} gate-steps ({:.2}x unlimited)",
             data.capped_makespan,

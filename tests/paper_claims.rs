@@ -78,9 +78,10 @@ fn claim_fifteen_blocks_capture_most_adder_parallelism() {
     // adder does not offer a performance benefit over limiting the
     // computation to 15 locations." Our more-parallel construction loses
     // under 2x at 15 blocks and saturates by ~2 dozen.
-    let at15 = Fig2 { bits: 64, cap: 15 }.data();
+    let ctx = EvalCtx::new();
+    let at15 = Fig2 { bits: 64, cap: 15 }.data_ctx(&ctx);
     assert!(at15.relative_stretch() < 2.0, "{}", at15.relative_stretch());
-    let at24 = Fig2 { bits: 64, cap: 24 }.data();
+    let at24 = Fig2 { bits: 64, cap: 24 }.data_ctx(&ctx);
     assert!(at24.relative_stretch() < 1.3, "{}", at24.relative_stretch());
 }
 
