@@ -5,7 +5,10 @@
 //! per request. The `_65536` rungs time the asm emit and parse, the DAG
 //! build, the list schedule and the optimized cache run one by one on a
 //! 2^16-gate program, large enough to show their per-gate cost, and then
-//! the whole artifact on that program.
+//! the whole artifact on that program. Its 64 qubits fit the 162-qubit
+//! cache, so `cache_optimized_65536` times the one-pass count of a run
+//! that cannot evict; `cache_evicting_65536` runs the same gate count on
+//! 512 qubits, where the optimized fetch selector does the work.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -59,6 +62,12 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("compile/cache_optimized_65536", |b| {
         b.iter(|| black_box(CacheSim::new(capacity).run_optimized(&big_dag, &inputs, 2)))
+    });
+    let wide = decompose_toffolis(&random_circuit(512, 1 << 16, 1));
+    let wide_dag = DependencyDag::new(&wide);
+    let wide_inputs: Vec<QubitId> = (0..wide.num_qubits()).map(QubitId::new).collect();
+    c.bench_function("compile/cache_evicting_65536", |b| {
+        b.iter(|| black_box(CacheSim::new(capacity).run_optimized(&wide_dag, &wide_inputs, 2)))
     });
     // The whole artifact on the big program, as `cqla compile FILE`
     // runs it: set the program (one parse), then run on a fresh context.

@@ -12,6 +12,14 @@
 //!   whole program is the fetch window; a dependency list is built and the
 //!   next instruction is chosen to maximize the probability that all its
 //!   operands are already cached (~85% hit rate).
+//!
+//! Eviction is the only way the fetch order can change a count. A run
+//! whose register fits the cache never evicts, so [`CacheSim::run`] and
+//! [`CacheSim::run_optimized`] price it in one pass over the operands,
+//! under either policy: each touched qubit misses once (a fetch if
+//! memory-resident, an allocation otherwise) and every later access
+//! hits. [`CacheRun`] holds counts only; the execution order a policy
+//! chooses is read through [`CacheSim::trace`], which always runs it.
 
 use std::borrow::Cow;
 
@@ -83,9 +91,6 @@ impl CacheTrace {
 /// Outcome of one simulated run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheRun {
-    /// Execution order (indices into the instruction stream, one entry per
-    /// executed instruction per repetition).
-    order: Vec<usize>,
     /// Operand accesses that found their qubit cached.
     hits: u64,
     /// Accesses that had to pull the qubit from level-2 memory.
@@ -97,13 +102,6 @@ pub struct CacheRun {
 }
 
 impl CacheRun {
-    /// Execution order chosen by the fetch policy (instruction indices;
-    /// repeats when the stream was run multiple times).
-    #[must_use]
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
     /// Operand accesses that hit the cache.
     #[must_use]
     pub fn hits(&self) -> u64 {
@@ -199,6 +197,13 @@ impl CacheSim {
     /// cache on first touch. Evicted qubits of either kind return to
     /// memory.
     ///
+    /// If the register fits the cache (`num_qubits <= capacity`), nothing
+    /// can be evicted and the counts do not depend on the order: each
+    /// touched qubit costs one fetch miss (memory-resident) or one
+    /// allocation (scratch) on its first access, every later access hits,
+    /// and no DAG is built. The order a policy chooses is read through
+    /// [`CacheSim::trace`].
+    ///
     /// # Panics
     ///
     /// Panics if `repetitions` is zero.
@@ -210,6 +215,12 @@ impl CacheSim {
         memory_resident: &[QubitId],
         repetitions: u32,
     ) -> CacheRun {
+        // A run that cannot evict never consults the fetch order.
+        let policy = if self.fits(circuit.num_qubits() as usize) {
+            FetchPolicy::InOrder
+        } else {
+            policy
+        };
         self.simulate(
             &Program::of_circuit(circuit, policy),
             memory_resident,
@@ -220,7 +231,8 @@ impl CacheSim {
     /// [`CacheSim::run`] under [`FetchPolicy::OptimizedLookahead`] over
     /// the circuit of an already built dependency DAG, which the fetch
     /// selects over directly: a caller that also schedules the circuit
-    /// builds its DAG once.
+    /// builds its DAG once. A register that fits the cache takes the
+    /// same one-pass count as [`CacheSim::run`].
     ///
     /// # Panics
     ///
@@ -242,14 +254,16 @@ impl CacheSim {
         repetitions: u32,
     ) -> CacheRun {
         assert!(repetitions > 0, "at least one repetition required");
+        if self.fits(program.num_qubits) {
+            return program.without_eviction(memory_resident, repetitions);
+        }
         let mut state = CacheState::new(self.capacity, program.num_qubits, memory_resident);
-        let mut order = Vec::with_capacity(program.len() * repetitions as usize);
         let (mut hits, mut fetch_misses, mut allocations) = (0u64, 0u64, 0u64);
         let mut last_fetch_misses = 0;
 
         for _ in 0..repetitions {
             let before = fetch_misses;
-            program.execute(&mut state, |i, kinds| {
+            program.execute(&mut state, |_, kinds| {
                 for kind in kinds {
                     match kind {
                         AccessKind::Hit => hits += 1,
@@ -257,12 +271,10 @@ impl CacheSim {
                         AccessKind::Allocation => allocations += 1,
                     }
                 }
-                order.push(i);
             });
             last_fetch_misses = fetch_misses - before;
         }
         CacheRun {
-            order,
             hits,
             fetch_misses,
             last_fetch_misses,
@@ -270,10 +282,18 @@ impl CacheSim {
         }
     }
 
-    /// Like [`CacheSim::run`], but additionally records how many operands
-    /// each executed instruction fetched from memory — the input the
-    /// event-driven pipeline simulator needs. Runs `warmup` repetitions
-    /// first (untraced) and traces one more.
+    /// Whether a register of `num_qubits` fits the cache, so that no
+    /// access can evict: a miss finds fewer than `num_qubits`, hence
+    /// fewer than `capacity`, qubits cached.
+    fn fits(&self, num_qubits: usize) -> bool {
+        num_qubits <= self.capacity
+    }
+
+    /// Like [`CacheSim::run`], but records the execution order the policy
+    /// chooses and how many operands each executed instruction fetched
+    /// from memory — the input the event-driven pipeline simulator needs.
+    /// Runs `warmup` repetitions first (untraced) and traces one more;
+    /// the policy runs even when the register fits the cache.
     #[must_use]
     pub fn trace(
         &self,
@@ -368,6 +388,33 @@ impl<'a> Program<'a> {
 
     fn operands(&self, i: usize) -> &[u32] {
         &self.operands[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+
+    /// The counts of `repetitions` executions that cannot evict, in one
+    /// pass over the operands: the first access to each qubit is a fetch
+    /// miss (memory-resident) or an allocation (scratch), every other
+    /// access hits. A qubit stays cached once touched, so later
+    /// repetitions only hit.
+    fn without_eviction(&self, memory_resident: &[QubitId], repetitions: u32) -> CacheRun {
+        let mut residence = vec![Residence::Unborn; self.num_qubits];
+        for q in memory_resident {
+            residence[q.index() as usize] = Residence::Memory;
+        }
+        let (mut fetch_misses, mut allocations) = (0u64, 0u64);
+        for &q in &self.operands {
+            match std::mem::replace(&mut residence[q as usize], Residence::Cached) {
+                Residence::Memory => fetch_misses += 1,
+                Residence::Unborn => allocations += 1,
+                Residence::Cached => {}
+            }
+        }
+        let accesses = self.operands.len() as u64 * u64::from(repetitions);
+        CacheRun {
+            hits: accesses - fetch_misses - allocations,
+            fetch_misses,
+            last_fetch_misses: if repetitions == 1 { fetch_misses } else { 0 },
+            allocations,
+        }
     }
 
     /// Executes the stream once against `state`, calling `visit` with
@@ -748,12 +795,12 @@ mod tests {
     fn optimized_order_is_a_valid_topological_order() {
         let adder = DraperAdder::new(16);
         let circuit = adder.circuit();
-        let run = CacheSim::new(24).run(&circuit, FetchPolicy::OptimizedLookahead, &[], 1);
-        assert_eq!(run.order().len(), circuit.len());
+        let trace = CacheSim::new(24).trace(&circuit, FetchPolicy::OptimizedLookahead, &[], 0);
+        assert_eq!(trace.steps().len(), circuit.len());
         let dag = DependencyDag::new(&circuit);
         let mut position = vec![0usize; circuit.len()];
-        for (pos, &i) in run.order().iter().enumerate() {
-            position[i] = pos;
+        for (pos, step) in trace.steps().iter().enumerate() {
+            position[step.instr] = pos;
         }
         for i in 0..circuit.len() {
             for &p in dag.predecessors(i) {
@@ -822,12 +869,13 @@ mod tests {
     /// its operands, and every pick rescans every ready gate for the
     /// largest `(full, cached, earliest index)` key against the current
     /// cache state. Quadratic, and independent of the DAG and buckets.
+    /// Returns the counts and the execution order of every repetition.
     fn quadratic_optimized(
         circuit: &Circuit,
         capacity: usize,
         memory_resident: &[QubitId],
         repetitions: u32,
-    ) -> CacheRun {
+    ) -> (CacheRun, Vec<usize>) {
         let gates = circuit.gates();
         let mut state = CacheState::new(capacity, circuit.num_qubits() as usize, memory_resident);
         let (mut order, mut hits, mut fetch_misses, mut allocations) = (vec![], 0, 0, 0);
@@ -870,13 +918,13 @@ mod tests {
             }
             last_fetch_misses = fetch_misses - before;
         }
-        CacheRun {
-            order,
+        let run = CacheRun {
             hits,
             fetch_misses,
             last_fetch_misses,
             allocations,
-        }
+        };
+        (run, order)
     }
 
     #[test]
@@ -893,7 +941,7 @@ mod tests {
                         let case = format!(
                             "{gates} gates, {qubits} qubits, capacity {capacity}, {repetitions} rep(s)"
                         );
-                        let expected =
+                        let (expected, order) =
                             quadratic_optimized(&circuit, capacity, &inputs, repetitions);
                         let sim = CacheSim::new(capacity);
                         let run = sim.run(
@@ -905,10 +953,196 @@ mod tests {
                         assert_eq!(run, expected, "{case}");
                         let on_dag = sim.run_optimized(&dag, &inputs, repetitions);
                         assert_eq!(on_dag, expected, "{case}, prebuilt DAG");
+                        // Repetition `r` executes as the trace after `r` warmups.
+                        let traced: Vec<usize> = (0..repetitions)
+                            .flat_map(|warmup| {
+                                let policy = FetchPolicy::OptimizedLookahead;
+                                sim.trace(&circuit, policy, &inputs, warmup).steps
+                            })
+                            .map(|step| step.instr)
+                            .collect();
+                        assert_eq!(traced, order, "{case}, traced order");
                     }
                 }
             }
         }
+    }
+
+    /// In-order LRU by definition: the cache is a queue, most recently
+    /// used at the back. A miss on a qubit that is memory-resident or was
+    /// born earlier fetches; any other miss allocates.
+    fn lru_in_order(
+        circuit: &Circuit,
+        capacity: usize,
+        memory_resident: &[QubitId],
+        repetitions: u32,
+    ) -> CacheRun {
+        use std::collections::{HashSet, VecDeque};
+        let memory: HashSet<u32> = memory_resident.iter().map(|q| q.index()).collect();
+        let (mut cache, mut born) = (VecDeque::new(), HashSet::new());
+        let (mut hits, mut fetch_misses, mut allocations, mut last_fetch_misses) = (0, 0, 0, 0);
+        for _ in 0..repetitions {
+            let before = fetch_misses;
+            for q in circuit.gates().iter().flat_map(Gate::qubits) {
+                let q = q.index();
+                if let Some(at) = cache.iter().position(|&c| c == q) {
+                    cache.remove(at);
+                    hits += 1;
+                } else {
+                    if memory.contains(&q) || !born.insert(q) {
+                        fetch_misses += 1;
+                    } else {
+                        allocations += 1;
+                    }
+                    if cache.len() == capacity {
+                        cache.pop_front();
+                    }
+                }
+                cache.push_back(q);
+            }
+            last_fetch_misses = fetch_misses - before;
+        }
+        CacheRun {
+            hits,
+            fetch_misses,
+            last_fetch_misses,
+            allocations,
+        }
+    }
+
+    #[test]
+    fn in_order_runs_match_the_lru_reference() {
+        for (qubits, gates, seed) in [(1u32, 9u32, 1u64), (5, 40, 2), (12, 300, 3)] {
+            let circuit = cqla_compile::random::random_circuit(qubits, gates, seed);
+            let inputs: Vec<QubitId> = (0..qubits).step_by(2).map(qid).collect();
+            for capacity in [1, 2, qubits as usize, 2 * qubits as usize] {
+                for repetitions in 1..=3 {
+                    let case =
+                        format!("{qubits} qubits, capacity {capacity}, {repetitions} rep(s)");
+                    let run = CacheSim::new(capacity).run(
+                        &circuit,
+                        FetchPolicy::InOrder,
+                        &inputs,
+                        repetitions,
+                    );
+                    let expected = lru_in_order(&circuit, capacity, &inputs, repetitions);
+                    assert_eq!(run, expected, "{case}");
+                }
+            }
+        }
+    }
+
+    /// Circuits for the no-eviction rule: a seeded random program on
+    /// `touched` qubits placed at `offset` in a register of `register`
+    /// qubits, and memory-resident lists that leave qubits untouched,
+    /// repeat qubits, or both.
+    fn no_eviction_cases() -> Vec<(Circuit, Vec<QubitId>)> {
+        let mut cases = Vec::new();
+        for (touched, offset, register, seed) in [
+            (1u32, 0u32, 1u32, 1u64),
+            (6, 0, 6, 2),
+            (6, 3, 12, 3),
+            (20, 5, 40, 4),
+        ] {
+            let mut circuit = Circuit::new(register);
+            let program = cqla_compile::random::random_circuit(touched, 12 * touched, seed);
+            circuit.append_embedded(&program, offset);
+            let every_other: Vec<QubitId> = (0..register).step_by(2).map(qid).collect();
+            let untouched_and_repeated: Vec<QubitId> = (0..register)
+                .rev()
+                .chain(offset..offset + touched.div_ceil(2))
+                .map(qid)
+                .collect();
+            for inputs in [vec![], every_other, untouched_and_repeated] {
+                cases.push((circuit.clone(), inputs));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn runs_that_cannot_evict_match_both_oracles() {
+        for (circuit, inputs) in no_eviction_cases() {
+            let register = circuit.num_qubits() as usize;
+            let dag = DependencyDag::new(&circuit);
+            for capacity in [register, register + 1] {
+                let sim = CacheSim::new(capacity);
+                for repetitions in 1..=3 {
+                    let case = format!(
+                        "register {register}, capacity {capacity}, {repetitions} rep(s), inputs {inputs:?}"
+                    );
+                    let (optimized, _) =
+                        quadratic_optimized(&circuit, capacity, &inputs, repetitions);
+                    let run = sim.run(
+                        &circuit,
+                        FetchPolicy::OptimizedLookahead,
+                        &inputs,
+                        repetitions,
+                    );
+                    assert_eq!(run, optimized, "{case}, optimized");
+                    assert_eq!(
+                        sim.run_optimized(&dag, &inputs, repetitions),
+                        optimized,
+                        "{case}, prebuilt DAG"
+                    );
+                    let in_order = lru_in_order(&circuit, capacity, &inputs, repetitions);
+                    let run = sim.run(&circuit, FetchPolicy::InOrder, &inputs, repetitions);
+                    assert_eq!(run, in_order, "{case}, in-order");
+                    // Nothing was evicted, so the policy cannot matter.
+                    assert_eq!(optimized, in_order, "{case}");
+                    let last = if repetitions == 1 {
+                        run.fetch_misses()
+                    } else {
+                        0
+                    };
+                    assert_eq!(run.last_fetch_misses(), last, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_register_one_past_the_cache_still_runs_the_policy() {
+        // A cycle over 8 qubits, twice: with room for 7, in-order LRU
+        // misses on every access.
+        let mut cycle = Circuit::new(8);
+        for q in (0..8).chain(0..8) {
+            cycle.x(q);
+        }
+        let fits = CacheSim::new(8).run(&cycle, FetchPolicy::InOrder, &[], 1);
+        let evicts = CacheSim::new(7).run(&cycle, FetchPolicy::InOrder, &[], 1);
+        assert_eq!((fits.hits(), evicts.hits()), (8, 0));
+
+        // Capacity = register - 1 must match the oracles, which differ
+        // from the no-eviction count wherever an eviction happened.
+        let mut differs = [0; 2];
+        let cases = no_eviction_cases()
+            .into_iter()
+            .chain([(cycle, vec![qid(0), qid(3), qid(3)])]);
+        for (circuit, inputs) in cases {
+            let register = circuit.num_qubits() as usize;
+            if register == 1 {
+                continue;
+            }
+            let sim = CacheSim::new(register - 1);
+            for repetitions in 1..=3 {
+                let case = format!("register {register}, {repetitions} rep(s), inputs {inputs:?}");
+                let (optimized, _) =
+                    quadratic_optimized(&circuit, register - 1, &inputs, repetitions);
+                let in_order = lru_in_order(&circuit, register - 1, &inputs, repetitions);
+                for (policy, expected, slot) in [
+                    (FetchPolicy::OptimizedLookahead, optimized, 0),
+                    (FetchPolicy::InOrder, in_order, 1),
+                ] {
+                    let run = sim.run(&circuit, policy, &inputs, repetitions);
+                    assert_eq!(run, expected, "{case}, {policy}");
+                    let closed_form =
+                        CacheSim::new(register).run(&circuit, policy, &inputs, repetitions);
+                    differs[slot] += usize::from(run != closed_form);
+                }
+            }
+        }
+        assert!(differs.iter().all(|&n| n > 0), "{differs:?}");
     }
 
     #[test]

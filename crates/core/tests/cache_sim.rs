@@ -1,7 +1,7 @@
-//! Pins the cache simulator's observable output — execution order, hit /
-//! fetch / allocation counts and traced fetches — on the 64-bit Draper
-//! adder with its inputs memory-resident, so any change to the simulator's
-//! internals must reproduce it exactly.
+//! Pins the cache simulator's observable output — execution order (read
+//! through `trace`), hit / fetch / allocation counts and traced fetches —
+//! on the 64-bit Draper adder with its inputs memory-resident, so any
+//! change to the simulator's internals must reproduce it exactly.
 
 use cqla_circuit::QubitId;
 use cqla_core::CacheSim;
@@ -32,7 +32,8 @@ fn adder_64() -> (cqla_circuit::Circuit, Vec<QubitId>) {
 }
 
 /// `(capacity, policy, repetitions, order digest, hits, fetch misses,
-/// allocations)`.
+/// allocations)`. The order digest runs over the traced instructions of
+/// every repetition, concatenated.
 const RUNS: [(usize, FetchPolicy, u32, u64, u64, u64, u64); 12] = [
     (1, InOrder, 1, 0xa6cc_a055_cda9_0c48, 0, 1156, 122),
     (1, InOrder, 2, 0x3742_fbf3_5dc0_5035, 0, 2434, 122),
@@ -63,14 +64,20 @@ fn runs_match_the_pinned_output() {
     let (circuit, inputs) = adder_64();
     assert_eq!(circuit.len(), 490);
     for (capacity, policy, reps, order, hits, fetches, allocations) in RUNS {
-        let run = CacheSim::new(capacity).run(&circuit, policy, &inputs, reps);
+        let sim = CacheSim::new(capacity);
+        let run = sim.run(&circuit, policy, &inputs, reps);
         let case = format!("capacity {capacity}, {policy}, {reps} repetition(s)");
-        assert_eq!(run.order().len(), circuit.len() * reps as usize, "{case}");
-        assert_eq!(
-            digest(run.order().iter().map(|&i| i as u64)),
-            order,
-            "{case}"
-        );
+        // Repetition `r` executes as the trace after `r` warmups.
+        let executed: Vec<u64> = (0..reps)
+            .flat_map(|warmup| {
+                sim.trace(&circuit, policy, &inputs, warmup)
+                    .steps()
+                    .to_vec()
+            })
+            .map(|step| step.instr as u64)
+            .collect();
+        assert_eq!(executed.len(), circuit.len() * reps as usize, "{case}");
+        assert_eq!(digest(executed), order, "{case}");
         assert_eq!(run.hits(), hits, "{case}");
         assert_eq!(run.fetch_misses(), fetches, "{case}");
         assert_eq!(run.allocations(), allocations, "{case}");
@@ -111,8 +118,9 @@ fn last_repetition_misses_are_the_warm_increment() {
                     two.fetch_misses() - one.fetch_misses(),
                     "{case}"
                 );
-                // The cold run is the warm run's first repetition.
-                assert_eq!(two.order()[..one.order().len()], *one.order(), "{case}");
+                // The warm increment is what the second repetition fetches.
+                let second = sim.trace(&circuit, policy, &inputs, 1);
+                assert_eq!(second.total_fetches(), two.last_fetch_misses(), "{case}");
             }
         }
     }

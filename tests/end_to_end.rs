@@ -50,7 +50,9 @@ fn parsed_assembly_feeds_the_cache_simulator() {
     let circuit = asm::parse(&text).unwrap();
     let sim = CacheSim::new(32);
     let run = sim.run(&circuit, FetchPolicy::OptimizedLookahead, &[], 1);
-    assert_eq!(run.order().len(), circuit.len());
+    let trace = sim.trace(&circuit, FetchPolicy::OptimizedLookahead, &[], 0);
+    assert_eq!(trace.steps().len(), circuit.len());
+    assert_eq!(trace.total_fetches(), run.fetch_misses());
     assert!(run.hit_rate() > 0.0);
 }
 

@@ -111,12 +111,14 @@ proptest! {
         for policy in [FetchPolicy::InOrder, FetchPolicy::OptimizedLookahead] {
             let run = sim.run(&circuit, policy, &[], 1);
             prop_assert!((0.0..=1.0).contains(&run.hit_rate()));
-            prop_assert_eq!(run.order().len(), circuit.len());
+            let trace = sim.trace(&circuit, policy, &[], 0);
+            prop_assert_eq!(trace.steps().len(), circuit.len());
+            prop_assert_eq!(trace.total_fetches(), run.fetch_misses());
             // Execution order respects dependencies.
             let dag = DependencyDag::new(&circuit);
             let mut pos = vec![usize::MAX; circuit.len()];
-            for (i, &g) in run.order().iter().enumerate() {
-                pos[g] = i;
+            for (i, step) in trace.steps().iter().enumerate() {
+                pos[step.instr] = i;
             }
             for g in 0..circuit.len() {
                 for &p in dag.predecessors(g) {
@@ -536,6 +538,29 @@ mod sweep_spec {
     }
 }
 
+/// Applies `(kind, position, char)` edits — insert, delete or replace
+/// with a char of `alphabet` — to `text`, char by char so the result
+/// stays UTF-8: the mutation step of the front-end fuzzes below.
+fn mutate(text: &str, alphabet: &str, edits: &[(u8, usize, usize)]) -> String {
+    let alphabet: Vec<char> = alphabet.chars().collect();
+    let mut chars: Vec<char> = text.chars().collect();
+    for &(kind, pos, pick) in edits {
+        let c = alphabet[pick % alphabet.len()];
+        match kind {
+            0 => chars.insert(pos % (chars.len() + 1), c),
+            _ if chars.is_empty() => {}
+            1 => {
+                chars.remove(pos % chars.len());
+            }
+            _ => {
+                let at = pos % chars.len();
+                chars[at] = c;
+            }
+        }
+    }
+    chars.into_iter().collect()
+}
+
 // ---------------------------------------------------------------------------
 // The compile front end: the seeded workload generator's output must
 // survive the asm front door losslessly — emit -> parse -> emit is
@@ -551,31 +576,11 @@ mod compile_front_end {
     use cqla_repro::compile::random::random_circuit;
     use cqla_repro::compile::SAMPLE_PROGRAM;
 
+    use super::mutate;
+
     /// What a mutation inserts or writes: the grammar's own characters,
     /// whitespace, and one multi-byte character to test char boundaries.
     const MUTANT_CHARS: &str = "abcdefghijklmnopqrstuvwxyzQXZ0123456789,[]#: \t\nλ";
-
-    /// Applies `(kind, position, char)` edits — insert, delete or
-    /// replace — to `text`, char by char so the result stays UTF-8.
-    fn mutate(text: &str, edits: &[(u8, usize, usize)]) -> String {
-        let alphabet: Vec<char> = MUTANT_CHARS.chars().collect();
-        let mut chars: Vec<char> = text.chars().collect();
-        for &(kind, pos, pick) in edits {
-            let c = alphabet[pick % alphabet.len()];
-            match kind {
-                0 => chars.insert(pos % (chars.len() + 1), c),
-                _ if chars.is_empty() => {}
-                1 => {
-                    chars.remove(pos % chars.len());
-                }
-                _ => {
-                    let at = pos % chars.len();
-                    chars[at] = c;
-                }
-            }
-        }
-        chars.into_iter().collect()
-    }
 
     proptest! {
         // Each case parses a few hundred bytes; debug builds run fewer.
@@ -596,7 +601,7 @@ mod compile_front_end {
             } else {
                 asm::emit(&random_circuit(qubits, gates, seed))
             };
-            let text = mutate(&valid, &edits);
+            let text = mutate(&valid, MUTANT_CHARS, &edits);
             match asm::parse(&text) {
                 Ok(circuit) => {
                     let again = asm::parse(&asm::emit(&circuit))
@@ -645,6 +650,92 @@ mod compile_front_end {
                 asm::emit(&random_circuit(qubits, gates, seed)),
                 asm::emit(&random_circuit(qubits, gates, seed))
             );
+        }
+    }
+}
+
+// The grid grammar faces untrusted text on every front end (`cqla run`,
+// `cqla sweep`, HTTP query strings and sweep bodies), so it gets the
+// same mutation fuzz as the asm parser: the builtin sweep expressions
+// (whose points `tests/golden/sweep_builtins.txt` pins), mutated and
+// parsed against every registry entry's parameters and the sweep's own
+// seven keys, must fail with a span inside the input or parse to a grid
+// whose rendering parses back to the same points.
+
+mod grid_front_end {
+    use proptest::prelude::*;
+
+    use cqla_repro::core::experiments::{registry, Grid, ParamSpec};
+    use cqla_repro::sweep::{parse::design_specs, Sweep};
+
+    use super::mutate;
+
+    /// What a mutation inserts or writes: the grammar's own characters,
+    /// whitespace, and one multi-byte character to test char boundaries.
+    const MUTANT_CHARS: &str = "abcdeinorstwxz0123456789=,.:*+-_ \tλ";
+
+    /// Every builtin sweep's grid expressions.
+    fn builtin_expressions() -> Vec<String> {
+        Sweep::BUILTIN
+            .iter()
+            .flat_map(|(name, _)| {
+                let sweep = Sweep::builtin(name).expect("builtins resolve");
+                sweep
+                    .grids()
+                    .iter()
+                    .map(|g| g.spec().to_owned())
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    /// `(id, parameters)` of every registry entry, plus the sweep's.
+    fn surfaces() -> Vec<(String, Vec<ParamSpec>)> {
+        registry()
+            .iter()
+            .map(|exp| (exp.id().to_owned(), exp.specs()))
+            .chain([("sweep".to_owned(), design_specs().to_vec())])
+            .collect()
+    }
+
+    proptest! {
+        // Each case parses a ~60-byte expression against 15 surfaces;
+        // debug builds run fewer.
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 1024 } else { 16384 }
+        ))]
+
+        #[test]
+        fn mutated_grids_round_trip_or_fail_with_an_in_input_span(
+            pick in any::<usize>(),
+            edits in prop::collection::vec((0u8..3, any::<usize>(), any::<usize>()), 1..=8),
+        ) {
+            let seeds = builtin_expressions();
+            let text = mutate(&seeds[pick % seeds.len()], MUTANT_CHARS, &edits);
+            for (id, specs) in surfaces() {
+                match Grid::parse(&id, &specs, &text) {
+                Ok(grid) => {
+                    let again = Grid::parse(&id, &specs, &grid.render());
+                    prop_assert_eq!(again.map(|g| g.points()), Ok(grid.points()), "{}: {:?}", id, text);
+                }
+                Err(err) => {
+                    let (start, end) = err.span;
+                    prop_assert!(
+                        start <= end && end <= text.len(),
+                        "{id}: {:?} outside {:?}",
+                        err.span,
+                        text
+                    );
+                    prop_assert!(
+                        text.is_char_boundary(start) && text.is_char_boundary(end),
+                        "{id}: {:?} splits a char of {:?}",
+                        err.span,
+                        text
+                    );
+                    prop_assert!(err.to_string().contains(&err.message), "{id}: {:?}", text);
+                }
+                }
+            }
         }
     }
 }
