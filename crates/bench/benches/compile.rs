@@ -5,7 +5,11 @@
 //! per request. The `_65536` rungs time the asm emit and parse, the DAG
 //! build, the list schedule and the optimized cache run one by one on a
 //! 2^16-gate program, large enough to show their per-gate cost, and then
-//! the whole artifact on that program. Its 64 qubits fit the 162-qubit
+//! the whole artifact on that program. The program's ASAP schedule peaks
+//! above 9 gates and below 36, so `schedule_65536` (9 blocks) times the
+//! priority pass and the heaps, and `schedule_unbound_65536` (36 blocks)
+//! times the ASAP pass and occupancy sweep that return when the width
+//! never binds. Its 64 qubits fit the 162-qubit
 //! cache, so `cache_optimized_65536` times the one-pass count of a run
 //! that cannot evict; `cache_evicting_65536` runs the same gate count on
 //! 512 qubits, where the optimized fetch selector does the work.
@@ -59,6 +63,9 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("compile/schedule_65536", |b| {
         b.iter(|| black_box(schedule_costs(&big_dag, 9)))
+    });
+    c.bench_function("compile/schedule_unbound_65536", |b| {
+        b.iter(|| black_box(schedule_costs(&big_dag, 36)))
     });
     c.bench_function("compile/cache_optimized_65536", |b| {
         b.iter(|| black_box(CacheSim::new(capacity).run_optimized(&big_dag, &inputs, 2)))

@@ -21,6 +21,20 @@
 //!   ^^^^^^^^^^
 //!   hint: did you mean `toffoli`?
 //! ```
+//!
+//! # Two lexers, one grammar
+//!
+//! [`parse`] walks the text with one byte cursor. A line in the exact
+//! shape [`emit`] writes (`mnemonic[k]? qA(, qB(, qC)?)?`, single spaces,
+//! `\n` or `\r\n`) is decoded in place: one byte `match` on the mnemonic
+//! gives the variant and arity, and the indices accumulate with an
+//! overflow check. Every other line (comments and the header, blank
+//! lines, other whitespace, signs, out-of-range or repeated operands,
+//! wrong arities, anything malformed) goes to the line parser, which
+//! trims it and splits it on spaces and commas. That parser is the only
+//! place that builds a diagnostic, and the canonical lexer accepts only
+//! lines it would accept, as the same gate, so both lexers give one
+//! grammar; `asm::tests` checks them against each other.
 
 use crate::circuit::Circuit;
 use crate::gate::{Gate, QubitId};
@@ -164,26 +178,46 @@ pub fn emit(circuit: &Circuit) -> String {
 /// ```
 pub fn parse(text: &str) -> Result<Circuit, ParseAsmError> {
     let mut declared_qubits: Option<u32> = None;
-    let mut gates: Vec<Gate> = Vec::new();
+    // The shortest gate line, `x q0` and its newline, is five bytes.
+    let mut gates: Vec<Gate> = Vec::with_capacity(text.len() / 5 + 1);
     let mut max_qubit: u32 = 0;
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    let mut lineno = 0;
 
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(comment) = line.strip_prefix('#') {
-            if let Some(rest) = comment.trim().strip_prefix("circuit:") {
-                if let Some(n) = rest.split_whitespace().next() {
-                    if let Ok(n) = n.parse::<u32>() {
-                        declared_qubits = Some(n);
+    while pos < bytes.len() {
+        lineno += 1;
+        let gate = if let Some((gate, next)) = lex_canonical(&bytes[pos..]) {
+            pos += next;
+            gate
+        } else {
+            // The line as `str::lines` yields it: up to the `\n`, less
+            // one `\r` before it.
+            let end = bytes[pos..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |i| pos + i);
+            let mut raw = &text[pos..end];
+            if end < bytes.len() {
+                raw = raw.strip_suffix('\r').unwrap_or(raw);
+            }
+            pos = end + 1;
+            let line = raw.trim();
+            if line.is_empty() {
+                continue;
+            }
+            if let Some(comment) = line.strip_prefix('#') {
+                if let Some(rest) = comment.trim().strip_prefix("circuit:") {
+                    if let Some(n) = rest.split_whitespace().next() {
+                        if let Ok(n) = n.parse::<u32>() {
+                            declared_qubits = Some(n);
+                        }
                     }
                 }
+                continue;
             }
-            continue;
-        }
-        let gate = parse_line(raw, line, lineno)?;
+            parse_line(raw, line, lineno)?
+        };
         // Unused slots repeat the first operand, so all three count.
         let (qubits, _) = gate.qubit_array();
         for q in qubits {
@@ -196,9 +230,108 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAsmError> {
         .unwrap_or(max_qubit + 1)
         .max(max_qubit + 1)
         .max(1);
-    // `parse_line` rejected repeated operands, and the register covers
-    // the largest index: every gate is valid as `Circuit::push` checks.
+    // Both lexers rejected repeated operands and `q4294967295`, so the
+    // register covers the largest index: every gate is valid as
+    // `Circuit::push` checks.
     Ok(Circuit::from_validated(num_qubits, gates))
+}
+
+/// Decodes one line in the canonical shape [`emit`] writes,
+/// `mnemonic[k]? qA(, qB(, qC)?)?` with single spaces, at the start of
+/// `line` (the rest of the text). Returns the gate and the length of the
+/// line with its `\n` or `\r\n`, or `None` for anything else: other
+/// whitespace, a sign, an index past `q4294967294`, a repeated operand,
+/// a wrong arity, a comment. Those lines go to [`parse_line`], which
+/// gives the same gate or the diagnostic, so this is a fast path only.
+fn lex_canonical(line: &[u8]) -> Option<(Gate, usize)> {
+    enum Shape {
+        One(fn(QubitId) -> Gate),
+        Cnot,
+        Cz,
+        Phase(u8),
+        Toffoli,
+    }
+    let (shape, mut at) = match line {
+        [b'x', b' ', ..] => (Shape::One(Gate::X), 2),
+        [b'y', b' ', ..] => (Shape::One(Gate::Y), 2),
+        [b'z', b' ', ..] => (Shape::One(Gate::Z), 2),
+        [b'h', b' ', ..] => (Shape::One(Gate::H), 2),
+        [b's', b' ', ..] => (Shape::One(Gate::S), 2),
+        [b't', b' ', ..] => (Shape::One(Gate::T), 2),
+        [b'm', b'e', b'a', b's', b'u', b'r', b'e', b' ', ..] => (Shape::One(Gate::Measure), 8),
+        [b'c', b'n', b'o', b't', b' ', ..] => (Shape::Cnot, 5),
+        [b'c', b'z', b' ', ..] => (Shape::Cz, 3),
+        [b't', b'o', b'f', b'f', b'o', b'l', b'i', b' ', ..] => (Shape::Toffoli, 8),
+        [b'c', b'p', b'h', b'a', b's', b'e', b'[', ..] => {
+            let (order, end) = lex_decimal(line, 7)?;
+            let order = u8::try_from(order).ok()?;
+            if line.get(end..end + 2)? != b"] " {
+                return None;
+            }
+            (Shape::Phase(order), end + 2)
+        }
+        _ => return None,
+    };
+    let arity = match shape {
+        Shape::One(_) => 1,
+        Shape::Cnot | Shape::Cz | Shape::Phase(_) => 2,
+        Shape::Toffoli => 3,
+    };
+    let mut q = [QubitId::new(0); 3];
+    for k in 0..arity {
+        if k > 0 {
+            if line.get(at..at + 2)? != b", " {
+                return None;
+            }
+            at += 2;
+        }
+        if line.get(at) != Some(&b'q') {
+            return None;
+        }
+        let (index, end) = lex_decimal(line, at + 1)?;
+        if index == u32::MAX || q[..k].contains(&QubitId::new(index)) {
+            return None;
+        }
+        q[k] = QubitId::new(index);
+        at = end;
+    }
+    let next = match &line[at..] {
+        [] => at,
+        [b'\n', ..] => at + 1,
+        [b'\r', b'\n', ..] => at + 2,
+        _ => return None,
+    };
+    let gate = match shape {
+        Shape::One(gate) => gate(q[0]),
+        Shape::Cnot => Gate::Cnot {
+            control: q[0],
+            target: q[1],
+        },
+        Shape::Cz => Gate::Cz { a: q[0], b: q[1] },
+        Shape::Phase(order) => Gate::ControlledPhase {
+            control: q[0],
+            target: q[1],
+            order,
+        },
+        Shape::Toffoli => Gate::Toffoli {
+            c1: q[0],
+            c2: q[1],
+            target: q[2],
+        },
+    };
+    Some((gate, next))
+}
+
+/// The decimal digits of `line` from `at` as a `u32`, and the offset
+/// past them; `None` for no digits or a value past `u32::MAX`.
+fn lex_decimal(line: &[u8], at: usize) -> Option<(u32, usize)> {
+    let mut value = 0u32;
+    let mut end = at;
+    while let Some(&b) = line.get(end).filter(|b| b.is_ascii_digit()) {
+        value = value.checked_mul(10)?.checked_add(u32::from(b - b'0'))?;
+        end += 1;
+    }
+    (end > at).then_some((value, end))
 }
 
 /// Parses one non-blank, non-comment line. `raw` is the full source line
@@ -612,6 +745,159 @@ mod tests {
     fn unknown_mnemonic_without_close_match_lists_the_grammar() {
         let err = parse("quux q0\n").unwrap_err();
         assert!(err.hint().unwrap().starts_with("known mnemonics:"));
+    }
+
+    /// The parser without the canonical lexer: every non-blank,
+    /// non-comment line through `parse_line`. `parse` must agree with it
+    /// on every input, circuit and diagnostic alike.
+    fn reference_parse(text: &str) -> Result<Circuit, ParseAsmError> {
+        let mut declared_qubits: Option<u32> = None;
+        let mut gates = Vec::new();
+        let mut max_qubit = 0;
+        for (idx, raw) in text.lines().enumerate() {
+            let line = raw.trim();
+            if line.is_empty() {
+                continue;
+            }
+            if let Some(comment) = line.strip_prefix('#') {
+                if let Some(rest) = comment.trim().strip_prefix("circuit:") {
+                    let n = rest.split_whitespace().next();
+                    if let Some(Ok(n)) = n.map(str::parse::<u32>) {
+                        declared_qubits = Some(n);
+                    }
+                }
+                continue;
+            }
+            let gate = parse_line(raw, line, idx + 1)?;
+            for q in gate.qubit_array().0 {
+                max_qubit = max_qubit.max(q.index());
+            }
+            gates.push(gate);
+        }
+        let num_qubits = declared_qubits.unwrap_or(0).max(max_qubit + 1);
+        Ok(Circuit::from_validated(num_qubits, gates))
+    }
+
+    /// A seeded circuit over all eleven mnemonics, on at least three
+    /// qubits.
+    fn seeded_circuit(qubits: u32, gates: usize, seed: u64) -> Circuit {
+        let mut state = seed;
+        // SplitMix64.
+        let mut next = |bound: u32| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % u64::from(bound)) as u32
+        };
+        let mut c = Circuit::new(qubits);
+        for _ in 0..gates {
+            let (draw, a) = (next(11), next(qubits));
+            let b = (a + 1 + next(qubits - 1)) % qubits;
+            let t = (0..qubits).find(|&t| t != a && t != b).unwrap();
+            match draw {
+                0 => c.x(a),
+                1 => c.y(a),
+                2 => c.z(a),
+                3 => c.s(a),
+                4 => c.t(a),
+                5 => c.h(a),
+                6 => c.measure(a),
+                7 => c.cnot(a, b),
+                8 => c.cz(a, b),
+                9 => c.controlled_phase(a, b, next(256) as u8),
+                _ => c.toffoli(a, b, t),
+            }
+        }
+        c
+    }
+
+    /// `line` with its first operand replaced by `operand`.
+    fn with_first_operand(line: &str, operand: &str) -> String {
+        let Some(start) = line.find(' ') else {
+            return format!("{line} {operand}");
+        };
+        let end = line.find(',').unwrap_or(line.len());
+        format!("{}{operand}{}", &line[..=start], &line[end..])
+    }
+
+    /// Line edits that leave the canonical shape: each line they produce
+    /// is either still valid (and must parse to the same gate) or an
+    /// error (and must give the same diagnostic).
+    const LINE_EDITS: [fn(&str) -> String; 14] = [
+        |l| l.replacen(' ', "\t", 1),
+        |l| l.replacen(' ', "\u{3000}", 1),
+        |l| l.replacen(' ', "  ", 1),
+        |l| l.replacen(" q", " q+", 1),
+        |l| l.replacen(" q", " q00", 1),
+        |l| with_first_operand(l, "q4294967295"),
+        |l| with_first_operand(l, "q4294967296"),
+        |l| with_first_operand(l, "q4294967294"),
+        |l| match l.split_once(", ") {
+            Some((head, rest)) => {
+                let first = head.rsplit(' ').next().unwrap_or_default();
+                let tail = rest.find(',').map_or("", |i| &rest[i..]);
+                format!("{head}, {first}{tail}")
+            }
+            None => format!("{l}, {}", l.rsplit(' ').next().unwrap_or_default()),
+        },
+        |l| format!("{l},"),
+        |l| format!("{l} "),
+        |l| format!(" {l}"),
+        |l| format!("{l}\ncphase[255] q0, q1"),
+        |l| format!("{l}\ncphase[256] q0, q1"),
+    ];
+
+    #[test]
+    fn canonical_lexer_agrees_with_the_line_parser() {
+        let check = |text: &str| assert_eq!(parse(text), reference_parse(text), "{text:?}");
+        for seed in 0..24u64 {
+            let qubits = [3, 8, 64, 1000][seed as usize % 4];
+            let text = emit(&seeded_circuit(qubits, 6 + 3 * seed as usize, seed));
+            check(&text);
+            check(&text.replace('\n', "\r\n"));
+            check(&format!("{}\r", text.trim_end()));
+            check(text.trim_end());
+            let lines: Vec<&str> = text.lines().collect();
+            for (e, edit) in LINE_EDITS.iter().enumerate() {
+                // Each edit hits a different line of each program, the
+                // header included.
+                let at = (e + seed as usize) % lines.len();
+                let mut mutant = lines.clone();
+                let edited = edit(lines[at]);
+                mutant[at] = &edited;
+                check(&(mutant.join("\n") + "\n"));
+                check(&mutant.join("\r\n"));
+            }
+        }
+        for text in [
+            "",
+            "\n",
+            "\r\n",
+            "\r",
+            "x q0\r\r\n",
+            "x q0\rx q1\n",
+            "x q007\n",
+            "x q\n",
+            "x q0\n\n\ty q1\n",
+            "cphase[255] q0, q1\n",
+            "cphase[256] q0, q1\n",
+            "cphase[] q0, q1\n",
+            "cphase[2]q0, q1\n",
+            "cnot q0,q1\n",
+            "cnot q0, q1, q2\n",
+            "toffoli q0, q1\n",
+            "toffoli q0, q1, q0\n",
+            "measure q0\n# circuit: 9 qubits\n",
+            "x q4294967294",
+            "x q99999999999999999999\n",
+            "xx q0\n",
+            "tt q0\n",
+            "x\u{3000}q0\n",
+            "λ q0\n",
+        ] {
+            check(text);
+        }
     }
 
     #[test]

@@ -6,6 +6,20 @@
 //! of gate slots using classic list scheduling with downstream-critical-path
 //! priority, producing the makespans, utilizations and occupancy profiles
 //! behind the paper's specialization results.
+//!
+//! # The ASAP exit
+//!
+//! The paper's specialization result is that a few blocks capture all the
+//! parallelism a workload exposes. When the as-soon-as-possible (ASAP)
+//! schedule never runs more than `B` gates at once, the bounded schedule
+//! *is* the ASAP schedule, and no priority decision is ever made. So
+//! [`ListScheduler::schedule`] first runs one forward pass (each gate
+//! starts when its last predecessor finishes) and a +1/−1 occupancy sweep,
+//! and returns that schedule when its peak fits the width. Only a width
+//! that binds pays for the priority pass and the two heaps. The exit is
+//! exact: the heap path, run at any width the ASAP peak fits, makes the
+//! same decisions (`schedule::tests` checks both paths against a
+//! reference list scheduler with no exit).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -53,6 +67,7 @@ impl core::fmt::Display for Width {
 pub struct Schedule {
     width: Width,
     makespan: u64,
+    critical_path: u64,
     total_work: u64,
     start_times: Vec<u64>,
     occupancy: Vec<usize>,
@@ -69,6 +84,13 @@ impl Schedule {
     #[must_use]
     pub fn makespan(&self) -> u64 {
         self.makespan
+    }
+
+    /// Longest weighted dependency chain: the makespan under
+    /// [`Width::Unlimited`], and a lower bound at every width.
+    #[must_use]
+    pub fn critical_path(&self) -> u64 {
+        self.critical_path
     }
 
     /// Sum of all gate durations.
@@ -157,6 +179,16 @@ impl<'a> ListScheduler<'a> {
     /// Schedules every gate onto at most `width` slots, with per-gate
     /// durations from `weight`.
     ///
+    /// One forward pass in program order first gives every gate its ASAP
+    /// start, the latest finish among its predecessors, and the critical
+    /// path. When the ASAP occupancy never exceeds `width`, that is the
+    /// schedule: by induction over completion times, every gate becomes
+    /// ready at its ASAP start, and the gates running then number at
+    /// most the width, so the free slots cover every ready gate and the
+    /// priority order never decides anything. [`Width::Unlimited`] always
+    /// takes this exit. Otherwise the list scheduler runs: ready gates
+    /// launch longest downstream path first, ties in program order.
+    ///
     /// # Panics
     ///
     /// Panics if `width` is `Blocks(0)` or any weight is zero.
@@ -169,13 +201,39 @@ impl<'a> ListScheduler<'a> {
             weights.iter().all(|&w| w > 0),
             "gate weights must be positive"
         );
-        let priority = self.dag.downstream_priority(|g| weight(g));
+        let total_work: u64 = weights.iter().sum();
 
+        // ASAP pass: program order is a topological order.
+        let mut start_times = vec![0u64; n];
+        let mut critical_path = 0u64;
+        for i in 0..n {
+            let start = self
+                .dag
+                .predecessors(i)
+                .iter()
+                .map(|&p| start_times[p] + weights[p])
+                .max()
+                .unwrap_or(0);
+            start_times[i] = start;
+            critical_path = critical_path.max(start + weights[i]);
+        }
+        let mut occupancy = Vec::new();
+        if fill_occupancy(&mut occupancy, &start_times, &weights, critical_path) <= cap {
+            return Schedule {
+                width,
+                makespan: critical_path,
+                critical_path,
+                total_work,
+                start_times,
+                occupancy,
+            };
+        }
+
+        let priority = self.dag.downstream_priority(|g| weight(g));
         // Both heaps order single `u64` keys: a time or priority in the
         // high bits over the gate index in the low `shift` bits. Every
         // priority and finish time is at most the total work, so the
         // packing is exact when the total work fits above the index.
-        let total_work: u64 = weights.iter().sum();
         let shift = usize::BITS - n.saturating_sub(1).leading_zeros();
         assert!(
             total_work <= u64::MAX >> shift,
@@ -192,11 +250,9 @@ impl<'a> ListScheduler<'a> {
             .collect();
         // Completion keys pack `(finish, index)` in a min-heap.
         let mut running: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
-        let mut start_times = vec![0u64; n];
         let mut busy = 0usize;
         let mut now = 0u64;
         let mut makespan = 0u64;
-        let mut intervals: Vec<(u64, u64)> = Vec::with_capacity(n);
         let mut scheduled = 0usize;
 
         while scheduled < n || !running.is_empty() {
@@ -208,7 +264,6 @@ impl<'a> ListScheduler<'a> {
                 let i = (low - (key & low)) as usize;
                 start_times[i] = now;
                 let finish = now + weights[i];
-                intervals.push((now, finish));
                 running.push(Reverse((finish << shift) | i as u64));
                 busy += 1;
                 scheduled += 1;
@@ -235,10 +290,11 @@ impl<'a> ListScheduler<'a> {
             }
         }
 
-        let occupancy = occupancy_from_intervals(&intervals, makespan);
+        fill_occupancy(&mut occupancy, &start_times, &weights, makespan);
         Schedule {
             width,
             makespan,
+            critical_path,
             total_work,
             start_times,
             occupancy,
@@ -246,20 +302,33 @@ impl<'a> ListScheduler<'a> {
     }
 }
 
-fn occupancy_from_intervals(intervals: &[(u64, u64)], makespan: u64) -> Vec<usize> {
-    // Sweep with +1/-1 deltas; makespans here are modest (≤ ~10⁵ units).
-    let mut deltas = vec![0isize; makespan as usize + 1];
-    for &(s, f) in intervals {
-        deltas[s as usize] += 1;
-        deltas[f as usize] -= 1;
+/// Fills `occupancy` with the number of gates running in each time unit
+/// of `0..makespan` and returns its peak: a +1/−1 sweep over the start
+/// and finish times, summed in place (makespans here are modest, ≤ ~10⁶
+/// units). A slot's delta may wrap below zero, so every step wraps, but
+/// each prefix sum is a count of running gates, so the sums are exact.
+fn fill_occupancy(
+    occupancy: &mut Vec<usize>,
+    start_times: &[u64],
+    weights: &[u64],
+    makespan: u64,
+) -> usize {
+    occupancy.clear();
+    occupancy.resize(makespan as usize + 1, 0);
+    for (&start, &w) in start_times.iter().zip(weights) {
+        let slot = &mut occupancy[start as usize];
+        *slot = slot.wrapping_add(1);
+        let slot = &mut occupancy[(start + w) as usize];
+        *slot = slot.wrapping_sub(1);
     }
-    let mut occupancy = Vec::with_capacity(makespan as usize);
-    let mut current = 0isize;
-    for d in deltas.iter().take(makespan as usize) {
-        current += d;
-        occupancy.push(current as usize);
+    occupancy.pop();
+    let (mut running, mut peak) = (0usize, 0usize);
+    for slot in occupancy.iter_mut() {
+        running = running.wrapping_add(*slot);
+        *slot = running;
+        peak = peak.max(running);
     }
-    occupancy
+    peak
 }
 
 #[cfg(test)]
@@ -428,8 +497,9 @@ mod tests {
     }
 
     /// Reference list scheduler over two heaps of tuples,
-    /// `(priority, Reverse(index))` ready and `(finish, index)` running:
-    /// the oracle the packed `u64` heap keys must agree with.
+    /// `(priority, Reverse(index))` ready and `(finish, index)` running,
+    /// with no ASAP exit: the oracle both the exit and the packed `u64`
+    /// heap keys must agree with.
     fn reference_schedule(dag: &DependencyDag, width: Width, weight: fn(&Gate) -> u64) -> Schedule {
         let n = dag.num_gates();
         let cap = width.cap();
@@ -480,10 +550,27 @@ mod tests {
         Schedule {
             width,
             makespan,
+            critical_path: dag.critical_path(weight),
             total_work: weights.iter().sum(),
             start_times,
             occupancy: occupancy_from_intervals(&intervals, makespan),
         }
+    }
+
+    /// Occupancy from each launched gate's `(start, finish)` interval.
+    fn occupancy_from_intervals(intervals: &[(u64, u64)], makespan: u64) -> Vec<usize> {
+        let mut deltas = vec![0isize; makespan as usize + 1];
+        for &(s, f) in intervals {
+            deltas[s as usize] += 1;
+            deltas[f as usize] -= 1;
+        }
+        let mut occupancy = Vec::with_capacity(makespan as usize);
+        let mut current = 0isize;
+        for d in deltas.iter().take(makespan as usize) {
+            current += d;
+            occupancy.push(current as usize);
+        }
+        occupancy
     }
 
     /// A seeded Clifford+T circuit with the gate mix of
@@ -534,7 +621,14 @@ mod tests {
                 (&c, Gate::two_qubit_gate_equivalents as fn(&Gate) -> u64),
             ] {
                 let dag = DependencyDag::new(circuit);
-                for width in widths {
+                // The ASAP peak is the narrowest width that takes the
+                // exit; one block fewer takes the heap path.
+                let peak = reference_schedule(&dag, Width::Unlimited, weight).peak_parallelism();
+                let edges = [peak, peak.saturating_sub(1)]
+                    .into_iter()
+                    .filter(|&b| b > 0)
+                    .map(Width::Blocks);
+                for width in widths.into_iter().chain(edges) {
                     let s = ListScheduler::new(&dag).schedule(width, weight);
                     let want = reference_schedule(&dag, width, weight);
                     assert_eq!(s, want, "{} gates at {width}", circuit.len());

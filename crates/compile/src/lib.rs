@@ -87,7 +87,9 @@ pub fn ideal_makespan((critical_path, total_work): (u64, u64), blocks: u32) -> u
 /// over the same circuit build it once.
 ///
 /// Gates are weighted by [`Gate::two_qubit_gate_equivalents`], so a
-/// not-yet-decomposed Toffoli costs its 15-gate network.
+/// not-yet-decomposed Toffoli costs its 15-gate network. The critical
+/// path and total work come with the schedule; only the unit depth takes
+/// another pass over the DAG.
 ///
 /// # Panics
 ///
@@ -99,8 +101,8 @@ pub fn schedule_costs(dag: &DependencyDag, blocks: u32) -> ScheduleCosts {
     let schedule = ListScheduler::new(dag).schedule(Width::Blocks(blocks as usize), weight);
     ScheduleCosts {
         makespan: schedule.makespan(),
-        critical_path: dag.critical_path(weight),
-        total_work: dag.total_work(weight),
+        critical_path: schedule.critical_path(),
+        total_work: schedule.total_work(),
         depth: dag.depth(),
         peak_parallelism: schedule.peak_parallelism(),
         utilization: schedule.utilization(),

@@ -417,6 +417,9 @@ mod tests {
                 .map_or(n.min(16), |&(_, [b, _])| b);
             let costs = cqla_compile::schedule_costs(&dag, blocks);
             assert_eq!(costs.critical_path, unlimited, "n={n}, B={blocks}");
+            let weight = Gate::two_qubit_gate_equivalents;
+            assert_eq!(costs.critical_path, dag.critical_path(weight), "n={n}");
+            assert_eq!(costs.total_work, dag.total_work(weight), "n={n}");
         }
     }
 

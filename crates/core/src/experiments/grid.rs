@@ -122,7 +122,7 @@ fn words(input: &str) -> Vec<Word<'_>> {
 }
 
 /// Splits `values` on commas (tracking spans) and parses each item with
-/// `item`, flattening range expansions.
+/// `item`.
 ///
 /// # Errors
 ///
@@ -132,7 +132,7 @@ fn parse_items<T>(
     spec: &str,
     values: &str,
     values_start: usize,
-    mut item: impl FnMut(&str, (usize, usize)) -> Result<Vec<T>, SpecError>,
+    mut item: impl FnMut(&str, (usize, usize)) -> Result<T, SpecError>,
 ) -> Result<Vec<T>, SpecError> {
     if values.is_empty() {
         return Err(SpecError::new(
@@ -148,10 +148,50 @@ fn parse_items<T>(
         if piece.is_empty() {
             return Err(SpecError::new(spec, span, "empty value in comma list"));
         }
-        out.extend(item(piece, span)?);
+        out.push(item(piece, span)?);
         offset += piece.len() + 1;
     }
     Ok(out)
+}
+
+/// The step of an integer range.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Geometric: multiply by `k`.
+    Mul(u32),
+    /// Arithmetic: add `k`.
+    Add(u32),
+}
+
+/// One integer item, unexpanded: `start`, then each step while the value
+/// stays within `end`. A plain value is the one-value run `v..=v`.
+#[derive(Debug, Clone, Copy)]
+struct IntRun {
+    start: u32,
+    end: u32,
+    step: Step,
+}
+
+impl IntRun {
+    /// Number of values, counted without expanding them (a geometric
+    /// run over `u32` has at most 32).
+    fn len(self) -> usize {
+        match self.step {
+            Step::Add(k) => ((self.end - self.start) / k) as usize + 1,
+            Step::Mul(_) => self.values().count(),
+        }
+    }
+
+    /// The values, in increasing order.
+    fn values(self) -> impl Iterator<Item = u32> {
+        std::iter::successors(Some(self.start), move |&v| {
+            match self.step {
+                Step::Mul(k) => v.checked_mul(k),
+                Step::Add(k) => v.checked_add(k),
+            }
+            .filter(|&n| n <= self.end)
+        })
+    }
 }
 
 /// Parses one integer item: a plain value or an inclusive range
@@ -167,7 +207,7 @@ fn parse_int_item(
     piece: &str,
     span: (usize, usize),
     max: u32,
-) -> Result<Vec<u32>, SpecError> {
+) -> Result<IntRun, SpecError> {
     let int = |text: &str| -> Result<u32, SpecError> {
         text.parse::<u32>()
             .ok()
@@ -188,7 +228,12 @@ fn parse_int_item(
                 format!("bad range `{piece}`; ranges are inclusive: `a..=b[:*k|:+k]`"),
             ));
         }
-        return Ok(vec![int(piece)?]);
+        let v = int(piece)?;
+        return Ok(IntRun {
+            start: v,
+            end: v,
+            step: Step::Add(1),
+        });
     };
     let start = int(&piece[..dots])?;
     let rest = &piece[dots + 3..];
@@ -203,10 +248,6 @@ fn parse_int_item(
             span,
             format!("empty range `{piece}`; start {start} exceeds end {end}"),
         ));
-    }
-    enum Step {
-        Mul(u32),
-        Add(u32),
     }
     let step = match step_text {
         None => Step::Add(1),
@@ -230,20 +271,7 @@ fn parse_int_item(
             ));
         }
     };
-    let mut out = Vec::new();
-    let mut v = start;
-    loop {
-        out.push(v);
-        let next = match step {
-            Step::Mul(k) => v.checked_mul(k),
-            Step::Add(k) => v.checked_add(k),
-        };
-        match next {
-            Some(n) if n <= end => v = n,
-            _ => break,
-        }
-    }
-    Ok(out)
+    Ok(IntRun { start, end, step })
 }
 
 /// Parses a technology value set (comma list of preset labels).
@@ -257,7 +285,7 @@ fn parse_tech_set(
     values_start: usize,
 ) -> Result<Vec<TechPoint>, SpecError> {
     parse_items(spec, values, values_start, |piece, span| {
-        TechPoint::parse(piece).map(|t| vec![t]).ok_or_else(|| {
+        TechPoint::parse(piece).ok_or_else(|| {
             SpecError::new(
                 spec,
                 span,
@@ -274,7 +302,7 @@ fn parse_tech_set(
 /// A [`SpecError`] naming the unknown code.
 fn parse_code_set(spec: &str, values: &str, values_start: usize) -> Result<Vec<Code>, SpecError> {
     parse_items(spec, values, values_start, |piece, span| {
-        Code::parse(piece).map(|c| vec![c]).ok_or_else(|| {
+        Code::parse(piece).ok_or_else(|| {
             SpecError::new(
                 spec,
                 span,
@@ -284,52 +312,71 @@ fn parse_code_set(spec: &str, values: &str, values_start: usize) -> Result<Vec<C
     })
 }
 
-/// Parses an integer value set (comma list of values and ranges) in
-/// `1..=max`.
-///
-/// # Errors
-///
-/// A [`SpecError`] from [`parse_int_item`].
-fn parse_int_set(
-    spec: &str,
-    values: &str,
-    values_start: usize,
-    max: u32,
-) -> Result<Vec<u32>, SpecError> {
-    parse_items(spec, values, values_start, |piece, span| {
-        parse_int_item(spec, piece, span, max)
-    })
+/// A parsed value set. Integer ranges stay unexpanded runs until
+/// [`Grid::parse`] has checked the grid's point count against
+/// [`MAX_POINTS`], so no spec makes the parser build more values than
+/// the cap allows.
+enum ValueSet {
+    /// Integer items, in submission order.
+    Ints(Vec<IntRun>),
+    /// Labels and decimals, validated, in the user's spelling.
+    Labels(Vec<String>),
 }
 
-/// Parses one value set in `domain`, returning the validated values as
-/// strings ready to feed [`super::Experiment::set`]. Integer ranges are
-/// expanded; labels and decimals keep the user's spelling (which `set`
-/// accepts by construction — both layers validate through [`Domain`]).
+impl ValueSet {
+    /// Number of values, counted without expanding a range.
+    fn len(&self) -> usize {
+        match self {
+            Self::Ints(runs) => runs.iter().map(|r| r.len()).sum(),
+            Self::Labels(labels) => labels.len(),
+        }
+    }
+
+    /// The values as strings ready to feed [`super::Experiment::set`].
+    fn into_strings(self) -> Vec<String> {
+        match self {
+            Self::Ints(runs) => runs
+                .into_iter()
+                .flat_map(IntRun::values)
+                .map(|v| v.to_string())
+                .collect(),
+            Self::Labels(labels) => labels,
+        }
+    }
+}
+
+/// Parses one value set in `domain`. Labels and decimals keep the
+/// user's spelling (which `set` accepts by construction — both layers
+/// validate through [`Domain`]).
 ///
 /// # Errors
 ///
 /// A [`SpecError`] pointing at the rejected item.
-pub fn parse_value_set(
+fn parse_value_set(
     spec: &str,
     domain: Domain,
     values: &str,
     values_start: usize,
-) -> Result<Vec<String>, SpecError> {
+) -> Result<ValueSet, SpecError> {
+    let ints = |max| {
+        parse_items(spec, values, values_start, |piece, span| {
+            parse_int_item(spec, piece, span, max)
+        })
+        .map(ValueSet::Ints)
+    };
     match domain {
+        Domain::PosInt => ints(MAX_INT),
+        Domain::Bits => ints(MAX_ADDER_BITS),
         Domain::Tech => parse_tech_set(spec, values, values_start)
-            .map(|v| v.iter().map(|t| t.label().to_owned()).collect()),
+            .map(|v| ValueSet::Labels(v.iter().map(|t| t.label().to_owned()).collect())),
         Domain::Code => parse_code_set(spec, values, values_start)
-            .map(|v| v.iter().map(|c| c.slug().to_owned()).collect()),
-        Domain::PosInt => parse_int_set(spec, values, values_start, MAX_INT)
-            .map(|v| v.iter().map(u32::to_string).collect()),
-        Domain::Bits => parse_int_set(spec, values, values_start, MAX_ADDER_BITS)
-            .map(|v| v.iter().map(u32::to_string).collect()),
+            .map(|v| ValueSet::Labels(v.iter().map(|c| c.slug().to_owned()).collect())),
         Domain::Ratio => parse_items(spec, values, values_start, |piece, span| {
             // Validate as a decimal but keep the user's spelling:
             // `1.50` and `1.5` are the same value and both parse in
             // `set` (the same `admits` predicate backs it).
             if Domain::Ratio.admits(piece) {
-                Ok(vec![piece.to_owned()])
+                Ok(piece.to_owned())
             } else {
                 Err(SpecError::new(
                     spec,
@@ -337,10 +384,11 @@ pub fn parse_value_set(
                     format!("bad ratio `{piece}`; expected a positive decimal"),
                 ))
             }
-        }),
+        })
+        .map(ValueSet::Labels),
         Domain::Source => parse_items(spec, values, values_start, |piece, span| {
             if Domain::Source.admits(piece) {
-                Ok(vec![piece.to_owned()])
+                Ok(piece.to_owned())
             } else {
                 Err(SpecError::new(
                     spec,
@@ -348,7 +396,8 @@ pub fn parse_value_set(
                     format!("unknown source `{piece}`; expected inline-asm|random"),
                 ))
             }
-        }),
+        })
+        .map(ValueSet::Labels),
     }
 }
 
@@ -399,7 +448,7 @@ impl Grid {
     /// multi-value `base.` clauses, or a grid past [`MAX_POINTS`].
     pub fn parse(id: &str, specs: &[ParamSpec], input: &str) -> Result<Self, SpecError> {
         let mut base: Vec<(String, String)> = Vec::new();
-        let mut axes: Vec<(String, Vec<String>)> = Vec::new();
+        let mut axes: Vec<(String, ValueSet)> = Vec::new();
         let mut seen: Vec<&str> = Vec::new();
         for word in words(input) {
             let Some(eq) = word.text.find('=') else {
@@ -444,7 +493,11 @@ impl Grid {
                         format!("base.{key} pins exactly one value, got {}", parsed.len()),
                     ));
                 }
-                base.push((spec.key.to_owned(), parsed.into_iter().next().unwrap()));
+                let value = parsed
+                    .into_strings()
+                    .pop()
+                    .expect("one value, checked above");
+                base.push((spec.key.to_owned(), value));
             } else {
                 axes.push((spec.key.to_owned(), parsed));
             }
@@ -468,7 +521,10 @@ impl Grid {
             id: id.to_owned(),
             spec: input.trim().to_owned(),
             base,
-            axes,
+            axes: axes
+                .into_iter()
+                .map(|(key, values)| (key, values.into_strings()))
+                .collect(),
         })
     }
 
@@ -767,6 +823,18 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("cap is 10000"), "{err}");
+    }
+
+    #[test]
+    fn range_lengths_count_the_values_they_expand_to() {
+        for (start, end) in [(1, 1), (1, 2), (3, 17), (5, 4096), (1, MAX_INT)] {
+            for k in [1, 2, 3, 7, 1000] {
+                for step in [Step::Add(k), Step::Mul(k + 1)] {
+                    let run = IntRun { start, end, step };
+                    assert_eq!(run.len(), run.values().count(), "{run:?}");
+                }
+            }
+        }
     }
 
     #[test]

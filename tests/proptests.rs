@@ -740,6 +740,62 @@ mod grid_front_end {
     }
 }
 
+// The HTTP front door reads untrusted bytes off every connection of
+// `cqla serve`: valid GET and POST requests, mutated, must parse or fail
+// without a panic, and a request that parses never carries a body past
+// the cap. Requests are read back to back, as a keep-alive connection
+// pipelines them, through a small buffer so lines straddle refills.
+
+mod http_front_end {
+    use std::io::BufReader;
+
+    use proptest::prelude::*;
+
+    use cqla_repro::serve::http::{read_request, MAX_BODY_BYTES};
+
+    use super::mutate;
+
+    /// What a mutation inserts or writes: request-line, header and
+    /// framing characters, and one multi-byte character.
+    const MUTANT_CHARS: &str = "GETPOSHv/1.0:?&=%+,ck-a9 \r\n\tλ";
+
+    /// Valid requests: every route shape the server answers, with
+    /// queries, escapes, bodies and both connection intents.
+    const REQUESTS: [&str; 5] = [
+        "GET /v1/run/table4?bits=8..=16:+4&code=steane HTTP/1.1\r\nHost: x\r\n\r\n",
+        "GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+        "POST /v1/sweep HTTP/1.1\r\nContent-Length: 22\r\n\r\ncode=steane bits=32,64",
+        "POST /v1/compile?width=4 HTTP/1.1\r\ncontent-length: 12\r\n\
+         Connection: close\r\n\r\nh q0\ncnot q0, q1",
+        "POST /v1/sweep/fig2 HTTP/1.1\nContent-Length: 14\n\nbits=8%2C16,24",
+    ];
+
+    proptest! {
+        // Each case reads a few hundred bytes; debug builds run fewer.
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 1024 } else { 16384 }
+        ))]
+
+        #[test]
+        fn mutated_requests_parse_or_fail_without_panicking(
+            first in any::<usize>(),
+            second in any::<usize>(),
+            capacity in 1usize..=64,
+            edits in prop::collection::vec((0u8..3, any::<usize>(), any::<usize>()), 1..=8),
+        ) {
+            let valid = [REQUESTS[first % REQUESTS.len()], REQUESTS[second % REQUESTS.len()]];
+            let text = mutate(&valid.concat(), MUTANT_CHARS, &edits);
+            let mut reader = BufReader::with_capacity(capacity, text.as_bytes());
+            for _ in 0..3 {
+                let Ok(request) = read_request(&mut reader) else {
+                    break;
+                };
+                prop_assert!(request.body.len() <= MAX_BODY_BYTES, "{:?}", text);
+            }
+        }
+    }
+}
+
 // The compressed-sparse-row dependency DAG against its definition: gate
 // `i` depends on the latest earlier toucher of each of its operands, in
 // operand order with duplicates dropped, and a gate's successors are
