@@ -7,12 +7,14 @@
 //! 2^16-gate program, large enough to show their per-gate cost, and then
 //! the whole artifact on that program. The program's ASAP schedule peaks
 //! above 9 gates and below 36, so `schedule_65536` (9 blocks) times the
-//! priority pass and the heaps, and `schedule_unbound_65536` (36 blocks)
-//! times the ASAP pass and occupancy sweep that return when the width
-//! never binds. Its 64 qubits fit the 162-qubit
-//! cache, so `cache_optimized_65536` times the one-pass count of a run
-//! that cannot evict; `cache_evicting_65536` runs the same gate count on
-//! 512 qubits, where the optimized fetch selector does the work.
+//! priority pass, the rank sort and the run over the rank-ordered ready
+//! set, and `schedule_unbound_65536` (36 blocks) times the ASAP pass and
+//! occupancy sweep that return when the width never binds. Both are
+//! one-shot plans; `adders/draper_1024_fig6a_widths` times a shared
+//! one. Its 64 qubits fit the 162-qubit cache, so
+//! `cache_optimized_65536` times the one-pass count of a run that cannot
+//! evict; `cache_evicting_65536` runs the same gate count on 512 qubits,
+//! where the optimized fetch selector does the work.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -124,6 +124,12 @@ impl DependencyDag {
         self.gates.len()
     }
 
+    /// Number of dependency edges.
+    #[must_use]
+    pub fn num_edges(&self) -> usize {
+        self.pred_edges.len()
+    }
+
     /// Size of the register the circuit's gates act on.
     #[must_use]
     pub fn num_qubits(&self) -> u32 {
@@ -218,23 +224,6 @@ impl DependencyDag {
         }
         self.num_gates() as f64 / self.depth() as f64
     }
-
-    /// Remaining critical path from each gate to the DAG's exit, under
-    /// `weight` — the standard list-scheduling priority.
-    #[must_use]
-    pub fn downstream_priority<W: Fn(&Gate) -> u64>(&self, weight: W) -> Vec<u64> {
-        let mut prio = vec![0u64; self.num_gates()];
-        for i in (0..self.num_gates()).rev() {
-            let tail = self
-                .successors(i)
-                .iter()
-                .map(|&s| prio[s])
-                .max()
-                .unwrap_or(0);
-            prio[i] = tail + weight(&self.gates[i]);
-        }
-        prio
-    }
 }
 
 /// Depth in unit-gate layers given every gate's ASAP level.
@@ -308,17 +297,6 @@ mod tests {
         let dag = DependencyDag::new(&c);
         assert_eq!(dag.predecessors(1), &[0]);
         assert_eq!(dag.successors(0), &[1]);
-    }
-
-    #[test]
-    fn downstream_priority_decreases_along_chains() {
-        let mut c = Circuit::new(2);
-        for _ in 0..3 {
-            c.cnot(0, 1);
-        }
-        let dag = DependencyDag::new(&c);
-        let prio = dag.downstream_priority(unit);
-        assert_eq!(prio, vec![3, 2, 1]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`DependencyDag`] — data-dependency analysis, critical paths and the
 //!   unlimited-resources parallelism profile,
 //! * [`ListScheduler`] — resource-constrained list scheduling onto `B`
-//!   compute blocks, with occupancy and utilization reporting,
+//!   compute blocks, with occupancy and utilization reporting; a
+//!   [`SchedulePlan`] schedules one DAG at many widths,
 //! * [`ClassicalState`] — exact verification of reversible (X/CNOT/Toffoli)
 //!   circuits such as adders,
 //! * [`asm`] — the assembly-style text format consumed by the cache
@@ -41,6 +42,7 @@ mod classical;
 mod dag;
 mod decompose;
 mod gate;
+mod index_set;
 mod schedule;
 
 pub use circuit::{Circuit, GateCounts};
@@ -48,4 +50,5 @@ pub use classical::{ClassicalState, NonClassicalGate};
 pub use dag::DependencyDag;
 pub use decompose::{decompose_toffolis, TOFFOLI_DECOMPOSITION_GATES};
 pub use gate::{Gate, QubitId};
-pub use schedule::{ListScheduler, Schedule, Width};
+pub use index_set::IndexSet;
+pub use schedule::{ListScheduler, Schedule, SchedulePlan, Width};

@@ -7,25 +7,52 @@
 //! priority, producing the makespans, utilizations and occupancy profiles
 //! behind the paper's specialization results.
 //!
+//! # Plan and run
+//!
+//! Fig 6a and Table 4 schedule one adder DAG at many block counts, so
+//! the work splits in two. A [`SchedulePlan`] holds everything that does
+//! not depend on the width, built once per `(DAG, weight)`: the gate
+//! weights and total work, the as-soon-as-possible (ASAP) schedule with
+//! its critical path, occupancy and peak, and the rank order. A run
+//! schedules one width from it; [`ListScheduler::schedule`] is a
+//! one-shot plan.
+//!
 //! # The ASAP exit
 //!
 //! The paper's specialization result is that a few blocks capture all the
-//! parallelism a workload exposes. When the as-soon-as-possible (ASAP)
-//! schedule never runs more than `B` gates at once, the bounded schedule
-//! *is* the ASAP schedule, and no priority decision is ever made. So
-//! [`ListScheduler::schedule`] first runs one forward pass (each gate
-//! starts when its last predecessor finishes) and a +1/−1 occupancy sweep,
-//! and returns that schedule when its peak fits the width. Only a width
-//! that binds pays for the priority pass and the two heaps. The exit is
-//! exact: the heap path, run at any width the ASAP peak fits, makes the
-//! same decisions (`schedule::tests` checks both paths against a
-//! reference list scheduler with no exit).
+//! parallelism a workload exposes. When the ASAP schedule never runs more
+//! than `B` gates at once, the bounded schedule *is* the ASAP schedule:
+//! by induction over completion times, every gate becomes ready at its
+//! ASAP start, and the gates running then number at most the width, so
+//! the free slots cover every ready gate and the priority order never
+//! decides anything. So a run whose width the plan's ASAP peak fits
+//! returns the ASAP schedule, and [`Width::Unlimited`] always does.
+//!
+//! # Rank order
+//!
+//! Only a width that binds makes decisions: ready gates launch longest
+//! downstream critical path first, ties in program order. The first such
+//! width gives the plan its rank order: one backward pass computes each
+//! gate's downstream priority, and one sort of packed `(priority,
+//! index)` keys ranks every gate by `(priority desc, index asc)`. Ready
+//! gates then live in an [`IndexSet`] over ranks, so the next launch is
+//! its minimum, at most ⌈log₆₄ n⌉ word operations, where a heap of
+//! ready gates pays a logarithmic pop on a ready set that runs about a
+//! thousand deep on a wide Draper adder. Running gates stay in a min-heap of packed
+//! `(finish, index)` keys, at most the width deep.
+//!
+//! Every path makes the same decisions as a reference list scheduler
+//! over tuple heaps with no exit: `schedule::tests` runs one plan at
+//! widths on both sides of the ASAP peak, in ascending and descending
+//! order, against it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 use crate::dag::DependencyDag;
 use crate::gate::Gate;
+use crate::index_set::IndexSet;
 
 /// Width of a schedule: how many logical gates may execute simultaneously.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,7 +173,9 @@ impl Schedule {
 ///
 /// Ready gates are prioritized by remaining downstream critical path
 /// (longest first), breaking ties by program order, which keeps schedules
-/// deterministic.
+/// deterministic. [`ListScheduler::schedule`] schedules one width; a
+/// caller that schedules one DAG at many widths builds a
+/// [`SchedulePlan`] once and runs it per width.
 ///
 /// # Examples
 ///
@@ -177,93 +206,224 @@ impl<'a> ListScheduler<'a> {
     }
 
     /// Schedules every gate onto at most `width` slots, with per-gate
-    /// durations from `weight`.
-    ///
-    /// One forward pass in program order first gives every gate its ASAP
-    /// start, the latest finish among its predecessors, and the critical
-    /// path. When the ASAP occupancy never exceeds `width`, that is the
-    /// schedule: by induction over completion times, every gate becomes
-    /// ready at its ASAP start, and the gates running then number at
-    /// most the width, so the free slots cover every ready gate and the
-    /// priority order never decides anything. [`Width::Unlimited`] always
-    /// takes this exit. Otherwise the list scheduler runs: ready gates
-    /// launch longest downstream path first, ties in program order.
+    /// durations from `weight`: a one-shot [`SchedulePlan`].
     ///
     /// # Panics
     ///
     /// Panics if `width` is `Blocks(0)` or any weight is zero.
     #[must_use]
     pub fn schedule<W: Fn(&Gate) -> u64>(&self, width: Width, weight: W) -> Schedule {
-        let n = self.dag.num_gates();
-        let cap = width.cap();
-        let weights: Vec<u64> = (0..n).map(|i| weight(&self.dag.gate(i))).collect();
+        SchedulePlan::new(self.dag, weight).schedule(self.dag, width)
+    }
+}
+
+/// The width-independent part of list-scheduling one DAG under one
+/// weight function: built once, it schedules any number of widths.
+///
+/// It holds the gate weights and total work, the ASAP schedule (start
+/// times, critical path, occupancy and its peak) and, once a width
+/// binds, the rank order. A run at a width the ASAP peak fits returns
+/// the ASAP schedule; any other run pops ready gates in rank order.
+///
+/// # Examples
+///
+/// ```
+/// use cqla_circuit::{Circuit, DependencyDag, ListScheduler, SchedulePlan, Width};
+///
+/// let mut c = Circuit::new(8);
+/// for i in 0..4 {
+///     c.cnot(2 * i, 2 * i + 1);
+/// }
+/// let dag = DependencyDag::new(&c);
+/// let plan = SchedulePlan::new(&dag, |_| 1);
+/// assert_eq!(plan.asap_peak(), 4);
+/// for b in 1..=5 {
+///     let width = Width::Blocks(b);
+///     let once = ListScheduler::new(&dag).schedule(width, |_| 1);
+///     assert_eq!(plan.schedule(&dag, width), once);
+/// }
+/// ```
+#[derive(Debug)]
+pub struct SchedulePlan {
+    /// The DAG's edge count, checked with the gate count on every run.
+    edges: usize,
+    weights: Vec<u64>,
+    total_work: u64,
+    critical_path: u64,
+    depth: usize,
+    asap_starts: Vec<u64>,
+    asap_occupancy: Vec<usize>,
+    asap_peak: usize,
+    ranks: OnceLock<Ranks>,
+}
+
+impl SchedulePlan {
+    /// Weighs every gate of `dag` and runs the ASAP pass: program order
+    /// is a topological order, so one forward pass gives every gate its
+    /// start (the latest finish among its predecessors), the critical
+    /// path and the unit-gate depth, and a +1/−1 sweep gives the
+    /// occupancy and its peak.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any weight is zero.
+    #[must_use]
+    pub fn new<W: Fn(&Gate) -> u64>(dag: &DependencyDag, weight: W) -> Self {
+        let n = dag.num_gates();
+        let weights: Vec<u64> = (0..n).map(|i| weight(&dag.gate(i))).collect();
         assert!(
             weights.iter().all(|&w| w > 0),
             "gate weights must be positive"
         );
-        let total_work: u64 = weights.iter().sum();
-
-        // ASAP pass: program order is a topological order.
-        let mut start_times = vec![0u64; n];
+        let total_work = weights.iter().sum();
+        let mut asap_starts = vec![0u64; n];
         let mut critical_path = 0u64;
+        // Unit-gate ASAP levels ride along for the depth.
+        let mut levels = vec![0u32; n];
+        let mut depth = 0u32;
         for i in 0..n {
-            let start = self
-                .dag
-                .predecessors(i)
-                .iter()
-                .map(|&p| start_times[p] + weights[p])
-                .max()
-                .unwrap_or(0);
-            start_times[i] = start;
+            let (mut start, mut level) = (0, 0);
+            for &p in dag.predecessors(i) {
+                start = start.max(asap_starts[p] + weights[p]);
+                level = level.max(levels[p] + 1);
+            }
+            asap_starts[i] = start;
+            levels[i] = level;
             critical_path = critical_path.max(start + weights[i]);
+            depth = depth.max(level + 1);
         }
-        let mut occupancy = Vec::new();
-        if fill_occupancy(&mut occupancy, &start_times, &weights, critical_path) <= cap {
-            return Schedule {
-                width,
-                makespan: critical_path,
-                critical_path,
-                total_work,
-                start_times,
-                occupancy,
-            };
+        let mut asap_occupancy = Vec::new();
+        let asap_peak = fill_occupancy(&mut asap_occupancy, &asap_starts, &weights, critical_path);
+        Self {
+            edges: dag.num_edges(),
+            weights,
+            total_work,
+            critical_path,
+            depth: depth as usize,
+            asap_starts,
+            asap_occupancy,
+            asap_peak,
+            ranks: OnceLock::new(),
         }
+    }
 
-        let priority = self.dag.downstream_priority(|g| weight(g));
-        // Both heaps order single `u64` keys: a time or priority in the
-        // high bits over the gate index in the low `shift` bits. Every
-        // priority and finish time is at most the total work, so the
-        // packing is exact when the total work fits above the index.
-        let shift = usize::BITS - n.saturating_sub(1).leading_zeros();
+    /// The DAG's depth in unit-gate layers, whatever the weights:
+    /// [`DependencyDag::depth`] without another pass.
+    #[must_use]
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Peak concurrent gates of the ASAP schedule: the narrowest width
+    /// that never binds.
+    #[must_use]
+    pub fn asap_peak(&self) -> usize {
+        self.asap_peak
+    }
+
+    /// Builds the rank order now if `width` binds and no earlier run
+    /// built it; returns whether this call built it. Runs build it on
+    /// their own: this only lets a caller count rank builds in tests.
+    ///
+    /// # Panics
+    ///
+    /// As [`SchedulePlan::schedule`].
+    #[doc(hidden)]
+    pub fn build_ranks(&self, dag: &DependencyDag, width: Width) -> bool {
+        let mut built = false;
+        if self.binds(dag, width) {
+            self.ranks.get_or_init(|| {
+                built = true;
+                Ranks::new(dag, self)
+            });
+        }
+        built
+    }
+
+    /// The schedule at `width`, leaving the plan ready for more widths
+    /// (an unbound width copies the ASAP vectors).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is `Blocks(0)`, or if `dag`'s gate or edge
+    /// count differs from the plan's DAG. Only the counts are checked:
+    /// another DAG with the same counts runs on this plan's ASAP times
+    /// and ranks.
+    #[must_use]
+    pub fn schedule(&self, dag: &DependencyDag, width: Width) -> Schedule {
+        if !self.binds(dag, width) {
+            return self.finish(
+                width,
+                self.critical_path,
+                self.asap_starts.clone(),
+                self.asap_occupancy.clone(),
+            );
+        }
+        let ranks = self.ranks.get_or_init(|| Ranks::new(dag, self));
+        self.run(dag, ranks, width)
+    }
+
+    /// Whether `width` binds: the ASAP peak exceeds it.
+    fn binds(&self, dag: &DependencyDag, width: Width) -> bool {
         assert!(
-            total_work <= u64::MAX >> shift,
-            "total work {total_work} of {n} gates overflows the packed heap keys"
+            (dag.num_gates(), dag.num_edges()) == (self.weights.len(), self.edges),
+            "the DAG is not the plan's"
         );
+        self.asap_peak > width.cap()
+    }
+
+    fn finish(
+        &self,
+        width: Width,
+        makespan: u64,
+        start_times: Vec<u64>,
+        occupancy: Vec<usize>,
+    ) -> Schedule {
+        Schedule {
+            width,
+            makespan,
+            critical_path: self.critical_path,
+            total_work: self.total_work,
+            start_times,
+            occupancy,
+        }
+    }
+
+    /// The list scheduler at a binding width: ready gates sit in an
+    /// [`IndexSet`] over ranks, so the next launch is its minimum, and
+    /// running gates in a min-heap of `(finish, index)` keys packed into
+    /// one `u64`.
+    fn run(&self, dag: &DependencyDag, ranks: &Ranks, width: Width) -> Schedule {
+        let n = self.weights.len();
+        let mut start_times = vec![0u64; n];
+        let cap = width.cap();
+        let shift = index_shift(n, self.total_work);
         let low = (1u64 << shift) - 1;
-        // Ready keys pack `(priority, Reverse(index))`: the max-heap pops
-        // the longest downstream path, ties going to program order.
-        let ready_key = |i: usize| (priority[i] << shift) | (low - i as u64);
-        let mut indegree: Vec<usize> = (0..n).map(|i| self.dag.predecessors(i).len()).collect();
-        let mut ready: BinaryHeap<u64> = (0..n)
-            .filter(|&i| indegree[i] == 0)
-            .map(ready_key)
-            .collect();
-        // Completion keys pack `(finish, index)` in a min-heap.
-        let mut running: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+        // At most one predecessor per operand, and gates have at most
+        // three operands.
+        let mut indegree: Vec<u8> = (0..n).map(|i| dag.predecessors(i).len() as u8).collect();
+        let mut ready = IndexSet::new(n);
+        for (i, &d) in indegree.iter().enumerate() {
+            if d == 0 {
+                ready.insert(ranks.rank_of[i] as usize);
+            }
+        }
+        let mut running: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(cap.min(n));
         let mut busy = 0usize;
         let mut now = 0u64;
         let mut makespan = 0u64;
         let mut scheduled = 0usize;
 
         while scheduled < n || !running.is_empty() {
-            // Launch as many ready gates as slots allow.
+            // Launch as many ready gates as slots allow, best rank first.
             while busy < cap {
-                let Some(key) = ready.pop() else {
+                let Some(rank) = ready.first() else {
                     break;
                 };
-                let i = (low - (key & low)) as usize;
+                ready.remove(rank);
+                let i = ranks.gate_at[rank] as usize;
                 start_times[i] = now;
-                let finish = now + weights[i];
+                let finish = now + self.weights[i];
                 running.push(Reverse((finish << shift) | i as u64));
                 busy += 1;
                 scheduled += 1;
@@ -281,25 +441,84 @@ impl<'a> ListScheduler<'a> {
                 }
                 running.pop();
                 busy -= 1;
-                for &s in self.dag.successors((key & low) as usize) {
+                for &s in dag.successors((key & low) as usize) {
                     indegree[s] -= 1;
                     if indegree[s] == 0 {
-                        ready.push(ready_key(s));
+                        ready.insert(ranks.rank_of[s] as usize);
                     }
                 }
             }
         }
-
-        fill_occupancy(&mut occupancy, &start_times, &weights, makespan);
-        Schedule {
-            width,
-            makespan,
-            critical_path,
-            total_work,
-            start_times,
-            occupancy,
-        }
+        let mut occupancy = Vec::new();
+        fill_occupancy(&mut occupancy, &start_times, &self.weights, makespan);
+        self.finish(width, makespan, start_times, occupancy)
     }
+}
+
+/// The list-scheduling order of a DAG's gates: rank 0 is the longest
+/// downstream critical path, ties going to program order.
+#[derive(Debug)]
+struct Ranks {
+    /// The rank of each gate.
+    rank_of: Vec<u32>,
+    /// The gate at each rank.
+    gate_at: Vec<u32>,
+}
+
+impl Ranks {
+    /// Computes every gate's [`downstream_priority`] in one backward
+    /// pass, then ranks the gates by sorting packed keys: `critical
+    /// path − priority` in the high bits puts the highest priority
+    /// first, and the index in the low bits breaks ties in program
+    /// order.
+    fn new(dag: &DependencyDag, plan: &SchedulePlan) -> Self {
+        let n = plan.weights.len();
+        let priority = downstream_priority(dag, &plan.weights);
+        let shift = index_shift(n, plan.total_work);
+        let low = (1u64 << shift) - 1;
+        let mut keys: Vec<u64> = priority
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| ((plan.critical_path - p) << shift) | i as u64)
+            .collect();
+        keys.sort_unstable();
+        let gate_at: Vec<u32> = keys.iter().map(|&k| (k & low) as u32).collect();
+        let mut rank_of = vec![0u32; n];
+        for (rank, &g) in gate_at.iter().enumerate() {
+            rank_of[g as usize] = rank as u32;
+        }
+        Self { rank_of, gate_at }
+    }
+}
+
+/// Remaining critical path from each gate to the DAG's exit: its weight
+/// plus the longest priority among its successors, the standard
+/// list-scheduling priority.
+fn downstream_priority(dag: &DependencyDag, weights: &[u64]) -> Vec<u64> {
+    let mut priority = vec![0u64; weights.len()];
+    for i in (0..weights.len()).rev() {
+        let tail = dag
+            .successors(i)
+            .iter()
+            .map(|&s| priority[s])
+            .max()
+            .unwrap_or(0);
+        priority[i] = tail + weights[i];
+    }
+    priority
+}
+
+/// Bits a gate index takes in a packed `u64` key whose high bits hold a
+/// time or priority. Every finish time and priority is at most the total
+/// work, so the packing is exact when the total work fits above the
+/// index.
+fn index_shift(n: usize, total_work: u64) -> u32 {
+    let shift = usize::BITS - n.saturating_sub(1).leading_zeros();
+    assert!(
+        total_work <= u64::MAX >> shift,
+        "total work {total_work} of {n} gates overflows the packed keys"
+    );
+    shift
 }
 
 /// Fills `occupancy` with the number of gates running in each time unit
@@ -504,7 +723,22 @@ mod tests {
         let n = dag.num_gates();
         let cap = width.cap();
         let weights: Vec<u64> = (0..n).map(|i| weight(&dag.gate(i))).collect();
-        let priority = dag.downstream_priority(weight);
+        // Longest weighted path from each gate to a sink, by a memoized
+        // depth-first walk over the successor lists.
+        fn longest_tail(dag: &DependencyDag, weights: &[u64], memo: &mut [u64], i: usize) -> u64 {
+            if memo[i] == 0 {
+                let mut tail = 0;
+                for &s in dag.successors(i) {
+                    tail = tail.max(longest_tail(dag, weights, memo, s));
+                }
+                memo[i] = weights[i] + tail;
+            }
+            memo[i]
+        }
+        let mut priority = vec![0u64; n];
+        for i in (0..n).rev() {
+            longest_tail(dag, &weights, &mut priority, i);
+        }
         let mut indegree: Vec<usize> = (0..n).map(|i| dag.predecessors(i).len()).collect();
         let mut ready: BinaryHeap<(u64, Reverse<usize>)> = BinaryHeap::new();
         for i in 0..n {
@@ -601,41 +835,115 @@ mod tests {
         c
     }
 
+    /// Two-qubit-gate weights scaled up and jittered, so priorities and
+    /// finish times run far past the gate count in the packed keys'
+    /// high bits. (The scale stays modest: the occupancy series holds
+    /// one entry per time unit.)
+    fn heavy(g: &Gate) -> u64 {
+        64 * g.two_qubit_gate_equivalents() + u64::from(g.qubit_array().0[0].index() % 5)
+    }
+
+    /// `layers` layers of CNOTs on disjoint neighbouring pairs of
+    /// `qubits` qubits, every other layer shifted by one: all gates of a
+    /// layer share one downstream priority.
+    fn tie_heavy(qubits: u32, layers: u32) -> Circuit {
+        let mut c = Circuit::new(qubits);
+        for layer in 0..layers {
+            for pair in 0..qubits / 2 {
+                let a = (2 * pair + layer % 2) % qubits;
+                c.cnot(a, (a + 1) % qubits);
+            }
+        }
+        c
+    }
+
     #[test]
     fn packed_keys_make_every_decision_the_tuple_heaps_make() {
-        let widths = [
-            Width::Blocks(1),
-            Width::Blocks(2),
-            Width::Blocks(9),
-            Width::Blocks(36),
-            Width::Unlimited,
-        ];
         let circuits = (0..24).map(|seed| {
             let qubits = [3, 8, 16, 64][seed as usize % 4];
             random_circuit(qubits, 32 * (seed as usize + 1), seed)
         });
         for c in std::iter::once(Circuit::new(4)).chain(circuits) {
             let lowered = crate::decompose_toffolis(&c);
+            let ties = tie_heavy(c.num_qubits(), 12);
             for (circuit, weight) in [
                 (&lowered, unit as fn(&Gate) -> u64),
                 (&c, Gate::two_qubit_gate_equivalents as fn(&Gate) -> u64),
+                (&c, heavy as fn(&Gate) -> u64),
+                (&ties, unit as fn(&Gate) -> u64),
             ] {
                 let dag = DependencyDag::new(circuit);
                 // The ASAP peak is the narrowest width that takes the
-                // exit; one block fewer takes the heap path.
+                // exit; one block fewer makes decisions.
                 let peak = reference_schedule(&dag, Width::Unlimited, weight).peak_parallelism();
-                let edges = [peak, peak.saturating_sub(1)]
+                let widths: Vec<Width> = [1, 2, 9, 36, peak.saturating_sub(1), peak]
                     .into_iter()
                     .filter(|&b| b > 0)
-                    .map(Width::Blocks);
-                for width in widths.into_iter().chain(edges) {
-                    let s = ListScheduler::new(&dag).schedule(width, weight);
-                    let want = reference_schedule(&dag, width, weight);
-                    assert_eq!(s, want, "{} gates at {width}", circuit.len());
-                    assert_eq!(s.utilization(), want.utilization());
+                    .map(Width::Blocks)
+                    .chain([Width::Unlimited])
+                    .collect();
+                let want: Vec<Schedule> = widths
+                    .iter()
+                    .map(|&width| reference_schedule(&dag, width, weight))
+                    .collect();
+                for descending in [false, true] {
+                    let plan = SchedulePlan::new(&dag, weight);
+                    assert_eq!(plan.asap_peak(), peak);
+                    assert_eq!(plan.depth(), dag.depth());
+                    let mut order: Vec<usize> = (0..widths.len()).collect();
+                    if descending {
+                        order.reverse();
+                    }
+                    for k in order {
+                        let case = format!("{} gates at {}", circuit.len(), widths[k]);
+                        let s = plan.schedule(&dag, widths[k]);
+                        assert_eq!(s, want[k], "{case}");
+                        assert_eq!(s.utilization(), want[k].utilization(), "{case}");
+                        let once = ListScheduler::new(&dag).schedule(widths[k], weight);
+                        assert_eq!(once, want[k], "{case}, one-shot");
+                    }
+                    // Exactly the plans some width binds built ranks.
+                    assert_eq!(plan.ranks.get().is_some(), peak > 1);
+                    assert!(!plan.build_ranks(&dag, Width::Blocks(1)));
                 }
             }
         }
+    }
+
+    #[test]
+    fn rank_builds_wait_for_a_width_that_binds() {
+        let dag = DependencyDag::new(&diamond());
+        let plan = SchedulePlan::new(&dag, unit);
+        assert_eq!(plan.asap_peak(), 2);
+        assert!(!plan.build_ranks(&dag, Width::Unlimited));
+        assert!(!plan.build_ranks(&dag, Width::Blocks(2)));
+        let _ = plan.schedule(&dag, Width::Blocks(2));
+        assert!(plan.ranks.get().is_none());
+        assert!(plan.build_ranks(&dag, Width::Blocks(1)));
+        assert!(!plan.build_ranks(&dag, Width::Blocks(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "the DAG is not the plan's")]
+    fn a_plan_runs_only_on_its_own_dag() {
+        let dag = DependencyDag::new(&diamond());
+        let plan = SchedulePlan::new(&dag, unit);
+        // Four gates like the diamond's, but with no edges.
+        let mut other = Circuit::new(8);
+        for i in 0..4 {
+            other.cnot(2 * i, 2 * i + 1);
+        }
+        let _ = plan.schedule(&DependencyDag::new(&other), Width::Blocks(1));
+    }
+
+    #[test]
+    fn downstream_priority_decreases_along_chains() {
+        let mut c = Circuit::new(2);
+        for _ in 0..3 {
+            c.cnot(0, 1);
+        }
+        let dag = DependencyDag::new(&c);
+        assert_eq!(downstream_priority(&dag, &[1, 1, 1]), vec![3, 2, 1]);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 pub mod random;
 
 use cqla_circuit::asm::{self, ParseAsmError};
-use cqla_circuit::{decompose_toffolis, Circuit, DependencyDag, Gate, ListScheduler, Width};
+use cqla_circuit::{decompose_toffolis, Circuit, DependencyDag, Gate, SchedulePlan, Width};
 
 /// A small demonstration program: a half adder plus phase rotations,
 /// exercising every stage of the pipeline (Toffoli decomposition
@@ -88,26 +88,47 @@ pub fn ideal_makespan((critical_path, total_work): (u64, u64), blocks: u32) -> u
 ///
 /// Gates are weighted by [`Gate::two_qubit_gate_equivalents`], so a
 /// not-yet-decomposed Toffoli costs its 15-gate network. The critical
-/// path and total work come with the schedule; only the unit depth takes
-/// another pass over the DAG.
+/// path, total work and unit depth come with the schedule's plan. A
+/// caller that schedules one DAG at many block counts builds its
+/// [`schedule_plan`] once and calls [`schedule_costs_with`].
 ///
 /// # Panics
 ///
 /// Panics if `blocks` is zero.
 #[must_use]
 pub fn schedule_costs(dag: &DependencyDag, blocks: u32) -> ScheduleCosts {
+    schedule_costs_with(dag, &schedule_plan(dag), blocks)
+}
+
+/// The [`SchedulePlan`] of `dag` under the weights [`schedule_costs`]
+/// uses.
+#[must_use]
+pub fn schedule_plan(dag: &DependencyDag) -> SchedulePlan {
+    SchedulePlan::new(dag, WEIGHT)
+}
+
+/// [`schedule_costs`] from `dag`'s [`schedule_plan`], which serves every
+/// block count.
+///
+/// # Panics
+///
+/// Panics if `blocks` is zero or `plan` is not `dag`'s.
+#[must_use]
+pub fn schedule_costs_with(dag: &DependencyDag, plan: &SchedulePlan, blocks: u32) -> ScheduleCosts {
     assert!(blocks > 0, "schedule width must be positive");
-    let weight = Gate::two_qubit_gate_equivalents;
-    let schedule = ListScheduler::new(dag).schedule(Width::Blocks(blocks as usize), weight);
+    let schedule = plan.schedule(dag, Width::Blocks(blocks as usize));
     ScheduleCosts {
         makespan: schedule.makespan(),
         critical_path: schedule.critical_path(),
         total_work: schedule.total_work(),
-        depth: dag.depth(),
+        depth: plan.depth(),
         peak_parallelism: schedule.peak_parallelism(),
         utilization: schedule.utilization(),
     }
 }
+
+/// The gate weights of every schedule this crate prices.
+const WEIGHT: fn(&Gate) -> u64 = Gate::two_qubit_gate_equivalents;
 
 /// A fully compiled program: the parsed source, its Toffoli-free
 /// lowering, and the bounded-width schedule metrics.
@@ -196,6 +217,24 @@ mod tests {
         assert_eq!(narrow.total_work, wide.total_work);
         assert_eq!(narrow.critical_path, wide.critical_path);
         assert_eq!(narrow.makespan, narrow.total_work); // width 1 serializes
+    }
+
+    #[test]
+    fn one_plan_prices_every_block_count() {
+        let circuit = random::random_circuit(16, 256, 9);
+        for dag in [
+            DependencyDag::new(&circuit),
+            DependencyDag::new(&decompose_toffolis(&circuit)),
+        ] {
+            let plan = schedule_plan(&dag);
+            for blocks in [64, 16, 9, 4, 1, 2, 3] {
+                assert_eq!(
+                    schedule_costs_with(&dag, &plan, blocks),
+                    schedule_costs(&dag, blocks),
+                    "{blocks} blocks"
+                );
+            }
+        }
     }
 
     #[test]

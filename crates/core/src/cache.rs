@@ -23,7 +23,7 @@
 
 use std::borrow::Cow;
 
-use cqla_circuit::{Circuit, DependencyDag, Gate, QubitId};
+use cqla_circuit::{Circuit, DependencyDag, Gate, IndexSet, QubitId};
 
 /// Instruction-fetch policy of the cache simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -450,7 +450,9 @@ impl<'a> Program<'a> {
     /// highest non-empty bucket, which is exactly the instruction the
     /// full scan would choose: scores are compared first, and the
     /// earliest index breaks ties. Every bucket operation touches one
-    /// 64-bit word per level, at most ⌈log₆₄ n⌉ words.
+    /// 64-bit word per level, at most ⌈log₆₄ n⌉ words. [`IndexSet`]
+    /// lives in `cqla-circuit`, where the list scheduler's ready set
+    /// (indexed by priority rank) is the same type.
     ///
     /// Finding the ready instructions a residence change affects needs
     /// no list per qubit: at most one ready instruction touches any
@@ -547,72 +549,6 @@ impl<'a> Program<'a> {
 
 /// Sentinel "no ready gate" slot in the optimized fetch's per-qubit index.
 const NO_GATE: u32 = u32::MAX;
-
-/// A set of indices `0..n` as hierarchical 64-bit occupancy words.
-///
-/// Bit `i % 64` of `levels[0][i / 64]` marks index `i`, and bit `w % 64`
-/// of `levels[k + 1][w / 64]` marks a non-zero word `w` of `levels[k]`.
-/// The top level is a single word. Insert and remove stop climbing as
-/// soon as a word's emptiness is unchanged, and the minimum descends
-/// from the top by trailing zeros, so each takes at most one word
-/// operation per level: ⌈log₆₄ n⌉ (one level up to 64 indices, two up to
-/// 4096, three up to 262 144).
-#[derive(Debug)]
-struct IndexSet {
-    levels: Vec<Vec<u64>>,
-}
-
-impl IndexSet {
-    fn new(n: usize) -> Self {
-        let mut levels = Vec::new();
-        let mut len = n.max(1);
-        loop {
-            let words = len.div_ceil(64);
-            levels.push(vec![0u64; words]);
-            if words == 1 {
-                return Self { levels };
-            }
-            len = words;
-        }
-    }
-
-    fn insert(&mut self, mut i: usize) {
-        for level in &mut self.levels {
-            let word = &mut level[i / 64];
-            let was_empty = *word == 0;
-            *word |= 1 << (i % 64);
-            if !was_empty {
-                return;
-            }
-            i /= 64;
-        }
-    }
-
-    fn remove(&mut self, mut i: usize) {
-        for level in &mut self.levels {
-            let word = &mut level[i / 64];
-            *word &= !(1 << (i % 64));
-            if *word != 0 {
-                return;
-            }
-            i /= 64;
-        }
-    }
-
-    /// The smallest index in the set. Only the top word can be zero on
-    /// the way down.
-    fn first(&self) -> Option<usize> {
-        let mut i = 0;
-        for level in self.levels.iter().rev() {
-            let word = level[i];
-            if word == 0 {
-                return None;
-            }
-            i = i * 64 + word.trailing_zeros() as usize;
-        }
-        Some(i)
-    }
-}
 
 /// Sentinel "no qubit" link in the recency list.
 const NIL: u32 = u32::MAX;
@@ -1143,25 +1079,6 @@ mod tests {
             }
         }
         assert!(differs.iter().all(|&n| n > 0), "{differs:?}");
-    }
-
-    #[test]
-    fn index_set_tracks_its_minimum_across_levels() {
-        for n in [1usize, 64, 65, 4096, 4097, 300_000] {
-            let mut set = IndexSet::new(n);
-            assert_eq!(set.first(), None, "n={n}");
-            let mut members = vec![n - 1, n / 2, 64.min(n - 1), 63.min(n - 1), 0];
-            for &i in &members {
-                set.insert(i);
-            }
-            members.sort_unstable();
-            members.dedup();
-            for &i in &members {
-                assert_eq!(set.first(), Some(i), "n={n}");
-                set.remove(i);
-            }
-            assert_eq!(set.first(), None, "n={n}");
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The paper's Figures 2, 6a, 6b and 7 as [`Experiment`]s.
 
-use cqla_circuit::{Gate, ListScheduler, Width};
+use cqla_circuit::Width;
 use cqla_ecc::Code;
 use cqla_iontrap::{TechPoint, TechnologyParams};
 use cqla_network::{BandwidthSample, SuperblockBandwidth};
@@ -62,13 +62,12 @@ impl Default for Fig2 {
 }
 
 impl Fig2 {
-    /// Schedules both profiles on the adder DAG memoized in `ctx`.
+    /// Schedules both profiles from the adder's one plan in `ctx`.
     #[must_use]
     pub fn data_ctx(&self, ctx: &EvalCtx) -> Fig2Data {
-        let dag = &ctx.draper(self.bits).dag;
-        let weight = Gate::two_qubit_gate_equivalents;
-        let unlimited = ListScheduler::new(dag).schedule(Width::Unlimited, weight);
-        let capped = ListScheduler::new(dag).schedule(Width::Blocks(self.cap as usize), weight);
+        let draper = ctx.draper(self.bits);
+        let [unlimited, capped] = [Width::Unlimited, Width::Blocks(self.cap as usize)]
+            .map(|width| ctx.adder_plan(&draper, width).schedule(&draper.dag, width));
         Fig2Data {
             unlimited_profile: unlimited.occupancy().to_vec(),
             capped_profile: capped.occupancy().to_vec(),

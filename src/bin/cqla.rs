@@ -112,11 +112,13 @@ impl UsageError {
     }
 
     fn report(self) -> ExitCode {
-        eprintln!("cqla: {}", self.message);
+        errln(format_args!("cqla: {}", self.message));
         if let Some(hint) = self.hint {
-            eprintln!("  {hint}");
+            errln(format_args!("  {hint}"));
         }
-        eprintln!("  (run `cqla list` for artifacts, `cqla --help` for usage)");
+        errln(format_args!(
+            "  (run `cqla list` for artifacts, `cqla --help` for usage)"
+        ));
         ExitCode::from(2)
     }
 }
@@ -188,6 +190,15 @@ impl Cli {
     }
 }
 
+/// Writes one line to stderr; every stderr write goes through here. A
+/// failed stderr write has nowhere to be reported (a reader that closed
+/// the pipe, `cqla ... 2>&1 | true`, is the common case), so it is
+/// dropped and the exit code stays the one the caller chose, where
+/// `eprintln!` would panic and exit 101.
+fn errln(args: std::fmt::Arguments<'_>) {
+    let _ = writeln!(std::io::stderr().lock(), "{args}");
+}
+
 /// Writes to stdout and flushes; every stdout write goes through here. A
 /// reader that closes the pipe early (`cqla list | head -1`) already has
 /// what it wanted, so a broken pipe exits 0 quietly instead of panicking.
@@ -198,7 +209,7 @@ fn out(args: std::fmt::Arguments<'_>) {
         if e.kind() == ErrorKind::BrokenPipe {
             std::process::exit(0);
         }
-        eprintln!("cqla: cannot write to stdout: {e}");
+        errln(format_args!("cqla: cannot write to stdout: {e}"));
         std::process::exit(1);
     }
 }
@@ -234,7 +245,7 @@ fn main() -> ExitCode {
             Ok(ExitCode::SUCCESS)
         }
         None => {
-            eprintln!("{USAGE}");
+            errln(format_args!("{USAGE}"));
             Err(UsageError::new("no subcommand given"))
         }
         Some(other) => {
@@ -510,7 +521,7 @@ fn emit_dist(result: Result<dist::DistRun, dist::DistError>) -> ExitCode {
             }
         }
         Err(e) => {
-            eprintln!("cqla: {e}");
+            errln(format_args!("cqla: {e}"));
             ExitCode::FAILURE
         }
     }
@@ -574,7 +585,7 @@ fn sweep(cli: &Cli) -> Result<ExitCode, UsageError> {
             let text = match std::fs::read_to_string(path) {
                 Ok(text) => text,
                 Err(e) => {
-                    eprintln!("cqla: cannot read spec file {path}: {e}");
+                    errln(format_args!("cqla: cannot read spec file {path}: {e}"));
                     return Ok(ExitCode::FAILURE);
                 }
             };
@@ -652,7 +663,7 @@ fn compile(cli: &Cli) -> Result<ExitCode, UsageError> {
         use std::io::Read as _;
         let mut text = String::new();
         if let Err(e) = std::io::stdin().read_to_string(&mut text) {
-            eprintln!("cqla: cannot read stdin: {e}");
+            errln(format_args!("cqla: cannot read stdin: {e}"));
             return Ok(ExitCode::FAILURE);
         }
         text
@@ -660,7 +671,7 @@ fn compile(cli: &Cli) -> Result<ExitCode, UsageError> {
         match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) => {
-                eprintln!("cqla: cannot read {path}: {e}");
+                errln(format_args!("cqla: cannot read {path}: {e}"));
                 return Ok(ExitCode::FAILURE);
             }
         }
@@ -736,7 +747,7 @@ fn bench_diff(cli: &Cli) -> Result<ExitCode, UsageError> {
     let (old, new) = match (load(old_path), load(new_path)) {
         (Ok(old), Ok(new)) => (old, new),
         (Err(e), _) | (_, Err(e)) => {
-            eprintln!("cqla: {e}");
+            errln(format_args!("cqla: {e}"));
             return Ok(ExitCode::FAILURE);
         }
     };
@@ -812,7 +823,7 @@ fn serve(cli: &Cli) -> Result<ExitCode, UsageError> {
     let server = match Server::bind_with(addr.as_str(), cli.threads, config) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("cqla: cannot bind {addr}: {e}");
+            errln(format_args!("cqla: cannot bind {addr}: {e}"));
             return Ok(ExitCode::FAILURE);
         }
     };
@@ -826,7 +837,7 @@ fn serve(cli: &Cli) -> Result<ExitCode, UsageError> {
     match server.run() {
         Ok(()) => Ok(ExitCode::SUCCESS),
         Err(e) => {
-            eprintln!("cqla: serve failed: {e}");
+            errln(format_args!("cqla: serve failed: {e}"));
             Ok(ExitCode::FAILURE)
         }
     }

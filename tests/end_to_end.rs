@@ -220,6 +220,26 @@ mod cli {
     }
 
     #[test]
+    fn closed_stderr_pipe_keeps_the_usage_exit_code() {
+        // A pipe whose read end is already closed: the write end of a
+        // child's stdin, kept after the child has exited.
+        let mut reader = Command::new(env!("CARGO_BIN_EXE_cqla"))
+            .arg("help")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("cqla binary spawns");
+        let closed = reader.stdin.take().expect("stdin piped");
+        assert!(reader.wait().expect("reader exits").success());
+        let out = Command::new(env!("CARGO_BIN_EXE_cqla"))
+            .args(["run", "machine", "xfer=0"])
+            .stderr(Stdio::from(closed))
+            .output()
+            .expect("cqla binary spawns");
+        assert_eq!(out.status.code(), Some(2), "exit: {:?}", out.status);
+    }
+
+    #[test]
     fn table_4_prints_the_specialization_grid() {
         let out = cqla(&["table", "4"]);
         assert!(out.status.success(), "exit: {:?}", out.status);
