@@ -2,13 +2,14 @@
 //! Toffoli lowering plus list scheduling, and the full registry
 //! `compile` experiment (schedule, hierarchy placement, cache
 //! simulation) — the path `cqla compile` and `POST /v1/compile` walk
-//! per request. The `_65536` rungs time the asm emit and parse, the DAG
-//! build, the list schedule and the optimized cache run one by one on a
-//! 2^16-gate program, large enough to show their per-gate cost, and then
-//! the whole artifact on that program. The program's ASAP schedule peaks
-//! above 9 gates and below 36, so `schedule_65536` (9 blocks) times the
-//! priority pass, the rank sort and the run over the rank-ordered ready
-//! set, and `schedule_unbound_65536` (36 blocks) times the ASAP pass and
+//! per request. The `_65536` rungs time the asm emit and parse, the
+//! Toffoli lowering, the DAG build, the list schedule and the optimized
+//! cache run one by one on a 2^16-gate program, large enough to show
+//! their per-gate cost, and then the whole artifact on that program. The
+//! program's ASAP schedule peaks above 9 gates and below 36, so
+//! `schedule_65536` (9 blocks) times the priority pass, the radix passes
+//! that rank the gates and the run over the rank-ordered ready set, and
+//! `schedule_unbound_65536` (36 blocks) times the ASAP pass and
 //! occupancy sweep that return when the width never binds. Both are
 //! one-shot plans; `adders/draper_1024_fig6a_widths` times a shared
 //! one. Its 64 qubits fit the 162-qubit cache, so
@@ -59,6 +60,9 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("compile/parse_65536", |b| {
         b.iter(|| black_box(asm::parse(&big_text)))
+    });
+    c.bench_function("compile/lower_65536", |b| {
+        b.iter(|| black_box(decompose_toffolis(&big_program)))
     });
     c.bench_function("compile/dag_65536", |b| {
         b.iter(|| black_box(DependencyDag::new(&big)))

@@ -5,7 +5,12 @@
 //!
 //! The DAG is stored in compressed-sparse-row form: the predecessors of
 //! gate `i` are `pred_edges[pred_offsets[i]..pred_offsets[i + 1]]`, and
-//! the successors likewise over `succ_offsets`/`succ_edges`. Building it
+//! the successors likewise over `succ_offsets`/`succ_edges`. Offsets and
+//! edge lists are 32-bit: a gate has at most three operands, hence at
+//! most three predecessors, so `3n < u32::MAX` bounds every offset and
+//! every gate index, and the edges take half the memory of `usize`
+//! lists. [`DependencyDag::predecessors`] and
+//! [`DependencyDag::successors`] return `&[u32]`. Building it
 //! takes two linear passes and no per-node allocation. The first walks
 //! the gates in program order, appending each gate's predecessor list
 //! and counting every node's successors. The second transposes the
@@ -25,7 +30,7 @@ use crate::circuit::Circuit;
 use crate::gate::Gate;
 
 /// Marks "no gate yet" in the build's last-toucher table.
-const NONE: usize = usize::MAX;
+const NONE: u32 = u32::MAX;
 
 /// The data-dependency DAG of a circuit: gate `j` depends on gate `i` when
 /// they share an operand and `i` precedes `j` in program order (with only
@@ -53,9 +58,9 @@ pub struct DependencyDag {
     num_qubits: u32,
     gates: Vec<Gate>,
     pred_offsets: Vec<u32>,
-    pred_edges: Vec<usize>,
+    pred_edges: Vec<u32>,
     succ_offsets: Vec<u32>,
-    succ_edges: Vec<usize>,
+    succ_edges: Vec<u32>,
 }
 
 impl DependencyDag {
@@ -81,10 +86,10 @@ impl DependencyDag {
             let start = pred_edges.len();
             let (qubits, arity) = gate.qubit_array();
             for q in &qubits[..arity] {
-                let p = std::mem::replace(&mut last_touch[q.index() as usize], i);
+                let p = std::mem::replace(&mut last_touch[q.index() as usize], i as u32);
                 if p != NONE && !pred_edges[start..].contains(&p) {
                     pred_edges.push(p);
-                    succ_offsets[p + 1] += 1;
+                    succ_offsets[p as usize + 1] += 1;
                 }
             }
             pred_offsets.push(pred_edges.len() as u32);
@@ -98,10 +103,11 @@ impl DependencyDag {
         for i in 0..n {
             succ_offsets[i + 1] += succ_offsets[i];
         }
-        let mut succ_edges = vec![0usize; pred_edges.len()];
+        let mut succ_edges = vec![0u32; pred_edges.len()];
         for i in 0..n {
             for &p in &pred_edges[pred_offsets[i] as usize..pred_offsets[i + 1] as usize] {
-                succ_edges[succ_offsets[p] as usize] = i;
+                let p = p as usize;
+                succ_edges[succ_offsets[p] as usize] = i as u32;
                 succ_offsets[p] += 1;
             }
         }
@@ -136,25 +142,21 @@ impl DependencyDag {
         self.num_qubits
     }
 
-    /// The gate at node `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
+    /// Every gate, in program order (node `i` is `gates()[i]`).
     #[must_use]
-    pub fn gate(&self, i: usize) -> Gate {
-        self.gates[i]
+    pub fn gates(&self) -> &[Gate] {
+        &self.gates
     }
 
     /// Direct dependencies of gate `i`.
     #[must_use]
-    pub fn predecessors(&self, i: usize) -> &[usize] {
+    pub fn predecessors(&self, i: usize) -> &[u32] {
         &self.pred_edges[self.pred_offsets[i] as usize..self.pred_offsets[i + 1] as usize]
     }
 
     /// Gates directly depending on gate `i`.
     #[must_use]
-    pub fn successors(&self, i: usize) -> &[usize] {
+    pub fn successors(&self, i: usize) -> &[u32] {
         &self.succ_edges[self.succ_offsets[i] as usize..self.succ_offsets[i + 1] as usize]
     }
 
@@ -166,7 +168,7 @@ impl DependencyDag {
         for i in 0..self.num_gates() {
             // Program order is a topological order by construction.
             for &p in self.predecessors(i) {
-                level[i] = level[i].max(level[p] + 1);
+                level[i] = level[i].max(level[p as usize] + 1);
             }
         }
         level
@@ -201,7 +203,7 @@ impl DependencyDag {
             let start = self
                 .predecessors(i)
                 .iter()
-                .map(|&p| finish[p])
+                .map(|&p| finish[p as usize])
                 .max()
                 .unwrap_or(0);
             finish[i] = start + weight(&self.gates[i]);

@@ -32,53 +32,45 @@ pub const TOFFOLI_DECOMPOSITION_GATES: usize = 15;
 /// ```
 #[must_use]
 pub fn decompose_toffolis(circuit: &Circuit) -> Circuit {
-    let mut out = Circuit::new(circuit.num_qubits());
+    // Exact size: one allocation, no growth. Every emitted operand comes
+    // from an already validated gate, so nothing is re-validated.
+    let toffolis = circuit
+        .gates()
+        .iter()
+        .filter(|g| matches!(g, Gate::Toffoli { .. }))
+        .count();
+    let mut out = Vec::with_capacity(circuit.len() + (TOFFOLI_DECOMPOSITION_GATES - 1) * toffolis);
     for &gate in circuit.gates() {
         match gate {
             Gate::Toffoli { c1, c2, target } => {
-                emit_toffoli(&mut out, c1, c2, target);
+                out.extend_from_slice(&toffoli_network(c1, c2, target));
             }
             other => out.push(other),
         }
     }
-    out
+    Circuit::from_validated(circuit.num_qubits(), out)
 }
 
 /// The standard network (Nielsen & Chuang Fig 4.9), in execution order.
-fn emit_toffoli(out: &mut Circuit, a: QubitId, b: QubitId, t: QubitId) {
-    out.push(Gate::H(t));
-    out.push(Gate::Cnot {
-        control: b,
-        target: t,
-    });
-    out.push(Gate::T(t)); // T†
-    out.push(Gate::Cnot {
-        control: a,
-        target: t,
-    });
-    out.push(Gate::T(t));
-    out.push(Gate::Cnot {
-        control: b,
-        target: t,
-    });
-    out.push(Gate::T(t)); // T†
-    out.push(Gate::Cnot {
-        control: a,
-        target: t,
-    });
-    out.push(Gate::T(b));
-    out.push(Gate::T(t));
-    out.push(Gate::Cnot {
-        control: a,
-        target: b,
-    });
-    out.push(Gate::H(t));
-    out.push(Gate::T(a));
-    out.push(Gate::T(b)); // T†
-    out.push(Gate::Cnot {
-        control: a,
-        target: b,
-    });
+fn toffoli_network(a: QubitId, b: QubitId, t: QubitId) -> [Gate; TOFFOLI_DECOMPOSITION_GATES] {
+    let cnot = |control, target| Gate::Cnot { control, target };
+    [
+        Gate::H(t),
+        cnot(b, t),
+        Gate::T(t), // T†
+        cnot(a, t),
+        Gate::T(t),
+        cnot(b, t),
+        Gate::T(t), // T†
+        cnot(a, t),
+        Gate::T(b),
+        Gate::T(t),
+        cnot(a, b),
+        Gate::H(t),
+        Gate::T(a),
+        Gate::T(b), // T†
+        cnot(a, b),
+    ]
 }
 
 #[cfg(test)]

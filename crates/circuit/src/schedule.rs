@@ -33,8 +33,13 @@
 //! Only a width that binds makes decisions: ready gates launch longest
 //! downstream critical path first, ties in program order. The first such
 //! width gives the plan its rank order: one backward pass computes each
-//! gate's downstream priority, and one sort of packed `(priority,
-//! index)` keys ranks every gate by `(priority desc, index asc)`. Ready
+//! gate's downstream priority, and stable least-significant-digit radix
+//! passes over 11-bit digits of `critical path − priority`, starting
+//! from program order, rank every gate by `(priority desc, index asc)`:
+//! a stable pass keeps equal keys in index order. A critical path of
+//! `bits` bits takes ⌈bits/11⌉ passes, each a counting pass and a
+//! scatter over the previous order that read the digit straight from
+//! the priorities, so no key vector is built. Ready
 //! gates then live in an [`IndexSet`] over ranks, so the next launch is
 //! its minimum, at most ⌈log₆₄ n⌉ word operations, where a heap of
 //! ready gates pays a logarithmic pop on a ready set that runs about a
@@ -210,7 +215,9 @@ impl<'a> ListScheduler<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is `Blocks(0)` or any weight is zero.
+    /// Panics if `width` is `Blocks(0)` or any weight is zero, or as
+    /// [`SchedulePlan::new`] and [`SchedulePlan::schedule`] do when the
+    /// occupancy series does not fit in memory.
     #[must_use]
     pub fn schedule<W: Fn(&Gate) -> u64>(&self, width: Width, weight: W) -> Schedule {
         SchedulePlan::new(self.dag, weight).schedule(self.dag, width)
@@ -266,11 +273,15 @@ impl SchedulePlan {
     ///
     /// # Panics
     ///
-    /// Panics if any weight is zero.
+    /// Panics if any weight is zero, or if the ASAP occupancy series —
+    /// one `usize` per time unit of the critical path — cannot be
+    /// allocated; the message names the makespan. Two-qubit-gate
+    /// weights keep the series to a few bytes per gate, but weights in
+    /// the billions can ask for more than the address space.
     #[must_use]
     pub fn new<W: Fn(&Gate) -> u64>(dag: &DependencyDag, weight: W) -> Self {
         let n = dag.num_gates();
-        let weights: Vec<u64> = (0..n).map(|i| weight(&dag.gate(i))).collect();
+        let weights: Vec<u64> = dag.gates().iter().map(weight).collect();
         assert!(
             weights.iter().all(|&w| w > 0),
             "gate weights must be positive"
@@ -284,6 +295,7 @@ impl SchedulePlan {
         for i in 0..n {
             let (mut start, mut level) = (0, 0);
             for &p in dag.predecessors(i) {
+                let p = p as usize;
                 start = start.max(asap_starts[p] + weights[p]);
                 level = level.max(levels[p] + 1);
             }
@@ -348,7 +360,9 @@ impl SchedulePlan {
     /// Panics if `width` is `Blocks(0)`, or if `dag`'s gate or edge
     /// count differs from the plan's DAG. Only the counts are checked:
     /// another DAG with the same counts runs on this plan's ASAP times
-    /// and ranks.
+    /// and ranks. A binding width also panics, naming the makespan, if
+    /// its occupancy series cannot be allocated (see
+    /// [`SchedulePlan::new`]).
     #[must_use]
     pub fn schedule(&self, dag: &DependencyDag, width: Width) -> Schedule {
         if !self.binds(dag, width) {
@@ -442,6 +456,7 @@ impl SchedulePlan {
                 running.pop();
                 busy -= 1;
                 for &s in dag.successors((key & low) as usize) {
+                    let s = s as usize;
                     indegree[s] -= 1;
                     if indegree[s] == 0 {
                         ready.insert(ranks.rank_of[s] as usize);
@@ -467,28 +482,59 @@ struct Ranks {
 
 impl Ranks {
     /// Computes every gate's [`downstream_priority`] in one backward
-    /// pass, then ranks the gates by sorting packed keys: `critical
-    /// path − priority` in the high bits puts the highest priority
-    /// first, and the index in the low bits breaks ties in program
-    /// order.
+    /// pass, then ranks the gates by [`rank_order`].
     fn new(dag: &DependencyDag, plan: &SchedulePlan) -> Self {
         let n = plan.weights.len();
         let priority = downstream_priority(dag, &plan.weights);
-        let shift = index_shift(n, plan.total_work);
-        let low = (1u64 << shift) - 1;
-        let mut keys: Vec<u64> = priority
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| ((plan.critical_path - p) << shift) | i as u64)
-            .collect();
-        keys.sort_unstable();
-        let gate_at: Vec<u32> = keys.iter().map(|&k| (k & low) as u32).collect();
+        let gate_at = rank_order(&priority, plan.critical_path);
         let mut rank_of = vec![0u32; n];
         for (rank, &g) in gate_at.iter().enumerate() {
             rank_of[g as usize] = rank as u32;
         }
         Self { rank_of, gate_at }
     }
+}
+
+/// Bits per digit of [`rank_order`]'s radix passes: 2^11 counters fit
+/// in L1.
+const RADIX_BITS: u32 = 11;
+
+/// The gates ordered by `(critical_path − priority, index)` ascending,
+/// that is by priority descending, ties in program order. Stable
+/// least-significant-digit radix passes over 11-bit digits start from
+/// program order, so equal keys keep their index order. Every key is at
+/// most `critical_path`, so ⌈bits/11⌉ passes over the `bits` bits of
+/// `critical_path` order them all; each pass reads its digit from
+/// `priority` and builds no key vector.
+fn rank_order(priority: &[u64], critical_path: u64) -> Vec<u32> {
+    let n = priority.len();
+    let digit_mask = (1u64 << RADIX_BITS) - 1;
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    let mut next = vec![0u32; n];
+    let mut starts = vec![0u32; 1 << RADIX_BITS];
+    let bits = u64::BITS - critical_path.leading_zeros();
+    for pass in 0..bits.div_ceil(RADIX_BITS) {
+        let shift = pass * RADIX_BITS;
+        let digit =
+            |g: u32| (((critical_path - priority[g as usize]) >> shift) & digit_mask) as usize;
+        starts.fill(0);
+        for &g in &order {
+            starts[digit(g)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut starts {
+            let count = *slot;
+            *slot = sum;
+            sum += count;
+        }
+        for &g in &order {
+            let slot = &mut starts[digit(g)];
+            next[*slot as usize] = g;
+            *slot += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
+    }
+    order
 }
 
 /// Remaining critical path from each gate to the DAG's exit: its weight
@@ -500,7 +546,7 @@ fn downstream_priority(dag: &DependencyDag, weights: &[u64]) -> Vec<u64> {
         let tail = dag
             .successors(i)
             .iter()
-            .map(|&s| priority[s])
+            .map(|&s| priority[s as usize])
             .max()
             .unwrap_or(0);
         priority[i] = tail + weights[i];
@@ -523,9 +569,15 @@ fn index_shift(n: usize, total_work: u64) -> u32 {
 
 /// Fills `occupancy` with the number of gates running in each time unit
 /// of `0..makespan` and returns its peak: a +1/−1 sweep over the start
-/// and finish times, summed in place (makespans here are modest, ≤ ~10⁶
-/// units). A slot's delta may wrap below zero, so every step wraps, but
-/// each prefix sum is a count of running gates, so the sums are exact.
+/// and finish times, summed in place. A slot's delta may wrap below
+/// zero, so every step wraps, but each prefix sum is a count of running
+/// gates, so the sums are exact.
+///
+/// # Panics
+///
+/// Panics, naming the makespan, if the series cannot be allocated: the
+/// reservation is tried first, so a makespan past the address space
+/// fails without touching memory rather than aborting the process.
 fn fill_occupancy(
     occupancy: &mut Vec<usize>,
     start_times: &[u64],
@@ -533,7 +585,13 @@ fn fill_occupancy(
     makespan: u64,
 ) -> usize {
     occupancy.clear();
-    occupancy.resize(makespan as usize + 1, 0);
+    let len = usize::try_from(makespan)
+        .ok()
+        .and_then(|m| m.checked_add(1));
+    match len {
+        Some(len) if occupancy.try_reserve_exact(len).is_ok() => occupancy.resize(len, 0),
+        _ => panic!("the occupancy series of makespan {makespan} cannot be allocated"),
+    }
     for (&start, &w) in start_times.iter().zip(weights) {
         let slot = &mut occupancy[start as usize];
         *slot = slot.wrapping_add(1);
@@ -652,7 +710,7 @@ mod tests {
             for i in 0..dag.num_gates() {
                 for &p in dag.predecessors(i) {
                     assert!(
-                        s.start_times()[i] > s.start_times()[p],
+                        s.start_times()[i] > s.start_times()[p as usize],
                         "width {b}: gate {i} starts before predecessor {p} finishes"
                     );
                 }
@@ -722,14 +780,14 @@ mod tests {
     fn reference_schedule(dag: &DependencyDag, width: Width, weight: fn(&Gate) -> u64) -> Schedule {
         let n = dag.num_gates();
         let cap = width.cap();
-        let weights: Vec<u64> = (0..n).map(|i| weight(&dag.gate(i))).collect();
+        let weights: Vec<u64> = dag.gates().iter().map(weight).collect();
         // Longest weighted path from each gate to a sink, by a memoized
         // depth-first walk over the successor lists.
         fn longest_tail(dag: &DependencyDag, weights: &[u64], memo: &mut [u64], i: usize) -> u64 {
             if memo[i] == 0 {
                 let mut tail = 0;
                 for &s in dag.successors(i) {
-                    tail = tail.max(longest_tail(dag, weights, memo, s));
+                    tail = tail.max(longest_tail(dag, weights, memo, s as usize));
                 }
                 memo[i] = weights[i] + tail;
             }
@@ -774,6 +832,7 @@ mod tests {
                 running.pop();
                 busy -= 1;
                 for &s in dag.successors(i) {
+                    let s = s as usize;
                     indegree[s] -= 1;
                     if indegree[s] == 0 {
                         ready.push((priority[s], Reverse(s)));
@@ -812,14 +871,7 @@ mod tests {
     /// this crate): mostly CNOT/CZ, single-qubit gates, and Toffolis.
     fn random_circuit(qubits: u32, gates: usize, seed: u64) -> Circuit {
         let mut state = seed;
-        // SplitMix64.
-        let mut next = |bound: u32| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            ((z ^ (z >> 31)) % u64::from(bound)) as u32
-        };
+        let mut next = |bound: u32| (splitmix64(&mut state) % u64::from(bound)) as u32;
         let mut c = Circuit::new(qubits);
         for _ in 0..gates {
             let (draw, a) = (next(100), next(qubits));
@@ -833,6 +885,15 @@ mod tests {
             }
         }
         c
+    }
+
+    /// The next SplitMix64 output of `state`.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 
     /// Two-qubit-gate weights scaled up and jittered, so priorities and
@@ -908,6 +969,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn radix_ranks_match_a_sort_of_packed_keys() {
+        let mut state = 0x5eed_u64;
+        let mut next = || splitmix64(&mut state);
+        for n in [1usize, 2, 100, 5000] {
+            let shift = index_shift(n, 0);
+            // One, one, two and three 11-bit passes, then the widest
+            // critical path the packed keys hold.
+            let top = u64::MAX >> shift;
+            for critical_path in [1, (1 << 11) - 1, 1 << 11, (1 << 22) + 1, top - 1, top] {
+                // Mostly distinct priorities, then three values (many
+                // ties); each run includes the critical path itself.
+                for ties in [false, true] {
+                    let mut priority: Vec<u64> = (0..n)
+                        .map(|_| match ties {
+                            false => next() % critical_path,
+                            true => [0, critical_path / 2, critical_path][next() as usize % 3],
+                        })
+                        .collect();
+                    priority[0] = critical_path;
+                    let mut keys: Vec<u64> = priority
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &p)| ((critical_path - p) << shift) | i as u64)
+                        .collect();
+                    keys.sort_unstable();
+                    let low = (1u64 << shift) - 1;
+                    let want: Vec<u32> = keys.iter().map(|&k| (k & low) as u32).collect();
+                    assert_eq!(
+                        rank_order(&priority, critical_path),
+                        want,
+                        "{n} gates, critical path {critical_path}, ties {ties}"
+                    );
+                }
+            }
+        }
+        assert!(rank_order(&[], 0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "the occupancy series of makespan")]
+    fn a_makespan_past_the_address_space_panics_without_allocating() {
+        // 2^40 time units per two-qubit gate: the series would take
+        // past 2^47 bytes, so the reservation fails up front.
+        let dag = DependencyDag::new(&random_circuit(16, 768, 1));
+        let _ = SchedulePlan::new(&dag, |g| (1 << 40) * g.two_qubit_gate_equivalents());
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! memory-resident, an allocation otherwise) and every later access
 //! hits. [`CacheRun`] holds counts only; the execution order a policy
 //! chooses is read through [`CacheSim::trace`], which always runs it.
+//!
+//! A run copies no operands: it borrows the gates (the circuit's, or the
+//! DAG's through [`DependencyDag::gates`]) and reads each gate's operands
+//! in place with [`Gate::qubit_array`] on every access.
 
 use std::borrow::Cow;
 
@@ -332,66 +336,46 @@ enum AccessKind {
 /// Most operands any gate has (Toffoli).
 const MAX_ARITY: usize = 3;
 
-/// A circuit prepared once per simulation: every gate's operands
-/// flattened into one array, plus — for the optimized policy — the
-/// dependency DAG every repetition selects over.
+/// The qubit indices of `gate`'s operands, read in place: the first
+/// `arity` entries of the array.
+fn operands(gate: &Gate) -> ([u32; MAX_ARITY], usize) {
+    let (qubits, arity) = gate.qubit_array();
+    (qubits.map(QubitId::index), arity)
+}
+
+/// A circuit prepared once per simulation: its gates, borrowed from the
+/// circuit or the DAG (every access reads a gate's operands in place),
+/// plus — for the optimized policy — the dependency DAG every
+/// repetition selects over.
 struct Program<'a> {
-    /// Operands of instruction `i` are `operands[starts[i]..starts[i + 1]]`.
-    operands: Vec<u32>,
-    starts: Vec<u32>,
+    gates: &'a [Gate],
     num_qubits: usize,
     dag: Option<Cow<'a, DependencyDag>>,
 }
 
 impl<'a> Program<'a> {
-    fn new(
-        gates: impl ExactSizeIterator<Item = Gate>,
-        num_qubits: u32,
-        dag: Option<Cow<'a, DependencyDag>>,
-    ) -> Self {
-        assert!(
-            MAX_ARITY * gates.len() < NO_GATE as usize,
-            "programs are limited to 32-bit operand offsets"
-        );
-        let mut operands = Vec::with_capacity(2 * gates.len());
-        let mut starts = Vec::with_capacity(gates.len() + 1);
-        starts.push(0);
-        for gate in gates {
-            let (qubits, arity) = gate.qubit_array();
-            operands.extend(qubits[..arity].iter().map(|q| q.index()));
-            starts.push(operands.len() as u32);
-        }
+    /// `circuit` under `policy`, building its DAG if the policy needs it.
+    fn of_circuit(circuit: &'a Circuit, policy: FetchPolicy) -> Self {
+        let dag = (policy == FetchPolicy::OptimizedLookahead)
+            .then(|| Cow::Owned(DependencyDag::new(circuit)));
         Self {
-            operands,
-            starts,
-            num_qubits: num_qubits as usize,
+            gates: circuit.gates(),
+            num_qubits: circuit.num_qubits() as usize,
             dag,
         }
     }
 
-    /// `circuit` under `policy`, building its DAG if the policy needs it.
-    fn of_circuit(circuit: &Circuit, policy: FetchPolicy) -> Self {
-        let dag = (policy == FetchPolicy::OptimizedLookahead)
-            .then(|| Cow::Owned(DependencyDag::new(circuit)));
-        Self::new(circuit.gates().iter().copied(), circuit.num_qubits(), dag)
-    }
-
     /// The circuit of `dag` under the optimized policy, borrowing the DAG.
     fn of_dag(dag: &'a DependencyDag) -> Self {
-        let gates = (0..dag.num_gates()).map(|i| dag.gate(i));
-        Self::new(gates, dag.num_qubits(), Some(Cow::Borrowed(dag)))
-    }
-
-    fn len(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    fn operands(&self, i: usize) -> &[u32] {
-        &self.operands[self.starts[i] as usize..self.starts[i + 1] as usize]
+        Self {
+            gates: dag.gates(),
+            num_qubits: dag.num_qubits() as usize,
+            dag: Some(Cow::Borrowed(dag)),
+        }
     }
 
     /// The counts of `repetitions` executions that cannot evict, in one
-    /// pass over the operands: the first access to each qubit is a fetch
+    /// pass over the gates: the first access to each qubit is a fetch
     /// miss (memory-resident) or an allocation (scratch), every other
     /// access hits. A qubit stays cached once touched, so later
     /// repetitions only hit.
@@ -400,15 +384,19 @@ impl<'a> Program<'a> {
         for q in memory_resident {
             residence[q.index() as usize] = Residence::Memory;
         }
-        let (mut fetch_misses, mut allocations) = (0u64, 0u64);
-        for &q in &self.operands {
-            match std::mem::replace(&mut residence[q as usize], Residence::Cached) {
-                Residence::Memory => fetch_misses += 1,
-                Residence::Unborn => allocations += 1,
-                Residence::Cached => {}
+        let (mut operand_count, mut fetch_misses, mut allocations) = (0u64, 0u64, 0u64);
+        for gate in self.gates {
+            let (operands, arity) = operands(gate);
+            operand_count += arity as u64;
+            for &q in &operands[..arity] {
+                match std::mem::replace(&mut residence[q as usize], Residence::Cached) {
+                    Residence::Memory => fetch_misses += 1,
+                    Residence::Unborn => allocations += 1,
+                    Residence::Cached => {}
+                }
             }
         }
-        let accesses = self.operands.len() as u64 * u64::from(repetitions);
+        let accesses = operand_count * u64::from(repetitions);
         CacheRun {
             hits: accesses - fetch_misses - allocations,
             fetch_misses,
@@ -424,12 +412,12 @@ impl<'a> Program<'a> {
         match &self.dag {
             None => {
                 let mut kinds = [AccessKind::Hit; MAX_ARITY];
-                for i in 0..self.len() {
-                    let operands = self.operands(i);
-                    for (kind, &q) in kinds.iter_mut().zip(operands) {
+                for (i, gate) in self.gates.iter().enumerate() {
+                    let (operands, arity) = operands(gate);
+                    for (kind, &q) in kinds.iter_mut().zip(&operands[..arity]) {
                         *kind = state.access(q).0;
                     }
-                    visit(i, &kinds[..operands.len()]);
+                    visit(i, &kinds[..arity]);
                 }
             }
             Some(dag) => self.execute_optimized(dag, state, visit),
@@ -464,7 +452,7 @@ impl<'a> Program<'a> {
         state: &mut CacheState,
         mut visit: impl FnMut(usize, &[AccessKind]),
     ) {
-        let n = self.len();
+        let n = self.gates.len();
         // At most one predecessor per operand.
         let mut indegree: Vec<u8> = (0..n).map(|i| dag.predecessors(i).len() as u8).collect();
 
@@ -477,9 +465,12 @@ impl<'a> Program<'a> {
         let mut ready_on: Vec<u32> = vec![NO_GATE; self.num_qubits];
 
         let score = |i: usize, state: &CacheState| -> u8 {
-            let operands = self.operands(i);
-            let cached = operands.iter().filter(|&&q| state.is_cached(q)).count() as u8;
-            let full = u8::from(usize::from(cached) == operands.len());
+            let (operands, arity) = operands(&self.gates[i]);
+            let cached = operands[..arity]
+                .iter()
+                .filter(|&&q| state.is_cached(q))
+                .count() as u8;
+            let full = u8::from(usize::from(cached) == arity);
             full * 4 + cached
         };
         // Instructions whose last dependency just executed; scoring them
@@ -493,7 +484,8 @@ impl<'a> Program<'a> {
                 let b = score(i, state);
                 bucket_of[i] = b;
                 buckets[b as usize].insert(i);
-                for &q in self.operands(i) {
+                let (operands, arity) = operands(&self.gates[i]);
+                for &q in &operands[..arity] {
                     debug_assert_eq!(ready_on[q as usize], NO_GATE, "two ready gates on q{q}");
                     ready_on[q as usize] = i as u32;
                 }
@@ -506,7 +498,8 @@ impl<'a> Program<'a> {
                 .expect("a dependency-ready instruction exists");
             buckets[bucket_of[chosen] as usize].remove(chosen);
             bucket_of[chosen] = NOT_READY;
-            let operands = self.operands(chosen);
+            let (operands, arity) = operands(&self.gates[chosen]);
+            let operands = &operands[..arity];
             for &q in operands {
                 ready_on[q as usize] = NO_GATE;
             }
@@ -520,9 +513,10 @@ impl<'a> Program<'a> {
                 }
                 flipped.extend(evicted);
             }
-            visit(chosen, &kinds[..operands.len()]);
+            visit(chosen, &kinds[..arity]);
 
             for &s in dag.successors(chosen) {
+                let s = s as usize;
                 indegree[s] -= 1;
                 if indegree[s] == 0 {
                     newly_ready.push(s);
@@ -741,7 +735,7 @@ mod tests {
         for i in 0..circuit.len() {
             for &p in dag.predecessors(i) {
                 assert!(
-                    position[p] < position[i],
+                    position[p as usize] < position[i],
                     "instr {i} before predecessor {p}"
                 );
             }

@@ -208,7 +208,7 @@ impl PipelineSim {
             let deps_done = dag
                 .predecessors(step.instr)
                 .iter()
-                .map(|&p| finish[p])
+                .map(|&p| finish[p as usize])
                 .max()
                 .unwrap_or(0);
             let data_ready = deps_done.max(transfer_done[pos]);

@@ -122,7 +122,7 @@ proptest! {
             }
             for g in 0..circuit.len() {
                 for &p in dag.predecessors(g) {
-                    prop_assert!(pos[p] < pos[g]);
+                    prop_assert!(pos[p as usize] < pos[g]);
                 }
             }
         }
@@ -809,24 +809,24 @@ mod dag_oracle {
 
     /// Predecessor and successor lists computed straight from the
     /// definition, by scanning the gate list.
-    fn reference(circuit: &Circuit) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    fn reference(circuit: &Circuit) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
         let gates = circuit.gates();
-        let preds: Vec<Vec<usize>> = (0..gates.len())
+        let preds: Vec<Vec<u32>> = (0..gates.len())
             .map(|i| {
                 let mut list = Vec::new();
                 for q in gates[i].qubits() {
                     let latest = (0..i).rev().find(|&j| gates[j].qubits().contains(&q));
-                    if let Some(j) = latest.filter(|j| !list.contains(j)) {
+                    if let Some(j) = latest.map(|j| j as u32).filter(|j| !list.contains(j)) {
                         list.push(j);
                     }
                 }
                 list
             })
             .collect();
-        let succs = (0..gates.len())
+        let succs = (0..gates.len() as u32)
             .map(|p| {
-                (p + 1..gates.len())
-                    .filter(|&i| preds[i].contains(&p))
+                (p + 1..gates.len() as u32)
+                    .filter(|&i| preds[i as usize].contains(&p))
                     .collect()
             })
             .collect();
@@ -838,8 +838,8 @@ mod dag_oracle {
         let (preds, succs) = reference(circuit);
         assert_eq!(dag.num_gates(), circuit.len());
         assert_eq!(dag.num_qubits(), circuit.num_qubits());
+        assert_eq!(dag.gates(), circuit.gates());
         for i in 0..circuit.len() {
-            assert_eq!(dag.gate(i), circuit.gates()[i]);
             assert_eq!(dag.predecessors(i), &preds[i][..], "predecessors of {i}");
             assert_eq!(dag.successors(i), &succs[i][..], "successors of {i}");
         }
