@@ -39,6 +39,13 @@
 use crate::circuit::Circuit;
 use crate::gate::{Gate, QubitId};
 
+/// The largest register a program may use, 2^20 qubits: a
+/// `# circuit: N qubits` header with `N` past it, or an operand index of
+/// `MAX_QUBITS` or more, is a parse error. Compilation allocates per
+/// qubit, so the bound caps what a short program can ask for. It equals
+/// the `compile` experiment's `qubits` domain.
+pub const MAX_QUBITS: u32 = 1 << 20;
+
 /// Every mnemonic the grammar accepts, for did-you-mean suggestions.
 const MNEMONICS: [&str; 11] = [
     "x", "y", "z", "s", "t", "h", "cnot", "cz", "cphase", "toffoli", "measure",
@@ -164,7 +171,7 @@ pub fn emit(circuit: &Circuit) -> String {
 ///
 /// Returns [`ParseAsmError`] — with line number, span, and caret
 /// rendering — on unknown mnemonics, malformed operands, arity
-/// mismatches, or repeated operands.
+/// mismatches, repeated operands, or a register past [`MAX_QUBITS`].
 ///
 /// # Examples
 ///
@@ -207,13 +214,7 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAsmError> {
                 continue;
             }
             if let Some(comment) = line.strip_prefix('#') {
-                if let Some(rest) = comment.trim().strip_prefix("circuit:") {
-                    if let Some(n) = rest.split_whitespace().next() {
-                        if let Ok(n) = n.parse::<u32>() {
-                            declared_qubits = Some(n);
-                        }
-                    }
-                }
+                declared_qubits = parse_header(raw, comment, lineno)?.or(declared_qubits);
                 continue;
             }
             parse_line(raw, line, lineno)?
@@ -230,9 +231,9 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAsmError> {
         .unwrap_or(max_qubit + 1)
         .max(max_qubit + 1)
         .max(1);
-    // Both lexers rejected repeated operands and `q4294967295`, so the
-    // register covers the largest index: every gate is valid as
-    // `Circuit::push` checks.
+    // Both lexers rejected repeated operands and indices past
+    // `MAX_QUBITS`, so the register covers the largest index: every gate
+    // is valid as `Circuit::push` checks.
     Ok(Circuit::from_validated(num_qubits, gates))
 }
 
@@ -240,7 +241,7 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAsmError> {
 /// `mnemonic[k]? qA(, qB(, qC)?)?` with single spaces, at the start of
 /// `line` (the rest of the text). Returns the gate and the length of the
 /// line with its `\n` or `\r\n`, or `None` for anything else: other
-/// whitespace, a sign, an index past `q4294967294`, a repeated operand,
+/// whitespace, a sign, an index past [`MAX_QUBITS`], a repeated operand,
 /// a wrong arity, a comment. Those lines go to [`parse_line`], which
 /// gives the same gate or the diagnostic, so this is a fast path only.
 fn lex_canonical(line: &[u8]) -> Option<(Gate, usize)> {
@@ -289,7 +290,7 @@ fn lex_canonical(line: &[u8]) -> Option<(Gate, usize)> {
             return None;
         }
         let (index, end) = lex_decimal(line, at + 1)?;
-        if index == u32::MAX || q[..k].contains(&QubitId::new(index)) {
+        if index >= MAX_QUBITS || q[..k].contains(&QubitId::new(index)) {
             return None;
         }
         q[k] = QubitId::new(index);
@@ -332,6 +333,32 @@ fn lex_decimal(line: &[u8], at: usize) -> Option<(u32, usize)> {
         end += 1;
     }
     (end > at).then_some((value, end))
+}
+
+/// The register size a `# circuit: N qubits` comment declares, if
+/// `comment` (the trimmed line after its `#`) is such a header. Other
+/// comments, and headers whose `N` is not a `u32`, declare nothing.
+fn parse_header(raw: &str, comment: &str, lineno: usize) -> Result<Option<u32>, ParseAsmError> {
+    let Some(token) = comment
+        .trim()
+        .strip_prefix("circuit:")
+        .and_then(|rest| rest.split_whitespace().next())
+    else {
+        return Ok(None);
+    };
+    let Ok(n) = token.parse::<u32>() else {
+        return Ok(None);
+    };
+    if n > MAX_QUBITS {
+        return Err(ParseAsmError::new(
+            lineno,
+            raw,
+            token,
+            format!("a register of {n} qubits is too large"),
+        )
+        .with_hint(format!("registers stop at {MAX_QUBITS} qubits")));
+    }
+    Ok(Some(n))
 }
 
 /// Parses one non-blank, non-comment line. `raw` is the full source line
@@ -523,15 +550,14 @@ fn parse_qubit(raw: &str, token: &str, lineno: usize) -> Result<QubitId, ParseAs
         )
         .with_hint("the index is a decimal integer, e.g. q7")
     })?;
-    // The register size is the largest index plus one, a `u32` too.
-    if index == u32::MAX {
+    if index >= MAX_QUBITS {
         return Err(ParseAsmError::new(
             lineno,
             raw,
             token,
             format!("qubit index in {token:?} is out of range"),
         )
-        .with_hint(format!("indices stop at q{}", u32::MAX - 1)));
+        .with_hint(format!("indices stop at q{}", MAX_QUBITS - 1)));
     }
     Ok(QubitId::new(index))
 }
@@ -663,7 +689,35 @@ mod tests {
         let err = parse("x q4294967295\n").unwrap_err();
         assert!(err.message().contains("out of range"), "{err}");
         assert_eq!(err.span(), (2, 13));
-        assert_eq!(parse("x q4294967294\n").unwrap().num_qubits(), u32::MAX);
+        let err = parse("x q0\ncnot q1, q1048576\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 2, columns 9..17: qubit index in \"q1048576\" is out of range\n  \
+             cnot q1, q1048576\n           ^^^^^^^^\n  \
+             hint: indices stop at q1048575"
+        );
+        assert_eq!(parse("x q1048575\n").unwrap().num_qubits(), MAX_QUBITS);
+    }
+
+    #[test]
+    fn a_header_past_the_largest_register_is_an_error() {
+        let err = parse("# circuit: 4294967295 qubits, 1 gates\nx q0\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 1, columns 11..21: a register of 4294967295 qubits is too large\n  \
+             # circuit: 4294967295 qubits, 1 gates\n             ^^^^^^^^^^\n  \
+             hint: registers stop at 1048576 qubits"
+        );
+        assert!(parse("# circuit: 1048577 qubits\n").is_err());
+        let c = parse("# circuit: 1048576 qubits\nx q0\n").unwrap();
+        assert_eq!(c.num_qubits(), MAX_QUBITS);
+        // A header that is not a `u32` is an ordinary comment.
+        assert_eq!(
+            parse("# circuit: 99999999999 qubits\nx q0\n")
+                .unwrap()
+                .num_qubits(),
+            1
+        );
     }
 
     /// Operand-list diagnostics, rendered byte for byte: the repeat
@@ -760,12 +814,7 @@ mod tests {
                 continue;
             }
             if let Some(comment) = line.strip_prefix('#') {
-                if let Some(rest) = comment.trim().strip_prefix("circuit:") {
-                    let n = rest.split_whitespace().next();
-                    if let Some(Ok(n)) = n.map(str::parse::<u32>) {
-                        declared_qubits = Some(n);
-                    }
-                }
+                declared_qubits = parse_header(raw, comment, idx + 1)?.or(declared_qubits);
                 continue;
             }
             let gate = parse_line(raw, line, idx + 1)?;
@@ -824,7 +873,7 @@ mod tests {
     /// Line edits that leave the canonical shape: each line they produce
     /// is either still valid (and must parse to the same gate) or an
     /// error (and must give the same diagnostic).
-    const LINE_EDITS: [fn(&str) -> String; 14] = [
+    const LINE_EDITS: [fn(&str) -> String; 15] = [
         |l| l.replacen(' ', "\t", 1),
         |l| l.replacen(' ', "\u{3000}", 1),
         |l| l.replacen(' ', "  ", 1),
@@ -832,7 +881,8 @@ mod tests {
         |l| l.replacen(" q", " q00", 1),
         |l| with_first_operand(l, "q4294967295"),
         |l| with_first_operand(l, "q4294967296"),
-        |l| with_first_operand(l, "q4294967294"),
+        |l| with_first_operand(l, "q1048575"),
+        |l| with_first_operand(l, "q1048576"),
         |l| match l.split_once(", ") {
             Some((head, rest)) => {
                 let first = head.rsplit(' ').next().unwrap_or_default();
@@ -889,7 +939,10 @@ mod tests {
             "toffoli q0, q1\n",
             "toffoli q0, q1, q0\n",
             "measure q0\n# circuit: 9 qubits\n",
-            "x q4294967294",
+            "x q1048575",
+            "x q1048576",
+            "# circuit: 1048576 qubits\nx q0\n",
+            "# circuit: 1048577 qubits\nx q0\n",
             "x q99999999999999999999\n",
             "xx q0\n",
             "tt q0\n",

@@ -1,7 +1,5 @@
 //! Circuit container and builder.
 
-use std::collections::BTreeSet;
-
 use crate::gate::{Gate, QubitId};
 
 /// A logical quantum circuit: an ordered gate list over a fixed register.
@@ -213,17 +211,6 @@ impl Circuit {
             .map(Gate::two_qubit_gate_equivalents)
             .sum()
     }
-
-    /// Number of distinct qubits actually touched by gates.
-    #[must_use]
-    pub fn active_qubits(&self) -> usize {
-        let mut seen: BTreeSet<QubitId> = BTreeSet::new();
-        for g in &self.gates {
-            let (qubits, len) = g.qubit_array();
-            seen.extend(&qubits[..len]);
-        }
-        seen.len()
-    }
 }
 
 impl core::fmt::Display for Circuit {
@@ -300,7 +287,6 @@ mod tests {
         assert_eq!(counts.measure, 1);
         assert_eq!(counts.total(), 5);
         assert_eq!(c.total_gate_equivalents(), 1 + 1 + 15 + 1 + 1);
-        assert_eq!(c.active_qubits(), 4);
     }
 
     #[test]
@@ -395,6 +381,5 @@ mod tests {
         let c = Circuit::new(1);
         assert!(c.is_empty());
         assert_eq!(c.counts().total(), 0);
-        assert_eq!(c.active_qubits(), 0);
     }
 }

@@ -110,15 +110,6 @@ impl ClassicalState {
         self.bits[i]
     }
 
-    /// Sets bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set_bit(&mut self, i: usize, value: bool) {
-        self.bits[i] = value;
-    }
-
     /// The raw bits.
     #[must_use]
     pub fn bits(&self) -> &[bool] {

@@ -396,6 +396,11 @@ mod tests {
     }
 
     #[test]
+    fn asm_register_bound_is_the_qubits_domain() {
+        assert_eq!(asm::MAX_QUBITS, crate::experiments::grid::MAX_INT);
+    }
+
+    #[test]
     fn seed_changes_the_artifact() {
         let mut a = Compile::default();
         a.set("seed", "1").unwrap();

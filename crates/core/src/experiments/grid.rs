@@ -540,14 +540,6 @@ impl Grid {
         &self.spec
     }
 
-    /// Whether any clause used value-set syntax (more than one value on
-    /// some axis) or pinned a `base.` override — i.e. whether this is a
-    /// real grid rather than a plain single-value run.
-    #[must_use]
-    pub fn is_single(&self) -> bool {
-        self.base.is_empty() && self.axes.iter().all(|(_, v)| v.len() == 1)
-    }
-
     /// Number of points the grid expands to (1 for the empty expression).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -719,7 +711,6 @@ mod tests {
     fn issue_headline_grid_parses() {
         let grid = Grid::parse("fig2", &specs("fig2"), "bits=32..=128:*2").unwrap();
         assert_eq!(grid.len(), 3);
-        assert!(!grid.is_single());
         let points = grid.points();
         assert_eq!(points[0], [("bits".to_owned(), "32".to_owned())]);
         assert_eq!(points[2], [("bits".to_owned(), "128".to_owned())]);
@@ -761,7 +752,6 @@ mod tests {
     fn empty_expression_is_the_single_default_point() {
         let grid = Grid::parse("fig2", &specs("fig2"), "").unwrap();
         assert_eq!(grid.len(), 1);
-        assert!(grid.is_single());
         assert_eq!(grid.points(), [Vec::new()]);
     }
 

@@ -24,9 +24,10 @@ impl Verify {
         let ok_adder = adder.compute_checked(0xDEAD_BEEF, 0x1234_5678) == 0xDEAD_BEEF + 0x1234_5678;
         checks.push(("draper adder 32-bit".to_owned(), ok_adder));
         // Code distance spot-check: every weight-1 error decodes to a
-        // logically trivial residue.
+        // logically trivial residue. Weight-1 syndromes decode the same
+        // from a weight-1 table as from the full one.
         for code in [CssCode::steane(), CssCode::shor9(), CssCode::bacon_shor()] {
-            let decoder = LookupDecoder::for_code(&code);
+            let decoder = LookupDecoder::up_to_weight(&code, 1);
             let mut ok = true;
             for q in 0..code.num_qubits() {
                 for op in PauliOp::ERRORS {

@@ -16,12 +16,13 @@
 //! the time of two level-2 ones, so its speedup is at most 1.5× the
 //! level-2 column. For Steane at 256 bits with 10 transfer channels that
 //! is 0.754 (`cqla run table5`), while the paper prints 6.25. We
-//! therefore evaluate three policies that bracket the design space:
+//! therefore evaluate three policies that bracket the design space, one
+//! [`HierarchyResult`] field each:
 //!
-//! * [`MixPolicy::Interleave`] — the text's 1:2 ratio (conservative),
-//! * [`MixPolicy::FidelityBudgeted`] — as much level-1 work as the Eq. 1
-//!   error budget allows,
-//! * [`MixPolicy::Balanced`] — both regions saturated (optimistic bound).
+//! * `adder_speedup_interleave` — the text's 1:2 ratio (conservative),
+//! * `adder_speedup_budgeted` — as much level-1 work as the Eq. 1 error
+//!   budget allows,
+//! * `adder_speedup_balanced` — both regions saturated (optimistic bound).
 
 use cqla_ecc::{Code, CodeLevel, Level, TransferNetwork};
 use cqla_iontrap::TechnologyParams;
@@ -30,34 +31,6 @@ use cqla_units::Seconds;
 use crate::area::{AreaModel, BLOCK_ANCILLA_QUBITS, BLOCK_DATA_QUBITS, CQLA_CHANNEL_FACTOR};
 use crate::eval::EvalCtx;
 use crate::pipeline::{from_nanos, to_nanos};
-
-/// How additions are split between the level-1 and level-2 compute
-/// regions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MixPolicy {
-    /// `l1` additions at level 1 for every `l2` at level 2, the regions
-    /// running concurrently (the paper's stated 1:2 rule).
-    Interleave {
-        /// Additions per window at level 1.
-        l1: u32,
-        /// Additions per window at level 2.
-        l2: u32,
-    },
-    /// Maximize level-1 work subject to the Eq. 1 level-mixing budget.
-    FidelityBudgeted,
-    /// Both regions saturated (no fidelity constraint) — the upper bound.
-    Balanced,
-}
-
-impl core::fmt::Display for MixPolicy {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::Interleave { l1, l2 } => write!(f, "interleave {l1}:{l2}"),
-            Self::FidelityBudgeted => write!(f, "fidelity-budgeted"),
-            Self::Balanced => write!(f, "balanced"),
-        }
-    }
-}
 
 /// A memory-hierarchy design point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,7 +109,7 @@ pub struct HierarchyResult {
     /// Speedup of the level-2 region over the QLA baseline (the paper's
     /// "L2 SpeedUp").
     pub l2_speedup: f64,
-    /// Whole-adder speedup vs QLA under each policy.
+    /// Whole-adder speedup vs QLA under the 1:2 interleave policy.
     pub adder_speedup_interleave: f64,
     /// Fidelity-budgeted policy speedup.
     pub adder_speedup_budgeted: f64,
@@ -148,27 +121,6 @@ pub struct HierarchyResult {
     pub gain_product_conservative: f64,
     /// `area_reduction × adder_speedup_balanced`.
     pub gain_product_optimistic: f64,
-}
-
-impl HierarchyResult {
-    /// The whole-adder speedup under a given level-mixing policy.
-    ///
-    /// For [`MixPolicy::Interleave`] with a ratio other than the
-    /// precomputed 1:2, the speedup is recomputed from the stored adder
-    /// times.
-    #[must_use]
-    pub fn adder_speedup(&self, policy: MixPolicy) -> f64 {
-        match policy {
-            MixPolicy::Interleave { l1: 1, l2: 2 } => self.adder_speedup_interleave,
-            MixPolicy::Interleave { l1, l2 } => {
-                // Reconstruct the QLA reference from the stored ratios.
-                let qla = self.l2_adder_time * self.l2_speedup;
-                interleave_speedup(l1, l2, qla, self.l1_adder_time, self.l2_adder_time)
-            }
-            MixPolicy::FidelityBudgeted => self.adder_speedup_budgeted,
-            MixPolicy::Balanced => self.adder_speedup_balanced,
-        }
-    }
 }
 
 /// The memory-hierarchy study.
@@ -408,27 +360,6 @@ mod tests {
             "hierarchy {} flat {flat}",
             r.area_reduction
         );
-    }
-
-    #[test]
-    fn policy_accessor_matches_fields() {
-        let r = study().evaluate_ctx(config(Code::Steane713, 10), &EvalCtx::new());
-        assert_eq!(
-            r.adder_speedup(MixPolicy::Interleave { l1: 1, l2: 2 }),
-            r.adder_speedup_interleave
-        );
-        assert_eq!(
-            r.adder_speedup(MixPolicy::FidelityBudgeted),
-            r.adder_speedup_budgeted
-        );
-        assert_eq!(
-            r.adder_speedup(MixPolicy::Balanced),
-            r.adder_speedup_balanced
-        );
-        // A heavier L1 share under interleave raises the speedup while the
-        // L1 stream still fits in the window.
-        let one_one = r.adder_speedup(MixPolicy::Interleave { l1: 1, l2: 1 });
-        assert!(one_one > 0.0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use area::{
 };
 pub use cache::{CacheRun, CacheSim, CacheTrace, FetchPolicy, TraceStep};
 pub use eval::{memo_counters, CacheBehavior, EvalCtx};
-pub use hierarchy::{HierarchyConfig, HierarchyResult, HierarchyStudy, MixPolicy};
+pub use hierarchy::{HierarchyConfig, HierarchyResult, HierarchyStudy};
 pub use json::{Json, ToJson};
 pub use pipeline::{PipelineConfig, PipelineReport, PipelineSim};
 pub use qla::QlaBaseline;

@@ -54,12 +54,6 @@ impl TextTable {
         );
         self.rows.push(row);
     }
-
-    /// Number of data rows.
-    #[must_use]
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 impl core::fmt::Display for TextTable {
@@ -116,7 +110,6 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0].len(), lines[2].len());
-        assert_eq!(t.num_rows(), 1);
     }
 
     #[test]

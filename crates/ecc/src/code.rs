@@ -1,7 +1,5 @@
 //! The two error-correcting codes the CQLA is parameterized by.
 
-use cqla_stabilizer::CssCode;
-
 /// One of the paper's two code choices.
 ///
 /// Per-code constants are calibrated to the paper's Table 2 (see DESIGN.md
@@ -174,16 +172,6 @@ impl Code {
             Self::BaconShor913 => cqla_units::Probability::saturating(1.5e-4),
         }
     }
-
-    /// The stabilizer-level definition of this code, for circuit-level
-    /// verification.
-    #[must_use]
-    pub fn css_code(self) -> CssCode {
-        match self {
-            Self::Steane713 => CssCode::steane(),
-            Self::BaconShor913 => CssCode::bacon_shor(),
-        }
-    }
 }
 
 impl core::fmt::Display for Code {
@@ -247,8 +235,7 @@ impl core::fmt::Display for Level {
 /// use cqla_ecc::{Code, CodeLevel, Level};
 ///
 /// let mem = CodeLevel::new(Code::BaconShor913, Level::TWO);
-/// let cache = mem.at_level(Level::ONE);
-/// assert_eq!(cache.code(), Code::BaconShor913);
+/// assert_eq!(mem.code(), Code::BaconShor913);
 /// assert_eq!(format!("{mem}"), "9-L2");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -295,15 +282,6 @@ impl CodeLevel {
     pub const fn level(self) -> Level {
         self.level
     }
-
-    /// Same code at a different level.
-    #[must_use]
-    pub const fn at_level(self, level: Level) -> Self {
-        Self {
-            code: self.code,
-            level,
-        }
-    }
 }
 
 impl core::fmt::Display for CodeLevel {
@@ -336,14 +314,6 @@ mod tests {
         assert!(bs.data_qubits(Level::ONE) > st.data_qubits(Level::ONE));
         assert!(bs.teleport_channels_required() > st.teleport_channels_required());
         assert!(bs.threshold() > st.threshold());
-    }
-
-    #[test]
-    fn css_code_round_trip() {
-        assert_eq!(Code::Steane713.css_code().num_qubits(), 7);
-        assert_eq!(Code::BaconShor913.css_code().num_qubits(), 9);
-        // The architecture's [[9,1,3]] uses the subsystem (gauge) view.
-        assert!(!Code::BaconShor913.css_code().gauge_x_supports().is_empty());
     }
 
     #[test]

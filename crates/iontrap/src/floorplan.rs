@@ -7,7 +7,6 @@
 //! traffic pattern, so the budget can be checked rather than assumed.
 
 use crate::layout::{RegionCoord, TrapGrid};
-use crate::params::TechnologyParams;
 use cqla_units::Cycles;
 
 /// An explicit placement of data and ancilla ions on a tile's trap grid.
@@ -114,26 +113,6 @@ impl TileFloorplan {
             .unwrap_or(0)
     }
 
-    /// Mean hops from an ancilla to its nearest data ion.
-    #[must_use]
-    pub fn mean_nearest_distance(&self) -> f64 {
-        if self.ancilla.is_empty() {
-            return 0.0;
-        }
-        let total: u32 = self
-            .ancilla
-            .iter()
-            .map(|a| {
-                self.data
-                    .iter()
-                    .map(|d| a.manhattan_distance(*d))
-                    .min()
-                    .unwrap_or(0)
-            })
-            .sum();
-        f64::from(total) / self.ancilla.len() as f64
-    }
-
     /// Shuttle cycles to interact one ancilla with each data ion of a
     /// stabilizer of the given support size: the ancilla visits the
     /// `weight` nearest data ions greedily, with split+cool overhead per
@@ -166,33 +145,6 @@ impl TileFloorplan {
         // Return trip to the measurement zone (the home region).
         total += self.grid.route(pos, start).cycles();
         total
-    }
-
-    /// Total shuttle cycles for one full syndrome extraction over the
-    /// given stabilizer supports, assuming one ancilla chain per
-    /// generator run sequentially (worst case: no overlap).
-    #[must_use]
-    pub fn extraction_shuttle_cycles(&self, supports: &[Vec<usize>]) -> Cycles {
-        supports
-            .iter()
-            .map(|s| self.syndrome_shuttle_cycles(s.len().min(self.data.len())))
-            .sum()
-    }
-
-    /// Worst-case single shuttle duration at a technology point — the
-    /// latency floor for any tile-internal interaction.
-    #[must_use]
-    pub fn worst_shuttle_duration(&self, tech: &TechnologyParams) -> cqla_units::Seconds {
-        let hops = self.max_interaction_distance();
-        if hops == 0 {
-            return cqla_units::Seconds::ZERO;
-        }
-        // Route via an L-shaped path of that many hops.
-        let route = self.grid.route(
-            RegionCoord::new(0, 0),
-            RegionCoord::new(hops.min(self.grid.cols() - 1), 0),
-        );
-        route.duration(tech) * (f64::from(hops) / f64::from(route.hops().max(1)))
     }
 }
 
@@ -283,17 +235,7 @@ mod tests {
         ] {
             let diameter = plan.grid().cols() - 1 + plan.grid().rows() - 1;
             assert!(plan.max_interaction_distance() <= diameter);
-            assert!(plan.mean_nearest_distance() <= f64::from(diameter));
         }
-    }
-
-    #[test]
-    fn extraction_cycles_scale_with_generator_count() {
-        let plan = TileFloorplan::steane_level1();
-        let one = plan.extraction_shuttle_cycles(&[vec![0, 1, 2, 3]]);
-        let three =
-            plan.extraction_shuttle_cycles(&[vec![0, 1, 2, 3], vec![0, 1, 2, 3], vec![0, 1, 2, 3]]);
-        assert_eq!(three.count(), 3 * one.count());
     }
 
     #[test]

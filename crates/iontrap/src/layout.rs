@@ -168,25 +168,6 @@ impl ShuttleRoute {
             Cycles::new(u64::from(self.hops) + 2)
         }
     }
-
-    /// Wall-clock duration at the given technology point.
-    #[must_use]
-    pub fn duration(&self, tech: &TechnologyParams) -> cqla_units::Seconds {
-        if self.hops == 0 {
-            return cqla_units::Seconds::ZERO;
-        }
-        tech.duration(crate::PhysicalOp::Split)
-            + tech.duration(crate::PhysicalOp::Move) * f64::from(self.hops)
-            + tech.duration(crate::PhysicalOp::Cool)
-    }
-
-    /// Probability that the shuttle corrupts the ion (union bound over
-    /// per-hop movement failures).
-    #[must_use]
-    pub fn failure_probability(&self, tech: &TechnologyParams) -> cqla_units::Probability {
-        tech.failure_rate(crate::PhysicalOp::Move)
-            .union_bound(u64::from(self.hops))
-    }
 }
 
 /// A rectangular tile layout measured in trapping regions — the unit from
@@ -217,14 +198,6 @@ impl TileLayout {
     pub fn from_regions(regions: u64) -> Self {
         assert!(regions > 0, "a tile needs at least one region");
         Self { regions }
-    }
-
-    /// A tile of `cols × rows` regions.
-    #[must_use]
-    pub fn from_grid(grid: TrapGrid) -> Self {
-        Self {
-            regions: grid.num_regions(),
-        }
     }
 
     /// Number of trapping regions.
@@ -315,9 +288,6 @@ mod tests {
         assert_eq!(r.hops(), 7);
         // split + 7 moves + cool
         assert_eq!(r.cycles(), Cycles::new(9));
-        let d = r.duration(&tech());
-        let expected = 0.1e-6 + 7.0 * 10e-6 + 0.1e-6;
-        assert!((d.as_secs() - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -325,16 +295,6 @@ mod tests {
         let g = TrapGrid::new(2, 2);
         let r = g.route(RegionCoord::new(1, 1), RegionCoord::new(1, 1));
         assert_eq!(r.cycles(), Cycles::ZERO);
-        assert_eq!(r.duration(&tech()), cqla_units::Seconds::ZERO);
-        assert_eq!(r.failure_probability(&tech()).value(), 0.0);
-    }
-
-    #[test]
-    fn route_failure_scales_with_hops() {
-        let g = TrapGrid::new(100, 1);
-        let short = g.route(RegionCoord::new(0, 0), RegionCoord::new(10, 0));
-        let long = g.route(RegionCoord::new(0, 0), RegionCoord::new(99, 0));
-        assert!(long.failure_probability(&tech()) > short.failure_probability(&tech()));
     }
 
     #[test]
@@ -349,7 +309,6 @@ mod tests {
         let t = TileLayout::from_regions(81);
         assert_eq!(t.repeated(14).regions(), 1134);
         assert_eq!(t.repeated(14).with_overhead(1.2).regions(), 1361);
-        assert_eq!(TileLayout::from_grid(TrapGrid::new(6, 7)).regions(), 42);
     }
 
     #[test]

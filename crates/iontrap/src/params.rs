@@ -239,13 +239,6 @@ impl TechnologyParams {
         }
     }
 
-    /// Movement failure rate per micrometer shuttled (the form Table 1
-    /// quotes it in).
-    #[must_use]
-    pub fn movement_rate_per_um(&self) -> f64 {
-        self.p_move_per_um
-    }
-
     /// Mean component failure rate `p₀` fed into Gottesman's local
     /// fault-tolerance estimate (paper Eq. 1).
     ///
@@ -272,12 +265,6 @@ impl TechnologyParams {
     #[must_use]
     pub fn trap_size(&self) -> Micrometers {
         self.trap_size
-    }
-
-    /// Electrodes per trapping region.
-    #[must_use]
-    pub fn electrodes_per_region(&self) -> u32 {
-        self.electrodes_per_region
     }
 
     /// Linear pitch of one trapping region including its junction share:

@@ -11,7 +11,7 @@
 
 use cqla_ecc::{Code, EccMetrics, Level};
 use cqla_iontrap::{PhysicalOp, TechnologyParams};
-use cqla_units::{Probability, Seconds};
+use cqla_units::Seconds;
 
 /// Purification-tree depth applied to every delivered pair (3 levels ≈
 /// infidelity to the eighth power before the gate-error floor — ample
@@ -65,12 +65,6 @@ impl EprModel {
         self
     }
 
-    /// Purification rounds per delivered pair.
-    #[must_use]
-    pub fn purification_rounds(&self) -> u32 {
-        self.purification_rounds
-    }
-
     /// Time to generate one raw Bell pair locally: H + CNOT + a shuttle
     /// into the channel.
     #[must_use]
@@ -78,47 +72,6 @@ impl EprModel {
         self.tech.duration(PhysicalOp::SingleGate)
             + self.tech.duration(PhysicalOp::DoubleGate)
             + self.tech.duration(PhysicalOp::Move) * 2.0
-    }
-
-    /// Infidelity of a raw pair after being distributed across `hops`
-    /// teleportation-island segments (union bound over per-hop movement
-    /// failures plus the two-qubit gate errors at each island).
-    #[must_use]
-    pub fn raw_pair_infidelity(&self, hops: u32) -> Probability {
-        let per_hop = self.tech.failure_rate(PhysicalOp::Move).value()
-            + self.tech.failure_rate(PhysicalOp::DoubleGate).value();
-        Probability::saturating(per_hop * f64::from(hops.max(1)))
-    }
-
-    /// Infidelity after purification: each round roughly squares the error
-    /// (with a small constant from the round's own gates).
-    #[must_use]
-    pub fn purified_infidelity(&self, hops: u32) -> Probability {
-        let gate_err = self.tech.failure_rate(PhysicalOp::DoubleGate).value();
-        let mut e = self.raw_pair_infidelity(hops).value();
-        for _ in 0..self.purification_rounds {
-            e = e * e + gate_err;
-        }
-        Probability::saturating(e)
-    }
-
-    /// Purification rounds needed to push a raw pair below `target`
-    /// infidelity, or `None` if purification cannot reach it (gate errors
-    /// floor the achievable fidelity).
-    #[must_use]
-    pub fn rounds_to_reach(&self, hops: u32, target: Probability) -> Option<u32> {
-        let gate_err = self.tech.failure_rate(PhysicalOp::DoubleGate).value();
-        if gate_err >= target.value() {
-            return None;
-        }
-        let mut e = self.raw_pair_infidelity(hops).value();
-        for round in 0..=16 {
-            if e <= target.value() {
-                return Some(round);
-            }
-            e = e * e + gate_err;
-        }
-        None
     }
 
     /// Time one purification round takes at the channel endpoints: two
@@ -168,35 +121,6 @@ mod tests {
 
     fn model() -> EprModel {
         EprModel::new(&TechnologyParams::projected())
-    }
-
-    #[test]
-    fn purification_improves_fidelity() {
-        let m = model();
-        for hops in [1, 10, 100] {
-            assert!(
-                m.purified_infidelity(hops) < m.raw_pair_infidelity(hops),
-                "hops {hops}"
-            );
-        }
-    }
-
-    #[test]
-    fn more_hops_need_more_rounds() {
-        let m = model();
-        // Target above the two-qubit-gate error floor (1e-7 projected).
-        let target = Probability::saturating(5e-7);
-        let near = m.rounds_to_reach(1, target).unwrap();
-        let far = m.rounds_to_reach(10_000, target).unwrap();
-        assert!(far > near, "near {near}, far {far}");
-    }
-
-    #[test]
-    fn unreachable_target_is_none() {
-        let m = model();
-        // Below the two-qubit gate error there is nothing purification can
-        // do.
-        assert_eq!(m.rounds_to_reach(1, Probability::saturating(1e-12)), None);
     }
 
     #[test]

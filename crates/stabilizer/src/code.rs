@@ -208,28 +208,10 @@ impl CssCode {
         self.d
     }
 
-    /// Number of correctable errors `t = (d-1)/2`.
-    #[must_use]
-    pub fn correctable_weight(&self) -> usize {
-        (self.d - 1) / 2
-    }
-
     /// Number of stabilizer generators.
     #[must_use]
     pub fn num_generators(&self) -> usize {
         self.x_stabs.len() + self.z_stabs.len()
-    }
-
-    /// Supports of the X-type stabilizer generators.
-    #[must_use]
-    pub fn x_stab_supports(&self) -> &[Vec<usize>] {
-        &self.x_stabs
-    }
-
-    /// Supports of the Z-type stabilizer generators.
-    #[must_use]
-    pub fn z_stab_supports(&self) -> &[Vec<usize>] {
-        &self.z_stabs
     }
 
     /// Supports of X-type gauge generators (empty for stabilizer codes).

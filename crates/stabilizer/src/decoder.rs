@@ -26,51 +26,45 @@ use crate::pauli::{PauliOp, PauliString};
 #[derive(Debug, Clone)]
 pub struct LookupDecoder {
     table: HashMap<Syndrome, PauliString>,
-    max_weight_used: usize,
 }
 
 impl LookupDecoder {
-    /// Builds the lookup table for `code`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is still growing past weight `n` (which would
-    /// indicate an inconsistent code definition).
+    /// Builds the full lookup table for `code`: errors of every weight up
+    /// to `n`, stopping early once every syndrome has a correction.
     #[must_use]
     pub fn for_code(code: &CssCode) -> Self {
+        Self::up_to_weight(code, code.num_qubits())
+    }
+
+    /// Builds the table from errors of weight at most `max_weight` only.
+    ///
+    /// Errors are enumerated in ascending weight and the first error to
+    /// reach a syndrome keeps its entry, so every syndrome present here
+    /// decodes exactly as in [`LookupDecoder::for_code`]; syndromes only
+    /// heavier errors reach are absent.
+    #[must_use]
+    pub fn up_to_weight(code: &CssCode, max_weight: usize) -> Self {
         let n = code.num_qubits();
         let mut table: HashMap<Syndrome, PauliString> = HashMap::new();
         table.insert(
             code.syndrome(&PauliString::identity(n)),
             PauliString::identity(n),
         );
-        let mut max_weight_used = 0;
         // The number of reachable syndromes equals 2^(num generators) for
         // the full-rank check matrices used here; stop as soon as the table
-        // stops growing AND all unit syndromes of weight-1 errors are in.
+        // is full. Not every syndrome needs to be reachable (non-full-rank
+        // checks), so weight `n` ends the search regardless.
         let target = 1usize << code.num_generators();
-        for weight in 1..=n {
-            let before = table.len();
+        for weight in 1..=max_weight.min(n) {
             for error in errors_of_weight(n, weight) {
                 let syndrome = code.syndrome(&error);
                 table.entry(syndrome).or_insert(error);
             }
-            if table.len() > before {
-                max_weight_used = weight;
-            }
             if table.len() >= target {
                 break;
             }
-            if weight == n {
-                // Not every syndrome needs to be reachable (non-full-rank
-                // checks); accept whatever we found.
-                break;
-            }
         }
-        Self {
-            table,
-            max_weight_used,
-        }
+        Self { table }
     }
 
     /// Returns the stored minimum-weight correction for `syndrome`, if the
@@ -84,12 +78,6 @@ impl LookupDecoder {
     #[must_use]
     pub fn table_len(&self) -> usize {
         self.table.len()
-    }
-
-    /// The largest error weight that contributed a table entry.
-    #[must_use]
-    pub fn max_weight_used(&self) -> usize {
-        self.max_weight_used
     }
 }
 
@@ -244,6 +232,23 @@ mod tests {
                 assert!(
                     code.is_logically_trivial(&residue),
                     "{code}: error {error} miscorrected by {correction}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn weight_one_table_decodes_like_the_full_table() {
+        for code in [CssCode::steane(), CssCode::shor9(), CssCode::bacon_shor()] {
+            let full = LookupDecoder::for_code(&code);
+            let light = LookupDecoder::up_to_weight(&code, 1);
+            assert!(light.table_len() <= full.table_len(), "{code}");
+            for error in enumerate_errors(code.num_qubits(), 1) {
+                let syndrome = code.syndrome(&error);
+                assert_eq!(
+                    light.decode(&syndrome),
+                    full.decode(&syndrome),
+                    "{code}: {error}"
                 );
             }
         }

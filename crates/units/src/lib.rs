@@ -62,12 +62,6 @@ impl Micrometers {
     pub const fn value(self) -> f64 {
         self.0
     }
-
-    /// Returns the length in millimeters.
-    #[must_use]
-    pub fn as_millimeters(self) -> f64 {
-        self.0 / 1_000.0
-    }
 }
 
 impl core::fmt::Display for Micrometers {
@@ -127,10 +121,5 @@ mod tests {
     #[test]
     fn micrometer_displays_unit() {
         assert_eq!(Micrometers::new(5.0).to_string(), "5 um");
-    }
-
-    #[test]
-    fn micrometer_millimeter_conversion() {
-        assert!((Micrometers::new(1500.0).as_millimeters() - 1.5).abs() < 1e-12);
     }
 }

@@ -82,12 +82,6 @@ impl Probability {
         self.0
     }
 
-    /// Complement: `1 - p`.
-    #[must_use]
-    pub fn complement(self) -> Self {
-        Self(1.0 - self.0)
-    }
-
     /// Probability that at least one of `n` independent events occurs,
     /// bounded by `n * p` (the union bound, saturating at 1).
     ///
@@ -183,8 +177,8 @@ mod tests {
     #[test]
     fn complement_and_max() {
         let p = Probability::new(0.25).unwrap();
-        assert!((p.complement().value() - 0.75).abs() < 1e-12);
-        assert_eq!(p.max(p.complement()), p.complement());
+        let q = Probability::new(1.0 - p.value()).unwrap();
+        assert_eq!(p.max(q), q);
     }
 
     #[test]

@@ -41,12 +41,6 @@ impl Seconds {
         Self(millis * 1e-3)
     }
 
-    /// Creates a duration from hours.
-    #[must_use]
-    pub fn from_hours(hours: f64) -> Self {
-        Self(hours * 3_600.0)
-    }
-
     /// Returns the raw value in seconds.
     #[must_use]
     pub const fn as_secs(self) -> f64 {
@@ -89,12 +83,6 @@ impl Seconds {
         } else {
             other
         }
-    }
-
-    /// Returns `true` if the duration is non-negative and finite.
-    #[must_use]
-    pub fn is_valid(self) -> bool {
-        self.0.is_finite() && self.0 >= 0.0
     }
 }
 
@@ -243,7 +231,6 @@ mod tests {
     fn seconds_constructors_agree() {
         assert_eq!(Seconds::from_micros(1e6), Seconds::new(1.0));
         assert_eq!(Seconds::from_millis(1e3), Seconds::new(1.0));
-        assert_eq!(Seconds::from_hours(1.0), Seconds::new(3_600.0));
     }
 
     #[test]
@@ -278,16 +265,7 @@ mod tests {
         assert_eq!(Seconds::from_millis(3.1).to_string(), "3.100 ms");
         assert_eq!(Seconds::new(0.3).to_string(), "300.000 ms");
         assert_eq!(Seconds::new(2.0).to_string(), "2.000 s");
-        assert_eq!(Seconds::from_hours(2.0).to_string(), "2.000 h");
-    }
-
-    #[test]
-    fn seconds_validity() {
-        assert!(Seconds::new(1.0).is_valid());
-        assert!(Seconds::ZERO.is_valid());
-        assert!(!Seconds::new(-1.0).is_valid());
-        assert!(!Seconds::new(f64::NAN).is_valid());
-        assert!(!Seconds::new(f64::INFINITY).is_valid());
+        assert_eq!(Seconds::new(7_200.0).to_string(), "2.000 h");
     }
 
     #[test]

@@ -100,12 +100,6 @@ impl DraperAdder {
         self.n..2 * self.n
     }
 
-    /// Qubit indices of the `n+1`-bit output register `z = a + b`.
-    #[must_use]
-    pub fn z_register(&self) -> std::ops::Range<u32> {
-        2 * self.n..3 * self.n + 1
-    }
-
     /// Number of propagate-tree ancilla qubits (returned to `|0⟩`).
     #[must_use]
     pub fn num_ancilla(&self) -> u32 {
@@ -432,7 +426,6 @@ mod tests {
         let adder = DraperAdder::new(16);
         assert_eq!(adder.a_register(), 0..16);
         assert_eq!(adder.b_register(), 16..32);
-        assert_eq!(adder.z_register(), 32..49);
         assert_eq!(adder.total_qubits(), 3 * 16 + 1 + adder.num_ancilla());
         assert_eq!(adder.circuit_ref().num_qubits(), adder.total_qubits());
         // Prefix-tree ancilla ≈ n - lg n - 1.

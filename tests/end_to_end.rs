@@ -563,6 +563,14 @@ mod cli {
         assert!(err.contains("^^^^^^"), "{err}");
         assert!(err.contains("did you mean `toffoli`?"), "{err}");
         assert!(err.contains("line 2"), "{err}");
+        // A register past 2^20 qubits is a parse error, not a
+        // multi-gigabyte allocation.
+        std::fs::write(&bad, "# circuit: 4294967295 qubits, 1 gates\nx q0\n").unwrap();
+        let out = cqla(&["compile", bad.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("^^^^^^^^^^"), "{err}");
+        assert!(err.contains("registers stop at 1048576 qubits"), "{err}");
     }
 
     #[test]
@@ -1145,6 +1153,17 @@ mod cli {
             // The route is POST-only.
             let (status, body) = serve.get("/v1/compile");
             assert_eq!(status, 405, "{body}");
+            // A short body cannot ask for a register past 2^20 qubits,
+            // by header or by operand; a register of exactly 2^20 compiles.
+            for program in ["# circuit: 4294967295 qubits\nx q0\n", "x q1048576\n"] {
+                let (status, body) = serve.post("/v1/compile", program);
+                assert_eq!(status, 400, "{body}");
+                assert!(body.contains("stop at"), "{body}");
+            }
+            let (status, body) =
+                serve.post("/v1/compile", "# circuit: 1048576 qubits\nx q1048575\n");
+            assert_eq!(status, 200, "{body}");
+            assert!(body.contains("\"qubits\": 1048576"), "{body}");
             let _ = serve.post("/v1/shutdown", "");
         }
 
