@@ -186,12 +186,6 @@ impl CacheSim {
         Self { capacity }
     }
 
-    /// Cache capacity in logical qubits.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Runs `repetitions` back-to-back executions of `circuit` (cache state
     /// persisting across repetitions, as in repeated additions of a modular
     /// exponentiation).

@@ -6,7 +6,8 @@
 //! # How a run flows
 //!
 //! 1. **Partition.** Every workload is a list of grids: a registry
-//!    grid is one, a design-space sweep is its [`Sweep::grids`]. Each
+//!    grid is one, a design-space sweep is its
+//!    [`Sweep::grids`](cqla_sweep::Sweep::grids). Each
 //!    grid is split into contiguous sub-grids with [`Grid::shard`] so
 //!    there is at least one shard per worker. Each shard knows the
 //!    global index of its first point, so fragments land in the right
@@ -36,8 +37,8 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use cqla_core::experiments::Grid;
-use cqla_core::json;
-use cqla_sweep::{frame, GridRun, Sweep, SweepRun};
+use cqla_core::json::{self, Json};
+use cqla_sweep::frame;
 
 use crate::client::Client;
 
@@ -160,29 +161,23 @@ struct Sched {
     passed: bool,
 }
 
-/// Executes a registry parameter grid across the fleet.
+/// Executes `grids`, in order, across the fleet as one document under
+/// `head`: a registry grid with [`GridRun::head`], a design-space sweep's
+/// [`Sweep::grids`] with [`SweepRun::head`].
 ///
 /// # Errors
 ///
-/// [`DistError`] when the fleet cannot complete the grid: no workers,
-/// a protocol rejection, or every worker dead.
-pub fn run_grid(grid: &Grid, config: &FleetConfig) -> Result<DistRun, DistError> {
-    let prologue = frame::prologue(GridRun::head(grid.id(), grid.spec(), grid.len()));
-    run_grids(std::slice::from_ref(grid), prologue, config)
-}
-
-/// Executes a design-space sweep across the fleet.
+/// [`DistError`] when the fleet cannot complete the run: no workers, a
+/// protocol rejection, or every worker dead.
 ///
-/// # Errors
-///
-/// [`DistError`] when the fleet cannot complete the sweep: no
-/// workers, a protocol rejection, or every worker dead.
-pub fn run_sweep(sweep: &Sweep, config: &FleetConfig) -> Result<DistRun, DistError> {
-    let prologue = frame::prologue(SweepRun::head(sweep.name(), sweep.len()));
-    run_grids(sweep.grids(), prologue, config)
-}
-
-fn run_grids(grids: &[Grid], prologue: String, config: &FleetConfig) -> Result<DistRun, DistError> {
+/// [`GridRun::head`]: cqla_sweep::GridRun::head
+/// [`Sweep::grids`]: cqla_sweep::Sweep::grids
+/// [`SweepRun::head`]: cqla_sweep::SweepRun::head
+pub fn run_grids(
+    grids: &[Grid],
+    head: Vec<(&'static str, Json)>,
+    config: &FleetConfig,
+) -> Result<DistRun, DistError> {
     if config.workers.is_empty() {
         return Err(DistError {
             worker: None,
@@ -235,7 +230,7 @@ fn run_grids(grids: &[Grid], prologue: String, config: &FleetConfig) -> Result<D
     if let Some(fatal) = sched.fatal {
         return Err(fatal);
     }
-    let mut document = prologue;
+    let mut document = frame::prologue(head);
     for (index, slot) in sched.slots.iter().enumerate() {
         let fragment = slot.as_ref().ok_or_else(|| DistError {
             worker: None,
@@ -505,6 +500,7 @@ fn job_verdict(addr: &str, client: &Client, jid: &str) -> Result<bool, CallError
 mod tests {
     use super::*;
     use cqla_core::experiments::find;
+    use cqla_sweep::{Sweep, SweepRun};
 
     fn fig2_grid(expr: &str) -> Grid {
         Grid::parse("fig2", &find("fig2").unwrap().specs(), expr).unwrap()
@@ -607,7 +603,8 @@ mod tests {
     #[test]
     fn empty_fleets_fail_before_any_network_io() {
         let sweep = Sweep::builtin("quick").unwrap();
-        let err = run_sweep(&sweep, &FleetConfig::new(Vec::new())).unwrap_err();
+        let head = SweepRun::head(sweep.name(), sweep.len());
+        let err = run_grids(sweep.grids(), head, &FleetConfig::new(Vec::new())).unwrap_err();
         assert!(err.message.contains("no workers"), "{err}");
         assert_eq!(err.worker, None);
     }

@@ -31,8 +31,8 @@
 //! # Example
 //!
 //! ```no_run
-//! use cqla_dist::{run_sweep, FleetConfig};
-//! use cqla_sweep::Sweep;
+//! use cqla_dist::{run_grids, FleetConfig};
+//! use cqla_sweep::{Sweep, SweepRun};
 //!
 //! let sweep = Sweep::parse("grid").unwrap();
 //! let fleet = FleetConfig::new(vec![
@@ -40,7 +40,8 @@
 //!     "10.0.0.2:7070".into(),
 //!     "10.0.0.3:7070".into(),
 //! ]);
-//! let run = run_sweep(&sweep, &fleet).expect("fleet completes the sweep");
+//! let head = SweepRun::head(sweep.name(), sweep.len());
+//! let run = run_grids(sweep.grids(), head, &fleet).expect("fleet completes the sweep");
 //! // Byte-identical to `cqla sweep grid --format json`.
 //! print!("{}", run.document());
 //! ```
@@ -52,4 +53,4 @@ pub mod client;
 pub mod coordinator;
 
 pub use client::{Client, HttpResponse};
-pub use coordinator::{run_grid, run_sweep, DistError, DistRun, FleetConfig};
+pub use coordinator::{run_grids, DistError, DistRun, FleetConfig};

@@ -9,7 +9,7 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use cqla_core::experiments::{find, Grid};
-use cqla_dist::{run_grid, run_sweep, Client, FleetConfig};
+use cqla_dist::{run_grids, Client, DistError, DistRun, FleetConfig};
 use cqla_serve::{Server, ServerHandle};
 use cqla_sweep::{GridRun, Sweep, SweepRun};
 
@@ -47,6 +47,18 @@ impl Drop for Worker {
 fn dead_port() -> String {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     listener.local_addr().expect("addr").to_string()
+}
+
+/// A design-space sweep across the fleet, under the sweep document's head.
+fn run_sweep(sweep: &Sweep, fleet: &FleetConfig) -> Result<DistRun, DistError> {
+    let head = SweepRun::head(sweep.name(), sweep.len());
+    run_grids(sweep.grids(), head, fleet)
+}
+
+/// A registry grid across the fleet, under the grid document's head.
+fn run_grid(grid: &Grid, fleet: &FleetConfig) -> Result<DistRun, DistError> {
+    let head = GridRun::head(grid.id(), grid.spec(), grid.len());
+    run_grids(std::slice::from_ref(grid), head, fleet)
 }
 
 fn fleet_of(workers: &[&Worker]) -> FleetConfig {

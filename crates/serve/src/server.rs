@@ -56,7 +56,7 @@ use cqla_core::experiments::{
 use cqla_core::Json;
 use cqla_ecc::memo::{Memo, Outcome};
 use cqla_sweep::frame::{self, DOCUMENT_EPILOGUE};
-use cqla_sweep::{GridRun, PointCache, Sweep, SweepRun};
+use cqla_sweep::{DesignPoint, GridPoint, GridRun, PointCache, Sweep, SweepRun};
 
 use crate::http::{self, read_request, ChunkedWriter, Request, RequestError, Response, Status};
 
@@ -801,10 +801,13 @@ fn stream_grid(
     // `None` once a write failed: the pool must finish either way, so
     // the failure is remembered rather than propagated.
     let writer = Mutex::new(Some(body));
-    let _run = GridRun::execute_streamed(grid, pool_threads, &cache, |index, result| {
+    let _run = GridRun::execute_streamed(grid, pool_threads, &cache, |index, point| {
         let mut writer = writer.lock().expect("stream writer lock");
         if let Some(body) = writer.as_mut() {
-            if body.chunk(&frame::fragment(index, result)).is_err() {
+            if body
+                .chunk(&frame::fragment(index, &GridRun::entry(point)))
+                .is_err()
+            {
                 *writer = None;
             }
         }
@@ -962,22 +965,16 @@ fn jobs_create_endpoint(
         Ok(grid) => grid,
         Err(response) => return response,
     };
-    let total = grid.len();
-    let prologue = frame::prologue(GridRun::head(id, grid.spec(), total));
-    start_job(
-        shared,
-        id,
-        grid.spec().to_owned(),
-        total,
-        prologue,
-        move |shared, append| {
-            let cache = SharedPointCache {
-                shared,
-                id: grid.id(),
-            };
-            GridRun::execute_streamed(&grid, pool_threads, &cache, append).passed()
-        },
-    )
+    let prologue = frame::prologue(GridRun::head(id, grid.spec(), grid.len()));
+    let spec = grid.spec().to_owned();
+    let id = id.to_owned();
+    let plan = JobPlan {
+        grids: vec![grid],
+        experiment: Box::new(move || find(&id).expect("grid experiment is registered")),
+        cached: true,
+        entry: GridRun::entry,
+    };
+    start_job(shared, pool_threads, spec, prologue, plan)
 }
 
 /// `POST /v1/jobs/sweep` — the body is a design-space batch: one
@@ -999,28 +996,38 @@ fn jobs_create_sweep_endpoint(body: &[u8], shared: &Arc<Shared>, pool_threads: u
             )
         }
     };
-    let total = sweep.len();
-    let prologue = frame::prologue(SweepRun::head(sweep.name(), total));
+    let prologue = frame::prologue(SweepRun::head(sweep.name(), sweep.len()));
     let spec = sweep.name().to_owned();
-    // Sweeps carry no pass/fail verdict: completing is `passed`.
-    start_job(shared, "sweep", spec, total, prologue, move |_, append| {
-        let _run = SweepRun::execute_streamed(&sweep, pool_threads, append);
-        true
-    })
+    let plan = JobPlan {
+        grids: sweep.grids().to_vec(),
+        experiment: Box::new(|| Box::new(DesignPoint::paper_default())),
+        cached: false,
+        entry: SweepRun::entry,
+    };
+    start_job(shared, pool_threads, spec, prologue, plan)
+}
+
+/// What a job runs: its grids on the grid executor, each point from a
+/// fresh `experiment`, read through the results cache when `cached`
+/// (registry grids are; design-space sweeps are not), and appended to
+/// the job's log as the fragment of its `entry`.
+struct JobPlan {
+    grids: Vec<Grid>,
+    experiment: Box<dyn Fn() -> Box<dyn Experiment> + Send + Sync>,
+    cached: bool,
+    entry: fn(&GridPoint) -> Json,
 }
 
 /// Registers a job under the next id, bumps the active gauge, and
 /// starts [`run_job`] on its own thread — the shared tail of both
-/// job-creation endpoints. `execute` runs the job streamed through the
-/// fragment appender it is handed and returns the verdict. Creation
-/// past [`MAX_ACTIVE_JOBS`] is refused with a 503.
+/// job-creation endpoints. Creation past [`MAX_ACTIVE_JOBS`] is refused
+/// with a 503.
 fn start_job(
     shared: &Arc<Shared>,
-    artifact: &str,
+    pool_threads: usize,
     spec: String,
-    total: usize,
     prologue: String,
-    execute: impl FnOnce(&Shared, &(dyn Fn(usize, &Json) + Sync)) -> bool + Send + 'static,
+    plan: JobPlan,
 ) -> Response {
     if shared.jobs_active.load(Ordering::Relaxed) >= MAX_ACTIVE_JOBS as u64 {
         return Response::error(
@@ -1035,9 +1042,9 @@ fn start_job(
         let jid = format!("j{}", table.next);
         let job = Arc::new(Job {
             id: jid.clone(),
-            artifact: artifact.to_owned(),
+            artifact: (plan.experiment)().id().to_owned(),
             spec,
-            total,
+            total: plan.grids.iter().map(Grid::len).sum(),
             prologue,
             state: Mutex::new(JobState {
                 fragments: Vec::new(),
@@ -1053,7 +1060,7 @@ fn start_job(
     let handle = std::thread::spawn({
         let shared = Arc::clone(shared);
         let job = Arc::clone(&job);
-        move || run_job(&shared, &job, execute)
+        move || run_job(&shared, &job, &plan, pool_threads)
     });
     shared
         .job_threads
@@ -1066,27 +1073,33 @@ fn start_job(
     }
 }
 
-/// The job thread: execute the run, appending each result's fragment
-/// to the job log and waking pollers/streamers; then mark the job done,
-/// apply completed-job retention, and drop the active-jobs gauge. A
-/// panicking run still marks the job done (failed) so streams and
-/// shutdown never wait forever.
-fn run_job(
-    shared: &Shared,
-    job: &Job,
-    execute: impl FnOnce(&Shared, &(dyn Fn(usize, &Json) + Sync)) -> bool,
-) {
-    let append = |index: usize, result: &Json| {
-        let fragment = frame::fragment(index, result);
+/// The job thread — the one job body of grid and sweep jobs: run the
+/// plan on the grid executor, appending each point's fragment to the
+/// job log and waking pollers/streamers; then mark the job done, apply
+/// completed-job retention, and drop the active-jobs gauge. A panicking
+/// run still marks the job done (failed) so streams and shutdown never
+/// wait forever.
+fn run_job(shared: &Shared, job: &Job, plan: &JobPlan, pool_threads: usize) {
+    let append = |index: usize, point: &GridPoint| {
+        let fragment = frame::fragment(index, &(plan.entry)(point));
         let mut state = job.state.lock().expect("job state lock");
         debug_assert_eq!(state.fragments.len(), index, "fragments arrive in order");
         state.fragments.push(fragment);
         job.cv.notify_all();
     };
-    let passed = catch_unwind(AssertUnwindSafe(|| execute(shared, &append))).unwrap_or_else(|_| {
-        eprintln!("cqla-serve: job {} panicked; marked failed", job.id);
-        false
-    });
+    let cache = SharedPointCache {
+        shared,
+        id: &job.artifact,
+    };
+    let cache = plan.cached.then_some(&cache as &dyn PointCache);
+    let run = || GridRun::run(&plan.grids, pool_threads, &plan.experiment, cache, append);
+    let passed = catch_unwind(AssertUnwindSafe(run)).map_or_else(
+        |_| {
+            eprintln!("cqla-serve: job {} panicked; marked failed", job.id);
+            false
+        },
+        |run| run.passed(),
+    );
     {
         let mut state = job.state.lock().expect("job state lock");
         state.done = true;
@@ -1187,7 +1200,8 @@ fn sweep_endpoint(body: &[u8], shared: &Shared, pool_threads: usize) -> Response
         Ok(sweep) => {
             if !shared.config.fleet.is_empty() {
                 let fleet = cqla_dist::FleetConfig::new(shared.config.fleet.clone());
-                return match cqla_dist::run_sweep(&sweep, &fleet) {
+                let head = SweepRun::head(sweep.name(), sweep.len());
+                return match cqla_dist::run_grids(sweep.grids(), head, &fleet) {
                     Ok(run) => Response::ok(run.document().to_owned()),
                     Err(e) => Response::error(
                         Status::ServiceUnavailable,
@@ -1321,10 +1335,10 @@ mod tests {
                 };
                 let head = GridRun::head(grid.id(), grid.spec(), grid.len());
                 let body = Mutex::new(frame::prologue(head));
-                let _run = GridRun::execute_streamed(&grid, 1, &cache, |index, result| {
+                let _run = GridRun::execute_streamed(&grid, 1, &cache, |index, point| {
                     body.lock()
                         .unwrap()
-                        .push_str(&frame::fragment(index, result));
+                        .push_str(&frame::fragment(index, &GridRun::entry(point)));
                 });
                 let mut body = body.into_inner().unwrap();
                 body.push_str(DOCUMENT_EPILOGUE);
@@ -1536,17 +1550,18 @@ mod tests {
     fn a_panicking_job_is_marked_failed_and_releases_its_slot() {
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
         let shared = &server.shared;
-        let created = start_job(
-            shared,
-            "fig2",
-            String::new(),
-            2,
-            String::new(),
-            |_, append| {
-                append(0, &Json::Int(1));
-                panic!("job blew up mid-run");
+        let fig2 = find("fig2").unwrap();
+        let plan = JobPlan {
+            grids: vec![Grid::parse("fig2", &fig2.specs(), "bits=8,16").unwrap()],
+            experiment: Box::new(|| find("fig2").unwrap()),
+            cached: false,
+            // The second point's fragment blows up after the first landed.
+            entry: |point| {
+                assert_eq!(point.overrides[0].1, "8", "job blew up mid-run");
+                GridRun::entry(point)
             },
-        );
+        };
+        let created = start_job(shared, 1, String::new(), String::new(), plan);
         assert_eq!(created.status, Status::Accepted);
         let deadline = Instant::now() + Duration::from_secs(30);
         let job = find_job(shared, "j1").expect("job exists");

@@ -1,12 +1,19 @@
-//! The sweep executor: runs a [`Sweep`]'s job grid on the shared
-//! pool and packages results, timings, and serialization.
+//! The sweep document: the legacy `{"sweep", "points", "results"}`
+//! rendering of a [`Sweep`], run on the grid executor.
+//!
+//! [`SweepRun::execute`] hands a sweep's grids to [`GridRun::run`] with
+//! [`DesignPoint`] as the experiment, so every design-space sweep fans
+//! out through the same pool call, evaluation context and streaming
+//! hook as a registry grid. What stays here is the renderer: the sweep
+//! document's head and entries, its text table, and its timing
+//! document.
 //!
 //! Determinism contract: [`SweepRun::to_json`] depends only on the sweep
 //! description — it is byte-identical across runs and thread counts
-//! (the pool restores submission order, every job is a pure function of
-//! its point, and the JSON layer formats floats reproducibly). Timing
-//! lives in the separate [`SweepRun::timing_json`], which is expected to
-//! differ run to run and feeds the benchmark baseline.
+//! (the pool restores submission order, every point is a pure function
+//! of its overrides, and the JSON layer formats floats reproducibly).
+//! Timing lives in the separate [`SweepRun::timing_json`], which is
+//! expected to differ run to run and feeds the benchmark baseline.
 
 use std::time::Duration;
 
@@ -16,8 +23,8 @@ use cqla_core::{
 };
 
 use crate::frame;
+use crate::grid::{GridPoint, GridRun};
 use crate::json::{Json, ToJson};
-use crate::pool;
 use crate::spec::{DesignPoint, Sweep};
 
 /// What the engine computes at one design point: always the flat-CQLA
@@ -68,42 +75,18 @@ impl ToJson for PointOutcome {
     }
 }
 
-/// One executed job: point, outcome, and how long it took.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobResult {
-    /// The design point evaluated.
-    pub point: DesignPoint,
-    /// What it computed.
-    pub outcome: PointOutcome,
-    /// Wall-clock time of this job on its worker.
-    pub duration: Duration,
-}
-
-impl JobResult {
-    /// This result's entry in the sweep document's `results` array — the
-    /// unit [`crate::frame::fragment`] re-indents into a streamed
-    /// fragment. Deterministic: duration is excluded.
-    #[must_use]
-    pub fn result_json(&self) -> Json {
-        result_entry(&self.point, &self.outcome)
-    }
-}
-
-fn result_entry(point: &DesignPoint, outcome: &PointOutcome) -> Json {
-    Json::obj([("point", point.to_json()), ("outcome", outcome.to_json())])
-}
-
-/// A completed sweep: every job result in submission order.
-#[derive(Debug, Clone, PartialEq)]
+/// A completed sweep: every design point's [`GridPoint`] in submission
+/// order, rendered as the sweep document.
+#[derive(Debug, Clone)]
 pub struct SweepRun {
     name: String,
     threads: usize,
-    results: Vec<JobResult>,
+    run: GridRun,
 }
 
 impl SweepRun {
     /// Executes the sweep on `threads` workers (see
-    /// [`pool::default_threads`] for the all-cores default).
+    /// [`crate::pool::default_threads`] for the all-cores default).
     ///
     /// # Examples
     ///
@@ -116,54 +99,13 @@ impl SweepRun {
     /// ```
     #[must_use]
     pub fn execute(sweep: &Sweep, threads: usize) -> Self {
-        Self::run(sweep, threads, |_, _| {})
-    }
-
-    /// Executes the sweep, handing each result's `results` entry to
-    /// `on_result` in submission order, as [`pool::map_streamed`]
-    /// delivers — the hook behind streamed sweep jobs.
-    #[must_use]
-    pub fn execute_streamed(
-        sweep: &Sweep,
-        threads: usize,
-        on_result: impl Fn(usize, &Json) + Sync,
-    ) -> Self {
-        let points = sweep.points();
-        Self::run(sweep, threads, |index, outcome| {
-            on_result(index, &result_entry(&points[index], outcome));
-        })
-    }
-
-    fn run(sweep: &Sweep, threads: usize, deliver: impl Fn(usize, &PointOutcome) + Sync) -> Self {
-        // Record the *effective* worker count (the pool clamps to the job
-        // count): the timing document is the cross-PR perf baseline, and
-        // a phantom thread count would make comparisons misleading.
-        let threads = threads.clamp(1, sweep.len().max(1));
-        // One memoization context for the whole run: points share DAG
-        // schedules, cache-simulator passes, and ECC tables across
-        // worker threads, and each shared key is computed once (a worker
-        // racing another onto the same key waits for its value).
-        let ctx = EvalCtx::new();
-        let timed = pool::map_streamed(
-            sweep.points(),
-            threads,
-            |_, point| PointOutcome::evaluate_ctx(point, &ctx),
-            deliver,
-        );
-        let results = sweep
-            .points()
-            .iter()
-            .zip(timed)
-            .map(|(point, t)| JobResult {
-                point: *point,
-                outcome: t.value,
-                duration: t.duration,
-            })
-            .collect();
         Self {
             name: sweep.name().to_owned(),
-            threads,
-            results,
+            // Record the *effective* worker count (the pool clamps to the
+            // job count): the timing document is the cross-PR perf
+            // baseline, and a phantom thread count would mislead.
+            threads: threads.clamp(1, sweep.len().max(1)),
+            run: GridRun::run(sweep.grids(), threads, new_point, None, |_, _| {}),
         }
     }
 
@@ -174,22 +116,24 @@ impl SweepRun {
         vec![("sweep", Json::from(name)), ("points", points.to_json())]
     }
 
+    /// A point's entry in the sweep document's `results` array — the
+    /// design point's `{"point", "outcome"}` data, which
+    /// [`crate::frame::fragment`] re-indents into a streamed fragment.
+    #[must_use]
+    pub fn entry(point: &GridPoint) -> Json {
+        point.data.clone()
+    }
+
     /// The sweep's name.
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// Worker count the run used.
+    /// Per-point results in submission order.
     #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Per-job results in submission order.
-    #[must_use]
-    pub fn results(&self) -> &[JobResult] {
-        &self.results
+    pub fn results(&self) -> &[GridPoint] {
+        self.run.points()
     }
 
     /// The deterministic result document: depends only on the sweep
@@ -197,8 +141,8 @@ impl SweepRun {
     #[must_use]
     pub fn to_json(&self) -> Json {
         frame::document(
-            Self::head(&self.name, self.results.len()),
-            self.results.iter().map(JobResult::result_json).collect(),
+            Self::head(&self.name, self.results().len()),
+            self.results().iter().map(Self::entry).collect(),
         )
     }
 
@@ -206,14 +150,14 @@ impl SweepRun {
     /// Not deterministic — this is the benchmark-baseline artifact.
     #[must_use]
     pub fn timing_json(&self) -> Json {
-        let total: Duration = self.results.iter().map(|r| r.duration).sum();
-        let slowest = self
-            .results
+        let results = self.results();
+        let total: Duration = results.iter().map(|r| r.duration).sum();
+        let slowest = results
             .iter()
             .max_by_key(|r| r.duration)
             .map(|r| {
                 Json::obj([
-                    ("point", Json::from(r.point.label())),
+                    ("point", Json::from(r.text.as_str())),
                     ("seconds", Json::Num(r.duration.as_secs_f64())),
                 ])
             })
@@ -221,21 +165,21 @@ impl SweepRun {
         Json::obj([
             ("sweep", Json::from(self.name.as_str())),
             ("threads", self.threads.to_json()),
-            ("points", self.results.len().to_json()),
+            ("points", results.len().to_json()),
             ("cpu_seconds_total", Json::Num(total.as_secs_f64())),
             (
                 "mean_job_seconds",
-                Json::Num(if self.results.is_empty() {
+                Json::Num(if results.is_empty() {
                     0.0
                 } else {
-                    total.as_secs_f64() / self.results.len() as f64
+                    total.as_secs_f64() / results.len() as f64
                 }),
             ),
             ("slowest_job", slowest),
             (
                 "job_seconds",
                 Json::Arr(
-                    self.results
+                    results
                         .iter()
                         .map(|r| Json::Num(r.duration.as_secs_f64()))
                         .collect(),
@@ -244,7 +188,8 @@ impl SweepRun {
         ])
     }
 
-    /// Renders the paper-style text table for terminal output.
+    /// Renders the paper-style text table for terminal output: one row
+    /// per point, headed by its label, read from its `outcome`.
     #[must_use]
     pub fn render_text(&self) -> String {
         use cqla_core::report::{fmt3, TextTable};
@@ -256,29 +201,36 @@ impl SweepRun {
             "L1 speedup",
             "GP(1:2)",
         ]);
-        for r in &self.results {
-            let s = &r.outcome.specialization;
-            let (l1, gp) = r.outcome.hierarchy.as_ref().map_or_else(
-                || ("-".to_owned(), "-".to_owned()),
-                |h| (fmt3(h.l1_speedup), fmt3(h.gain_product_conservative)),
-            );
+        for r in self.results() {
+            // A flat point's `hierarchy` is null, so its cells read "-".
+            let cell = |study: &str, field: &str| {
+                r.data
+                    .get("outcome")
+                    .and_then(|o| o.get(study)?.get(field)?.as_f64())
+                    .map_or_else(|| "-".to_owned(), fmt3)
+            };
             t.push_row([
-                r.point.label(),
-                fmt3(s.area_reduction),
-                fmt3(s.speedup),
-                fmt3(s.gain_product),
-                l1,
-                gp,
+                r.text.clone(),
+                cell("specialization", "area_reduction"),
+                cell("specialization", "speedup"),
+                cell("specialization", "gain_product"),
+                cell("hierarchy", "l1_speedup"),
+                cell("hierarchy", "gain_product_conservative"),
             ]);
         }
         format!(
             "sweep {}: {} points on {} thread(s)\n{}",
             self.name,
-            self.results.len(),
+            self.results().len(),
             self.threads,
             t
         )
     }
+}
+
+/// The experiment every sweep point starts from, before its overrides.
+pub(crate) fn new_point() -> Box<dyn cqla_core::experiments::Experiment> {
+    Box::new(DesignPoint::paper_default())
 }
 
 #[cfg(test)]
@@ -291,6 +243,16 @@ mod tests {
             .unwrap()
     }
 
+    /// Runs `sweep` on the grid executor and collects what its callback
+    /// sees: each point's index and its entry in the sweep document.
+    fn streamed(sweep: &Sweep, threads: usize) -> Vec<(usize, Json)> {
+        let seen = Mutex::new(Vec::new());
+        let _ = GridRun::run(sweep.grids(), threads, new_point, None, |index, point| {
+            seen.lock().unwrap().push((index, SweepRun::entry(point)));
+        });
+        seen.into_inner().unwrap()
+    }
+
     #[test]
     fn parallel_run_matches_serial_run_exactly() {
         let sweep = small_sweep();
@@ -298,8 +260,8 @@ mod tests {
         let parallel = SweepRun::execute(&sweep, 4);
         assert_eq!(serial.results().len(), parallel.results().len());
         for (s, p) in serial.results().iter().zip(parallel.results()) {
-            assert_eq!(s.point, p.point);
-            assert_eq!(s.outcome, p.outcome, "point {}", s.point.label());
+            assert_eq!(s.overrides, p.overrides);
+            assert_eq!(s.data, p.data, "point {}", s.text);
         }
         // The deterministic documents are byte-identical.
         assert_eq!(serial.to_json().to_pretty(), parallel.to_json().to_pretty());
@@ -307,19 +269,20 @@ mod tests {
 
     #[test]
     fn shared_ctx_computes_each_key_once_at_any_thread_count() {
-        let sweep = Sweep::builtin("grid").unwrap();
-        let misses = |threads| {
-            let ctx = EvalCtx::new();
-            pool::map(sweep.points(), threads, |_, point| {
-                PointOutcome::evaluate_ctx(point, &ctx)
-            });
-            ctx.counters().1
-        };
-        // Pinned: a table caching a fact another table already holds
-        // shows up as extra misses.
-        assert_eq!(misses(1), 50);
-        for threads in 2..=8 {
-            assert_eq!(misses(threads), 50, "threads {threads}");
+        // table4 is twelve grids: they share one context too.
+        for (name, pinned) in [("grid", 50), ("table4", 44)] {
+            let sweep = Sweep::builtin(name).unwrap();
+            let misses = |threads| {
+                let ctx = EvalCtx::new();
+                let _ = GridRun::run_in(&ctx, sweep.grids(), threads, new_point, None, |_, _| {});
+                ctx.counters().1
+            };
+            // Pinned: a table caching a fact another table already holds
+            // shows up as extra misses.
+            assert_eq!(misses(1), pinned, "{name}");
+            for threads in 2..=8 {
+                assert_eq!(misses(threads), pinned, "{name} threads {threads}");
+            }
         }
     }
 
@@ -369,7 +332,6 @@ mod tests {
     fn recorded_thread_count_is_the_effective_one() {
         let sweep = Sweep::builtin("quick").unwrap();
         let run = SweepRun::execute(&sweep, 64);
-        assert_eq!(run.threads(), sweep.len(), "clamped to the job count");
         assert_eq!(
             run.timing_json().get("threads").unwrap().as_f64(),
             Some(sweep.len() as f64)
@@ -389,32 +351,28 @@ mod tests {
 
     #[test]
     fn text_rendering_lists_every_point() {
-        let run = SweepRun::execute(&Sweep::builtin("quick").unwrap(), 2);
-        let text = run.render_text();
-        for r in run.results() {
-            assert!(text.contains(&r.point.label()), "{}", r.point.label());
+        let sweep = Sweep::builtin("quick").unwrap();
+        let text = SweepRun::execute(&sweep, 2).render_text();
+        for point in sweep.points() {
+            assert!(text.contains(&point.label()), "{}", point.label());
         }
     }
 
     #[test]
     fn streamed_framing_concatenates_to_the_merged_document() {
-        for spec in ["quick", "table5"] {
+        for spec in ["quick", "table4", "table5"] {
             let sweep = Sweep::builtin(spec).unwrap();
-            let fragments = Mutex::new(String::new());
-            let run = SweepRun::execute_streamed(&sweep, 3, |index, result| {
-                fragments
-                    .lock()
-                    .unwrap()
-                    .push_str(&frame::fragment(index, result));
-            });
-            let streamed = format!(
-                "{}{}{}",
-                frame::prologue(SweepRun::head(run.name(), run.results().len())),
-                fragments.into_inner().unwrap(),
-                frame::DOCUMENT_EPILOGUE
-            );
+            let fragments: String = streamed(&sweep, 3)
+                .iter()
+                .map(|(index, entry)| frame::fragment(*index, entry))
+                .collect();
+            let run = SweepRun::execute(&sweep, 1);
             assert_eq!(
-                streamed,
+                format!(
+                    "{}{fragments}{}",
+                    frame::prologue(SweepRun::head(run.name(), run.results().len())),
+                    frame::DOCUMENT_EPILOGUE
+                ),
                 format!("{}\n", run.to_json().to_pretty()),
                 "spec {spec:?}"
             );
@@ -425,14 +383,10 @@ mod tests {
     fn sink_sees_every_result_in_submission_order() {
         let sweep = Sweep::builtin("quick").unwrap();
         for threads in [1, 4] {
-            let seen = Mutex::new(Vec::new());
-            let run = SweepRun::execute_streamed(&sweep, threads, |index, result| {
-                seen.lock().unwrap().push((index, result.clone()));
-            });
-            let doc = run.to_json();
+            let doc = SweepRun::execute(&sweep, threads).to_json();
             let results = doc.get("results").and_then(Json::as_arr).unwrap();
             let expected: Vec<(usize, Json)> = results.iter().cloned().enumerate().collect();
-            assert_eq!(seen.into_inner().unwrap(), expected, "threads {threads}");
+            assert_eq!(streamed(&sweep, threads), expected, "threads {threads}");
         }
     }
 }

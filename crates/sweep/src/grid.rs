@@ -1,12 +1,20 @@
-//! Grid execution: run a registry-driven [`Grid`] on the shared
-//! pool and merge the per-point artifact documents.
+//! The grid executor: run value-set grids on the shared pool, one
+//! [`GridPoint`] per point in submission order.
 //!
 //! A [`Grid`] (parsed by [`cqla_core::experiments::grid`] against an
-//! experiment's declared parameters) expands to a deterministic,
-//! submission-order list of parameter assignments. [`GridRun::execute`]
-//! fans one job out per point — each job resolves a fresh registry
-//! instance, applies the point's overrides, and runs it — and the
-//! results merge into one JSON document:
+//! experiment's declared parameters) expands to a deterministic list of
+//! parameter assignments. [`GridRun::run`] is the one code path that fans
+//! grid points out to the pool. It takes a slice of grids and the
+//! [`Experiment`] every point instantiates — a registry entry, or the
+//! sweep's [`crate::DesignPoint`] — and runs all their points on one
+//! [`EvalCtx`], each on a fresh instance with the point's overrides
+//! applied, optionally read through a [`PointCache`].
+//!
+//! Two renderers read the same points, each with its own head and
+//! entry function over the shared [`crate::frame`]. The grid document
+//! ([`GridRun::head`], [`GridRun::entry`]) is what `cqla run <id>
+//! k=set…`, `cqla sweep <id> k=set…`, `GET /v1/run/{id}` and
+//! `POST /v1/sweep/{id}` print:
 //!
 //! ```json
 //! {
@@ -17,24 +25,24 @@
 //! }
 //! ```
 //!
-//! Sweep documents share this framing ([`crate::frame`]). Determinism
-//! contract: like [`crate::SweepRun::to_json`], the merged document
-//! depends only on the grid description — byte-identical across runs and
-//! thread counts. The CLI (`cqla run <id> k=set…`,
-//! `cqla sweep <id> k=set…`) and the HTTP service (`GET /v1/run/{id}`,
-//! `POST /v1/sweep/{id}`) all emit exactly this document, which is what
-//! lets the service cache *per point*: every point's single-run body is
-//! the same bytes a direct single-value request would produce, exposed
-//! through the [`PointCache`] hook.
+//! The sweep document ([`crate::SweepRun::head`],
+//! [`crate::SweepRun::entry`]) is what `cqla sweep SPEC` and
+//! `POST /v1/sweep` print. Determinism contract: both documents depend
+//! only on the grids, never on thread count or cache state. Every grid
+//! point's single-run body is the same bytes a direct single-value
+//! request would produce, which is what lets the HTTP service cache
+//! *per point* through the [`PointCache`] hook.
 
-use cqla_core::experiments::{find, Grid};
+use std::time::Duration;
+
+use cqla_core::experiments::{find, Experiment, ExperimentOutput, Grid};
 use cqla_core::json::Json;
 use cqla_core::EvalCtx;
 
 use crate::{frame, pool};
 
 /// One executed grid point.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct GridPoint {
     /// The clause-level overrides that select this point (base + axis
     /// assignments, in clause order) — what a user would pass to
@@ -45,31 +53,14 @@ pub struct GridPoint {
     pub params: Vec<(String, String)>,
     /// The structured result (the single-run document's `data`).
     pub data: Json,
-    /// The paper-style text rendering. Empty when the point was served
-    /// from a [`PointCache`] (cached bodies carry only the JSON).
+    /// The text rendering. Empty when the point was served from a
+    /// [`PointCache`] (cached bodies carry only the JSON).
     pub text: String,
     /// Whether the experiment's self-checks passed.
     pub passed: bool,
-}
-
-impl GridPoint {
-    /// This point's entry in the merged document's `results` array —
-    /// the unit [`crate::frame::fragment`] re-indents into a streamed
-    /// fragment.
-    #[must_use]
-    pub fn result_json(&self) -> Json {
-        Json::obj([
-            (
-                "params",
-                Json::obj(
-                    self.params
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::from(v.as_str()))),
-                ),
-            ),
-            ("data", self.data.clone()),
-        ])
-    }
+    /// Wall-clock time the point ran on its worker. The pool records it
+    /// when the run completes, so a streaming callback sees zero.
+    pub duration: Duration,
 }
 
 /// A per-point result cache the grid executor reads through — the HTTP
@@ -94,21 +85,8 @@ pub trait PointCache: Sync {
     ) -> Option<String>;
 }
 
-/// The pass-through cache behind plain [`GridRun::execute`].
-pub(crate) struct NoCache;
-
-impl PointCache for NoCache {
-    fn get_or_compute(
-        &self,
-        _overrides: &[(String, String)],
-        compute: &mut dyn FnMut() -> Option<String>,
-    ) -> Option<String> {
-        compute()
-    }
-}
-
-/// A completed grid run: every point's document in submission order.
-#[derive(Debug, Clone, PartialEq)]
+/// A completed grid run: every point in submission order.
+#[derive(Debug, Clone)]
 pub struct GridRun {
     id: String,
     spec: String,
@@ -116,7 +94,7 @@ pub struct GridRun {
 }
 
 impl GridRun {
-    /// Executes every grid point on `threads` workers.
+    /// Executes every point of a registry grid on `threads` workers.
     ///
     /// # Examples
     ///
@@ -140,17 +118,19 @@ impl GridRun {
     /// `tests/registry.rs` pins that contract).
     #[must_use]
     pub fn execute(grid: &Grid, threads: usize) -> Self {
-        Self::run(grid, threads, &NoCache, |_, _| {})
+        Self::run(
+            std::slice::from_ref(grid),
+            threads,
+            registry_entry(grid.id()),
+            None,
+            |_, _| {},
+        )
     }
 
-    /// Executes the grid, reading each point through `cache` (populating
-    /// it on misses) and handing each point's `results` entry to
-    /// `on_point` in submission order, as [`pool::map_streamed`]
-    /// delivers — the hook behind the HTTP service's streamed grid
-    /// responses and jobs. Cached points keep their JSON but have no
-    /// text rendering (cached bodies are JSON documents). A blocking
-    /// `on_point` (a slow client's socket) stalls delivery, not
-    /// correctness; the serving path bounds it with write timeouts.
+    /// Executes a registry grid, reading each point through `cache`
+    /// (populating it on misses) and handing each point to `on_point`
+    /// as [`GridRun::run`] does — the HTTP service's streamed grid
+    /// responses.
     ///
     /// # Panics
     ///
@@ -160,35 +140,71 @@ impl GridRun {
         grid: &Grid,
         threads: usize,
         cache: &dyn PointCache,
-        on_point: impl Fn(usize, &Json) + Sync,
+        on_point: impl Fn(usize, &GridPoint) + Sync,
     ) -> Self {
-        Self::run(grid, threads, cache, |index, point| {
-            on_point(index, &point.result_json());
-        })
+        Self::run(
+            std::slice::from_ref(grid),
+            threads,
+            registry_entry(grid.id()),
+            Some(cache),
+            on_point,
+        )
     }
 
-    fn run(
-        grid: &Grid,
+    /// The grid executor: runs every point of `grids`, in order, on
+    /// `threads` workers and one shared [`EvalCtx`]. Each point runs on
+    /// a fresh `experiment()` with the point's overrides applied, read
+    /// through `cache` when there is one. `on_point` sees each point in
+    /// submission order, as [`pool::map_streamed`] delivers; a blocking
+    /// `on_point` (a slow client's socket) stalls delivery, not
+    /// correctness.
+    ///
+    /// A one-grid run's id and spec are its grid's; a multi-grid run
+    /// (a [`crate::Sweep`]) takes the first grid's id and one spec line
+    /// per grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `experiment().set` rejects a grid value — impossible
+    /// when the grids were parsed against that experiment's specs.
+    #[must_use]
+    pub fn run(
+        grids: &[Grid],
         threads: usize,
-        cache: &dyn PointCache,
-        deliver: impl Fn(usize, &GridPoint) + Sync,
+        experiment: impl Fn() -> Box<dyn Experiment> + Sync,
+        cache: Option<&dyn PointCache>,
+        on_point: impl Fn(usize, &GridPoint) + Sync,
     ) -> Self {
-        let id = grid.id().to_owned();
-        // One evaluation context for the whole grid: neighboring points
+        // One evaluation context for the whole run: neighboring points
         // share most memo keys, each computed once across the workers.
-        let ctx = EvalCtx::new();
+        Self::run_in(&EvalCtx::new(), grids, threads, experiment, cache, on_point)
+    }
+
+    /// [`GridRun::run`] on a caller's context.
+    pub(crate) fn run_in(
+        ctx: &EvalCtx,
+        grids: &[Grid],
+        threads: usize,
+        experiment: impl Fn() -> Box<dyn Experiment> + Sync,
+        cache: Option<&dyn PointCache>,
+        on_point: impl Fn(usize, &GridPoint) + Sync,
+    ) -> Self {
+        let overrides: Vec<_> = grids.iter().flat_map(Grid::points).collect();
         let points = pool::map_streamed(
-            &grid.points(),
+            &overrides,
             threads,
-            |_, overrides| run_point(&id, overrides, cache, &ctx),
-            deliver,
+            |_, overrides| run_point(experiment(), overrides, cache, ctx),
+            on_point,
         )
         .into_iter()
-        .map(|t| t.value)
+        .map(|t| GridPoint {
+            duration: t.duration,
+            ..t.value
+        })
         .collect();
         Self {
-            id,
-            spec: grid.spec().to_owned(),
+            id: grids.first().map_or("", Grid::id).to_owned(),
+            spec: grids.iter().map(Grid::spec).collect::<Vec<_>>().join("\n"),
             points,
         }
     }
@@ -202,6 +218,25 @@ impl GridRun {
             ("grid", Json::from(spec)),
             ("points", Json::Int(points as i64)),
         ]
+    }
+
+    /// A point's entry in the grid document's `results` array — the
+    /// unit [`crate::frame::fragment`] re-indents into a streamed
+    /// fragment.
+    #[must_use]
+    pub fn entry(point: &GridPoint) -> Json {
+        Json::obj([
+            (
+                "params",
+                Json::obj(
+                    point
+                        .params
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::from(v.as_str()))),
+                ),
+            ),
+            ("data", point.data.clone()),
+        ])
     }
 
     /// The experiment id the grid ran.
@@ -234,7 +269,7 @@ impl GridRun {
     pub fn to_json(&self) -> Json {
         frame::document(
             Self::head(&self.id, &self.spec, self.points.len()),
-            self.points.iter().map(GridPoint::result_json).collect(),
+            self.points.iter().map(Self::entry).collect(),
         )
     }
 
@@ -271,24 +306,50 @@ impl GridRun {
     }
 }
 
-/// Executes one grid point: resolve the experiment, apply the
-/// overrides, and read it through the cache, running it on a miss.
+/// The registry entry a grid of `id` instantiates per point.
+fn registry_entry(id: &str) -> impl Fn() -> Box<dyn Experiment> + Sync + '_ {
+    move || find(id).expect("grid experiment is registered")
+}
+
+/// Executes one grid point: apply the overrides to a fresh experiment
+/// and run it, through the cache when there is one.
 fn run_point(
-    id: &str,
+    mut exp: Box<dyn Experiment>,
     overrides: &[(String, String)],
-    cache: &dyn PointCache,
+    cache: Option<&dyn PointCache>,
     ctx: &EvalCtx,
 ) -> GridPoint {
-    let mut exp = find(id).expect("grid experiment is registered");
     for (key, value) in overrides {
         exp.set(key, value)
             .expect("grid-validated value accepted by set");
     }
-    let params: Vec<(String, String)> = exp
+    let params = exp
         .params()
-        .iter()
-        .map(|p| (p.key.to_owned(), p.value.clone()))
+        .into_iter()
+        .map(|p| (p.key.to_owned(), p.value))
         .collect();
+    let output = match cache {
+        Some(cache) => read_through(cache, exp.as_ref(), overrides, ctx),
+        None => exp.run_ctx(ctx),
+    };
+    GridPoint {
+        overrides: overrides.to_vec(),
+        params,
+        data: output.data,
+        text: output.text,
+        passed: output.passed,
+        duration: Duration::ZERO,
+    }
+}
+
+/// Reads one point through `cache`, running it on a miss. A hit has the
+/// cached JSON but no text, and is reported as passed.
+fn read_through(
+    cache: &dyn PointCache,
+    exp: &dyn Experiment,
+    overrides: &[(String, String)],
+    ctx: &EvalCtx,
+) -> ExperimentOutput {
     let mut computed = None;
     let body = cache.get_or_compute(overrides, &mut || {
         let output = exp.run_ctx(ctx);
@@ -296,31 +357,17 @@ fn run_point(
         // the verdict, so a hit is reported as passed.
         let body = output
             .passed
-            .then(|| format!("{}\n", output.document(id).to_pretty()));
+            .then(|| format!("{}\n", output.document(exp.id()).to_pretty()));
         computed = Some(output);
         body
     });
-    if computed.is_none() {
-        let data = body.and_then(|b| cqla_core::json::parse(&b).ok()?.get("data").cloned());
-        if let Some(data) = data {
-            return GridPoint {
-                overrides: overrides.to_vec(),
-                params,
-                data,
-                text: String::new(),
-                passed: true,
-            };
-        }
-    }
-    // Computed here, or the cached body was unreadable.
-    let output = computed.unwrap_or_else(|| exp.run_ctx(ctx));
-    GridPoint {
-        overrides: overrides.to_vec(),
-        params,
-        data: output.data,
-        text: output.text,
-        passed: output.passed,
-    }
+    computed
+        .or_else(|| {
+            let data = cqla_core::json::parse(&body?).ok()?.get("data")?.clone();
+            Some(ExperimentOutput::new(String::new(), data))
+        })
+        // The cached body was unreadable: run the point here.
+        .unwrap_or_else(|| exp.run_ctx(ctx))
 }
 
 #[cfg(test)]
@@ -332,6 +379,39 @@ mod tests {
     fn grid(id: &str, expr: &str) -> Grid {
         let exp = find(id).unwrap();
         Grid::parse(id, &exp.specs(), expr).unwrap()
+    }
+
+    /// Runs `g` on the executor and collects what its callback sees:
+    /// each point's index and its entry in the document.
+    fn stream(g: &Grid, threads: usize) -> (GridRun, Vec<(usize, Json)>) {
+        let seen = Mutex::new(Vec::new());
+        let run = GridRun::run(
+            std::slice::from_ref(g),
+            threads,
+            registry_entry(g.id()),
+            None,
+            |index, point| seen.lock().unwrap().push((index, GridRun::entry(point))),
+        );
+        (run, seen.into_inner().unwrap())
+    }
+
+    /// The streamed framing of `seen` under `head`.
+    fn framed(head: Vec<(&'static str, Json)>, seen: &[(usize, Json)]) -> String {
+        let fragments: String = seen
+            .iter()
+            .map(|(index, entry)| frame::fragment(*index, entry))
+            .collect();
+        format!(
+            "{}{fragments}{}",
+            frame::prologue(head),
+            frame::DOCUMENT_EPILOGUE
+        )
+    }
+
+    /// A merged document's `results`, numbered.
+    fn numbered(doc: &Json) -> Vec<(usize, Json)> {
+        let results = doc.get("results").and_then(Json::as_arr).unwrap();
+        results.iter().cloned().enumerate().collect()
     }
 
     #[test]
@@ -440,21 +520,10 @@ mod tests {
     fn streamed_framing_concatenates_to_the_merged_document() {
         for expr in ["", "bits=8,16 cap=4,8", "bits=8..=32:*2"] {
             let g = grid("fig2", expr);
-            let fragments = Mutex::new(String::new());
-            let run = GridRun::execute_streamed(&g, 3, &NoCache, |index, result| {
-                fragments
-                    .lock()
-                    .unwrap()
-                    .push_str(&frame::fragment(index, result));
-            });
-            let streamed = format!(
-                "{}{}{}",
-                frame::prologue(GridRun::head(run.id(), run.spec(), run.points().len())),
-                fragments.into_inner().unwrap(),
-                frame::DOCUMENT_EPILOGUE
-            );
+            let (run, seen) = stream(&g, 3);
+            let head = GridRun::head(run.id(), run.spec(), run.points().len());
             assert_eq!(
-                streamed,
+                framed(head, &seen),
                 format!("{}\n", run.to_json().to_pretty()),
                 "expr {expr:?}"
             );
@@ -465,14 +534,8 @@ mod tests {
     fn sink_sees_every_point_in_submission_order() {
         let g = grid("fig2", "bits=8,16,24 cap=4,8");
         for threads in [1, 4] {
-            let seen = Mutex::new(Vec::new());
-            let run = GridRun::execute_streamed(&g, threads, &NoCache, |index, result| {
-                seen.lock().unwrap().push((index, result.clone()));
-            });
-            let doc = run.to_json();
-            let results = doc.get("results").and_then(Json::as_arr).unwrap();
-            let expected: Vec<(usize, Json)> = results.iter().cloned().enumerate().collect();
-            assert_eq!(seen.into_inner().unwrap(), expected, "threads {threads}");
+            let (run, seen) = stream(&g, threads);
+            assert_eq!(seen, numbered(&run.to_json()), "threads {threads}");
         }
     }
 }

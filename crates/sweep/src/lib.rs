@@ -10,18 +10,24 @@
 //! independent evaluations. This crate runs that one shape through one
 //! stack:
 //!
-//! * [`pool`] — the one in-order executor: a scoped-thread
+//! * [`pool`] — the one in-order job pool: a scoped-thread
 //!   shared job pool with per-job timing whose single reorder buffer
 //!   hands each result to a callback in submission order
 //!   ([`pool::map_streamed`]);
 //! * [`frame`] — the one document framing: head fields plus a
 //!   `results` array, merged or streamed as prologue, fragments and
 //!   epilogue whose concatenation is byte-identical to the merged form;
-//! * two run kinds on top, each with `execute` and a streaming
-//!   `execute_streamed`: [`engine`]'s [`SweepRun`] evaluates a [`Sweep`]
-//!   of design points, and [`grid`]'s [`GridRun`] runs a registry
-//!   experiment over a parameter grid (`cqla run fig2 bits=32..=128:*2`)
+//! * one executor on top: [`grid`]'s [`GridRun::run`] runs a slice of
+//!   grids on one pool call and one evaluation context, each point a
+//!   fresh [`cqla_core::experiments::Experiment`] — a registry entry for
+//!   a parameter grid (`cqla run fig2 bits=32..=128:*2`), a
+//!   [`DesignPoint`] for a design-space [`Sweep`] — optionally read
 //!   through a [`PointCache`] (the HTTP service's results cache);
+//! * two renderers over the points it returns, each a head and an entry
+//!   function: the grid document ([`GridRun::head`], [`GridRun::entry`])
+//!   and the sweep document ([`engine`]'s [`SweepRun::head`],
+//!   [`SweepRun::entry`]), plus the sweep's text table and timing
+//!   document;
 //! * [`spec`] and [`parse`] — [`Sweep`] descriptions and the sweep-spec
 //!   language (`"tech=current,projected width=64..=512:*2 xfer=5,10"`):
 //!   seven design-space keys parsed by the registry grammar,
@@ -66,7 +72,7 @@ pub mod spec;
 
 pub use cqla_core::json;
 pub use cqla_core::json::{Json, ToJson};
-pub use engine::{JobResult, PointOutcome, SweepRun};
+pub use engine::{PointOutcome, SweepRun};
 pub use grid::{GridPoint, GridRun, PointCache};
 pub use parse::SpecError;
 pub use regress::{BenchDiff, BenchDoc, DocError};

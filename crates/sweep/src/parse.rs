@@ -2,8 +2,8 @@
 //!
 //! A spec is a whitespace-separated list of `key=values` clauses over
 //! the paper's default design point, parsed by the registry grammar
-//! ([`Grid::parse`]) against the seven design-space keys of
-//! [`design_specs`]:
+//! ([`Grid::parse`]) against the seven design-space keys a
+//! [`DesignPoint`] declares as an [`Experiment`]:
 //!
 //! ```text
 //! tech=current,projected code=bacon-shor width=64..=512:*2 cache=0.25,0.5 xfer=5,10
@@ -23,7 +23,7 @@
 //! optional step: `64..=512:*2` doubles (64, 128, 256, 512) and
 //! `4..=10:+3` counts up (4, 7, 10); a bare `a..=b` steps by one. Later
 //! clauses vary fastest, exactly like nested `for` loops, and each
-//! point's overrides apply in clause order through [`DesignPoint::set`]:
+//! point's overrides apply in clause order through [`Experiment::set`]:
 //! `width=64 blocks=4,9` keeps the explicit block counts, while
 //! `blocks=4,9 width=64` re-provisions both points with 64 bits'
 //! primary blocks.
@@ -36,33 +36,11 @@
 //! offending token and renders a caret underline, so a typo in a long
 //! spec is pinpointed rather than guessed at.
 
-use cqla_core::experiments::{suggest, Domain, Grid, ParamSpec};
+use cqla_core::experiments::{suggest, Experiment, Grid};
 
 pub use cqla_core::experiments::grid::{SpecError, MAX_POINTS};
 
 use crate::spec::{DesignPoint, Sweep};
-
-/// The design-space surface sweep specs parse against: one
-/// [`ParamSpec`] per key, defaulting to [`DesignPoint::paper_default`].
-#[must_use]
-pub fn design_specs() -> [ParamSpec; 7] {
-    let base = DesignPoint::paper_default();
-    let spec = |key, domain, default: String| ParamSpec {
-        key,
-        domain,
-        default,
-    };
-    [
-        spec("tech", Domain::Tech, base.tech.label().to_owned()),
-        spec("code", Domain::Code, base.code.slug().to_owned()),
-        spec("width", Domain::Bits, base.input_bits.to_string()),
-        spec("bits", Domain::Bits, base.input_bits.to_string()),
-        spec("blocks", Domain::PosInt, base.blocks.to_string()),
-        // The paper default is the flat CQLA: no transfer channels.
-        spec("xfer", Domain::PosInt, "none".to_owned()),
-        spec("cache", Domain::Ratio, base.cache_factor.to_string()),
-    ]
-}
 
 /// Parses a spec expression into a one-grid [`Sweep`] over the
 /// paper-default design point. The sweep is named by the (trimmed) spec
@@ -83,7 +61,8 @@ pub fn parse(input: &str) -> Result<Sweep, SpecError> {
             "empty spec; expected key=values clauses (e.g. `tech=projected width=64,128`)",
         ));
     }
-    let grid = Grid::parse("sweep", &design_specs(), input).map_err(|mut e| {
+    let specs = DesignPoint::paper_default().specs();
+    let grid = Grid::parse("sweep", &specs, input).map_err(|mut e| {
         // A bare word is more likely a mistyped builtin than a clause.
         if e.message.starts_with("expected a `key=values` clause") {
             let word = &input[e.span.0..e.span.1];

@@ -32,32 +32,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Runs `f` over every item on `threads` workers and returns the timed
-/// results in submission order — [`map_streamed`] without a callback.
-///
-/// # Panics
-///
-/// As [`map_streamed`].
-///
-/// # Examples
-///
-/// ```
-/// use cqla_sweep::pool;
-///
-/// let items = vec![1u64, 2, 3, 4, 5];
-/// let out = pool::map(&items, 4, |_, &x| x * x);
-/// let squares: Vec<u64> = out.into_iter().map(|t| t.value).collect();
-/// assert_eq!(squares, [1, 4, 9, 16, 25]);
-/// ```
-pub fn map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Timed<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_streamed(items, threads, f, |_, _| {})
-}
-
 /// Runs `f` over every item on `threads` workers, hands each result to
 /// `deliver` as soon as it and every earlier result are done, and
 /// returns the timed results in submission order. `deliver` sees each
@@ -86,7 +60,7 @@ where
 {
     debug_assert!(
         threads > 0,
-        "pool::map called with zero threads; validate --threads at the CLI layer"
+        "pool::map_streamed called with zero threads; validate --threads at the CLI layer"
     );
     let threads = threads.clamp(1, items.len().max(1));
     let run = |idx: usize| {
@@ -149,6 +123,15 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// [`map_streamed`] without a callback.
+    fn map<T: Sync, R: Send>(
+        items: &[T],
+        threads: usize,
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<Timed<R>> {
+        map_streamed(items, threads, f, |_, _| {})
+    }
 
     #[test]
     fn preserves_submission_order_at_any_thread_count() {

@@ -1,22 +1,23 @@
 //! Sweep descriptions: value-set grids over the CQLA design space.
 //!
 //! A [`Sweep`] is a list of [`Grid`]s parsed against the design-space
-//! surface ([`crate::parse::design_specs`]) and the [`DesignPoint`]s they
-//! expand to — fully specified architecture evaluations. The paper's own
-//! grids (Table 4's size×blocks sweep, Table 5's code×transfer×size
-//! cube) and the multi-technology grids beyond them are built-in specs
-//! written in that same grammar.
+//! surface (the [`Experiment::specs`] of [`DesignPoint::paper_default`])
+//! and the [`DesignPoint`]s they expand to — fully specified
+//! architecture evaluations. The paper's own grids (Table 4's
+//! size×blocks sweep, Table 5's code×transfer×size cube) and the
+//! multi-technology grids beyond them are built-in specs written in that
+//! same grammar.
 
 use cqla_core::experiments::{
-    parse_bits, parse_code, parse_positive, parse_ratio, parse_tech, primary_blocks, suggest, Grid,
-    ParamError, TABLE5_PAR_XFER, TABLE5_SIZES,
+    parse_bits, parse_code, parse_positive, parse_ratio, parse_tech, primary_blocks, unknown_key,
+    Domain, Experiment, ExperimentOutput, Grid, Param, ParamError, TABLE5_PAR_XFER, TABLE5_SIZES,
 };
 use cqla_core::json::{Json, ToJson};
-use cqla_core::TABLE4_GRID;
+use cqla_core::{EvalCtx, TABLE4_GRID};
 use cqla_ecc::Code;
 pub use cqla_iontrap::TechPoint;
 
-use crate::parse::design_specs;
+use crate::engine::PointOutcome;
 
 /// A fully specified design point: everything the engine needs to price
 /// one architecture.
@@ -78,17 +79,44 @@ impl DesignPoint {
             cache
         )
     }
+}
+
+/// A design point is the experiment every sweep point runs: its
+/// parameters are the seven keys of the sweep-spec grammar (see
+/// [`crate::parse`]), and a run prices the point with [`PointOutcome`].
+/// It is not a registry entry: `cqla sweep` reaches it through
+/// [`Sweep`], never by id.
+impl Experiment for DesignPoint {
+    fn id(&self) -> &'static str {
+        "sweep"
+    }
+
+    fn title(&self) -> &'static str {
+        "CQLA design point: specialization and memory hierarchy"
+    }
+
+    fn params(&self) -> Vec<Param> {
+        vec![
+            Param::new("tech", self.tech.label(), Domain::Tech),
+            Param::new("code", self.code.slug(), Domain::Code),
+            Param::new("width", self.input_bits, Domain::Bits),
+            Param::new("bits", self.input_bits, Domain::Bits),
+            Param::new("blocks", self.blocks, Domain::PosInt),
+            // The paper default is the flat CQLA: no transfer channels.
+            Param::new(
+                "xfer",
+                self.par_xfer
+                    .map_or_else(|| "none".to_owned(), |x| x.to_string()),
+                Domain::PosInt,
+            ),
+            Param::new("cache", self.cache_factor, Domain::Ratio),
+        ]
+    }
 
     /// Applies one `key=value` override of the sweep-spec grammar:
     /// `width` sets the adder bits *and* their Table 4 primary block
     /// count, `bits` only the bits, and `xfer` turns the hierarchy on.
-    ///
-    /// # Errors
-    ///
-    /// [`ParamError::UnknownKey`] for a key outside
-    /// [`crate::parse::design_specs`], [`ParamError::BadValue`] for a
-    /// value its domain rejects.
-    pub fn set(&mut self, key: &str, value: &str) -> Result<(), ParamError> {
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ParamError> {
         match key {
             "tech" => self.tech = parse_tech("tech", value)?,
             "code" => self.code = parse_code("code", value)?,
@@ -100,16 +128,20 @@ impl DesignPoint {
             "blocks" => self.blocks = parse_positive("blocks", value)?,
             "xfer" => self.par_xfer = Some(parse_positive("xfer", value)?),
             "cache" => self.cache_factor = parse_ratio("cache", value)?,
-            _ => {
-                let valid = design_specs().map(|s| s.key).to_vec();
-                return Err(ParamError::UnknownKey {
-                    key: key.to_owned(),
-                    suggestion: suggest(key, valid.iter().copied()),
-                    valid,
-                });
-            }
+            _ => return Err(unknown_key(key, &self.params())),
         }
         Ok(())
+    }
+
+    /// The point's entry in the sweep document, `{"point", "outcome"}`,
+    /// as `data`; the text is the point's label, the row heading of the
+    /// sweep table.
+    fn run_ctx(&self, ctx: &EvalCtx) -> ExperimentOutput {
+        let outcome = PointOutcome::evaluate_ctx(self, ctx);
+        ExperimentOutput::new(
+            self.label(),
+            Json::obj([("point", self.to_json()), ("outcome", outcome.to_json())]),
+        )
     }
 }
 
@@ -330,9 +362,10 @@ impl Sweep {
             )],
             _ => return None,
         };
+        let specs = DesignPoint::paper_default().specs();
         let grids = exprs
             .iter()
-            .map(|expr| Grid::parse("sweep", &design_specs(), expr).expect("built-in specs parse"))
+            .map(|expr| Grid::parse("sweep", &specs, expr).expect("built-in specs parse"))
             .collect();
         Some(Self::from_grids(name, grids))
     }

@@ -99,12 +99,6 @@ impl Probability {
         Self::saturating(1.0 - (1.0 - self.0).powi(n.min(i32::MAX as u64) as i32))
     }
 
-    /// Probability that both of two independent events occur.
-    #[must_use]
-    pub fn and(self, other: Self) -> Self {
-        Self(self.0 * other.0)
-    }
-
     /// Returns the larger probability.
     #[must_use]
     pub fn max(self, other: Self) -> Self {
@@ -165,13 +159,6 @@ mod tests {
         let p = Probability::new(0.1).unwrap();
         let expected = 1.0 - 0.9f64.powi(3);
         assert!((p.any_of(3).value() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn and_multiplies() {
-        let p = Probability::new(0.5).unwrap();
-        let q = Probability::new(0.25).unwrap();
-        assert!((p.and(q).value() - 0.125).abs() < 1e-12);
     }
 
     #[test]

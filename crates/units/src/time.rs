@@ -35,12 +35,6 @@ impl Seconds {
         Self(micros * 1e-6)
     }
 
-    /// Creates a duration from milliseconds.
-    #[must_use]
-    pub fn from_millis(millis: f64) -> Self {
-        Self(millis * 1e-3)
-    }
-
     /// Returns the raw value in seconds.
     #[must_use]
     pub const fn as_secs(self) -> f64 {
@@ -69,16 +63,6 @@ impl Seconds {
     #[must_use]
     pub fn max(self, other: Self) -> Self {
         if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two durations.
-    #[must_use]
-    pub fn min(self, other: Self) -> Self {
-        if self.0 <= other.0 {
             self
         } else {
             other
@@ -163,7 +147,8 @@ impl core::iter::Sum for Seconds {
 ///
 /// let syndrome = Cycles::new(154);
 /// let cycle_time = Seconds::from_micros(10.0);
-/// assert!((syndrome.to_duration(cycle_time).as_millis() - 1.54).abs() < 1e-9);
+/// let elapsed = cycle_time * syndrome.count() as f64;
+/// assert!((elapsed.as_millis() - 1.54).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
@@ -182,12 +167,6 @@ impl Cycles {
     #[must_use]
     pub const fn count(self) -> u64 {
         self.0
-    }
-
-    /// Converts the count to a wall-clock duration at the given cycle time.
-    #[must_use]
-    pub fn to_duration(self, cycle_time: Seconds) -> Seconds {
-        cycle_time * self.0 as f64
     }
 }
 
@@ -230,7 +209,6 @@ mod tests {
     #[test]
     fn seconds_constructors_agree() {
         assert_eq!(Seconds::from_micros(1e6), Seconds::new(1.0));
-        assert_eq!(Seconds::from_millis(1e3), Seconds::new(1.0));
     }
 
     #[test]
@@ -249,7 +227,6 @@ mod tests {
         let a = Seconds::new(1.0);
         let b = Seconds::new(2.0);
         assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
     }
 
     #[test]
@@ -262,16 +239,9 @@ mod tests {
     fn seconds_display_scales() {
         assert_eq!(Seconds::ZERO.to_string(), "0 s");
         assert_eq!(Seconds::from_micros(10.0).to_string(), "10.000 us");
-        assert_eq!(Seconds::from_millis(3.1).to_string(), "3.100 ms");
         assert_eq!(Seconds::new(0.3).to_string(), "300.000 ms");
         assert_eq!(Seconds::new(2.0).to_string(), "2.000 s");
         assert_eq!(Seconds::new(7_200.0).to_string(), "2.000 h");
-    }
-
-    #[test]
-    fn cycles_to_duration() {
-        let t = Cycles::new(308).to_duration(Seconds::from_micros(10.0));
-        assert!((t.as_millis() - 3.08).abs() < 1e-9);
     }
 
     #[test]

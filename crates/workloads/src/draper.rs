@@ -100,12 +100,6 @@ impl DraperAdder {
         self.n..2 * self.n
     }
 
-    /// Number of propagate-tree ancilla qubits (returned to `|0⟩`).
-    #[must_use]
-    pub fn num_ancilla(&self) -> u32 {
-        self.num_ancilla
-    }
-
     /// Total qubits: `3n + 1` registers plus the propagate tree.
     #[must_use]
     pub fn total_qubits(&self) -> u32 {
@@ -426,10 +420,7 @@ mod tests {
         let adder = DraperAdder::new(16);
         assert_eq!(adder.a_register(), 0..16);
         assert_eq!(adder.b_register(), 16..32);
-        assert_eq!(adder.total_qubits(), 3 * 16 + 1 + adder.num_ancilla());
         assert_eq!(adder.circuit_ref().num_qubits(), adder.total_qubits());
-        // Prefix-tree ancilla ≈ n - lg n - 1.
-        assert!(adder.num_ancilla() <= 16);
     }
 
     #[test]

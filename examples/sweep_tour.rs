@@ -9,7 +9,7 @@
 //! ```
 
 use cqla_repro::core::experiments::{find, Grid};
-use cqla_repro::sweep::{pool, GridRun, Sweep, SweepRun, TechPoint, ToJson};
+use cqla_repro::sweep::{pool, GridRun, Sweep, SweepRun, TechPoint};
 
 fn main() {
     // 1. A built-in spec: the multi-technology grid behind `cqla sweep`.
@@ -51,21 +51,20 @@ fn main() {
     println!("{}", run.render_text());
 
     // 6. The headline: pick the best gain product in the swept space.
+    //    Each result carries its point's `{"point", "outcome"}` entry of
+    //    the sweep document as `data`, and its label as `text`.
     let best = run
         .results()
         .iter()
         .filter_map(|r| {
-            r.outcome
-                .hierarchy
-                .as_ref()
-                .map(|h| (r, h.gain_product_conservative))
+            let hierarchy = r.data.get("outcome")?.get("hierarchy")?;
+            Some((r, hierarchy.get("gain_product_conservative")?.as_f64()?))
         })
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("hierarchy points exist");
     println!(
         "best design point: {} (gain product {:.1})\n",
-        best.0.point.label(),
-        best.1
+        best.0.text, best.1
     );
 
     // 7. Serialize. The result document is deterministic (byte-identical
@@ -85,12 +84,15 @@ fn main() {
     );
     println!("determinism check: parallel output == serial output ✔");
 
-    // 8. Individual results serialize too — print one row.
+    // 8. Individual results are JSON too — print one row's flat-CQLA
+    //    evaluation.
     let first = &run.results()[0];
-    println!(
-        "\nfirst point as JSON:\n{}",
-        first.outcome.specialization.to_json().to_pretty()
-    );
+    let specialization = first
+        .data
+        .get("outcome")
+        .and_then(|o| o.get("specialization"))
+        .expect("every point prices the flat CQLA");
+    println!("\nfirst point as JSON:\n{}", specialization.to_pretty());
 
     // 9. Value sets are first-class on *every* registry artifact, not
     //    just the design-space sweep: a grid expression parses against

@@ -543,7 +543,12 @@ fn run_grid_distributed(
             format!("{} takes: {}", exp.id(), params_usage(exp)),
         )
     })?;
-    Ok(emit_dist(dist::run_grid(&grid, fleet)))
+    let head = GridRun::head(grid.id(), grid.spec(), grid.len());
+    Ok(emit_dist(dist::run_grids(
+        std::slice::from_ref(&grid),
+        head,
+        fleet,
+    )))
 }
 
 /// `cqla sweep [SPEC]` / `cqla sweep <id> [k=set ...]` /
@@ -621,7 +626,8 @@ fn sweep(cli: &Cli) -> Result<ExitCode, UsageError> {
     // Distributed path: fan the (single) sweep out across the fleet
     // and print the merged document, byte-identical to the local run.
     if let Some(fleet) = &fleet {
-        return Ok(emit_dist(dist::run_sweep(&sweeps[0], fleet)));
+        let head = SweepRun::head(sweeps[0].name(), sweeps[0].len());
+        return Ok(emit_dist(dist::run_grids(sweeps[0].grids(), head, fleet)));
     }
     let runs: Vec<SweepRun> = sweeps
         .iter()

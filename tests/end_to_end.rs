@@ -453,8 +453,8 @@ mod cli {
         // The evaluation-core contract: bit-packing the stabilizer
         // kernel and memoizing shared sub-results must not move a single
         // byte of any artifact. tests/golden/registry/ pins all 14
-        // registry entries; tests/golden/grid_sweep.json pins the
-        // builtin 24-point grid sweep (threads must not matter).
+        // registry entries; tests/golden/grid_sweep.json,
+        // sweep_table4.json and sweep_quick.txt pin builtin sweeps.
         // Regenerate deliberately (cargo run --release --bin cqla --
         // run <id> --format json) when the model changes.
         for (id, golden) in [
@@ -477,15 +477,35 @@ mod cli {
             assert!(out.status.success(), "{id}: {:?}", out.status);
             assert_eq!(stdout(&out), golden, "{id} JSON drifted from golden");
         }
-        let golden = include_str!("golden/grid_sweep.json");
-        for threads in ["1", "4"] {
-            let out = cqla(&["sweep", "--format", "json", "--threads", threads]);
-            assert!(out.status.success(), "threads={threads}: {:?}", out.status);
-            assert_eq!(
-                stdout(&out),
-                golden,
-                "builtin grid sweep drifted from golden (threads={threads})"
-            );
+        // The builtin sweeps: the grid and the multi-grid table4 as JSON
+        // (threads must not matter), and quick as the text table (whose
+        // banner names the thread count, so it is pinned at one).
+        for (args, golden, thread_counts) in [
+            (
+                &["sweep", "--format", "json"][..],
+                include_str!("golden/grid_sweep.json"),
+                &["1", "4"][..],
+            ),
+            (
+                &["sweep", "table4", "--format", "json"],
+                include_str!("golden/sweep_table4.json"),
+                &["1", "4"],
+            ),
+            (
+                &["sweep", "quick"],
+                include_str!("golden/sweep_quick.txt"),
+                &["1"],
+            ),
+        ] {
+            for threads in thread_counts {
+                let out = cqla(&[args, &["--threads", threads]].concat());
+                assert!(out.status.success(), "{args:?} threads={threads}");
+                assert_eq!(
+                    stdout(&out),
+                    golden,
+                    "{args:?} drifted from golden (threads={threads})"
+                );
+            }
         }
     }
 

@@ -665,8 +665,8 @@ mod compile_front_end {
 mod grid_front_end {
     use proptest::prelude::*;
 
-    use cqla_repro::core::experiments::{registry, Grid, ParamSpec};
-    use cqla_repro::sweep::{parse::design_specs, Sweep};
+    use cqla_repro::core::experiments::{registry, Experiment, Grid, ParamSpec};
+    use cqla_repro::sweep::{DesignPoint, Sweep};
 
     use super::mutate;
 
@@ -694,7 +694,7 @@ mod grid_front_end {
         registry()
             .iter()
             .map(|exp| (exp.id().to_owned(), exp.specs()))
-            .chain([("sweep".to_owned(), design_specs().to_vec())])
+            .chain([("sweep".to_owned(), DesignPoint::paper_default().specs())])
             .collect()
     }
 
