@@ -1,5 +1,5 @@
 //! Microbenchmarks for the stabilizer layer: syndrome extraction and
-//! lookup decoding, the inner loop of every Monte Carlo reliability run.
+//! lookup decoding, the inner loop of the `verify` code checks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -93,19 +93,6 @@ impl Circuit {
         self.gates.push(gate);
     }
 
-    /// Appends all gates of `other` (registers must match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register sizes differ.
-    pub fn append(&mut self, other: &Circuit) {
-        assert_eq!(
-            self.num_qubits, other.num_qubits,
-            "cannot append circuits over different registers"
-        );
-        self.gates.extend_from_slice(&other.gates);
-    }
-
     /// Appends all gates of `other` with its qubits mapped to
     /// `offset..offset + other.num_qubits()` of this register.
     ///
@@ -315,16 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn append_concatenates() {
-        let mut a = Circuit::new(2);
-        a.cnot(0, 1);
-        let mut b = Circuit::new(2);
-        b.x(0);
-        a.append(&b);
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "outside register")]
     fn rejects_out_of_range_operand() {
         let mut c = Circuit::new(2);
@@ -336,14 +313,6 @@ mod tests {
     fn rejects_duplicate_operand() {
         let mut c = Circuit::new(3);
         c.toffoli(1, 1, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different registers")]
-    fn append_rejects_mismatched_registers() {
-        let mut a = Circuit::new(2);
-        let b = Circuit::new(3);
-        a.append(&b);
     }
 
     #[test]

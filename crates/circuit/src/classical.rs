@@ -16,20 +16,6 @@ pub struct NonClassicalGate {
     position: usize,
 }
 
-impl NonClassicalGate {
-    /// The offending gate.
-    #[must_use]
-    pub fn gate(&self) -> Gate {
-        self.gate
-    }
-
-    /// Its index in the circuit.
-    #[must_use]
-    pub fn position(&self) -> usize {
-        self.position
-    }
-}
-
 impl core::fmt::Display for NonClassicalGate {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
@@ -256,7 +242,7 @@ mod tests {
         c.h(1);
         let mut s = ClassicalState::zeros(2);
         let err = s.run(&c).unwrap_err();
-        assert_eq!(err.position(), 1);
+        assert_eq!(err.position, 1);
         assert!(err.to_string().contains("h q1"));
         // Gates before the failure were applied.
         assert!(s.bit(0));

@@ -67,7 +67,6 @@ impl core::fmt::Display for QubitId {
 ///
 /// let g = Gate::toffoli(0, 1, 2);
 /// assert_eq!(g.qubits().len(), 3);
-/// assert!(g.is_classical());
 /// assert_eq!(g.two_qubit_gate_equivalents(), 15);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,7 +141,7 @@ impl Gate {
 
     /// The qubits this gate touches, in operand order, without
     /// allocating: the first `len` entries of the array are the operands
-    /// (`len` is the [`Gate::arity`]), the rest repeat the first one.
+    /// (`len` is the operand count), the rest repeat the first one.
     #[must_use]
     pub fn qubit_array(&self) -> ([QubitId; 3], usize) {
         match *self {
@@ -167,20 +166,6 @@ impl Gate {
     pub fn qubits(&self) -> Vec<QubitId> {
         let (qubits, len) = self.qubit_array();
         qubits[..len].to_vec()
-    }
-
-    /// Number of operands.
-    #[must_use]
-    pub fn arity(&self) -> usize {
-        self.qubit_array().1
-    }
-
-    /// `true` if the gate permutes computational basis states (X, CNOT,
-    /// Toffoli) — such circuits can be verified with the classical
-    /// reversible simulator.
-    #[must_use]
-    pub fn is_classical(&self) -> bool {
-        matches!(self, Self::X(_) | Self::Cnot { .. } | Self::Toffoli { .. })
     }
 
     /// Fault-tolerant execution cost in two-qubit-gate equivalents.
@@ -278,12 +263,12 @@ mod tests {
 
     #[test]
     fn operand_lists() {
-        assert_eq!(Gate::X(QubitId::new(0)).arity(), 1);
+        assert_eq!(Gate::X(QubitId::new(0)).qubits().len(), 1);
         assert_eq!(
             Gate::cnot(1, 2).qubits(),
             vec![QubitId::new(1), QubitId::new(2)]
         );
-        assert_eq!(Gate::toffoli(0, 1, 2).arity(), 3);
+        assert_eq!(Gate::toffoli(0, 1, 2).qubits().len(), 3);
         assert_eq!(
             Gate::toffoli(4, 5, 6).qubit_array(),
             ([QubitId::new(4), QubitId::new(5), QubitId::new(6)], 3)
@@ -292,11 +277,18 @@ mod tests {
 
     #[test]
     fn classicality() {
-        assert!(Gate::X(QubitId::new(0)).is_classical());
-        assert!(Gate::cnot(0, 1).is_classical());
-        assert!(Gate::toffoli(0, 1, 2).is_classical());
-        assert!(!Gate::H(QubitId::new(0)).is_classical());
-        assert!(!Gate::Measure(QubitId::new(0)).is_classical());
+        // The classical simulator runs exactly the basis permutations.
+        let mut state = crate::ClassicalState::zeros(3);
+        for g in [
+            Gate::X(QubitId::new(0)),
+            Gate::cnot(0, 1),
+            Gate::toffoli(0, 1, 2),
+        ] {
+            assert!(state.apply(g).is_ok(), "{g}");
+        }
+        for g in [Gate::H(QubitId::new(0)), Gate::Measure(QubitId::new(0))] {
+            assert!(state.apply(g).is_err(), "{g}");
+        }
     }
 
     #[test]

@@ -312,7 +312,7 @@ pub trait Experiment {
 }
 
 /// Renders an experiment's parameter surface for usage messages and
-/// error hints (`tech=<current|projected> bits=<a positive integer>`),
+/// error hints (`tech=<current|projected> cap=<an integer in 1..=1048576>`),
 /// or `no parameters` when it declares none. Shared by the CLI and the
 /// HTTP service so their diagnostics never drift.
 #[must_use]
@@ -440,8 +440,9 @@ pub const TECH_ACCEPTS: &str = "current|projected";
 /// The `accepts` string for code parameters.
 pub const CODE_ACCEPTS: &str = "steane|bacon-shor";
 
-/// The `accepts` string for positive-integer parameters.
-pub const INT_ACCEPTS: &str = "a positive integer";
+/// The `accepts` string for positive-integer parameters (capped at
+/// [`super::grid::MAX_INT`]).
+pub const INT_ACCEPTS: &str = "an integer in 1..=1048576";
 
 /// The `accepts` string for adder-width parameters.
 pub const BITS_ACCEPTS: &str = "an adder width in 1..=4096";

@@ -785,6 +785,7 @@ mod tests {
     fn adder_widths_stop_at_the_draper_ceiling() {
         let ceiling = MAX_ADDER_BITS.to_string();
         assert!(super::super::BITS_ACCEPTS.ends_with(&ceiling));
+        assert!(super::super::INT_ACCEPTS.ends_with(&format!("1..={MAX_INT}")));
         for (id, expr) in [("fig2", "bits=4097"), ("machine", "bits=32,100000")] {
             let err = Grid::parse(id, &specs(id), expr).unwrap_err();
             assert!(err.message.contains(&format!("1..={ceiling}")), "{err}");

@@ -165,8 +165,10 @@ impl HierarchyStudy {
         let cache_hit_rate = behavior.hit_rate;
 
         // --- Level-1 adder time: compute vs transfer pipeline. ---
-        let costs = ctx.adder_costs(n, config.blocks);
-        let makespan = costs.ideal_makespan(config.blocks);
+        // Both adder times read only the DAG's critical path and total
+        // work, so no list schedule runs here.
+        let (critical_path, total_work) = ctx.draper(n).kernel;
+        let makespan = cqla_compile::ideal_makespan((critical_path, total_work), config.blocks);
         let gate_l1 = ctx.gate_step_time(code, Level::ONE, &self.tech);
         let l1_compute_time = gate_l1 * makespan as f64;
 
@@ -186,7 +188,7 @@ impl HierarchyStudy {
         // --- Level-2 region and QLA reference. ---
         let gate_l2 = ctx.gate_step_time(code, Level::TWO, &self.tech);
         let l2_adder_time = gate_l2 * makespan as f64;
-        let qla_time = ctx.qla_adder_time(&self.tech, &costs);
+        let qla_time = ctx.qla_adder_time(&self.tech, critical_path);
 
         let l1_speedup = l2_adder_time / l1_adder_time;
         let l2_speedup = qla_time / l2_adder_time;

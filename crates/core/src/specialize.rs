@@ -134,7 +134,7 @@ impl SpecializationStudy {
         let costs = ctx.adder_costs(config.input_bits, config.compute_blocks);
         let step = ctx.gate_step_time(config.code, Level::TWO, &self.tech);
         let adder_time = step * costs.ideal_makespan(config.compute_blocks) as f64;
-        let qla_time = ctx.qla_adder_time(&self.tech, &costs);
+        let qla_time = ctx.qla_adder_time(&self.tech, costs.critical_path);
         let speedup = qla_time / adder_time;
         let area_reduction = ctx.area_reduction(
             &self.tech,

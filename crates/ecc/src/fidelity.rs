@@ -82,12 +82,6 @@ impl AppSize {
         Self { timesteps, qubits }
     }
 
-    /// `K` — logical time-steps.
-    #[must_use]
-    pub fn timesteps(&self) -> f64 {
-        self.timesteps
-    }
-
     /// `Q` — logical qubits.
     #[must_use]
     pub fn qubits(&self) -> f64 {
@@ -285,7 +279,6 @@ mod tests {
     #[test]
     fn app_size_accessors() {
         let app = AppSize::new(100.0, 50.0);
-        assert_eq!(app.timesteps(), 100.0);
         assert_eq!(app.qubits(), 50.0);
         assert_eq!(app.op_count(), 5_000.0);
         assert!((app.required_failure_rate().value() - 2e-4).abs() < 1e-12);

@@ -24,7 +24,6 @@
 //! an `Arc`.
 
 use std::collections::{HashMap, HashSet};
-use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -60,8 +59,8 @@ struct Table<K, V> {
 /// use cqla_ecc::memo::{Memo, Outcome};
 ///
 /// let memo: Memo<u32, u64> = Memo::new();
-/// assert_eq!(memo.get_or_compute(6, || 720), 720);
-/// assert_eq!(memo.get_or_compute(6, || unreachable!("memoized")), 720);
+/// assert_eq!(memo.try_get_or_compute(6, || Ok::<_, ()>(720)), Ok((720, Outcome::Computed)));
+/// assert_eq!(memo.try_get_or_compute(6, || Err("memoized")), Ok((720, Outcome::Hit)));
 /// assert_eq!((memo.hits(), memo.misses()), (1, 1));
 ///
 /// // A failed computation is not stored.
@@ -155,17 +154,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Returns the value for `key`, running `compute` if no caller has
-    /// stored it yet (and waiting if one is computing it).
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from `compute`, after releasing the key.
-    pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        let Ok((value, _)) = self.try_get_or_compute(key, || Ok::<_, Infallible>(compute()));
-        value
     }
 
     /// Returns the value for `key` and how it was obtained, running
@@ -268,9 +256,18 @@ impl<K: Eq + Hash, V> Drop for Flight<'_, K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
     use std::time::Duration;
+
+    impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
+        /// The value for `key`, running the infallible `compute` on a miss.
+        fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
+            let Ok((value, _)) = self.try_get_or_compute(key, || Ok::<_, Infallible>(compute()));
+            value
+        }
+    }
 
     #[test]
     fn second_lookup_hits_without_recomputing() {

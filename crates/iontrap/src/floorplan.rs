@@ -22,8 +22,6 @@ use cqla_units::Cycles;
 /// use cqla_iontrap::TileFloorplan;
 ///
 /// let steane = TileFloorplan::steane_level1();
-/// assert_eq!(steane.data_positions().len(), 7);
-/// assert_eq!(steane.ancilla_positions().len(), 21);
 /// // Every ancilla can reach every data ion within the tile.
 /// assert!(steane.max_interaction_distance() < 12);
 /// ```
@@ -89,18 +87,6 @@ impl TileFloorplan {
     #[must_use]
     pub fn grid(&self) -> TrapGrid {
         self.grid
-    }
-
-    /// Data-ion home regions.
-    #[must_use]
-    pub fn data_positions(&self) -> &[RegionCoord] {
-        &self.data
-    }
-
-    /// Ancilla-ion home regions.
-    #[must_use]
-    pub fn ancilla_positions(&self) -> &[RegionCoord] {
-        &self.ancilla
     }
 
     /// Worst-case hops for any ancilla ion to reach any data ion.
@@ -186,7 +172,7 @@ mod tests {
             TileFloorplan::bacon_shor_level1(),
         ] {
             let mut seen = std::collections::HashSet::new();
-            for c in plan.data_positions().iter().chain(plan.ancilla_positions()) {
+            for c in plan.data.iter().chain(&plan.ancilla) {
                 assert!(plan.grid().contains(*c), "{c} off grid");
                 assert!(seen.insert(*c), "{c} double-booked");
             }
@@ -197,9 +183,9 @@ mod tests {
     fn data_sits_in_the_center() {
         let plan = TileFloorplan::steane_level1();
         // Center region (4,4) of a 9x9 grid must be a data home.
-        assert!(plan.data_positions().contains(&RegionCoord::new(4, 4)));
+        assert!(plan.data.contains(&RegionCoord::new(4, 4)));
         // All data within 2 hops of center.
-        for d in plan.data_positions() {
+        for d in &plan.data {
             assert!(d.manhattan_distance(RegionCoord::new(4, 4)) <= 2, "{d}");
         }
     }

@@ -5,7 +5,7 @@
 //! grid where each region holds up to two ions (enough for a two-qubit
 //! gate) and junctions are shared routing resources.
 
-use cqla_units::{Cycles, Micrometers, SquareMicrometers, SquareMillimeters};
+use cqla_units::{Cycles, SquareMicrometers, SquareMillimeters};
 
 use crate::params::TechnologyParams;
 
@@ -114,13 +114,6 @@ impl TrapGrid {
         w * h
     }
 
-    /// Physical side lengths `(width, height)`.
-    #[must_use]
-    pub fn dimensions(&self, tech: &TechnologyParams) -> (Micrometers, Micrometers) {
-        let pitch = tech.region_pitch();
-        (pitch * f64::from(self.cols), pitch * f64::from(self.rows))
-    }
-
     /// Plans a ballistic shuttle between two regions.
     ///
     /// # Panics
@@ -153,12 +146,6 @@ pub struct ShuttleRoute {
 }
 
 impl ShuttleRoute {
-    /// Number of region-to-region hops.
-    #[must_use]
-    pub fn hops(&self) -> u32 {
-        self.hops
-    }
-
     /// Total clock cycles: split + hops + cool (zero for a zero-hop route).
     #[must_use]
     pub fn cycles(&self) -> Cycles {
@@ -245,6 +232,7 @@ impl core::fmt::Display for TileLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqla_units::Micrometers;
 
     fn tech() -> TechnologyParams {
         TechnologyParams::projected()
@@ -269,9 +257,9 @@ mod tests {
     #[test]
     fn grid_dimensions() {
         let g = TrapGrid::new(4, 2);
-        let (w, h) = g.dimensions(&tech());
-        assert_eq!(w, Micrometers::new(200.0));
-        assert_eq!(h, Micrometers::new(100.0));
+        // 200 µm × 100 µm at the 50 µm region pitch.
+        let area = g.area(&tech());
+        assert_eq!(area, Micrometers::new(200.0) * Micrometers::new(100.0));
     }
 
     #[test]
@@ -285,7 +273,6 @@ mod tests {
     fn route_cycle_model() {
         let g = TrapGrid::new(10, 10);
         let r = g.route(RegionCoord::new(0, 0), RegionCoord::new(3, 4));
-        assert_eq!(r.hops(), 7);
         // split + 7 moves + cool
         assert_eq!(r.cycles(), Cycles::new(9));
     }

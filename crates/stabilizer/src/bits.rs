@@ -1,5 +1,4 @@
-//! Packed bitvector primitives shared by [`crate::pauli`] and
-//! [`crate::tableau`].
+//! Packed bitvector primitives behind [`crate::pauli`].
 //!
 //! A bitvector of `len` bits is stored as `len.div_ceil(64)` little-endian
 //! `u64` words: bit `i` lives in word `i / 64` at bit position `i % 64`.

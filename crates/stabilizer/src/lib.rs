@@ -1,21 +1,19 @@
-//! Stabilizer-circuit simulation and CSS code library.
+//! Pauli algebra, CSS codes and lookup decoding.
 //!
 //! The CQLA architecture (Thaker et al., ISCA 2006) is parameterized by two
 //! quantum error-correcting codes: the Steane \[\[7,1,3\]\] code and the
 //! Shor/Bacon-Shor \[\[9,1,3\]\] code. The architecture-level crates only need
 //! *cost models* for these codes, but the reliability argument the whole
 //! paper rests on — that distance-3 codes correct every single-qubit error —
-//! deserves an executable proof. This crate provides it:
+//! deserves an executable proof. This crate provides it, and the `verify`
+//! artifact runs it:
 //!
-//! * [`PauliString`] — Pauli-group algebra with phase tracking,
-//! * [`Tableau`] — an Aaronson–Gottesman stabilizer simulator supporting
-//!   Clifford gates and (multi-qubit) Pauli measurement, enough to simulate
-//!   encoding, syndrome extraction, cat-state preparation and teleportation,
+//! * [`PauliString`] — bit-packed Pauli-group algebra with phase tracking,
+//!   checked against a one-`bool`-per-bit reference by
+//!   `tests/equivalence.rs`,
 //! * [`CssCode`] — code definitions (stabilizers, logicals, gauge group for
-//!   the Bacon-Shor subsystem view),
-//! * [`LookupDecoder`] — minimum-weight syndrome decoding,
-//! * [`montecarlo`] — error-injection experiments estimating logical error
-//!   rates under depolarizing noise.
+//!   the Bacon-Shor subsystem view) and the algebraic syndrome,
+//! * [`LookupDecoder`] — minimum-weight syndrome decoding.
 //!
 //! # Examples
 //!
@@ -39,13 +37,8 @@
 mod bits;
 mod code;
 mod decoder;
-pub mod montecarlo;
-pub mod noisy;
 mod pauli;
-pub mod reference;
-mod tableau;
 
 pub use code::{CssCode, Syndrome};
-pub use decoder::{enumerate_errors, errors_of_weight, ErrorsOfWeight, LookupDecoder};
+pub use decoder::{errors_of_weight, ErrorsOfWeight, LookupDecoder};
 pub use pauli::{PauliOp, PauliString};
-pub use tableau::{MeasureOutcome, Tableau};

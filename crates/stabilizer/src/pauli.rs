@@ -14,9 +14,9 @@ use crate::bits;
 /// ```
 /// use cqla_stabilizer::PauliOp;
 ///
-/// assert!(PauliOp::X.anticommutes_with(PauliOp::Z));
-/// assert!(!PauliOp::X.anticommutes_with(PauliOp::X));
-/// assert!(!PauliOp::I.anticommutes_with(PauliOp::Y));
+/// // Symplectic components: Y = iXZ carries both.
+/// assert_eq!(PauliOp::Y.bits(), (true, true));
+/// assert_eq!(PauliOp::from_bits(false, true), PauliOp::Z);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PauliOp {
@@ -58,14 +58,6 @@ impl PauliOp {
             (false, true) => Self::Z,
         }
     }
-
-    /// Whether two single-qubit Paulis anticommute.
-    #[must_use]
-    pub const fn anticommutes_with(self, other: Self) -> bool {
-        let (x1, z1) = self.bits();
-        let (x2, z2) = other.bits();
-        (x1 & z2) ^ (z1 & x2)
-    }
 }
 
 impl core::fmt::Display for PauliOp {
@@ -100,7 +92,7 @@ impl core::fmt::Display for PauliOp {
 /// // XZ = -iY, so (XZ)·(ZX) = X Z Z X = +I.
 /// let xz = x.mul(&z);
 /// let zx = z.mul(&x);
-/// assert!(xz.mul(&zx).is_identity());
+/// assert_eq!(xz.mul(&zx), PauliString::identity(1));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PauliString {
@@ -124,24 +116,6 @@ impl PauliString {
             len: num_qubits,
             phase: 0,
         }
-    }
-
-    /// Assembles a string from pre-packed component words (crate-internal;
-    /// callers guarantee the canonical zeroed-tail invariant).
-    pub(crate) fn from_words(xs: Vec<u64>, zs: Vec<u64>, len: usize, phase: u8) -> Self {
-        debug_assert_eq!(xs.len(), bits::words_for(len));
-        debug_assert_eq!(zs.len(), bits::words_for(len));
-        Self { xs, zs, len, phase }
-    }
-
-    /// Packed X-component words.
-    pub(crate) fn x_words(&self) -> &[u64] {
-        &self.xs
-    }
-
-    /// Packed Z-component words.
-    pub(crate) fn z_words(&self) -> &[u64] {
-        &self.zs
     }
 
     /// A single-qubit Pauli embedded in `num_qubits` qubits.
@@ -179,39 +153,6 @@ impl PauliString {
             p.set(q, op);
         }
         p
-    }
-
-    /// Parses a string like `"XIZZY"` (one letter per qubit, optional
-    /// leading `+`/`-`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if any character is not one of `IXYZ` (or a
-    /// leading sign).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let (neg, body) = match text.strip_prefix('-') {
-            Some(rest) => (true, rest),
-            None => (false, text.strip_prefix('+').unwrap_or(text)),
-        };
-        let mut ops = Vec::with_capacity(body.len());
-        for c in body.chars() {
-            let op = match c {
-                'I' => PauliOp::I,
-                'X' => PauliOp::X,
-                'Y' => PauliOp::Y,
-                'Z' => PauliOp::Z,
-                other => return Err(format!("invalid Pauli character {other:?}")),
-            };
-            ops.push(op);
-        }
-        let mut p = Self::identity(ops.len());
-        for (q, op) in ops.into_iter().enumerate() {
-            p.set(q, op);
-        }
-        if neg {
-            p.phase = 2;
-        }
-        Ok(p)
     }
 
     /// Number of qubits the string acts on.
@@ -277,12 +218,6 @@ impl PauliString {
         let mut p = self.clone();
         p.phase = (p.phase + 2) % 4;
         p
-    }
-
-    /// `true` if the string is `+I⊗…⊗I`.
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        self.phase == 0 && self.weight() == 0
     }
 
     /// Number of qubits acted on non-trivially.
@@ -353,45 +288,12 @@ impl PauliString {
             .zip(&other.zs)
             .map(|(&a, &b)| a ^ b)
             .collect();
-        Self::from_words(xs, zs, self.len, k.rem_euclid(4) as u8)
-    }
-
-    /// Restricts the string to the first `n` qubits (used when an encoded
-    /// block is embedded in a larger register).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the string acts non-trivially outside the first `n` qubits.
-    #[must_use]
-    pub fn truncated(&self, n: usize) -> Self {
-        for q in n..self.num_qubits() {
-            assert_eq!(self.op(q), PauliOp::I, "support outside truncation window");
+        Self {
+            xs,
+            zs,
+            len: self.len,
+            phase: k.rem_euclid(4) as u8,
         }
-        let mut p = Self::identity(n);
-        for q in 0..n {
-            p.set(q, self.op(q));
-        }
-        p.phase = self.phase;
-        p
-    }
-
-    /// Embeds the string into a larger register at a qubit offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the embedded string would not fit.
-    #[must_use]
-    pub fn embedded(&self, num_qubits: usize, offset: usize) -> Self {
-        assert!(
-            offset + self.num_qubits() <= num_qubits,
-            "embedding exceeds register size"
-        );
-        let mut p = Self::identity(num_qubits);
-        for q in 0..self.num_qubits() {
-            p.set(offset + q, self.op(q));
-        }
-        p.phase = self.phase;
-        p
     }
 }
 
@@ -414,6 +316,28 @@ impl core::fmt::Display for PauliString {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A string like `"XIZZY"`, one letter per qubit, with an optional
+    /// leading `+`/`-`.
+    fn parse(text: &str) -> PauliString {
+        let (negate, body) = match text.strip_prefix('-') {
+            Some(rest) => (true, rest),
+            None => (false, text.strip_prefix('+').unwrap_or(text)),
+        };
+        let ops = body.chars().map(|c| match c {
+            'I' => PauliOp::I,
+            'X' => PauliOp::X,
+            'Y' => PauliOp::Y,
+            'Z' => PauliOp::Z,
+            other => panic!("invalid Pauli character {other:?}"),
+        });
+        let p = PauliString::from_ops(body.len(), ops.enumerate());
+        if negate {
+            p.negated()
+        } else {
+            p
+        }
+    }
 
     #[test]
     fn single_qubit_multiplication_table() {
@@ -439,17 +363,17 @@ mod tests {
     fn squares_are_identity() {
         for op in PauliOp::ALL {
             let p = PauliString::single(3, 1, op);
-            assert!(p.mul(&p).is_identity(), "{op}^2 != I");
+            assert_eq!(p.mul(&p), PauliString::identity(3), "{op}^2 != I");
         }
     }
 
     #[test]
     fn commutation_matches_symplectic_product() {
-        let a = PauliString::parse("XXI").unwrap();
-        let b = PauliString::parse("ZIZ").unwrap();
+        let a = parse("XXI");
+        let b = parse("ZIZ");
         // Overlap on qubit 0 only: X vs Z anticommute.
         assert!(a.anticommutes_with(&b));
-        let c = PauliString::parse("ZZI").unwrap();
+        let c = parse("ZZI");
         // Two anticommuting overlaps cancel.
         assert!(!a.anticommutes_with(&c));
     }
@@ -457,15 +381,14 @@ mod tests {
     #[test]
     fn parse_and_display_round_trip() {
         for text in ["+XIZZY", "-ZZZZZ", "+IIIII"] {
-            let p = PauliString::parse(text).unwrap();
+            let p = parse(text);
             assert_eq!(p.to_string(), text);
         }
-        assert!(PauliString::parse("XQ").is_err());
     }
 
     #[test]
     fn weight_and_support() {
-        let p = PauliString::parse("XIYIZ").unwrap();
+        let p = parse("XIYIZ");
         assert_eq!(p.weight(), 3);
         assert_eq!(p.support(), vec![0, 2, 4]);
         assert_eq!(p.num_qubits(), 5);
@@ -482,24 +405,13 @@ mod tests {
     }
 
     #[test]
-    fn embed_and_truncate_round_trip() {
-        let p = PauliString::parse("XZ").unwrap();
-        let e = p.embedded(5, 2);
-        assert_eq!(e.to_string(), "+IIXZI");
-        // Truncating back after moving support to front fails; truncate the
-        // prefix-embedded version instead.
-        let front = p.embedded(5, 0);
-        assert_eq!(front.truncated(2), p);
-    }
-
-    #[test]
     fn negation_flips_sign_only() {
-        let p = PauliString::parse("XZ").unwrap();
+        let p = parse("XZ");
         let n = p.negated();
         assert_eq!(n.phase_exponent(), 2);
         assert_eq!(n.op(0), PauliOp::X);
-        assert!(!p.is_identity());
-        assert!(p.mul(&n).negated().is_identity());
+        assert_ne!(p, PauliString::identity(2));
+        assert_eq!(p.mul(&n).negated(), PauliString::identity(2));
     }
 
     #[test]
@@ -508,11 +420,7 @@ mod tests {
         for a in samples {
             for b in samples {
                 for c in samples {
-                    let (pa, pb, pc) = (
-                        PauliString::parse(a).unwrap(),
-                        PauliString::parse(b).unwrap(),
-                        PauliString::parse(c).unwrap(),
-                    );
+                    let (pa, pb, pc) = (parse(a), parse(b), parse(c));
                     assert_eq!(pa.mul(&pb).mul(&pc), pa.mul(&pb.mul(&pc)));
                 }
             }
@@ -531,8 +439,8 @@ mod tests {
         let b = PauliString::single(70, 69, PauliOp::X);
         assert!(a.anticommutes_with(&b), "Z vs X on qubit 69");
         let prod = a.mul(&a);
-        assert!(prod.is_identity(), "P^2 = I across words");
-        let e = PauliString::parse("XZ").unwrap().embedded(70, 63);
+        assert_eq!(prod, PauliString::identity(70), "P^2 = I across words");
+        let e = PauliString::from_ops(70, [(63, PauliOp::X), (64, PauliOp::Z)]);
         assert_eq!(e.op(63), PauliOp::X);
         assert_eq!(e.op(64), PauliOp::Z);
     }

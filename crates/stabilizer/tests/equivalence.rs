@@ -1,18 +1,18 @@
 //! Packed-vs-reference equivalence suite.
 //!
-//! Drives random Pauli algebra and random Clifford circuits through both
-//! the production bit-packed kernel ([`cqla_stabilizer::PauliString`],
-//! [`cqla_stabilizer::Tableau`]) and the retained one-bool-per-bit
-//! reference implementation ([`cqla_stabilizer::reference`]), asserting
-//! bit-for-bit agreement — components, phases, signs, measurement
-//! outcomes, collapse behavior, and RNG consumption — on registers up to
-//! 128 qubits (two words plus a partial tail).
+//! Drives random Pauli algebra through both the production bit-packed
+//! kernel ([`cqla_stabilizer::PauliString`]) and the one-bool-per-bit
+//! reference implementation ([`reference::RefPauli`]), asserting
+//! bit-for-bit agreement — components, phases and weights — on registers
+//! up to 128 qubits (two words plus a partial tail). The same reference
+//! is the oracle for [`cqla_stabilizer::CssCode::syndrome`]: syndrome bit
+//! `i` is the anticommutation of the error with generator `i`.
 
-use cqla_stabilizer::reference::{RefPauli, RefTableau};
-use cqla_stabilizer::{PauliOp, PauliString, Tableau};
+mod reference;
+
+use cqla_stabilizer::{errors_of_weight, CssCode, PauliOp, PauliString};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use reference::RefPauli;
 
 const OPS: [PauliOp; 4] = [PauliOp::I, PauliOp::X, PauliOp::Y, PauliOp::Z];
 
@@ -86,130 +86,30 @@ proptest! {
     }
 }
 
-/// Applies gate `spec` to both tableaus, reducing indices into range
-/// identically on each side.
-fn apply_gate(packed: &mut Tableau, reference: &mut RefTableau, spec: (u8, u16, u16)) {
-    let n = packed.num_qubits();
-    let q = usize::from(spec.1) % n;
-    match spec.0 % 8 {
-        0 => {
-            packed.h(q);
-            reference.h(q);
-        }
-        1 => {
-            packed.s(q);
-            reference.s(q);
-        }
-        2 => {
-            packed.s_dag(q);
-            reference.s_dag(q);
-        }
-        3 => {
-            packed.x(q);
-            reference.x(q);
-        }
-        4 => {
-            packed.y(q);
-            reference.y(q);
-        }
-        5 => {
-            packed.z(q);
-            reference.z(q);
-        }
-        gate => {
-            if n == 1 {
-                packed.h(q);
-                reference.h(q);
-                return;
-            }
-            // Distinct second index, derived the same way on both sides.
-            let t = (q + 1 + usize::from(spec.2) % (n - 1)) % n;
-            if gate == 6 {
-                packed.cnot(q, t);
-                reference.cnot(q, t);
-            } else {
-                packed.cz(q, t);
-                reference.cz(q, t);
-            }
-        }
-    }
-}
-
-fn assert_tableaus_eq(packed: &Tableau, reference: &RefTableau) {
-    for i in 0..packed.num_qubits() {
-        assert_eq!(
-            RefPauli::from_packed(&packed.stabilizer(i)),
-            reference.stabilizer(i),
-            "stabilizer row {i} diverged"
-        );
-        assert_eq!(
-            RefPauli::from_packed(&packed.destabilizer(i)),
-            reference.destabilizer(i),
-            "destabilizer row {i} diverged"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random circuit, then rows must agree exactly.
-    #[test]
-    fn circuits_keep_tableaus_identical(
-        n in 1usize..=128,
-        gates in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 0..48),
-    ) {
-        let mut packed = Tableau::new(n);
-        let mut reference = RefTableau::new(n);
-        for spec in gates {
-            apply_gate(&mut packed, &mut reference, spec);
-        }
-        assert_tableaus_eq(&packed, &reference);
-    }
-
-    /// Random circuit, then a sequence of Pauli measurements with
-    /// identically seeded RNGs: outcomes, determinism flags, collapse, and
-    /// RNG consumption must all agree (any drift desynchronizes the
-    /// streams and cascades into the row comparison).
-    #[test]
-    fn measurements_collapse_identically(
-        n in 1usize..=128,
-        gates in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 0..32),
-        observables in prop::collection::vec(
-            (prop::collection::vec(0u8..4, 1..8), any::<u16>(), any::<bool>()),
-            1..6,
-        ),
-        seed in any::<u64>(),
-    ) {
-        let mut packed = Tableau::new(n);
-        let mut reference = RefTableau::new(n);
-        for spec in gates {
-            apply_gate(&mut packed, &mut reference, spec);
-        }
-        let mut rng_p = StdRng::seed_from_u64(seed);
-        let mut rng_r = StdRng::seed_from_u64(seed);
-        for (ops, offset, negate) in observables {
-            // Place a short non-identity observable at a random offset.
-            let mut obs = PauliString::identity(n);
-            for (i, &code) in ops.iter().enumerate() {
-                obs.set((usize::from(offset) + i) % n, OPS[usize::from(code) % 4]);
-            }
-            if obs.is_identity() {
-                obs.set(usize::from(offset) % n, PauliOp::X);
-            }
-            if negate {
-                obs = obs.negated();
-            }
-            let robs = RefPauli::from_packed(&obs);
+/// The algebraic syndrome against the reference commutation: for every
+/// code and every error of weight at most 2, bit `i` is set exactly when
+/// the error anticommutes with generator `i` (X-type generators first).
+#[test]
+fn syndrome_bits_are_reference_anticommutations() {
+    for code in [CssCode::steane(), CssCode::shor9(), CssCode::bacon_shor()] {
+        let n = code.num_qubits();
+        let generators: Vec<RefPauli> = code
+            .generators()
+            .iter()
+            .map(RefPauli::from_packed)
+            .collect();
+        assert_eq!(generators.len(), code.num_generators(), "{code}");
+        for error in (0..=2).flat_map(|weight| errors_of_weight(n, weight)) {
+            let reference = RefPauli::from_packed(&error);
+            let expected: Vec<bool> = generators
+                .iter()
+                .map(|g| reference.anticommutes_with(g))
+                .collect();
             assert_eq!(
-                packed.deterministic_sign(&obs),
-                reference.deterministic_sign(&robs),
-                "pre-measurement deterministic_sign diverged"
+                code.syndrome(&error).bits(),
+                &expected[..],
+                "{code}: {error}"
             );
-            let mp = packed.measure_pauli(&obs, &mut rng_p);
-            let mr = reference.measure_pauli(&robs, &mut rng_r);
-            assert_eq!(mp, mr, "measurement outcome diverged");
-            assert_tableaus_eq(&packed, &reference);
         }
     }
 }

@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`units`] | `cqla-units` | typed time/area/probability quantities |
-//! | [`stabilizer`] | `cqla-stabilizer` | Pauli algebra, tableau simulator, CSS codes |
+//! | [`stabilizer`] | `cqla-stabilizer` | Pauli algebra, CSS codes, lookup decoding |
 //! | [`iontrap`] | `cqla-iontrap` | Table 1 technology model, trap geometry |
 //! | [`ecc`] | `cqla-ecc` | concatenated-EC costs (Tables 2–3), Eq. 1 fidelity |
 //! | [`circuit`] | `cqla-circuit` | gate IR, DAGs, scheduling, reversible sim |

@@ -687,6 +687,23 @@ mod cli {
     }
 
     #[test]
+    fn counts_past_the_cap_name_the_cap() {
+        // A positive integer past the shared cap is rejected by the
+        // single-value path and the grid grammar alike, and both name
+        // the accepted range on the error line.
+        for args in [
+            &["run", "machine", "blocks=1048577"][..],
+            &["run", "machine", "blocks=1,1048577"],
+        ] {
+            let out = cqla(args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+            let err = stderr(&out);
+            let first = err.lines().next().unwrap_or_default();
+            assert!(first.contains("1..=1048576"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
     fn every_artifact_emits_parseable_self_describing_json() {
         for id in ids() {
             let out = cqla(&["--format", "json", "run", id]);
