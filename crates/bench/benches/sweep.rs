@@ -2,9 +2,9 @@
 //! shared job pool, serial vs parallel, plus JSON serialization.
 //!
 //! Besides the criterion timings, this bench seeds the performance
-//! trajectory: it executes the grid once and writes its timing document
-//! to `BENCH_sweep.json` (override the path with `CQLA_BENCH_JSON`) —
-//! the artifact CI uploads as the perf baseline.
+//! trajectory: it executes the grid once and, when `CQLA_BENCH_JSON`
+//! names a path, writes its timing document there — the artifact CI
+//! uploads and gates against the committed baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -22,10 +22,11 @@ fn bench(c: &mut Criterion) {
         &format!("Sweep: {} points on {} thread(s)", grid.len(), threads),
         &baseline.render_text(),
     );
-    let path = std::env::var("CQLA_BENCH_JSON").unwrap_or_else(|_| "BENCH_sweep.json".to_owned());
-    match std::fs::write(&path, baseline.timing_json().to_pretty() + "\n") {
-        Ok(()) => println!("wrote baseline timing document to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    if let Ok(path) = std::env::var("CQLA_BENCH_JSON") {
+        match std::fs::write(&path, baseline.timing_json().to_pretty() + "\n") {
+            Ok(()) => println!("wrote baseline timing document to {path}"),
+            Err(e) => eprintln!("could not write {path}: {e}"),
+        }
     }
 
     c.bench_function("sweep/quick_serial", |b| {

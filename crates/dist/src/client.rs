@@ -11,7 +11,7 @@
 //! so the de-chunking logic that pins the streamed-document framing
 //! contract is written once.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -95,15 +95,14 @@ pub fn read_chunk(reader: &mut impl BufRead) -> io::Result<Option<String>> {
             "connection closed mid-chunk-stream",
         ));
     }
-    let len = usize::from_str_radix(size.trim(), 16)
+    let len = u64::from_str_radix(size.trim(), 16)
         .map_err(|_| invalid(format!("unparseable chunk size: {size:?}")))?;
-    // Payload plus its trailing CRLF.
-    let mut payload = vec![0u8; len + 2];
-    reader.read_exact(&mut payload)?;
+    let payload = read_exactly(reader, len)?;
+    // The payload's trailing CRLF.
+    reader.read_exact(&mut [0u8; 2])?;
     if len == 0 {
         return Ok(None);
     }
-    payload.truncate(len);
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| invalid("chunk payload is not UTF-8".to_owned()))
@@ -121,24 +120,28 @@ pub fn read_chunk(reader: &mut impl BufRead) -> io::Result<Option<String>> {
 /// malformed framing.
 pub fn read_response(reader: &mut impl BufRead) -> io::Result<HttpResponse> {
     let (status, head) = read_head(reader)?;
-    let body = if head_is_chunked(&head) {
-        let mut out = String::new();
-        while let Some(chunk) = read_chunk(reader)? {
-            out.push_str(&chunk);
-        }
-        out
-    } else {
-        let len: usize = head
-            .to_ascii_lowercase()
-            .lines()
-            .find_map(|l| l.strip_prefix("content-length: "))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0);
-        let mut body = vec![0u8; len];
-        reader.read_exact(&mut body)?;
-        String::from_utf8(body).map_err(|_| invalid("body is not UTF-8".to_owned()))?
-    };
+    let body = read_response_body(reader, &head)?;
     Ok(HttpResponse { status, head, body })
+}
+
+/// Reads exactly `len` bytes. The read goes through [`Read::take`], so
+/// memory grows with the bytes that arrive, never with the length a
+/// peer declares, and it stops at `len` so a keep-alive reader stays
+/// positioned at the next response.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::UnexpectedEof`] if the peer sends fewer bytes.
+fn read_exactly(reader: &mut impl Read, len: u64) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    reader.take(len).read_to_end(&mut bytes)?;
+    if (bytes.len() as u64) < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-body",
+        ));
+    }
+    Ok(bytes)
 }
 
 /// A tiny HTTP/1.1 client for `cqla serve` workers: every request
@@ -255,14 +258,8 @@ impl Client {
         let (status, head) = read_head(&mut reader)?;
         if status != 200 || !head_is_chunked(&head) {
             // Small framed body: error document or a non-streamed 200.
-            let mut whole = HttpResponse {
-                status,
-                head,
-                body: String::new(),
-            };
-            let tail = read_response_body(&mut reader, &whole.head)?;
-            whole.body = tail;
-            return Ok(whole);
+            let body = read_response_body(&mut reader, &head)?;
+            return Ok(HttpResponse { status, head, body });
         }
         while let Some(chunk) = read_chunk(&mut reader)? {
             on_chunk(&chunk);
@@ -285,14 +282,13 @@ fn read_response_body(reader: &mut impl BufRead, head: &str) -> io::Result<Strin
         }
         return Ok(out);
     }
-    let len: usize = head
+    let len: u64 = head
         .to_ascii_lowercase()
         .lines()
         .find_map(|l| l.strip_prefix("content-length: "))
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0);
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
+    let body = read_exactly(reader, len)?;
     String::from_utf8(body).map_err(|_| invalid("body is not UTF-8".to_owned()))
 }
 
@@ -340,6 +336,20 @@ mod tests {
         let garbled = "HTTP/2 200\r\n\r\n";
         let err = read_response(&mut Cursor::new(garbled)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn lying_lengths_are_errors_not_allocations() {
+        // Each declares about 20 GB and sends five bytes: the read must
+        // fail on the missing bytes, not abort allocating the claim.
+        let lying = [
+            "HTTP/1.1 200 OK\r\nContent-Length: 20000000000\r\n\r\nshort",
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4a817c800\r\nshort",
+        ];
+        for raw in lying {
+            let err = read_response(&mut Cursor::new(raw)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{raw:?}");
+        }
     }
 
     #[test]

@@ -547,7 +547,7 @@ mod tests {
                 assert_eq!(grid.id(), "sweep", "sweeps post to /v1/jobs/sweep");
                 for n in [1, 2, 3, 5, 8, 20] {
                     assert_units_cover(grid, n, |spec| {
-                        Sweep::parse_batch(spec).unwrap().grids()[0].points()
+                        Sweep::parse(spec).unwrap().grids()[0].points()
                     });
                     // Every shard body re-parses, on the worker, to
                     // exactly its slice of the sweep's design points.
@@ -556,7 +556,7 @@ mod tests {
                         offset,
                     };
                     for u in unit.split(n) {
-                        let reparsed = Sweep::parse_batch(u.grid.spec()).unwrap();
+                        let reparsed = Sweep::parse(u.grid.spec()).unwrap();
                         let slice = &sweep.points()[u.offset..u.offset + u.grid.len()];
                         assert_eq!(reparsed.points(), slice, "{name}: {}", u.grid.spec());
                     }

@@ -26,7 +26,7 @@
 //! self-checks, a panic) caches nothing and hands the key to a waiter.
 //!
 //! Jobs (`POST /v1/jobs/{id}` for grids, `POST /v1/jobs/sweep` for
-//! sweep batches) run on one background job runner: creation answers
+//! sweeps) run on one background job runner: creation answers
 //! immediately with a job id, `GET /v1/jobs/{jid}` polls progress, and
 //! `GET /v1/jobs/{jid}/stream?from=K` streams fragments — resumable
 //! after a dropped connection from any fragment offset, with no point
@@ -56,7 +56,7 @@ use cqla_core::experiments::{
 use cqla_core::Json;
 use cqla_ecc::memo::{Memo, Outcome};
 use cqla_sweep::frame::{self, DOCUMENT_EPILOGUE};
-use cqla_sweep::{DesignPoint, GridPoint, GridRun, PointCache, Sweep, SweepRun};
+use cqla_sweep::{GridPoint, GridRun, PointCache, Sweep, SweepRun};
 
 use crate::http::{self, read_request, ChunkedWriter, Request, RequestError, Response, Status};
 
@@ -801,7 +801,8 @@ fn stream_grid(
     // `None` once a write failed: the pool must finish either way, so
     // the failure is remembered rather than propagated.
     let writer = Mutex::new(Some(body));
-    let _run = GridRun::execute_streamed(grid, pool_threads, &cache, |index, point| {
+    let grids = std::slice::from_ref(grid);
+    let _run = GridRun::run(grids, pool_threads, Some(&cache), |index, point| {
         let mut writer = writer.lock().expect("stream writer lock");
         if let Some(body) = writer.as_mut() {
             if body
@@ -857,7 +858,7 @@ fn jobs_route(
         return Routed::JobStream { job, from };
     }
     match method {
-        // `sweep` is not a registry id, so the design-space batch
+        // `sweep` is not a registry id, so the design-space sweep
         // route can never shadow an experiment's grid jobs.
         "POST" if rest == "sweep" => {
             Routed::Full(jobs_create_sweep_endpoint(body, shared, pool_threads))
@@ -967,53 +968,45 @@ fn jobs_create_endpoint(
     };
     let prologue = frame::prologue(GridRun::head(id, grid.spec(), grid.len()));
     let spec = grid.spec().to_owned();
-    let id = id.to_owned();
     let plan = JobPlan {
         grids: vec![grid],
-        experiment: Box::new(move || find(&id).expect("grid experiment is registered")),
         cached: true,
         entry: GridRun::entry,
     };
     start_job(shared, pool_threads, spec, prologue, plan)
 }
 
-/// `POST /v1/jobs/sweep` — the body is a design-space batch: one
-/// sweep-spec expression per line (blank lines and `#` comments
-/// skipped), concatenated into one background job. This is the route
-/// the [`cqla_dist`] coordinator ships sweep shards over: every sweep is
-/// a list of grids, and each shard travels as one grid expression.
+/// `POST /v1/jobs/sweep` — the body is one sweep spec, as
+/// `POST /v1/sweep` takes it, run as a background job. This is the
+/// route the [`cqla_dist`] coordinator ships sweep shards over: every
+/// sweep is a list of grids, and each shard travels as one grid
+/// expression.
 fn jobs_create_sweep_endpoint(body: &[u8], shared: &Arc<Shared>, pool_threads: usize) -> Response {
-    let Ok(batch) = core::str::from_utf8(body) else {
-        return Response::error(Status::BadRequest, "sweep batch is not UTF-8", None);
-    };
-    let sweep = match Sweep::parse_batch(batch) {
+    let sweep = match parse_sweep(body) {
         Ok(sweep) => sweep,
-        Err(e) => {
-            return Response::error(
-                Status::BadRequest,
-                e.to_string(),
-                Some("POST one sweep-spec expression per line".to_owned()),
-            )
-        }
+        Err(response) => return response,
     };
     let prologue = frame::prologue(SweepRun::head(sweep.name(), sweep.len()));
     let spec = sweep.name().to_owned();
     let plan = JobPlan {
         grids: sweep.grids().to_vec(),
-        experiment: Box::new(|| Box::new(DesignPoint::paper_default())),
         cached: false,
         entry: SweepRun::entry,
     };
     start_job(shared, pool_threads, spec, prologue, plan)
 }
 
-/// What a job runs: its grids on the grid executor, each point from a
-/// fresh `experiment`, read through the results cache when `cached`
-/// (registry grids are; design-space sweeps are not), and appended to
-/// the job's log as the fragment of its `entry`.
+/// What a job runs: its grids on the grid executor, read through the
+/// results cache when `cached`, and appended to the job's log as the
+/// fragment of its `entry`.
+///
+/// Registry grids are cached; sweeps are not. The results cache keys a
+/// point by its *sorted* overrides, and a design point's overrides do
+/// not commute: `blocks=4,9 width=64` re-provisions both points to 9
+/// blocks while `width=64 blocks=4,9` keeps 4 and 9, yet both sort to
+/// one `(blocks, width)` key.
 struct JobPlan {
     grids: Vec<Grid>,
-    experiment: Box<dyn Fn() -> Box<dyn Experiment> + Send + Sync>,
     cached: bool,
     entry: fn(&GridPoint) -> Json,
 }
@@ -1042,7 +1035,7 @@ fn start_job(
         let jid = format!("j{}", table.next);
         let job = Arc::new(Job {
             id: jid.clone(),
-            artifact: (plan.experiment)().id().to_owned(),
+            artifact: plan.grids.first().map_or("", Grid::id).to_owned(),
             spec,
             total: plan.grids.iter().map(Grid::len).sum(),
             prologue,
@@ -1092,7 +1085,7 @@ fn run_job(shared: &Shared, job: &Job, plan: &JobPlan, pool_threads: usize) {
         id: &job.artifact,
     };
     let cache = plan.cached.then_some(&cache as &dyn PointCache);
-    let run = || GridRun::run(&plan.grids, pool_threads, &plan.experiment, cache, append);
+    let run = || GridRun::run(&plan.grids, pool_threads, cache, append);
     let passed = catch_unwind(AssertUnwindSafe(run)).map_or_else(
         |_| {
             eprintln!("cqla-serve: job {} panicked; marked failed", job.id);
@@ -1181,12 +1174,40 @@ fn canonical_key(id: &str, sorted_params: &[(String, String)]) -> String {
 /// (`cqla serve --workers …`) — distributed across the workers by the
 /// [`cqla_dist`] coordinator.
 fn sweep_endpoint(body: &[u8], shared: &Shared, pool_threads: usize) -> Response {
+    let sweep = match parse_sweep(body) {
+        Ok(sweep) => sweep,
+        Err(response) => return response,
+    };
+    if !shared.config.fleet.is_empty() {
+        let fleet = cqla_dist::FleetConfig::new(shared.config.fleet.clone());
+        let head = SweepRun::head(sweep.name(), sweep.len());
+        return match cqla_dist::run_grids(sweep.grids(), head, &fleet) {
+            Ok(run) => Response::ok(run.document().to_owned()),
+            Err(e) => Response::error(
+                Status::ServiceUnavailable,
+                format!("fleet sweep failed: {e}"),
+                Some("check the worker fleet and retry".to_owned()),
+            ),
+        };
+    }
+    let run = SweepRun::execute(&sweep, pool_threads);
+    Response::ok(format!("{}\n", run.to_json().to_pretty()))
+}
+
+/// Parses a sweep route's body — a builtin name or a key=values
+/// expression — mapping errors to the 400 the CLI's usage message
+/// mirrors.
+fn parse_sweep(body: &[u8]) -> Result<Sweep, Response> {
     let Ok(spec) = core::str::from_utf8(body) else {
-        return Response::error(Status::BadRequest, "sweep spec is not UTF-8", None);
+        return Err(Response::error(
+            Status::BadRequest,
+            "sweep spec is not UTF-8",
+            None,
+        ));
     };
     let spec = spec.trim();
     if spec.is_empty() {
-        return Response::error(
+        return Err(Response::error(
             Status::BadRequest,
             "empty sweep spec",
             Some(
@@ -1194,34 +1215,16 @@ fn sweep_endpoint(body: &[u8], shared: &Shared, pool_threads: usize) -> Response
                  `tech=current,projected width=64..=512:*2`"
                     .to_owned(),
             ),
-        );
+        ));
     }
-    match Sweep::parse(spec) {
-        Ok(sweep) => {
-            if !shared.config.fleet.is_empty() {
-                let fleet = cqla_dist::FleetConfig::new(shared.config.fleet.clone());
-                let head = SweepRun::head(sweep.name(), sweep.len());
-                return match cqla_dist::run_grids(sweep.grids(), head, &fleet) {
-                    Ok(run) => Response::ok(run.document().to_owned()),
-                    Err(e) => Response::error(
-                        Status::ServiceUnavailable,
-                        format!("fleet sweep failed: {e}"),
-                        Some("check the worker fleet and retry".to_owned()),
-                    ),
-                };
-            }
-            let run = SweepRun::execute(&sweep, pool_threads);
-            Response::ok(format!("{}\n", run.to_json().to_pretty()))
-        }
-        Err(e) => {
-            let builtins = Sweep::BUILTIN.map(|(name, _)| name).join(", ");
-            Response::error(
-                Status::BadRequest,
-                e.to_string(),
-                Some(format!("built-in specs: {builtins}")),
-            )
-        }
-    }
+    Sweep::parse(spec).map_err(|e| {
+        let builtins = Sweep::BUILTIN.map(|(name, _)| name).join(", ");
+        Response::error(
+            Status::BadRequest,
+            e.to_string(),
+            Some(format!("built-in specs: {builtins}")),
+        )
+    })
 }
 
 /// `POST /v1/compile` — the body is an asm IR program; query params
@@ -1335,7 +1338,8 @@ mod tests {
                 };
                 let head = GridRun::head(grid.id(), grid.spec(), grid.len());
                 let body = Mutex::new(frame::prologue(head));
-                let _run = GridRun::execute_streamed(&grid, 1, &cache, |index, point| {
+                let grids = std::slice::from_ref(&grid);
+                let _run = GridRun::run(grids, 1, Some(&cache), |index, point| {
                     body.lock()
                         .unwrap()
                         .push_str(&frame::fragment(index, &GridRun::entry(point)));
@@ -1553,7 +1557,6 @@ mod tests {
         let fig2 = find("fig2").unwrap();
         let plan = JobPlan {
             grids: vec![Grid::parse("fig2", &fig2.specs(), "bits=8,16").unwrap()],
-            experiment: Box::new(|| find("fig2").unwrap()),
             cached: false,
             // The second point's fragment blows up after the first landed.
             entry: |point| {
@@ -1713,42 +1716,52 @@ mod tests {
     fn sweep_jobs_stream_fragments_that_merge_byte_identically() {
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
         let shared = &server.shared;
-        // A batch: two lines whose concatenation is a 3-point sweep.
-        let batch = b"code=steane bits=32,64 xfer=5\ncode=bacon-shor bits=32 xfer=5\n";
-        let created = jobs_create_sweep_endpoint(batch, shared, 2);
-        assert_eq!(created.status, Status::Accepted, "{}", created.body);
-        let doc = cqla_core::json::parse(&created.body).unwrap();
-        assert_eq!(doc.get("artifact").and_then(Json::as_str), Some("sweep"));
-        assert_eq!(doc.get("points").and_then(Json::as_f64), Some(3.0));
-        let jid = doc.get("job").and_then(Json::as_str).unwrap().to_owned();
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let job = loop {
-            let job = find_job(shared, &jid).expect("job exists");
-            let doc = job_json(&job);
-            if doc.get("status").and_then(Json::as_str) == Some("done") {
-                assert_eq!(doc.get("passed"), Some(&Json::Bool(true)));
-                break job;
+        // A builtin, and a shard spec as the fleet coordinator posts it.
+        let shard = Sweep::builtin("table5").unwrap().grids()[0].shard(3)[1]
+            .spec()
+            .to_owned();
+        for spec in ["quick", shard.as_str()] {
+            let created = jobs_create_sweep_endpoint(spec.as_bytes(), shared, 2);
+            assert_eq!(created.status, Status::Accepted, "{}", created.body);
+            let doc = cqla_core::json::parse(&created.body).unwrap();
+            assert_eq!(doc.get("artifact").and_then(Json::as_str), Some("sweep"));
+            assert_eq!(doc.get("grid").and_then(Json::as_str), Some(spec));
+            let jid = doc.get("job").and_then(Json::as_str).unwrap().to_owned();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let job = loop {
+                let job = find_job(shared, &jid).expect("job exists");
+                let doc = job_json(&job);
+                if doc.get("status").and_then(Json::as_str) == Some("done") {
+                    assert_eq!(doc.get("passed"), Some(&Json::Bool(true)));
+                    break job;
+                }
+                assert!(Instant::now() < deadline, "sweep job never completed");
+                std::thread::sleep(Duration::from_millis(10));
+            };
+            // Prologue + fragments + epilogue == the `POST /v1/sweep`
+            // document for the same spec.
+            let state = job.state.lock().unwrap();
+            let mut glued = job.prologue.clone();
+            for fragment in &state.fragments {
+                glued.push_str(fragment);
             }
-            assert!(Instant::now() < deadline, "sweep job never completed");
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        // Prologue + fragments + epilogue == the engine's document.
-        let state = job.state.lock().unwrap();
-        let mut glued = job.prologue.clone();
-        for fragment in &state.fragments {
-            glued.push_str(fragment);
+            glued.push_str(DOCUMENT_EPILOGUE);
+            let direct = sweep_endpoint(spec.as_bytes(), shared, 1);
+            assert_eq!(glued, *direct.body, "{spec}: fragments must merge exactly");
         }
-        glued.push_str(DOCUMENT_EPILOGUE);
-        let sweep = Sweep::parse_batch(core::str::from_utf8(batch).unwrap()).unwrap();
-        let expected = format!("{}\n", SweepRun::execute(&sweep, 1).to_json().to_pretty());
-        assert_eq!(glued, expected, "sweep job fragments must merge exactly");
-        drop(state);
-        // Bad batches are 400 with the line's spec diagnostic.
-        let bad = jobs_create_sweep_endpoint(b"widht=64\n", shared, 1);
-        assert_eq!(bad.status, Status::BadRequest);
-        assert!(bad.body.contains("did you mean"), "{}", bad.body);
-        let empty = jobs_create_sweep_endpoint(b"  \n# nothing\n", shared, 1);
-        assert_eq!(empty.status, Status::BadRequest);
-        assert!(empty.body.contains("empty batch"), "{}", empty.body);
+        // Bad specs are 400 with the spec diagnostic; a body is one
+        // spec, so two lines that both set `code` are a duplicate.
+        for (body, needle) in [
+            (&b"widht=64\n"[..], "did you mean"),
+            (
+                b"code=steane bits=32\ncode=bacon-shor bits=64\n",
+                "duplicate parameter `code`",
+            ),
+            (b"  \n", "empty sweep spec"),
+        ] {
+            let bad = jobs_create_sweep_endpoint(body, shared, 1);
+            assert_eq!(bad.status, Status::BadRequest);
+            assert!(bad.body.contains(needle), "{}", bad.body);
+        }
     }
 }

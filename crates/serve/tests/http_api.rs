@@ -475,31 +475,41 @@ fn grid_responses_stream_chunked_and_concatenate_byte_identically() {
 #[test]
 fn jobs_run_in_the_background_and_streams_resume_from_any_offset() {
     let live = Live::start(2);
-    // A registry grid job streams the `POST /v1/sweep/{id}` document…
-    let (_, grid_doc) = post(live.addr, "/v1/sweep/fig2", "bits=8,16");
-    // …and a two-line sweep batch streams the `POST /v1/sweep` document
-    // for the same points, named after the batch text.
-    let batch = "code=steane bits=32 xfer=5\ncode=steane bits=64 xfer=5\n";
-    let (_, sweep_doc) = post(live.addr, "/v1/sweep", "code=steane bits=32,64 xfer=5");
-    let sweep_doc = sweep_doc.replacen(
-        r#""sweep": "code=steane bits=32,64 xfer=5""#,
-        r#""sweep": "code=steane bits=32 xfer=5\ncode=steane bits=64 xfer=5""#,
-        1,
-    );
-    assert!(sweep_doc.contains(r#"bits=32 xfer=5\ncode"#), "{sweep_doc}");
-    for (route, body, expected) in [
-        ("/v1/jobs/fig2", "bits=8,16", grid_doc),
-        ("/v1/jobs/sweep", batch, sweep_doc),
-    ] {
+    // A registry grid job streams the `POST /v1/sweep/{id}` document,
+    // and a sweep job the `POST /v1/sweep` document for its one spec:
+    // a builtin, or an expression whose newlines are plain whitespace.
+    let cases = [
+        ("/v1/jobs/fig2", "/v1/sweep/fig2", "bits=8,16"),
+        ("/v1/jobs/sweep", "/v1/sweep", "quick"),
+        (
+            "/v1/jobs/sweep",
+            "/v1/sweep",
+            "code=steane\nbits=32,64 xfer=5\n",
+        ),
+    ];
+    for (route, direct, body) in cases {
+        let (status, expected) = post(live.addr, direct, body);
+        assert_eq!(status, 200, "{direct}: {expected}");
+        let points = json::parse(&expected)
+            .unwrap()
+            .get("points")
+            .and_then(|v| v.as_f64())
+            .unwrap() as usize;
         let (status, created) = post(live.addr, route, body);
         assert_eq!(status, 202, "{route}: {created}");
         let doc = json::parse(&created).expect("job document is JSON");
         let jid = doc.get("job").and_then(|v| v.as_str()).unwrap().to_owned();
-        assert_eq!(doc.get("points").and_then(|v| v.as_f64()), Some(2.0));
+        assert_eq!(
+            doc.get("points").and_then(|v| v.as_f64()),
+            Some(points as f64)
+        );
         // Poll until done.
         let done = wait_for_job(live.addr, &jid);
         assert_eq!(done.get("status").and_then(|v| v.as_str()), Some("done"));
-        assert_eq!(done.get("done").and_then(|v| v.as_f64()), Some(2.0));
+        assert_eq!(
+            done.get("done").and_then(|v| v.as_f64()),
+            Some(points as f64)
+        );
         assert_eq!(done.get("passed"), Some(&json::Json::Bool(true)));
         // The full stream is byte-identical to the direct response.
         let (status, full) = get(live.addr, &format!("/v1/jobs/{jid}/stream"));
@@ -515,18 +525,25 @@ fn jobs_run_in_the_background_and_streams_resume_from_any_offset() {
         );
         assert!(tail.len() < full.len(), "resume skips delivered fragments");
         // from == total: only the epilogue remains.
-        let (status, epilogue) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from=2"));
+        let (status, epilogue) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from={points}"));
         assert_eq!(status, 200);
         assert_eq!(
             epilogue, "\n  ]\n}\n",
             "{route}: epilogue closes the document"
         );
         // Past the end is a 400; bad offsets are 400.
-        let (status, _) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from=3"));
+        let past = format!("/v1/jobs/{jid}/stream?from={}", points + 1);
+        let (status, _) = get(live.addr, &past);
         assert_eq!(status, 400);
         let (status, _) = get(live.addr, &format!("/v1/jobs/{jid}/stream?from=x"));
         assert_eq!(status, 400);
     }
+    // A body is one spec: two lines that both set `code` are a
+    // duplicate parameter, not a batch.
+    let batch = "code=steane bits=32 xfer=5\ncode=steane bits=64 xfer=5\n";
+    let (status, body) = post(live.addr, "/v1/jobs/sweep", batch);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("duplicate parameter `code`"), "{body}");
     // Unknown jobs are 404.
     let (status, _) = get(live.addr, "/v1/jobs/j999/stream");
     assert_eq!(status, 404);

@@ -1,10 +1,11 @@
 //! The sweep document: the legacy `{"sweep", "points", "results"}`
 //! rendering of a [`Sweep`], run on the grid executor.
 //!
-//! [`SweepRun::execute`] hands a sweep's grids to [`GridRun::run`] with
-//! [`DesignPoint`] as the experiment, so every design-space sweep fans
-//! out through the same pool call, evaluation context and streaming
-//! hook as a registry grid. What stays here is the renderer: the sweep
+//! [`SweepRun::execute`] hands a sweep's grids to [`GridRun::run`],
+//! which runs each point of a grid with id `sweep` on a fresh
+//! [`DesignPoint`], so every design-space sweep fans out through the
+//! same pool call, evaluation context and streaming hook as a registry
+//! grid. What stays here is the renderer: the sweep
 //! document's head and entries, its text table, and its timing
 //! document.
 //!
@@ -105,7 +106,7 @@ impl SweepRun {
             // job count): the timing document is the cross-PR perf
             // baseline, and a phantom thread count would mislead.
             threads: threads.clamp(1, sweep.len().max(1)),
-            run: GridRun::run(sweep.grids(), threads, new_point, None, |_, _| {}),
+            run: GridRun::run(sweep.grids(), threads, None, |_, _| {}),
         }
     }
 
@@ -228,11 +229,6 @@ impl SweepRun {
     }
 }
 
-/// The experiment every sweep point starts from, before its overrides.
-pub(crate) fn new_point() -> Box<dyn cqla_core::experiments::Experiment> {
-    Box::new(DesignPoint::paper_default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,7 +243,7 @@ mod tests {
     /// sees: each point's index and its entry in the sweep document.
     fn streamed(sweep: &Sweep, threads: usize) -> Vec<(usize, Json)> {
         let seen = Mutex::new(Vec::new());
-        let _ = GridRun::run(sweep.grids(), threads, new_point, None, |index, point| {
+        let _ = GridRun::run(sweep.grids(), threads, None, |index, point| {
             seen.lock().unwrap().push((index, SweepRun::entry(point)));
         });
         seen.into_inner().unwrap()
@@ -274,7 +270,7 @@ mod tests {
             let sweep = Sweep::builtin(name).unwrap();
             let misses = |threads| {
                 let ctx = EvalCtx::new();
-                let _ = GridRun::run_in(&ctx, sweep.grids(), threads, new_point, None, |_, _| {});
+                let _ = GridRun::run_in(&ctx, sweep.grids(), threads, None, |_, _| {});
                 ctx.counters().1
             };
             // Pinned: a table caching a fact another table already holds
@@ -283,6 +279,28 @@ mod tests {
             for threads in 2..=8 {
                 assert_eq!(misses(threads), pinned, "{name} threads {threads}");
             }
+        }
+    }
+
+    #[test]
+    fn grid_execute_runs_each_builtin_sweep_grid_like_sweep_run() {
+        // A sweep grid's id, `sweep`, names the design point, so the
+        // registry-grid entry point runs it too.
+        for (name, _) in Sweep::BUILTIN {
+            let sweep = Sweep::builtin(name).unwrap();
+            let whole = SweepRun::execute(&sweep, 2);
+            let mut offset = 0;
+            for grid in sweep.grids() {
+                let run = GridRun::execute(grid, 2);
+                let entries: Vec<Json> = run.points().iter().map(SweepRun::entry).collect();
+                let expected: Vec<Json> = whole.results()[offset..offset + grid.len()]
+                    .iter()
+                    .map(SweepRun::entry)
+                    .collect();
+                assert_eq!(entries, expected, "{name}: {}", grid.spec());
+                offset += grid.len();
+            }
+            assert_eq!(offset, whole.results().len(), "{name}");
         }
     }
 

@@ -4,11 +4,12 @@
 //! A [`Grid`] (parsed by [`cqla_core::experiments::grid`] against an
 //! experiment's declared parameters) expands to a deterministic list of
 //! parameter assignments. [`GridRun::run`] is the one code path that fans
-//! grid points out to the pool. It takes a slice of grids and the
-//! [`Experiment`] every point instantiates — a registry entry, or the
-//! sweep's [`crate::DesignPoint`] — and runs all their points on one
-//! [`EvalCtx`], each on a fresh instance with the point's overrides
-//! applied, optionally read through a [`PointCache`].
+//! grid points out to the pool. It takes a slice of grids and runs all
+//! their points on one [`EvalCtx`], each on a fresh instance of the
+//! experiment its grid names, with the point's overrides applied,
+//! optionally read through a [`PointCache`]. A grid's id names that
+//! experiment: a registry id, or `sweep` for a design-space grid, whose
+//! points are [`crate::DesignPoint`]s.
 //!
 //! Two renderers read the same points, each with its own head and
 //! entry function over the shared [`crate::frame`]. The grid document
@@ -39,7 +40,7 @@ use cqla_core::experiments::{find, Experiment, ExperimentOutput, Grid};
 use cqla_core::json::Json;
 use cqla_core::EvalCtx;
 
-use crate::{frame, pool};
+use crate::{frame, pool, DesignPoint};
 
 /// One executed grid point.
 #[derive(Debug, Clone)]
@@ -75,6 +76,12 @@ pub struct GridPoint {
 /// `Some` bodies (the body format does not record the verdict, so a
 /// cached point is reported as passed). An implementation may coalesce
 /// concurrent calls on one point onto a single `compute`.
+///
+/// `overrides` arrive in clause order. A key built from them *sorted*
+/// is sound only for experiments whose overrides commute: a design
+/// point's do not (`blocks=4,9 width=64` re-provisions both points to
+/// 9 blocks, `width=64 blocks=4,9` keeps 4 and 9, and both sort to one
+/// `(blocks, width)` key), so sweep grids run uncached.
 pub trait PointCache: Sync {
     /// The cached body for these overrides, or the one `compute`
     /// produces — `None` when it produced none.
@@ -94,7 +101,7 @@ pub struct GridRun {
 }
 
 impl GridRun {
-    /// Executes every point of a registry grid on `threads` workers.
+    /// Executes every point of a grid on `threads` workers.
     ///
     /// # Examples
     ///
@@ -111,53 +118,19 @@ impl GridRun {
     ///
     /// # Panics
     ///
-    /// Panics if the grid names an experiment the registry no longer
-    /// has, or a value `Experiment::set` rejects — both impossible for
-    /// grids produced by [`Grid::parse`], which validates id and values
-    /// against the same registry surface (the completeness test in
-    /// `tests/registry.rs` pins that contract).
+    /// As [`GridRun::run`].
     #[must_use]
     pub fn execute(grid: &Grid, threads: usize) -> Self {
-        Self::run(
-            std::slice::from_ref(grid),
-            threads,
-            registry_entry(grid.id()),
-            None,
-            |_, _| {},
-        )
-    }
-
-    /// Executes a registry grid, reading each point through `cache`
-    /// (populating it on misses) and handing each point to `on_point`
-    /// as [`GridRun::run`] does — the HTTP service's streamed grid
-    /// responses.
-    ///
-    /// # Panics
-    ///
-    /// As [`GridRun::execute`].
-    #[must_use]
-    pub fn execute_streamed(
-        grid: &Grid,
-        threads: usize,
-        cache: &dyn PointCache,
-        on_point: impl Fn(usize, &GridPoint) + Sync,
-    ) -> Self {
-        Self::run(
-            std::slice::from_ref(grid),
-            threads,
-            registry_entry(grid.id()),
-            Some(cache),
-            on_point,
-        )
+        Self::run(std::slice::from_ref(grid), threads, None, |_, _| {})
     }
 
     /// The grid executor: runs every point of `grids`, in order, on
     /// `threads` workers and one shared [`EvalCtx`]. Each point runs on
-    /// a fresh `experiment()` with the point's overrides applied, read
-    /// through `cache` when there is one. `on_point` sees each point in
-    /// submission order, as [`pool::map_streamed`] delivers; a blocking
-    /// `on_point` (a slow client's socket) stalls delivery, not
-    /// correctness.
+    /// a fresh instance of the experiment its grid's id names, with the
+    /// point's overrides applied, read through `cache` when there is
+    /// one. `on_point` sees each point in submission order, as
+    /// [`pool::map_streamed`] delivers; a blocking `on_point` (a slow
+    /// client's socket) stalls delivery, not correctness.
     ///
     /// A one-grid run's id and spec are its grid's; a multi-grid run
     /// (a [`crate::Sweep`]) takes the first grid's id and one spec line
@@ -165,19 +138,21 @@ impl GridRun {
     ///
     /// # Panics
     ///
-    /// Panics if `experiment().set` rejects a grid value — impossible
-    /// when the grids were parsed against that experiment's specs.
+    /// Panics if a grid names an experiment the registry no longer has,
+    /// or a value `Experiment::set` rejects — both impossible for grids
+    /// produced by [`Grid::parse`], which validates id and values
+    /// against the same surface (the completeness test in
+    /// `tests/registry.rs` pins that contract).
     #[must_use]
     pub fn run(
         grids: &[Grid],
         threads: usize,
-        experiment: impl Fn() -> Box<dyn Experiment> + Sync,
         cache: Option<&dyn PointCache>,
         on_point: impl Fn(usize, &GridPoint) + Sync,
     ) -> Self {
         // One evaluation context for the whole run: neighboring points
         // share most memo keys, each computed once across the workers.
-        Self::run_in(&EvalCtx::new(), grids, threads, experiment, cache, on_point)
+        Self::run_in(&EvalCtx::new(), grids, threads, cache, on_point)
     }
 
     /// [`GridRun::run`] on a caller's context.
@@ -185,15 +160,17 @@ impl GridRun {
         ctx: &EvalCtx,
         grids: &[Grid],
         threads: usize,
-        experiment: impl Fn() -> Box<dyn Experiment> + Sync,
         cache: Option<&dyn PointCache>,
         on_point: impl Fn(usize, &GridPoint) + Sync,
     ) -> Self {
-        let overrides: Vec<_> = grids.iter().flat_map(Grid::points).collect();
+        let points: Vec<_> = grids
+            .iter()
+            .flat_map(|grid| grid.points().into_iter().map(|o| (grid.id(), o)))
+            .collect();
         let points = pool::map_streamed(
-            &overrides,
+            &points,
             threads,
-            |_, overrides| run_point(experiment(), overrides, cache, ctx),
+            |_, (id, overrides)| run_point(experiment(id), overrides, cache, ctx),
             on_point,
         )
         .into_iter()
@@ -306,9 +283,16 @@ impl GridRun {
     }
 }
 
-/// The registry entry a grid of `id` instantiates per point.
-fn registry_entry(id: &str) -> impl Fn() -> Box<dyn Experiment> + Sync + '_ {
-    move || find(id).expect("grid experiment is registered")
+/// The experiment a point of a grid with this id runs: a design point
+/// for a sweep grid (checked first, so sweep points never build the
+/// registry), else the registry entry.
+fn experiment(id: &str) -> Box<dyn Experiment> {
+    let point = DesignPoint::paper_default();
+    if id == point.id() {
+        Box::new(point)
+    } else {
+        find(id).expect("grid experiment is registered")
+    }
 }
 
 /// Executes one grid point: apply the overrides to a fresh experiment
@@ -385,13 +369,9 @@ mod tests {
     /// each point's index and its entry in the document.
     fn stream(g: &Grid, threads: usize) -> (GridRun, Vec<(usize, Json)>) {
         let seen = Mutex::new(Vec::new());
-        let run = GridRun::run(
-            std::slice::from_ref(g),
-            threads,
-            registry_entry(g.id()),
-            None,
-            |index, point| seen.lock().unwrap().push((index, GridRun::entry(point))),
-        );
+        let run = GridRun::run(std::slice::from_ref(g), threads, None, |index, point| {
+            seen.lock().unwrap().push((index, GridRun::entry(point)));
+        });
         (run, seen.into_inner().unwrap())
     }
 
@@ -490,7 +470,8 @@ mod tests {
         }
         let cache = MapCache(Mutex::new(std::collections::HashMap::new()));
         let g = grid("fig2", "bits=8,16");
-        let cold = GridRun::execute_streamed(&g, 2, &cache, |_, _| {});
+        let run = || GridRun::run(std::slice::from_ref(&g), 2, Some(&cache), |_, _| {});
+        let cold = run();
         assert_eq!(cache.0.lock().unwrap().len(), 2, "one entry per point");
         // Every cached body is the exact single-run document.
         for point in cold.points() {
@@ -502,7 +483,7 @@ mod tests {
             assert_eq!(cache.get(&point.overrides).as_deref(), Some(&*expected));
         }
         // A warm run produces the same merged document without text.
-        let warm = GridRun::execute_streamed(&g, 2, &cache, |_, _| {});
+        let warm = run();
         assert_eq!(warm.to_json().to_pretty(), cold.to_json().to_pretty());
         assert!(warm.points().iter().all(|p| p.text.is_empty()));
     }

@@ -19,18 +19,19 @@
 //!   epilogue whose concatenation is byte-identical to the merged form;
 //! * one executor on top: [`grid`]'s [`GridRun::run`] runs a slice of
 //!   grids on one pool call and one evaluation context, each point a
-//!   fresh [`cqla_core::experiments::Experiment`] — a registry entry for
-//!   a parameter grid (`cqla run fig2 bits=32..=128:*2`), a
-//!   [`DesignPoint`] for a design-space [`Sweep`] — optionally read
-//!   through a [`PointCache`] (the HTTP service's results cache);
+//!   fresh instance of the experiment its grid's id names — a registry
+//!   entry for a parameter grid (`cqla run fig2 bits=32..=128:*2`), a
+//!   [`DesignPoint`] for a grid of a design-space [`Sweep`] (id
+//!   `sweep`) — optionally read through a [`PointCache`] (the HTTP
+//!   service's results cache);
 //! * two renderers over the points it returns, each a head and an entry
 //!   function: the grid document ([`GridRun::head`], [`GridRun::entry`])
 //!   and the sweep document ([`engine`]'s [`SweepRun::head`],
 //!   [`SweepRun::entry`]), plus the sweep's text table and timing
 //!   document;
-//! * [`spec`] and [`parse`] — [`Sweep`] descriptions and the sweep-spec
-//!   language (`"tech=current,projected width=64..=512:*2 xfer=5,10"`):
-//!   seven design-space keys parsed by the registry grammar,
+//! * [`spec`] — [`Sweep`] descriptions and the sweep-spec language
+//!   (`"tech=current,projected width=64..=512:*2 xfer=5,10"`): seven
+//!   design-space keys parsed by the registry grammar,
 //!   `cqla_core::experiments::Grid::parse`, so a sweep is a list of
 //!   grids and ships to a worker fleet as grid expressions;
 //! * [`regress`] — the perf regression gate behind `cqla bench-diff`.
@@ -65,7 +66,6 @@
 pub mod engine;
 pub mod frame;
 pub mod grid;
-pub mod parse;
 pub mod pool;
 pub mod regress;
 pub mod spec;
@@ -74,6 +74,5 @@ pub use cqla_core::json;
 pub use cqla_core::json::{Json, ToJson};
 pub use engine::{PointOutcome, SweepRun};
 pub use grid::{GridPoint, GridRun, PointCache};
-pub use parse::SpecError;
 pub use regress::{BenchDiff, BenchDoc, DocError};
-pub use spec::{DesignPoint, Sweep, TechPoint};
+pub use spec::{DesignPoint, SpecError, Sweep, TechPoint};

@@ -1,20 +1,63 @@
 //! Sweep descriptions: value-set grids over the CQLA design space.
 //!
-//! A [`Sweep`] is a list of [`Grid`]s parsed against the design-space
-//! surface (the [`Experiment::specs`] of [`DesignPoint::paper_default`])
-//! and the [`DesignPoint`]s they expand to — fully specified
+//! A [`Sweep`] is a name and a list of [`Grid`]s parsed against the
+//! design-space surface (the [`Experiment::specs`] of
+//! [`DesignPoint::paper_default`]); its points are fully specified
 //! architecture evaluations. The paper's own grids (Table 4's
 //! size×blocks sweep, Table 5's code×transfer×size cube) and the
 //! multi-technology grids beyond them are built-in specs written in that
 //! same grammar.
+//!
+//! # The sweep-spec expression language
+//!
+//! A spec is a whitespace-separated list of `key=values` clauses over
+//! the paper's default design point, parsed by the registry grammar
+//! ([`Grid::parse`]) against the seven design-space keys a
+//! [`DesignPoint`] declares as an [`Experiment`]:
+//!
+//! ```text
+//! tech=current,projected code=bacon-shor width=64..=512:*2 cache=0.25,0.5 xfer=5,10
+//! ```
+//!
+//! | key      | sets                                   | values |
+//! |----------|----------------------------------------|--------|
+//! | `tech`   | technology preset                      | `current`, `projected` |
+//! | `code`   | error-correcting code                  | `steane`, `bacon-shor` |
+//! | `width`  | adder bits, Table 4 block provisioning | integers or ranges |
+//! | `bits`   | adder bits, block count untouched      | integers or ranges |
+//! | `blocks` | compute blocks                         | integers or ranges |
+//! | `xfer`   | parallel transfers (enables hierarchy) | integers or ranges |
+//! | `cache`  | cache ratio (× compute-region qubits)  | decimals |
+//!
+//! Integer values are comma lists (`64,128`) or inclusive ranges with an
+//! optional step: `64..=512:*2` doubles (64, 128, 256, 512) and
+//! `4..=10:+3` counts up (4, 7, 10); a bare `a..=b` steps by one. Later
+//! clauses vary fastest, exactly like nested `for` loops, and each
+//! point's overrides apply in clause order through [`Experiment::set`]:
+//! `width=64 blocks=4,9` keeps the explicit block counts, while
+//! `blocks=4,9 width=64` re-provisions both points with 64 bits'
+//! primary blocks.
+//!
+//! A clause `base.<key>=v` pins one value on every point instead of
+//! adding an axis: `base.xfer=10 code=steane,bacon-shor width=64..=512:*2`
+//! runs the code×width grid with every point on ten transfer channels.
+//!
+//! Errors are *spanned*: [`SpecError`] carries the byte range of the
+//! offending token and renders a caret underline, so a typo in a long
+//! spec is pinpointed rather than guessed at.
+
+use std::sync::OnceLock;
 
 use cqla_core::experiments::{
-    parse_bits, parse_code, parse_positive, parse_ratio, parse_tech, primary_blocks, unknown_key,
-    Domain, Experiment, ExperimentOutput, Grid, Param, ParamError, TABLE5_PAR_XFER, TABLE5_SIZES,
+    parse_bits, parse_code, parse_positive, parse_ratio, parse_tech, primary_blocks, suggest,
+    unknown_key, Domain, Experiment, ExperimentOutput, Grid, Param, ParamError, TABLE5_PAR_XFER,
+    TABLE5_SIZES,
 };
 use cqla_core::json::{Json, ToJson};
 use cqla_core::{EvalCtx, TABLE4_GRID};
 use cqla_ecc::Code;
+
+pub use cqla_core::experiments::grid::SpecError;
 pub use cqla_iontrap::TechPoint;
 
 use crate::engine::PointOutcome;
@@ -82,10 +125,11 @@ impl DesignPoint {
 }
 
 /// A design point is the experiment every sweep point runs: its
-/// parameters are the seven keys of the sweep-spec grammar (see
-/// [`crate::parse`]), and a run prices the point with [`PointOutcome`].
-/// It is not a registry entry: `cqla sweep` reaches it through
-/// [`Sweep`], never by id.
+/// parameters are the seven keys of the sweep-spec grammar (see the
+/// [module docs](self)), and a run prices the point with
+/// [`PointOutcome`]. It is not a registry entry: `cqla sweep` reaches
+/// it through [`Sweep`], and the grid executor through a grid whose id
+/// is `sweep`.
 impl Experiment for DesignPoint {
     fn id(&self) -> &'static str {
         "sweep"
@@ -158,36 +202,22 @@ impl ToJson for DesignPoint {
     }
 }
 
-/// A named experiment sweep: the grids it was written as and the job
-/// list the engine executes.
-#[derive(Debug, Clone, PartialEq)]
+/// A named experiment sweep: the grids it was written as. The grid
+/// executor runs the grids; [`Sweep::points`] expands them into design
+/// points only for callers that read them.
+#[derive(Debug, Clone)]
 pub struct Sweep {
     name: String,
     grids: Vec<Grid>,
-    points: Vec<DesignPoint>,
+    points: OnceLock<Vec<DesignPoint>>,
 }
 
 impl Sweep {
-    /// Expands `grids`, in order, over the paper-default design point:
-    /// each grid point's overrides apply in clause order.
-    pub(crate) fn from_grids(name: impl Into<String>, grids: Vec<Grid>) -> Self {
-        let points = grids
-            .iter()
-            .flat_map(Grid::points)
-            .map(|overrides| {
-                let mut point = DesignPoint::paper_default();
-                for (key, value) in &overrides {
-                    point
-                        .set(key, value)
-                        .expect("grid values validate through the same domains as `set`");
-                }
-                point
-            })
-            .collect();
+    fn from_grids(name: impl Into<String>, grids: Vec<Grid>) -> Self {
         Self {
             name: name.into(),
             grids,
-            points,
+            points: OnceLock::new(),
         }
     }
 
@@ -205,22 +235,38 @@ impl Sweep {
         &self.grids
     }
 
-    /// The design points in execution (submission) order.
+    /// The design points in execution (submission) order: each grid
+    /// point's overrides applied, in clause order, to the paper-default
+    /// design point. Expanded on the first call.
     #[must_use]
     pub fn points(&self) -> &[DesignPoint] {
-        &self.points
+        self.points.get_or_init(|| {
+            self.grids
+                .iter()
+                .flat_map(Grid::points)
+                .map(|overrides| {
+                    let mut point = DesignPoint::paper_default();
+                    for (key, value) in &overrides {
+                        point
+                            .set(key, value)
+                            .expect("grid values validate through the same domains as `set`");
+                    }
+                    point
+                })
+                .collect()
+        })
     }
 
     /// Number of design points.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.grids.iter().map(Grid::len).sum()
     }
 
     /// Whether the sweep has no points.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.len() == 0
     }
 
     /// The built-in sweep specs `cqla sweep <spec>` accepts, with a
@@ -249,7 +295,9 @@ impl Sweep {
     ];
 
     /// Parses a spec: a built-in name (`grid`, `quick`, …) or a
-    /// `key=values` expression (see [`crate::parse`] for the grammar).
+    /// `key=values` expression (see the [module docs](self) for the
+    /// grammar), which names the one-grid sweep it parses to by its
+    /// trimmed text.
     ///
     /// ```
     /// use cqla_sweep::Sweep;
@@ -261,69 +309,36 @@ impl Sweep {
     ///
     /// # Errors
     ///
-    /// A spanned [`crate::SpecError`] when the text is neither.
-    pub fn parse(spec: &str) -> Result<Self, crate::SpecError> {
-        match Self::builtin(spec.trim()) {
-            Some(sweep) => Ok(sweep),
-            None => crate::parse::parse(spec),
+    /// A [`SpecError`] pointing at the offending token: an empty spec,
+    /// unknown or duplicate keys (with did-you-mean suggestions,
+    /// including a built-in spec name typed as a bare word),
+    /// unparseable values, degenerate ranges, multi-value `base.`
+    /// clauses, or a grid past the grammar's point cap.
+    pub fn parse(spec: &str) -> Result<Self, SpecError> {
+        let name = spec.trim();
+        if let Some(sweep) = Self::builtin(name) {
+            return Ok(sweep);
         }
-    }
-
-    /// Parses a *batch*: one spec per line (builtin names or
-    /// expressions; blank lines and `#` comments skipped), concatenating
-    /// every line's grids and points in line order into one sweep named
-    /// by the trimmed batch text. A coordinator ships a sweep shard as
-    /// one grid expression (a [`Grid::shard`] `spec()`) in this format.
-    ///
-    /// ```
-    /// use cqla_sweep::Sweep;
-    ///
-    /// let batch = Sweep::parse_batch("code=steane bits=32\ncode=steane bits=64\n").unwrap();
-    /// assert_eq!(batch.len(), 2);
-    /// assert_eq!(batch.grids().len(), 2);
-    /// assert_eq!(batch.points()[1].input_bits, 64);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// A spanned [`crate::SpecError`] from the first offending line, an
-    /// empty batch, or a total past [`crate::parse::MAX_POINTS`].
-    pub fn parse_batch(input: &str) -> Result<Self, crate::SpecError> {
-        let lines: Vec<&str> = input
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .collect();
-        if lines.is_empty() {
-            return Err(crate::SpecError::new(
-                input,
-                (0, input.len()),
-                "empty batch; expected one spec per line",
+        if name.is_empty() {
+            return Err(SpecError::new(
+                spec,
+                (0, spec.len()),
+                "empty spec; expected key=values clauses (e.g. `tech=projected width=64,128`)",
             ));
         }
-        let mut grids = Vec::new();
-        let mut points = Vec::new();
-        for line in &lines {
-            let sweep = Self::parse(line)?;
-            if points.len() + sweep.len() > crate::parse::MAX_POINTS {
-                return Err(crate::SpecError::new(
-                    line,
-                    (0, line.len()),
-                    format!(
-                        "batch expands past {} points; the cap is {}",
-                        points.len() + sweep.len(),
-                        crate::parse::MAX_POINTS
-                    ),
-                ));
+        let grid = design_grid(spec).map_err(|mut e| {
+            // A bare word is more likely a mistyped builtin than a clause.
+            if e.message.starts_with("expected a `key=values` clause") {
+                let word = &spec[e.span.0..e.span.1];
+                if let Some(b) = suggest(word, Self::BUILTIN.map(|(name, _)| name)) {
+                    e.message = format!(
+                        "expected a `key=values` clause (or did you mean the built-in spec `{b}`?)"
+                    );
+                }
             }
-            grids.extend(sweep.grids);
-            points.extend(sweep.points);
-        }
-        Ok(Self {
-            name: input.trim().to_owned(),
-            grids,
-            points,
-        })
+            e
+        })?;
+        Ok(Self::from_grids(name, vec![grid]))
     }
 
     /// Resolves a built-in spec by name.
@@ -362,13 +377,20 @@ impl Sweep {
             )],
             _ => return None,
         };
-        let specs = DesignPoint::paper_default().specs();
         let grids = exprs
             .iter()
-            .map(|expr| Grid::parse("sweep", &specs, expr).expect("built-in specs parse"))
+            .map(|expr| design_grid(expr).expect("built-in specs parse"))
             .collect();
         Some(Self::from_grids(name, grids))
     }
+}
+
+/// Parses a grid expression over the design-space surface. The grid
+/// carries the design point's id, `sweep`, which is how the grid
+/// executor knows to run each point on a [`DesignPoint`].
+fn design_grid(expr: &str) -> Result<Grid, SpecError> {
+    let point = DesignPoint::paper_default();
+    Grid::parse(point.id(), &point.specs(), expr)
 }
 
 #[cfg(test)]
@@ -448,24 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_batch_concatenates_lines_in_order() {
-        let batch =
-            Sweep::parse_batch("# shard 3 of 4\nquick\n\ncode=steane bits=32,64\n").unwrap();
-        let quick = Sweep::builtin("quick").unwrap();
-        assert_eq!(batch.len(), quick.len() + 2);
-        assert_eq!(&batch.points()[..quick.len()], quick.points());
-        assert_eq!(batch.points()[quick.len()].input_bits, 32);
-        // Errors point at the offending line; an empty batch is rejected.
-        let err = Sweep::parse_batch("quick\ntech=currant\n").unwrap_err();
-        assert!(err.message.contains("unknown technology"), "{err}");
-        assert_eq!(batch.grids().len(), quick.grids().len() + 1);
-        assert!(Sweep::parse_batch("  \n# only comments\n")
-            .unwrap_err()
-            .message
-            .contains("empty batch"));
-    }
-
-    #[test]
     fn tech_point_labels_round_trip() {
         for t in TechPoint::ALL {
             assert_eq!(TechPoint::parse(t.label()), Some(t));
@@ -480,5 +484,195 @@ mod tests {
         let label = p.label();
         assert!(label.contains("projected") && label.contains("64b"));
         assert!(label.contains("/x10"));
+    }
+
+    /// The sweep-spec parser under test.
+    fn parse(spec: &str) -> Result<Sweep, SpecError> {
+        Sweep::parse(spec)
+    }
+
+    #[test]
+    fn issue_headline_spec_parses() {
+        let sweep = parse(
+            "tech=current,projected code=bacon-shor width=64..=512:*2 cache=0.25,0.5 xfer=5,10",
+        )
+        .unwrap();
+        // 2 techs x 1 code x 4 widths x 2 ratios x 2 budgets.
+        assert_eq!(sweep.len(), 2 * 4 * 2 * 2);
+        assert!(sweep.points().iter().all(|p| p.par_xfer.is_some()));
+    }
+
+    #[test]
+    fn grid_spec_string_matches_the_builtin_grid() {
+        let expr =
+            parse("tech=current,projected code=steane,bacon-shor width=32..=1024:*2 xfer=10")
+                .unwrap();
+        let builtin = Sweep::builtin("grid").unwrap();
+        assert_eq!(expr.points(), builtin.points());
+    }
+
+    #[test]
+    fn base_xfer_matches_the_axis_spelling_of_the_builtin_grid() {
+        // `base.xfer=10` moves the base point; a one-value `xfer=10` axis
+        // appends the same field. The grids coincide.
+        let via_base =
+            parse("base.xfer=10 tech=current,projected code=steane,bacon-shor width=32..=1024:*2")
+                .unwrap();
+        let builtin = Sweep::builtin("grid").unwrap();
+        assert_eq!(via_base.points(), builtin.points());
+    }
+
+    #[test]
+    fn base_clauses_shift_every_point() {
+        let sweep = parse("base.tech=current base.cache=1.5 blocks=4,9").unwrap();
+        assert_eq!(sweep.len(), 2);
+        for p in sweep.points() {
+            assert_eq!(p.tech, TechPoint::Current);
+            assert!((p.cache_factor - 1.5).abs() < 1e-12);
+        }
+        // base.width couples the primary block count, like the axis.
+        let sweep = parse("base.width=256 code=steane,bacon-shor").unwrap();
+        for p in sweep.points() {
+            assert_eq!((p.input_bits, p.blocks), (256, 36));
+        }
+    }
+
+    #[test]
+    fn base_misuse_is_rejected() {
+        let err = parse("base.tech=current,projected").unwrap_err();
+        assert!(err.message.contains("pins exactly one value"), "{err}");
+        let err = parse("base.widht=64").unwrap_err();
+        assert!(err.message.contains("did you mean `width`?"), "{err}");
+        let err = parse("base.tech=current tech=projected").unwrap_err();
+        assert!(err.message.contains("duplicate parameter `tech`"), "{err}");
+    }
+
+    #[test]
+    fn quick_spec_string_matches_the_builtin_quick() {
+        let expr = parse("tech=current,projected code=steane,bacon-shor width=32,64").unwrap();
+        let builtin = Sweep::builtin("quick").unwrap();
+        assert_eq!(expr.points(), builtin.points());
+    }
+
+    #[test]
+    fn cache_spec_string_matches_the_builtin_cache() {
+        let expr = parse("cache=1,1.5,2 code=steane,bacon-shor width=64,128,256 xfer=10").unwrap();
+        let builtin = Sweep::builtin("cache").unwrap();
+        assert_eq!(expr.points(), builtin.points());
+    }
+
+    #[test]
+    fn geometric_and_arithmetic_ranges_expand() {
+        let sweep = parse("bits=64..=512:*2").unwrap();
+        let bits: Vec<u32> = sweep.points().iter().map(|p| p.input_bits).collect();
+        assert_eq!(bits, [64, 128, 256, 512]);
+        let sweep = parse("blocks=4..=10:+3").unwrap();
+        let blocks: Vec<u32> = sweep.points().iter().map(|p| p.blocks).collect();
+        assert_eq!(blocks, [4, 7, 10]);
+        let sweep = parse("blocks=4..=6").unwrap();
+        assert_eq!(sweep.len(), 3);
+    }
+
+    #[test]
+    fn clause_order_is_axis_order() {
+        let a = parse("code=steane,bacon-shor bits=32,64").unwrap();
+        let b = parse("bits=32,64 code=steane,bacon-shor").unwrap();
+        assert_eq!(a.len(), b.len());
+        assert_ne!(a.points(), b.points(), "order encodes loop nesting");
+        assert_eq!(a.points()[1].input_bits, 64, "later clauses vary fastest");
+        // Overrides apply in clause order: `width` re-provisions blocks.
+        let explicit = parse("width=64 blocks=4,9").unwrap();
+        let blocks: Vec<u32> = explicit.points().iter().map(|p| p.blocks).collect();
+        assert_eq!(blocks, [4, 9]);
+        let provisioned = parse("blocks=4,9 width=64").unwrap();
+        assert!(provisioned.points().iter().all(|p| p.blocks == 9));
+    }
+
+    #[test]
+    fn unknown_key_error_is_spanned_and_suggests() {
+        let err = parse("tech=current widht=64").unwrap_err();
+        assert_eq!(err.span, (13, 18));
+        assert!(err.message.contains("did you mean `width`?"), "{err}");
+        let shown = err.to_string();
+        assert!(shown.contains("widht=64"));
+        assert!(shown.contains("^^^^^"), "caret underline:\n{shown}");
+    }
+
+    #[test]
+    fn bad_value_errors_point_at_the_value() {
+        let err = parse("tech=currant").unwrap_err();
+        assert_eq!(err.span, (5, 12));
+        assert!(err.message.contains("currant"));
+        let err = parse("width=64,,128").unwrap_err();
+        assert!(err.message.contains("empty value"));
+        let err = parse("cache=-1").unwrap_err();
+        assert!(err.message.contains("positive decimal"));
+        let err = parse("xfer=0").unwrap_err();
+        assert!(err.message.contains("expected an integer in 1..="));
+    }
+
+    #[test]
+    fn range_misuse_is_rejected() {
+        assert!(parse("width=512..=64")
+            .unwrap_err()
+            .message
+            .contains("empty range"));
+        assert!(parse("width=64..128")
+            .unwrap_err()
+            .message
+            .contains("inclusive"));
+        assert!(parse("width=64..=512:*1")
+            .unwrap_err()
+            .message
+            .contains(">= 2"));
+        assert!(parse("width=64..=512:/2")
+            .unwrap_err()
+            .message
+            .contains("bad step"));
+    }
+
+    #[test]
+    fn duplicate_and_bare_words_are_rejected() {
+        let err = parse("tech=current tech=projected").unwrap_err();
+        assert!(err.message.contains("duplicate parameter `tech`"));
+        let err = parse("gird").unwrap_err();
+        assert!(
+            err.message
+                .contains("did you mean the built-in spec `grid`?"),
+            "{err}"
+        );
+        assert!(parse("   ").unwrap_err().message.contains("empty spec"));
+    }
+
+    #[test]
+    fn point_explosion_is_capped() {
+        let err = parse("bits=1..=200 blocks=1..=200 xfer=1..=10").unwrap_err();
+        assert!(err.message.contains("cap is 10000"), "{}", err.message);
+    }
+
+    #[test]
+    fn point_count_overflow_is_capped_not_wrapped() {
+        // Four maxed-out axes — 2^12 adder widths twice, 2^20 counts
+        // twice — are 2^64 points: an unchecked usize product would wrap
+        // (to 0 on 64-bit) and slip under the cap.
+        let err =
+            parse("width=1..=4096 bits=1..=4096 blocks=1..=1048576 xfer=1..=1048576").unwrap_err();
+        assert!(err.message.contains("cap is 10000"), "{}", err.message);
+    }
+
+    #[test]
+    fn render_round_trips_every_axis_kind() {
+        let sweep = parse(
+            "base.xfer=5 tech=current,projected code=bacon-shor width=32..=64:*2 bits=5 \
+             blocks=4,9 cache=0.25,1.5",
+        )
+        .unwrap();
+        let rendered = sweep.grids()[0].render();
+        assert_eq!(
+            rendered,
+            "base.xfer=5 tech=current,projected code=bacon-shor width=32,64 bits=5 \
+             blocks=4,9 cache=0.25,1.5"
+        );
+        assert_eq!(parse(&rendered).unwrap().points(), sweep.points());
     }
 }
