@@ -262,6 +262,11 @@ pub trait Experiment {
 
     /// The declared parameters with their current values. Empty when the
     /// experiment takes none.
+    ///
+    /// The resolved params determine [`Experiment::run_ctx`]'s output,
+    /// however the overrides were spelled or ordered, so the HTTP
+    /// service keys its results cache by them. The one undeclared
+    /// exception is `compile`'s `program` text, which a key must add.
     fn params(&self) -> Vec<Param> {
         Vec::new()
     }

@@ -72,16 +72,24 @@ impl SpecError {
 }
 
 impl core::fmt::Display for SpecError {
+    /// The header, then the spec line that holds the span's start with a
+    /// caret line under the span: padded by that line's characters before
+    /// the span (tabs stay tabs) and clipped to the line.
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let (start, end) = self.span;
         writeln!(f, "spec error at {start}..{end}: {}", self.message)?;
-        writeln!(f, "  {}", self.spec)?;
-        let pad = self.spec[..start.min(self.spec.len())].chars().count();
-        let width = self.spec[start.min(self.spec.len())..end.min(self.spec.len())]
+        let start = start.min(self.spec.len());
+        let line_start = self.spec[..start].rfind('\n').map_or(0, |i| i + 1);
+        let line = self.spec[line_start..].lines().next().unwrap_or("");
+        writeln!(f, "  {line}")?;
+        let pad = &self.spec[line_start..start];
+        let pad: String = pad
             .chars()
-            .count()
-            .max(1);
-        write!(f, "  {}{}", " ".repeat(pad), "^".repeat(width))
+            .map(|c| if c == '\t' { c } else { ' ' })
+            .collect();
+        let end = end.min(line_start + line.len()).max(start);
+        let width = self.spec[start..end].chars().count().max(1);
+        write!(f, "  {pad}{}", "^".repeat(width))
     }
 }
 
@@ -705,6 +713,31 @@ mod tests {
 
     fn specs(id: &str) -> Vec<ParamSpec> {
         find(id).unwrap().specs()
+    }
+
+    #[test]
+    fn carets_sit_under_the_span_on_its_own_line() {
+        let shown = |spec: &str, span| SpecError::new(spec, span, "bad").to_string();
+        // The second line alone is shown, the caret under `widht`.
+        assert_eq!(
+            shown("code=steane bits=32\nwidht=64", (20, 25)),
+            "spec error at 20..25: bad\n  widht=64\n  ^^^^^"
+        );
+        // Tabs stay tabs, so the caret lines up under the token.
+        assert_eq!(
+            shown("a=1\n\tb=2  c=x", (12, 13)),
+            "spec error at 12..13: bad\n  \tb=2  c=x\n  \t       ^"
+        );
+        // A span running past its line is clipped to it.
+        assert_eq!(
+            shown("a=1 b=\nc=3", (4, 10)),
+            "spec error at 4..10: bad\n  a=1 b=\n      ^^"
+        );
+        // One-line specs render as before.
+        assert_eq!(
+            shown("tech=current widht=64", (13, 18)),
+            "spec error at 13..18: bad\n  tech=current widht=64\n               ^^^^^"
+        );
     }
 
     #[test]

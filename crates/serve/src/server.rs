@@ -11,15 +11,18 @@
 //! answered in order (every response is self-delimiting — see
 //! [`crate::http`]).
 //!
-//! Every registry run is a pure function of `(experiment id, parameter
-//! overrides)`, so responses are cached under that key in a bounded
-//! single-flight [`Memo`]: once one request has computed a run, every
-//! later identical request is a cache hit, and when the cache fills the
-//! least-recently-used entry is evicted (counted in `/v1/stats`). Grid
-//! requests (`?key=value-set`, `POST /v1/sweep/{id}`) read and populate
-//! the same cache *per point*, and stream each point's fragment to the
-//! client as the pool finishes it — the concatenated chunks are
-//! byte-identical to the merged document. Concurrent *cold* misses on
+//! Every run is a pure function of its experiment id and its resolved
+//! parameters (every declared parameter after the overrides; `compile`
+//! adds its raw program text), so responses are cached under that key
+//! in a bounded single-flight [`Memo`]: once one request has computed a
+//! run, every later request for the same point is a cache hit, however
+//! it was spelled, and when the cache fills the least-recently-used
+//! entry is evicted (counted in `/v1/stats`). Grid requests
+//! (`?key=value-set`, `POST /v1/sweep/{id}`), sweeps (`POST /v1/sweep`)
+//! and jobs read and populate the same cache *per point*; grid requests
+//! stream each point's fragment to the client as the pool finishes it —
+//! the concatenated chunks are byte-identical to the merged document.
+//! Concurrent *cold* misses on
 //! one key coalesce: the first arrival computes, later arrivals wait
 //! and reuse its body (counted as `coalesced`), so a thundering herd
 //! costs one evaluation. A request that fails (bad params, failed
@@ -152,8 +155,8 @@ struct Shared {
     addr: SocketAddr,
     /// Tunables from `cqla serve` flags.
     config: ServeConfig,
-    /// Bounded LRU response cache over `(id, sorted params)` keys; its
-    /// hit, coalesced and eviction counters are the `/v1/stats` ones.
+    /// Bounded LRU response cache over [`canonical_key`]s; its hit,
+    /// coalesced and eviction counters are the `/v1/stats` ones.
     cache: Memo<String, Arc<String>>,
     /// Background sweep jobs.
     jobs: Mutex<JobTable>,
@@ -562,7 +565,10 @@ fn route(request: &Request, shared: &Arc<Shared>, pool_threads: usize) -> Routed
             }
             if let Some(id) = path.strip_prefix("/v1/sweep/") {
                 return match method {
-                    "POST" => sweep_grid_endpoint(id, &request.body),
+                    // `POST /v1/sweep/{id}`: the body is one grid expression,
+                    // streamed like the grid-query form of `/v1/run/{id}`.
+                    "POST" => grid_request(id, &request.body)
+                        .map_or_else(Routed::Full, Routed::GridStream),
                     _ => full(method_not_allowed("POST")),
                 };
             }
@@ -640,66 +646,86 @@ fn stats_json(shared: &Shared) -> Json {
 ///
 /// The body is byte-identical to `cqla run <id> --format json`: the
 /// pretty-printed artifact document plus the trailing newline `println!`
-/// appends. Overrides are applied in sorted key order, which is also the
-/// cache key order, so equivalent queries share one cache entry. A query
-/// using value-*set* syntax (`?bits=32..=128:*2`, comma lists, `base.`
-/// pins) fans out into a streamed grid run instead — its concatenated
-/// chunks byte-identical to `cqla run <id> key=value-set… --format json`.
+/// appends. Overrides are applied in query order, and the run is cached
+/// under its resolved parameters, so every spelling of one point
+/// (reordered, `1.50` for `1.5`, a default spelled out) shares one cache
+/// entry. A query using value-*set* syntax (`?bits=32..=128:*2`, comma
+/// lists, `base.` pins) fans out into a streamed grid run instead — its
+/// concatenated chunks byte-identical to
+/// `cqla run <id> key=value-set… --format json`.
 fn run_endpoint(id: &str, query: &[(String, String)], shared: &Shared) -> Routed {
-    let Some(experiment) = find(id) else {
-        return Routed::Full(unknown_artifact(id));
-    };
     if query.iter().any(|(k, v)| is_set_clause(k, v)) {
         let expr = query
             .iter()
             .map(|(k, v)| format!("{k}={v}"))
             .collect::<Vec<_>>()
             .join(" ");
-        return match parse_grid(experiment.as_ref(), &expr) {
-            Ok(grid) => Routed::GridStream(grid),
-            Err(response) => Routed::Full(response),
-        };
+        return grid_request(id, expr.as_bytes()).map_or_else(Routed::Full, Routed::GridStream);
     }
-    let mut params: Vec<(String, String)> = query.to_vec();
-    params.sort();
-    Routed::Full(match cached_run(shared, id, experiment, &params) {
+    let Some(experiment) = find(id) else {
+        return Routed::Full(unknown_artifact(id));
+    };
+    Routed::Full(match cached_run(shared, experiment, query) {
         Ok((body, _)) => Response::shared(body),
         Err(response) => response,
     })
 }
 
-/// One registry run through the results cache, keyed by `id` and the
-/// sorted `params` (applied in that order): a hit, or a wait on the
-/// identical in-flight request, shares the cached body; a miss runs the
-/// experiment. Param errors are answered 400 and failing runs (a broken
-/// `verify`) are answered with their body, both uncached — cached bodies
-/// carry no verdict, and the grid executor reports hits as passed.
+/// The one override the resolved parameters do not show: `compile`'s
+/// program text, which joins the cache key raw.
+const PROGRAM: &str = "program";
+
+/// One registry run through the results cache, keyed by the resolved
+/// parameters plus any raw [`PROGRAM`] text. The other overrides are
+/// applied first, in order, and a bad one is answered 400 before the
+/// cache is read; the program is parsed only on a miss. A bad program
+/// and a failing run (a broken `verify`, answered with its body) are
+/// not cached — cached bodies carry no verdict, and the grid executor
+/// reports hits as passed.
 fn cached_run(
     shared: &Shared,
-    id: &str,
     mut experiment: Box<dyn Experiment>,
-    params: &[(String, String)],
+    overrides: &[(String, String)],
 ) -> Result<(Arc<String>, Outcome), Response> {
-    shared
-        .cache
-        .try_get_or_compute(canonical_key(id, params), || {
-            let pairs = params.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-            apply_overrides(experiment.as_mut(), pairs).map_err(|e| {
-                let hint = match &e {
-                    ParamError::Program(parse) => parse.hint().map(str::to_owned),
-                    _ => Some(format!("{id} takes: {}", params_usage(experiment.as_ref()))),
-                };
-                Response::error(Status::BadRequest, e.to_string(), hint)
-            })?;
+    let id = experiment.id();
+    let (program, machine): (Vec<_>, Vec<_>) = overrides
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .partition(|(k, _)| *k == PROGRAM);
+    apply_overrides(experiment.as_mut(), machine).map_err(|e| param_error(&*experiment, &e))?;
+    let params = experiment.params();
+    let resolved = params.iter().map(|p| (p.key, p.value.as_str()));
+    let key = canonical_key(id, resolved.chain(program.iter().copied()));
+    shared.read_through(
+        key,
+        || match apply_overrides(experiment.as_mut(), program) {
+            Ok(()) => Ok(experiment),
+            Err(e) => Err(param_error(&*experiment, &e)),
+        },
+        |experiment| {
             let output = experiment.run();
-            shared.cache_misses.fetch_add(1, Ordering::Relaxed);
             let body = Arc::new(format!("{}\n", output.document(id).to_pretty()));
             if output.passed {
                 Ok(body)
             } else {
                 Err(Response::shared(body))
             }
-        })
+        },
+    )
+}
+
+/// The 400 for a rejected override: a bad program carries the parser's
+/// hint, anything else the experiment's parameter surface.
+fn param_error(experiment: &dyn Experiment, e: &ParamError) -> Response {
+    let hint = match e {
+        ParamError::Program(parse) => parse.hint().map(str::to_owned),
+        _ => Some(format!(
+            "{} takes: {}",
+            experiment.id(),
+            params_usage(experiment)
+        )),
+    };
+    Response::error(Status::BadRequest, e.to_string(), hint)
 }
 
 fn unknown_artifact(id: &str) -> Response {
@@ -708,70 +734,62 @@ fn unknown_artifact(id: &str) -> Response {
     Response::error(Status::NotFound, format!("unknown artifact `{id}`"), hint)
 }
 
-/// Plugs the server's results cache into the grid executor: each grid
-/// point reads and writes exactly the entry a single `/v1/run/{id}`
-/// request with the same overrides would, so grids warm the cache for
-/// single runs and vice versa, and concurrent cold misses on one point
-/// coalesce onto a single execution. Hit/miss/coalesced/eviction
-/// counters tick per point.
-struct SharedPointCache<'a> {
-    shared: &'a Shared,
-    id: &'a str,
+impl Shared {
+    /// The results cache's one read-through, shared by single runs and
+    /// grid points: the body cached under `key`, or a wait on the
+    /// identical in-flight request, or a miss. On a miss `ready`
+    /// prepares the run (its error is answered, and is not a miss), and
+    /// `run` computes the body, counted in `cache_misses`. An error from
+    /// either caches nothing and hands the key to a waiter.
+    fn read_through<T, E>(
+        &self,
+        key: String,
+        ready: impl FnOnce() -> Result<T, E>,
+        run: impl FnOnce(T) -> Result<Arc<String>, E>,
+    ) -> Result<(Arc<String>, Outcome), E> {
+        self.cache.try_get_or_compute(key, || {
+            let ready = ready()?;
+            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+            run(ready)
+        })
+    }
 }
 
-impl PointCache for SharedPointCache<'_> {
+/// The server's results cache is the grid executor's point cache: each
+/// grid or sweep point reads and writes exactly the entry a single run
+/// of the same resolved point would, so grids warm the cache for single
+/// runs and vice versa, and concurrent cold misses on one point
+/// coalesce onto a single execution. Hit/miss/coalesced/eviction
+/// counters tick per point.
+impl PointCache for Shared {
     fn get_or_compute(
         &self,
-        overrides: &[(String, String)],
+        id: &str,
+        params: &[(String, String)],
         compute: &mut dyn FnMut() -> Option<String>,
     ) -> Option<String> {
-        let mut params = overrides.to_vec();
-        params.sort();
-        let (body, _) = self
-            .shared
-            .cache
-            .try_get_or_compute(canonical_key(self.id, &params), || {
-                self.shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-                compute().map(Arc::new).ok_or(())
-            })
-            .ok()?;
+        let key = canonical_key(id, params.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+        let run = |()| compute().map(Arc::new).ok_or(());
+        let (body, _) = self.read_through(key, || Ok(()), run).ok()?;
         Some((*body).clone())
     }
 }
 
-/// Parses a grid expression against one experiment, mapping parse
-/// errors to the 400 the CLI's usage message mirrors.
-fn parse_grid(experiment: &dyn Experiment, expr: &str) -> Result<Grid, Response> {
-    let id = experiment.id();
-    Grid::parse(id, &experiment.specs(), expr).map_err(|e| {
+/// Parses a grid request — an experiment id and one `key=value-set`
+/// expression, from a request body or a joined query — into its grid:
+/// 404 for an unknown id, 400 for an expression that is not UTF-8 or
+/// that the grammar rejects, with the usage hint the CLI prints.
+fn grid_request(id: &str, expr: &[u8]) -> Result<Grid, Response> {
+    let experiment = find(id).ok_or_else(|| unknown_artifact(id))?;
+    let expr = core::str::from_utf8(expr)
+        .map_err(|_| Response::error(Status::BadRequest, "grid expression is not UTF-8", None))?;
+    Grid::parse(id, &experiment.specs(), expr.trim()).map_err(|e| {
         Response::error(
             Status::BadRequest,
             e.to_string(),
-            Some(format!("{id} takes: {}", params_usage(experiment))),
+            Some(format!("{id} takes: {}", params_usage(experiment.as_ref()))),
         )
     })
-}
-
-/// `POST /v1/sweep/{id}` — the body is one `key=value-set` expression
-/// over the experiment's declared parameters, executed as a grid on the
-/// shared job pool and streamed point by point. The concatenated
-/// chunks are the same merged document the grid-query form of
-/// `GET /v1/run/{id}` produces.
-fn sweep_grid_endpoint(id: &str, body: &[u8]) -> Routed {
-    let Some(experiment) = find(id) else {
-        return Routed::Full(unknown_artifact(id));
-    };
-    let Ok(expr) = core::str::from_utf8(body) else {
-        return Routed::Full(Response::error(
-            Status::BadRequest,
-            "grid expression is not UTF-8",
-            None,
-        ));
-    };
-    match parse_grid(experiment.as_ref(), expr.trim()) {
-        Ok(grid) => Routed::GridStream(grid),
-        Err(response) => Routed::Full(response),
-    }
 }
 
 /// Executes a grid and streams it: prologue chunk, one chunk per point
@@ -794,15 +812,11 @@ fn stream_grid(
         grid.spec(),
         grid.len(),
     )))?;
-    let cache = SharedPointCache {
-        shared,
-        id: grid.id(),
-    };
     // `None` once a write failed: the pool must finish either way, so
     // the failure is remembered rather than propagated.
     let writer = Mutex::new(Some(body));
     let grids = std::slice::from_ref(grid);
-    let _run = GridRun::run(grids, pool_threads, Some(&cache), |index, point| {
+    let _run = GridRun::run(grids, pool_threads, Some(shared), |index, point| {
         let mut writer = writer.lock().expect("stream writer lock");
         if let Some(body) = writer.as_mut() {
             if body
@@ -858,11 +872,6 @@ fn jobs_route(
         return Routed::JobStream { job, from };
     }
     match method {
-        // `sweep` is not a registry id, so the design-space sweep
-        // route can never shadow an experiment's grid jobs.
-        "POST" if rest == "sweep" => {
-            Routed::Full(jobs_create_sweep_endpoint(body, shared, pool_threads))
-        }
         "POST" => Routed::Full(jobs_create_endpoint(rest, body, shared, pool_threads)),
         "GET" => match find_job(shared, rest) {
             Ok(job) => Routed::Full(Response::ok(format!("{}\n", job_json(&job).to_pretty()))),
@@ -948,79 +957,48 @@ fn job_json(job: &Job) -> Json {
     ])
 }
 
-/// `POST /v1/jobs/{id}` — parse the grid, register a job, start its
-/// thread, answer 202 immediately with the job document.
+/// `POST /v1/jobs/{id}` — parse the grid, or for `sweep` the one sweep
+/// spec `POST /v1/sweep` takes, register a job, start its thread, and
+/// answer 202 immediately with the job document. `sweep` is not a
+/// registry id, so it never shadows an experiment's grid jobs. Sweep
+/// jobs are the route the [`cqla_dist`] coordinator ships sweep shards
+/// over: every sweep is a list of grids, and each shard travels as one
+/// grid expression.
 fn jobs_create_endpoint(
     id: &str,
     body: &[u8],
     shared: &Arc<Shared>,
     pool_threads: usize,
 ) -> Response {
-    let Some(experiment) = find(id) else {
-        return unknown_artifact(id);
+    let parsed = if id == "sweep" {
+        parse_sweep(body).map(|s| (s.name().to_owned(), s.grids().to_vec()))
+    } else {
+        grid_request(id, body).map(|grid| (grid.spec().to_owned(), vec![grid]))
     };
-    let Ok(expr) = core::str::from_utf8(body) else {
-        return Response::error(Status::BadRequest, "grid expression is not UTF-8", None);
-    };
-    let grid = match parse_grid(experiment.as_ref(), expr.trim()) {
-        Ok(grid) => grid,
+    let (spec, grids) = match parsed {
+        Ok(parsed) => parsed,
         Err(response) => return response,
     };
-    let prologue = frame::prologue(GridRun::head(id, grid.spec(), grid.len()));
-    let spec = grid.spec().to_owned();
-    let plan = JobPlan {
-        grids: vec![grid],
-        cached: true,
-        entry: GridRun::entry,
+    let points = grids.iter().map(Grid::len).sum();
+    let (head, entry): (_, fn(&GridPoint) -> Json) = if id == "sweep" {
+        (SweepRun::head(&spec, points), SweepRun::entry)
+    } else {
+        (GridRun::head(id, &spec, points), GridRun::entry)
     };
-    start_job(shared, pool_threads, spec, prologue, plan)
+    start_job(shared, pool_threads, &spec, head, grids, entry)
 }
 
-/// `POST /v1/jobs/sweep` — the body is one sweep spec, as
-/// `POST /v1/sweep` takes it, run as a background job. This is the
-/// route the [`cqla_dist`] coordinator ships sweep shards over: every
-/// sweep is a list of grids, and each shard travels as one grid
-/// expression.
-fn jobs_create_sweep_endpoint(body: &[u8], shared: &Arc<Shared>, pool_threads: usize) -> Response {
-    let sweep = match parse_sweep(body) {
-        Ok(sweep) => sweep,
-        Err(response) => return response,
-    };
-    let prologue = frame::prologue(SweepRun::head(sweep.name(), sweep.len()));
-    let spec = sweep.name().to_owned();
-    let plan = JobPlan {
-        grids: sweep.grids().to_vec(),
-        cached: false,
-        entry: SweepRun::entry,
-    };
-    start_job(shared, pool_threads, spec, prologue, plan)
-}
-
-/// What a job runs: its grids on the grid executor, read through the
-/// results cache when `cached`, and appended to the job's log as the
-/// fragment of its `entry`.
-///
-/// Registry grids are cached; sweeps are not. The results cache keys a
-/// point by its *sorted* overrides, and a design point's overrides do
-/// not commute: `blocks=4,9 width=64` re-provisions both points to 9
-/// blocks while `width=64 blocks=4,9` keeps 4 and 9, yet both sort to
-/// one `(blocks, width)` key.
-struct JobPlan {
-    grids: Vec<Grid>,
-    cached: bool,
-    entry: fn(&GridPoint) -> Json,
-}
-
-/// Registers a job under the next id, bumps the active gauge, and
-/// starts [`run_job`] on its own thread — the shared tail of both
-/// job-creation endpoints. Creation past [`MAX_ACTIVE_JOBS`] is refused
-/// with a 503.
+/// Registers a job that runs `grids` under the next id, bumps the
+/// active gauge, and starts [`run_job`] on its own thread, which
+/// appends each point's `entry` to the job's log. Creation past
+/// [`MAX_ACTIVE_JOBS`] is refused with a 503.
 fn start_job(
     shared: &Arc<Shared>,
     pool_threads: usize,
-    spec: String,
-    prologue: String,
-    plan: JobPlan,
+    spec: &str,
+    head: Vec<(&'static str, Json)>,
+    grids: Vec<Grid>,
+    entry: fn(&GridPoint) -> Json,
 ) -> Response {
     if shared.jobs_active.load(Ordering::Relaxed) >= MAX_ACTIVE_JOBS as u64 {
         return Response::error(
@@ -1035,10 +1013,10 @@ fn start_job(
         let jid = format!("j{}", table.next);
         let job = Arc::new(Job {
             id: jid.clone(),
-            artifact: plan.grids.first().map_or("", Grid::id).to_owned(),
-            spec,
-            total: plan.grids.iter().map(Grid::len).sum(),
-            prologue,
+            artifact: grids.first().map_or("", Grid::id).to_owned(),
+            spec: spec.to_owned(),
+            total: grids.iter().map(Grid::len).sum(),
+            prologue: frame::prologue(head),
             state: Mutex::new(JobState {
                 fragments: Vec::new(),
                 done: false,
@@ -1053,7 +1031,7 @@ fn start_job(
     let handle = std::thread::spawn({
         let shared = Arc::clone(shared);
         let job = Arc::clone(&job);
-        move || run_job(&shared, &job, &plan, pool_threads)
+        move || run_job(&shared, &job, &grids, entry, pool_threads)
     });
     shared
         .job_threads
@@ -1067,25 +1045,27 @@ fn start_job(
 }
 
 /// The job thread — the one job body of grid and sweep jobs: run the
-/// plan on the grid executor, appending each point's fragment to the
-/// job log and waking pollers/streamers; then mark the job done, apply
+/// grids on the grid executor, read through the results cache,
+/// appending each point's `entry` fragment to the job log and waking
+/// pollers/streamers; then mark the job done, apply
 /// completed-job retention, and drop the active-jobs gauge. A panicking
 /// run still marks the job done (failed) so streams and shutdown never
 /// wait forever.
-fn run_job(shared: &Shared, job: &Job, plan: &JobPlan, pool_threads: usize) {
+fn run_job(
+    shared: &Shared,
+    job: &Job,
+    grids: &[Grid],
+    entry: fn(&GridPoint) -> Json,
+    pool_threads: usize,
+) {
     let append = |index: usize, point: &GridPoint| {
-        let fragment = frame::fragment(index, &(plan.entry)(point));
+        let fragment = frame::fragment(index, &entry(point));
         let mut state = job.state.lock().expect("job state lock");
         debug_assert_eq!(state.fragments.len(), index, "fragments arrive in order");
         state.fragments.push(fragment);
         job.cv.notify_all();
     };
-    let cache = SharedPointCache {
-        shared,
-        id: &job.artifact,
-    };
-    let cache = plan.cached.then_some(&cache as &dyn PointCache);
-    let run = || GridRun::run(&plan.grids, pool_threads, cache, append);
+    let run = || GridRun::run(grids, pool_threads, Some(shared), append);
     let passed = catch_unwind(AssertUnwindSafe(run)).map_or_else(
         |_| {
             eprintln!("cqla-serve: job {} panicked; marked failed", job.id);
@@ -1151,17 +1131,18 @@ fn stream_job(
     body.finish()
 }
 
-/// The canonical cache key: id plus the sorted, decoded overrides. Two
-/// spellings of the same run — reordered query, percent-encoded values —
-/// collapse onto one key, and the overrides are *applied* in this same
-/// order so the key can never conflate two different results. Every
-/// component is length-prefixed, so no byte a client can put into a key
-/// or value (separators included) can forge another request's key —
-/// forged spellings get their own key, miss, and fail validation.
-fn canonical_key(id: &str, sorted_params: &[(String, String)]) -> String {
+/// The canonical cache key: the experiment id and a point's resolved
+/// parameters, in declared order (plus [`PROGRAM`]'s raw text for an
+/// inline `compile`). Every spelling of one run — reordered overrides,
+/// `1.50` for `1.5`, a default spelled out or left off, overrides that
+/// do not commute — resolves to the parameters it runs with, so equal
+/// keys mean equal bodies and two different runs never share a key.
+/// Every component is length-prefixed, so no byte a client can put into
+/// a value (separators included) can forge another request's key.
+fn canonical_key<'a>(id: &str, params: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
     use std::fmt::Write as _;
     let mut key = format!("{}:{id}", id.len());
-    for (param, value) in sorted_params {
+    for (param, value) in params {
         let _ = write!(key, "|{}:{param}|{}:{value}", param.len(), value.len());
     }
     key
@@ -1170,17 +1151,17 @@ fn canonical_key(id: &str, sorted_params: &[(String, String)]) -> String {
 /// `POST /v1/sweep` — the body is one sweep-spec expression (or builtin
 /// name). The response body is byte-identical to
 /// `cqla sweep SPEC --format json`, whether it is computed on the
-/// local shared job pool or — when this node fronts a fleet
-/// (`cqla serve --workers …`) — distributed across the workers by the
-/// [`cqla_dist`] coordinator.
+/// local shared job pool, each point read through the results cache,
+/// or — when this node fronts a fleet (`cqla serve --workers …`) —
+/// distributed across the workers by the [`cqla_dist`] coordinator.
 fn sweep_endpoint(body: &[u8], shared: &Shared, pool_threads: usize) -> Response {
     let sweep = match parse_sweep(body) {
         Ok(sweep) => sweep,
         Err(response) => return response,
     };
+    let head = SweepRun::head(sweep.name(), sweep.len());
     if !shared.config.fleet.is_empty() {
         let fleet = cqla_dist::FleetConfig::new(shared.config.fleet.clone());
-        let head = SweepRun::head(sweep.name(), sweep.len());
         return match cqla_dist::run_grids(sweep.grids(), head, &fleet) {
             Ok(run) => Response::ok(run.document().to_owned()),
             Err(e) => Response::error(
@@ -1190,22 +1171,18 @@ fn sweep_endpoint(body: &[u8], shared: &Shared, pool_threads: usize) -> Response
             ),
         };
     }
-    let run = SweepRun::execute(&sweep, pool_threads);
-    Response::ok(format!("{}\n", run.to_json().to_pretty()))
+    let run = GridRun::run(sweep.grids(), pool_threads, Some(shared), |_, _| {});
+    let entries = run.points().iter().map(SweepRun::entry).collect();
+    Response::ok(format!("{}\n", frame::document(head, entries).to_pretty()))
 }
 
 /// Parses a sweep route's body — a builtin name or a key=values
 /// expression — mapping errors to the 400 the CLI's usage message
 /// mirrors.
 fn parse_sweep(body: &[u8]) -> Result<Sweep, Response> {
-    let Ok(spec) = core::str::from_utf8(body) else {
-        return Err(Response::error(
-            Status::BadRequest,
-            "sweep spec is not UTF-8",
-            None,
-        ));
-    };
-    let spec = spec.trim();
+    let spec = core::str::from_utf8(body)
+        .map_err(|_| Response::error(Status::BadRequest, "sweep spec is not UTF-8", None))?
+        .trim();
     if spec.is_empty() {
         return Err(Response::error(
             Status::BadRequest,
@@ -1236,11 +1213,11 @@ fn parse_sweep(body: &[u8]) -> Result<Sweep, Response> {
 /// The response is byte-identical to `cqla compile FILE --format json`
 /// with the same program and overrides: the pretty-printed `compile`
 /// artifact document plus the trailing newline. Bodies ride the same
-/// results cache as `/v1/run/{id}` — the
-/// program text is one more (length-prefixed) component of the
-/// canonical key. The program is parsed only on a cache miss, when
-/// `program` is set, and one that fails to parse is answered 400 with
-/// the spanned caret diagnostic and its hint, uncached.
+/// results cache as `/v1/run/{id}`: the raw program text is one more
+/// (length-prefixed) component of the canonical key. The machine
+/// parameters are checked first; the program is parsed only on a cache
+/// miss, and one that fails to parse is answered 400 with the spanned
+/// caret diagnostic and its hint, uncached.
 fn compile_endpoint(body: &[u8], query: &[(String, String)], shared: &Shared) -> Response {
     shared.compiles.fetch_add(1, Ordering::Relaxed);
     let Ok(source) = core::str::from_utf8(body) else {
@@ -1274,18 +1251,17 @@ fn compile_endpoint(body: &[u8], query: &[(String, String)], shared: &Shared) ->
         } else {
             params.push(("source".to_owned(), "inline-asm".to_owned()));
         }
-        if params.iter().any(|(k, _)| k == "program") {
+        if params.iter().any(|(k, _)| k == PROGRAM) {
             return Response::error(
                 Status::BadRequest,
                 "`program` is set from the request body",
                 Some("POST the program as the body and drop the query param".to_owned()),
             );
         }
-        params.push(("program".to_owned(), source.to_owned()));
+        params.push((PROGRAM.to_owned(), source.to_owned()));
     }
-    params.sort();
     let experiment = find("compile").expect("the registry always has `compile`");
-    match cached_run(shared, "compile", experiment, &params) {
+    match cached_run(shared, experiment, &params) {
         Ok((body, outcome)) => {
             if outcome == Outcome::Hit {
                 shared.compile_cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -1332,14 +1308,10 @@ mod tests {
         match routed {
             Routed::Full(response) => response,
             Routed::GridStream(grid) => {
-                let cache = SharedPointCache {
-                    shared,
-                    id: grid.id(),
-                };
                 let head = GridRun::head(grid.id(), grid.spec(), grid.len());
                 let body = Mutex::new(frame::prologue(head));
                 let grids = std::slice::from_ref(&grid);
-                let _run = GridRun::run(grids, 1, Some(&cache), |index, point| {
+                let _run = GridRun::run(grids, 1, Some(shared), |index, point| {
                     body.lock()
                         .unwrap()
                         .push_str(&frame::fragment(index, &GridRun::entry(point)));
@@ -1352,34 +1324,46 @@ mod tests {
         }
     }
 
+    /// The cache key of `id`'s run under `overrides` (no program).
+    fn key(id: &str, overrides: &[(&str, &str)]) -> String {
+        let mut experiment = find(id).unwrap();
+        apply_overrides(experiment.as_mut(), overrides.iter().copied()).unwrap();
+        let params = experiment.params();
+        canonical_key(id, params.iter().map(|p| (p.key, p.value.as_str())))
+    }
+
     #[test]
     fn canonical_keys_are_order_insensitive_but_value_sensitive() {
-        let a = [
-            ("tech".to_owned(), "current".to_owned()),
-            ("width".to_owned(), "64".to_owned()),
-        ];
-        let mut b = a.clone();
-        b.reverse();
-        b.sort();
-        assert_eq!(canonical_key("table4", &a), canonical_key("table4", &b));
-        let c = [("tech".to_owned(), "projected".to_owned())];
-        assert_ne!(canonical_key("table4", &a), canonical_key("table4", &c));
+        let a = key("machine", &[("tech", "current"), ("bits", "64")]);
+        let b = key("machine", &[("bits", "64"), ("tech", "current")]);
+        assert_eq!(a, b);
+        assert_ne!(a, key("machine", &[("tech", "projected"), ("bits", "64")]));
+        assert_ne!(a, key("table4", &[("tech", "current")]));
+        // Spellings of one value, and defaults spelled out or left off,
+        // resolve to one key.
+        assert_eq!(
+            key("machine", &[("cache", "1.50")]),
+            key("machine", &[("cache", "1.5")])
+        );
+        assert_eq!(key("table4", &[("tech", "projected")]), key("table4", &[]));
+        assert_eq!(
+            key("machine", &[("bits", "1024"), ("code", "steane")]),
+            key("machine", &[("code", "steane")])
+        );
+        let c = [("tech", "projected")];
         // The separator cannot be forged from key/value text that would
         // merely concatenate ambiguously.
-        let d = [("te".to_owned(), "chcurrent".to_owned())];
-        assert_ne!(canonical_key("table4", &c), canonical_key("table4", &d));
+        let d = [("te", "chcurrent")];
+        assert_ne!(canonical_key("table4", c), canonical_key("table4", d));
         // Nor by smuggling separator bytes into a value: one param whose
         // value spells out another pair must not collide with the real
         // two-param key (length prefixes make the split unambiguous).
-        let real = [
-            ("bits".to_owned(), "64".to_owned()),
-            ("blocks".to_owned(), "9".to_owned()),
-        ];
+        let real = [("bits", "64"), ("blocks", "9")];
         for smuggled in ["64|6:blocks|1:9", "64\u{1}blocks=9", "64|blocks:9"] {
-            let forged = [("bits".to_owned(), smuggled.to_owned())];
+            let forged = [("bits", smuggled)];
             assert_ne!(
-                canonical_key("machine", &real),
-                canonical_key("machine", &forged),
+                canonical_key("machine", real),
+                canonical_key("machine", forged),
                 "{smuggled:?} must not forge the two-param key"
             );
         }
@@ -1402,7 +1386,7 @@ mod tests {
         assert_eq!(*again.body, expected);
         assert_eq!(shared.cache.hits(), 1);
         assert_eq!(shared.cache_misses.load(Ordering::Relaxed), 1);
-        let cached = cached(shared, canonical_key("table4", &[])).unwrap();
+        let cached = cached(shared, key("table4", &[])).unwrap();
         assert!(Arc::ptr_eq(&again.body, &cached), "hits must share the Arc");
     }
 
@@ -1422,7 +1406,7 @@ mod tests {
         assert!(server.shared.cache.is_empty());
         let resp = full(run_endpoint("table9", &[], &server.shared));
         assert_eq!(resp.status, Status::NotFound);
-        // A repeated key is rejected, not settled by the sorted order.
+        // A repeated key is rejected, not settled by the query order.
         let twice = [
             ("bits".to_owned(), "64".to_owned()),
             ("bits".to_owned(), "128".to_owned()),
@@ -1440,19 +1424,16 @@ mod tests {
     #[test]
     fn failed_grid_points_are_neither_cached_nor_blocked() {
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
-        let cache = SharedPointCache {
-            shared: &server.shared,
-            id: "fig2",
-        };
+        let cache: &dyn PointCache = &*server.shared;
         let point = [("bits".to_owned(), "8".to_owned())];
         // A run that fails its self-checks delivers no body…
-        assert_eq!(cache.get_or_compute(&point, &mut || None), None);
+        assert_eq!(cache.get_or_compute("fig2", &point, &mut || None), None);
         assert!(server.shared.cache.is_empty());
         // …so the next request for the point computes it afresh.
-        let body = cache.get_or_compute(&point, &mut || Some("body".to_owned()));
+        let body = cache.get_or_compute("fig2", &point, &mut || Some("body".to_owned()));
         assert_eq!(body.as_deref(), Some("body"));
         assert_eq!(server.shared.cache_misses.load(Ordering::Relaxed), 2);
-        let hit = cache.get_or_compute(&point, &mut || unreachable!("cached"));
+        let hit = cache.get_or_compute("fig2", &point, &mut || unreachable!("cached"));
         assert_eq!(hit.as_deref(), Some("body"));
         assert_eq!(server.shared.cache.hits(), 1);
     }
@@ -1555,16 +1536,14 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
         let shared = &server.shared;
         let fig2 = find("fig2").unwrap();
-        let plan = JobPlan {
-            grids: vec![Grid::parse("fig2", &fig2.specs(), "bits=8,16").unwrap()],
-            cached: false,
-            // The second point's fragment blows up after the first landed.
-            entry: |point| {
-                assert_eq!(point.overrides[0].1, "8", "job blew up mid-run");
-                GridRun::entry(point)
-            },
+        let grids = vec![Grid::parse("fig2", &fig2.specs(), "bits=8,16").unwrap()];
+        // The second point's fragment blows up after the first landed.
+        let entry = |point: &GridPoint| {
+            assert_eq!(point.overrides[0].1, "8", "job blew up mid-run");
+            GridRun::entry(point)
         };
-        let created = start_job(shared, 1, String::new(), String::new(), plan);
+        let head = GridRun::head("fig2", "bits=8,16", 2);
+        let created = start_job(shared, 1, "bits=8,16", head, grids, entry);
         assert_eq!(created.status, Status::Accepted);
         let deadline = Instant::now() + Duration::from_secs(30);
         let job = find_job(shared, "j1").expect("job exists");
@@ -1721,7 +1700,7 @@ mod tests {
             .spec()
             .to_owned();
         for spec in ["quick", shard.as_str()] {
-            let created = jobs_create_sweep_endpoint(spec.as_bytes(), shared, 2);
+            let created = jobs_create_endpoint("sweep", spec.as_bytes(), shared, 2);
             assert_eq!(created.status, Status::Accepted, "{}", created.body);
             let doc = cqla_core::json::parse(&created.body).unwrap();
             assert_eq!(doc.get("artifact").and_then(Json::as_str), Some("sweep"));
@@ -1759,7 +1738,7 @@ mod tests {
             ),
             (b"  \n", "empty sweep spec"),
         ] {
-            let bad = jobs_create_sweep_endpoint(body, shared, 1);
+            let bad = jobs_create_endpoint("sweep", body, shared, 1);
             assert_eq!(bad.status, Status::BadRequest);
             assert!(bad.body.contains(needle), "{}", bad.body);
         }

@@ -156,7 +156,7 @@ fn run_applies_parameter_overrides() {
     let (status, current_body) = get(live.addr, "/v1/run/table2?tech=current");
     assert_eq!(status, 200);
     assert_ne!(default_body, current_body, "tech override must matter");
-    // Query order does not matter: sorted application == sorted key.
+    // Query order does not matter: both spellings resolve to one point.
     let a = get(live.addr, "/v1/run/machine?bits=64&blocks=9");
     let b = get(live.addr, "/v1/run/machine?blocks=9&bits=64");
     assert_eq!(a, b);
@@ -212,6 +212,80 @@ fn sweep_post_matches_the_engine() {
     assert_eq!(status, 200);
     let doc = json::parse(&body).unwrap();
     assert_eq!(doc.get("points").and_then(|v| v.as_f64()), Some(8.0));
+}
+
+/// The `(cache_hits, cache_misses)` pair `/v1/stats` reports.
+fn hits_and_misses(addr: SocketAddr) -> (f64, f64) {
+    let (_, stats) = get(addr, "/v1/stats");
+    let doc = json::parse(&stats).unwrap();
+    let count = |key| doc.get(key).and_then(|v| v.as_f64()).unwrap();
+    (count("cache_hits"), count("cache_misses"))
+}
+
+/// The document `cqla sweep SPEC --format json` prints.
+fn cli_sweep(spec: &str) -> String {
+    let run = SweepRun::execute(&Sweep::parse(spec).unwrap(), 1);
+    format!("{}\n", run.to_json().to_pretty())
+}
+
+#[test]
+fn repeated_sweeps_are_served_from_the_cache() {
+    let live = Live::start(2);
+    let golden = include_str!("../../../tests/golden/grid_sweep.json");
+    for (spec, expected) in [("quick", cli_sweep("quick")), ("grid", golden.to_owned())] {
+        let points = Sweep::parse(spec).unwrap().len() as f64;
+        let (status, cold) = post(live.addr, "/v1/sweep", spec);
+        assert_eq!(status, 200, "{cold}");
+        assert_eq!(cold, expected, "{spec}: cold sweep == CLI document");
+        let (hits, misses) = hits_and_misses(live.addr);
+        let (status, warm) = post(live.addr, "/v1/sweep", spec);
+        assert_eq!(status, 200, "{warm}");
+        assert_eq!(warm, expected, "{spec}: warm sweep == CLI document");
+        assert_eq!(
+            hits_and_misses(live.addr),
+            (hits + points, misses),
+            "{spec}: a repeated sweep is all hits"
+        );
+    }
+    // A sweep job over the same points is served from the cache too.
+    let (_, misses) = hits_and_misses(live.addr);
+    let (status, created) = post(live.addr, "/v1/jobs/sweep", "quick");
+    assert_eq!(status, 202, "{created}");
+    let jid = json::parse(&created)
+        .unwrap()
+        .get("job")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_owned();
+    assert_eq!(
+        wait_for_job(live.addr, &jid).get("passed"),
+        Some(&json::Json::Bool(true))
+    );
+    let (_, streamed) = get(live.addr, &format!("/v1/jobs/{jid}/stream"));
+    assert_eq!(streamed, cli_sweep("quick"));
+    assert_eq!(
+        hits_and_misses(live.addr).1,
+        misses,
+        "the job computed nothing"
+    );
+}
+
+#[test]
+fn non_commuting_clause_orders_never_share_a_wrong_entry() {
+    let live = Live::start(2);
+    // `width` re-provisions the blocks, so the first spelling runs
+    // 9 blocks twice and the second runs 4 and 9.
+    let (status, provisioned) = post(live.addr, "/v1/sweep", "blocks=4,9 width=64");
+    assert_eq!(status, 200, "{provisioned}");
+    assert_eq!(provisioned, cli_sweep("blocks=4,9 width=64"));
+    assert_eq!(hits_and_misses(live.addr).1, 1.0, "both points are one run");
+    let (status, explicit) = post(live.addr, "/v1/sweep", "width=64 blocks=4,9");
+    assert_eq!(status, 200, "{explicit}");
+    assert_eq!(explicit, cli_sweep("width=64 blocks=4,9"));
+    assert_ne!(provisioned, explicit);
+    // Only the 4-block point was new.
+    assert_eq!(hits_and_misses(live.addr).1, 2.0);
 }
 
 #[test]
@@ -544,6 +618,17 @@ fn jobs_run_in_the_background_and_streams_resume_from_any_offset() {
     let (status, body) = post(live.addr, "/v1/jobs/sweep", batch);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("duplicate parameter `code`"), "{body}");
+    // An error on a later line of a spec puts its caret under the token.
+    let (status, body) = post(live.addr, "/v1/jobs/sweep", "code=steane bits=32\nwidht=64");
+    assert_eq!(status, 400, "{body}");
+    let error = json::parse(&body)
+        .unwrap()
+        .get("error")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_owned();
+    assert!(error.ends_with("\n  widht=64\n  ^^^^^"), "{error}");
     // Unknown jobs are 404.
     let (status, _) = get(live.addr, "/v1/jobs/j999/stream");
     assert_eq!(status, 404);

@@ -77,17 +77,19 @@ pub struct GridPoint {
 /// cached point is reported as passed). An implementation may coalesce
 /// concurrent calls on one point onto a single `compute`.
 ///
-/// `overrides` arrive in clause order. A key built from them *sorted*
-/// is sound only for experiments whose overrides commute: a design
-/// point's do not (`blocks=4,9 width=64` re-provisions both points to
-/// 9 blocks, `width=64 blocks=4,9` keeps 4 and 9, and both sort to one
-/// `(blocks, width)` key), so sweep grids run uncached.
+/// A point is named by its experiment's `id` and its resolved `params`
+/// (every declared parameter after the overrides, in declared order),
+/// which determine the run's output (see [`Experiment::params`]). Two
+/// spellings of one point (`cache=1.50` and `cache=1.5`, a default
+/// spelled out or left off, overrides that do or do not commute) share
+/// a key exactly when they run the same point.
 pub trait PointCache: Sync {
-    /// The cached body for these overrides, or the one `compute`
-    /// produces — `None` when it produced none.
+    /// The cached body for this point, or the one `compute` produces —
+    /// `None` when it produced none.
     fn get_or_compute(
         &self,
-        overrides: &[(String, String)],
+        id: &str,
+        params: &[(String, String)],
         compute: &mut dyn FnMut() -> Option<String>,
     ) -> Option<String>;
 }
@@ -307,13 +309,13 @@ fn run_point(
         exp.set(key, value)
             .expect("grid-validated value accepted by set");
     }
-    let params = exp
+    let params: Vec<_> = exp
         .params()
         .into_iter()
         .map(|p| (p.key.to_owned(), p.value))
         .collect();
     let output = match cache {
-        Some(cache) => read_through(cache, exp.as_ref(), overrides, ctx),
+        Some(cache) => read_through(cache, exp.as_ref(), &params, ctx),
         None => exp.run_ctx(ctx),
     };
     GridPoint {
@@ -331,11 +333,11 @@ fn run_point(
 fn read_through(
     cache: &dyn PointCache,
     exp: &dyn Experiment,
-    overrides: &[(String, String)],
+    params: &[(String, String)],
     ctx: &EvalCtx,
 ) -> ExperimentOutput {
     let mut computed = None;
-    let body = cache.get_or_compute(overrides, &mut || {
+    let body = cache.get_or_compute(exp.id(), params, &mut || {
         let output = exp.run_ctx(ctx);
         // Failing runs are never cached: the cached body cannot carry
         // the verdict, so a hit is reported as passed.
@@ -443,28 +445,29 @@ mod tests {
     fn point_cache_is_read_through_and_populated() {
         struct MapCache(Mutex<std::collections::HashMap<String, String>>);
         impl MapCache {
-            fn get(&self, overrides: &[(String, String)]) -> Option<String> {
+            fn get(&self, id: &str, params: &[(String, String)]) -> Option<String> {
                 self.0
                     .lock()
                     .unwrap()
-                    .get(&format!("{overrides:?}"))
+                    .get(&format!("{id} {params:?}"))
                     .cloned()
             }
         }
         impl PointCache for MapCache {
             fn get_or_compute(
                 &self,
-                overrides: &[(String, String)],
+                id: &str,
+                params: &[(String, String)],
                 compute: &mut dyn FnMut() -> Option<String>,
             ) -> Option<String> {
-                if let Some(body) = self.get(overrides) {
+                if let Some(body) = self.get(id, params) {
                     return Some(body);
                 }
                 let body = compute()?;
                 self.0
                     .lock()
                     .unwrap()
-                    .insert(format!("{overrides:?}"), body.clone());
+                    .insert(format!("{id} {params:?}"), body.clone());
                 Some(body)
             }
         }
@@ -480,7 +483,10 @@ mod tests {
                 exp.set(k, v).unwrap();
             }
             let expected = format!("{}\n", exp.run().document("fig2").to_pretty());
-            assert_eq!(cache.get(&point.overrides).as_deref(), Some(&*expected));
+            assert_eq!(
+                cache.get("fig2", &point.params).as_deref(),
+                Some(&*expected)
+            );
         }
         // A warm run produces the same merged document without text.
         let warm = run();

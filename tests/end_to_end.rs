@@ -385,6 +385,12 @@ mod cli {
         let err = stderr(&out);
         assert!(err.contains("^^^^^"), "{err}");
         assert!(err.contains("did you mean `width`?"), "{err}");
+        // On a multi-line spec the caret sits under the bad token on its
+        // own line.
+        let out = cqla(&["sweep", "code=steane bits=32\nwidht=64"]);
+        assert_eq!(out.status.code(), Some(2));
+        let err = stderr(&out);
+        assert!(err.contains("\n  widht=64\n  ^^^^^\n"), "{err}");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 
 use std::collections::HashSet;
 
-use cqla_repro::core::experiments::{find, registry, Grid, ParamError};
+use cqla_repro::core::experiments::{find, registry, Domain, Experiment, Grid, ParamError};
 use cqla_repro::core::json;
+use cqla_repro::sweep::DesignPoint;
 
 #[test]
 fn every_registry_entry_runs_under_paper_defaults() {
@@ -78,6 +79,49 @@ fn every_parameter_round_trips_through_set() {
             exp.id()
         );
     }
+}
+
+/// A value `domain` admits that differs from `default`.
+fn other_value(domain: Domain, default: &str) -> &'static str {
+    let candidates = match domain {
+        Domain::Tech => ["current", "projected"],
+        Domain::Code => ["steane", "bacon-shor"],
+        Domain::PosInt | Domain::Bits => ["3", "5"],
+        Domain::Ratio => ["1.5", "2.5"],
+        Domain::Source => ["inline-asm", "random"],
+    };
+    let value = candidates.into_iter().find(|v| *v != default).unwrap();
+    assert!(domain.admits(value), "{value} must be admissible");
+    value
+}
+
+/// The results-cache key contract: an experiment's resolved `params()`
+/// determine its output, so every declared key set to an admissible
+/// non-default value must show that value in `params()` — a key whose
+/// value did not would let two different runs share a cache entry.
+fn assert_params_show_every_key(fresh: &dyn Fn() -> Box<dyn Experiment>) {
+    for spec in fresh().specs() {
+        let mut exp = fresh();
+        let value = other_value(spec.domain, &spec.default);
+        exp.set(spec.key, value)
+            .unwrap_or_else(|e| panic!("{}: set({}, {value}): {e}", exp.id(), spec.key));
+        let shown = exp.params().into_iter().find(|p| p.key == spec.key);
+        assert_eq!(
+            shown.map(|p| p.value).as_deref(),
+            Some(value),
+            "{}: `{}={value}` must show up in params()",
+            exp.id(),
+            spec.key
+        );
+    }
+}
+
+#[test]
+fn every_declared_key_shows_up_in_the_resolved_params() {
+    for id in registry().iter().map(|exp| exp.id()) {
+        assert_params_show_every_key(&|| find(id).unwrap());
+    }
+    assert_params_show_every_key(&|| Box::new(DesignPoint::paper_default()));
 }
 
 #[test]
