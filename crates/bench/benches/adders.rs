@@ -11,14 +11,63 @@
 //! ready set. `compile/schedule_65536` and
 //! `compile/schedule_unbound_65536` time the one-shot path on a random
 //! program, on both sides of its ASAP peak.
+//!
+//! When `CQLA_BENCH_JSON` names a path, this bench also times
+//! `adders/draper_1024_fig6a_widths` on its own and writes a timing
+//! document there in the shape `cqla bench-diff` reads: `sweep` is the
+//! bench id, `points` the seven widths and `mean_job_seconds` the mean
+//! seconds per width. The committed baseline CI gates against is
+//! `crates/bench/BENCH_schedule.json`, refreshed with
+//! `CQLA_BENCH_JSON=BENCH_schedule.json cargo bench --bench adders --
+//! fig6a`. Without the variable nothing is written.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 
 use cqla_circuit::{DependencyDag, Gate, ListScheduler, Width};
 use cqla_compile::{schedule_costs_with, schedule_plan};
 use cqla_core::experiments::FIG6A_BLOCKS;
+use cqla_core::Json;
 use cqla_workloads::{DraperAdder, RippleCarryAdder};
+
+/// The id of the Fig 6a rung, in criterion's report and the timing
+/// document.
+const FIG6A_WIDTHS: &str = "adders/draper_1024_fig6a_widths";
+
+/// Timed passes over the seven widths behind the timing document, after
+/// as many untimed ones.
+const DOC_RUNS: u32 = 200;
+
+/// What Fig 6a does per adder width: one plan, then every block count
+/// from it.
+fn fig6a_widths(dag: &DependencyDag) {
+    let plan = schedule_plan(dag);
+    for blocks in FIG6A_BLOCKS {
+        black_box(schedule_costs_with(dag, &plan, blocks));
+    }
+}
+
+/// The Fig 6a rung's timing document: the mean of [`DOC_RUNS`] timed
+/// passes, per pass and per width.
+fn fig6a_doc(dag: &DependencyDag) -> Json {
+    for _ in 0..DOC_RUNS {
+        fig6a_widths(dag);
+    }
+    let started = Instant::now();
+    for _ in 0..DOC_RUNS {
+        fig6a_widths(dag);
+    }
+    let pass = started.elapsed().as_secs_f64() / f64::from(DOC_RUNS);
+    let widths = FIG6A_BLOCKS.len() as f64;
+    Json::obj([
+        ("sweep", Json::from(FIG6A_WIDTHS)),
+        ("threads", Json::Num(1.0)),
+        ("points", Json::Num(widths)),
+        ("cpu_seconds_total", Json::Num(pass)),
+        ("mean_job_seconds", Json::Num(pass / widths)),
+    ])
+}
 
 fn bench(c: &mut Criterion) {
     c.bench_function("adders/draper_128_generate", |b| {
@@ -44,14 +93,13 @@ fn bench(c: &mut Criterion) {
     });
 
     let wide = DependencyDag::new(DraperAdder::new(1024).circuit_ref());
-    c.bench_function("adders/draper_1024_fig6a_widths", |b| {
-        b.iter(|| {
-            let plan = schedule_plan(&wide);
-            for blocks in FIG6A_BLOCKS {
-                black_box(schedule_costs_with(&wide, &plan, blocks));
-            }
-        })
-    });
+    if let Ok(path) = std::env::var("CQLA_BENCH_JSON") {
+        match std::fs::write(&path, fig6a_doc(&wide).to_pretty() + "\n") {
+            Ok(()) => println!("wrote {FIG6A_WIDTHS} timing document to {path}"),
+            Err(e) => eprintln!("could not write {path}: {e}"),
+        }
+    }
+    c.bench_function(FIG6A_WIDTHS, |b| b.iter(|| fig6a_widths(&wide)));
 }
 
 criterion_group!(benches, bench);

@@ -15,7 +15,10 @@
 //! the gates in program order, appending each gate's predecessor list
 //! and counting every node's successors. The second transposes the
 //! predecessor lists into the successor array, so each successor list is
-//! ascending.
+//! ascending. The gates themselves are the circuit's, held behind an
+//! `Arc`: [`DependencyDag::shared`] builds over a circuit its caller
+//! already shares (the compile pipeline's lowered program), and
+//! [`DependencyDag::new`] copies one.
 //!
 //! # One ready gate per qubit
 //!
@@ -25,6 +28,8 @@
 //! dependency-ready gate touches each qubit at a time. The cache
 //! simulator's optimized fetch relies on this to index the ready set by
 //! qubit with one slot per qubit.
+
+use std::sync::Arc;
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
@@ -55,8 +60,7 @@ const NONE: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DependencyDag {
-    num_qubits: u32,
-    gates: Vec<Gate>,
+    circuit: Arc<Circuit>,
     pred_offsets: Vec<u32>,
     pred_edges: Vec<u32>,
     succ_offsets: Vec<u32>,
@@ -64,10 +68,17 @@ pub struct DependencyDag {
 }
 
 impl DependencyDag {
-    /// Builds the DAG of `circuit`.
+    /// Builds the DAG of `circuit`, over a copy of its gates.
     #[must_use]
     pub fn new(circuit: &Circuit) -> Self {
-        let gates: Vec<Gate> = circuit.gates().to_vec();
+        Self::shared(Arc::new(circuit.clone()))
+    }
+
+    /// Builds the DAG of `circuit` and shares it rather than copying
+    /// its gates.
+    #[must_use]
+    pub fn shared(circuit: Arc<Circuit>) -> Self {
+        let gates = circuit.gates();
         let n = gates.len();
 
         assert!(
@@ -115,8 +126,7 @@ impl DependencyDag {
         succ_offsets[0] = 0;
 
         Self {
-            num_qubits: circuit.num_qubits(),
-            gates,
+            circuit,
             pred_offsets,
             pred_edges,
             succ_offsets,
@@ -127,7 +137,7 @@ impl DependencyDag {
     /// Number of gates (DAG nodes).
     #[must_use]
     pub fn num_gates(&self) -> usize {
-        self.gates.len()
+        self.circuit.len()
     }
 
     /// Number of dependency edges.
@@ -139,13 +149,13 @@ impl DependencyDag {
     /// Size of the register the circuit's gates act on.
     #[must_use]
     pub fn num_qubits(&self) -> u32 {
-        self.num_qubits
+        self.circuit.num_qubits()
     }
 
     /// Every gate, in program order (node `i` is `gates()[i]`).
     #[must_use]
     pub fn gates(&self) -> &[Gate] {
-        &self.gates
+        self.circuit.gates()
     }
 
     /// Direct dependencies of gate `i`.
@@ -206,7 +216,7 @@ impl DependencyDag {
                 .map(|&p| finish[p as usize])
                 .max()
                 .unwrap_or(0);
-            finish[i] = start + weight(&self.gates[i]);
+            finish[i] = start + weight(&self.gates()[i]);
             best = best.max(finish[i]);
         }
         best
@@ -215,13 +225,13 @@ impl DependencyDag {
     /// Total work: the sum of gate weights.
     #[must_use]
     pub fn total_work<W: Fn(&Gate) -> u64>(&self, weight: W) -> u64 {
-        self.gates.iter().map(weight).sum()
+        self.gates().iter().map(weight).sum()
     }
 
     /// Average parallelism = total unit-gate count / depth.
     #[must_use]
     pub fn average_parallelism(&self) -> f64 {
-        if self.gates.is_empty() {
+        if self.circuit.is_empty() {
             return 0.0;
         }
         self.num_gates() as f64 / self.depth() as f64

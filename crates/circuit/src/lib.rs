@@ -11,7 +11,8 @@
 //!   unlimited-resources parallelism profile,
 //! * [`ListScheduler`] — resource-constrained list scheduling onto `B`
 //!   compute blocks, with occupancy and utilization reporting; a
-//!   [`SchedulePlan`] schedules one DAG at many widths,
+//!   [`SchedulePlan`] schedules one DAG at many widths, and its costs
+//!   pass prices a width without building the schedule,
 //! * [`ClassicalState`] — exact verification of reversible (X/CNOT/Toffoli)
 //!   circuits such as adders,
 //! * [`asm`] — the assembly-style text format consumed by the cache

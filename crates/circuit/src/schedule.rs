@@ -43,16 +43,34 @@
 //! gates then live in an [`IndexSet`] over ranks, so the next launch is
 //! its minimum, at most ⌈log₆₄ n⌉ word operations, where a heap of
 //! ready gates pays a logarithmic pop on a ready set that runs about a
-//! thousand deep on a wide Draper adder. Running gates stay in a min-heap of packed
-//! `(finish, index)` keys, at most the width deep.
+//! thousand deep on a wide Draper adder.
+//!
+//! # Completion ring
+//!
+//! Running gates sit in a ring of `max weight.next_power_of_two()`
+//! slots, one per finish time modulo the ring length: every running
+//! gate finishes in `now + 1..=now + max weight`, that many consecutive
+//! times, so no two finish times share a slot, and the next completion
+//! is the first non-empty slot after `now`. Gates finishing together are
+//! released in any order, which decides nothing: every release only
+//! fills the ready set before the next launch round. The ring is at
+//! most twice as long as the ASAP occupancy series the plan has already
+//! allocated, since the critical path is at least the largest weight.
+//!
+//! # Two sinks
+//!
+//! One run loop serves two callers. [`SchedulePlan::costs`] keeps only
+//! the makespan and the peak (the most gates running after any launch
+//! round, which is the occupancy series' maximum), and the ASAP exit
+//! answers it from the plan alone. [`SchedulePlan::schedule`] also
+//! records every start time and builds the occupancy series, for the
+//! profiles of Fig 2. [`Width::utilization`] prices both.
 //!
 //! Every path makes the same decisions as a reference list scheduler
 //! over tuple heaps with no exit: `schedule::tests` runs one plan at
 //! widths on both sides of the ASAP peak, in ascending and descending
 //! order, against it.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 use crate::dag::DependencyDag;
@@ -77,6 +95,29 @@ impl Width {
                 b
             }
         }
+    }
+
+    /// Mean compute-block utilization of a run at this width:
+    /// work / (blocks × makespan).
+    ///
+    /// For [`Width::Unlimited`] the denominator uses the run's peak
+    /// parallelism (the hardware a sea-of-qubits machine would have had
+    /// to provision).
+    ///
+    /// Empty runs report `0.0` rather than the `0/0` the formula would
+    /// produce, and a single-gate run under [`Width::Unlimited`] reports
+    /// exactly `1.0` (one slot, fully busy) — neither edge divides by
+    /// zero.
+    #[must_use]
+    pub fn utilization(self, total_work: u64, makespan: u64, peak: usize) -> f64 {
+        if makespan == 0 || total_work == 0 {
+            return 0.0;
+        }
+        let slots = match self {
+            Self::Blocks(b) => b.max(1),
+            Self::Unlimited => peak.max(1),
+        };
+        total_work as f64 / (slots as f64 * makespan as f64)
     }
 }
 
@@ -152,25 +193,12 @@ impl Schedule {
         self.occupancy.iter().copied().max().unwrap_or(0)
     }
 
-    /// Mean compute-block utilization: work / (blocks × makespan).
-    ///
-    /// For [`Width::Unlimited`] the denominator uses the peak parallelism
-    /// (the hardware a sea-of-qubits machine would have had to provision).
-    ///
-    /// Empty schedules report `0.0` rather than the `0/0` the formula
-    /// would produce, and a single-gate schedule under
-    /// [`Width::Unlimited`] reports exactly `1.0` (one slot, fully busy)
-    /// — neither edge divides by zero.
+    /// Mean compute-block utilization: [`Width::utilization`] of this
+    /// schedule.
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        if self.makespan == 0 || self.total_work == 0 {
-            return 0.0;
-        }
-        let slots = match self.width {
-            Width::Blocks(b) => b.max(1),
-            Width::Unlimited => self.peak_parallelism().max(1),
-        };
-        self.total_work as f64 / (slots as f64 * self.makespan as f64)
+        self.width
+            .utilization(self.total_work, self.makespan, self.peak_parallelism())
     }
 }
 
@@ -228,9 +256,9 @@ impl<'a> ListScheduler<'a> {
 /// weight function: built once, it schedules any number of widths.
 ///
 /// It holds the gate weights and total work, the ASAP schedule (start
-/// times, critical path, occupancy and its peak) and, once a width
-/// binds, the rank order. A run at a width the ASAP peak fits returns
-/// the ASAP schedule; any other run pops ready gates in rank order.
+/// times, critical path and peak) and, once a width binds, the rank
+/// order. A run at a width the ASAP peak fits is the ASAP schedule; any
+/// other run pops ready gates in rank order.
 ///
 /// # Examples
 ///
@@ -248,6 +276,7 @@ impl<'a> ListScheduler<'a> {
 ///     let width = Width::Blocks(b);
 ///     let once = ListScheduler::new(&dag).schedule(width, |_| 1);
 ///     assert_eq!(plan.schedule(&dag, width), once);
+///     assert_eq!(plan.costs(&dag, width), (once.makespan(), once.peak_parallelism()));
 /// }
 /// ```
 #[derive(Debug)]
@@ -259,8 +288,10 @@ pub struct SchedulePlan {
     critical_path: u64,
     depth: usize,
     asap_starts: Vec<u64>,
-    asap_occupancy: Vec<usize>,
     asap_peak: usize,
+    /// Slots of a binding run's completion ring: the largest weight,
+    /// rounded up to a power of two.
+    ring_len: usize,
     ranks: OnceLock<Ranks>,
 }
 
@@ -268,8 +299,8 @@ impl SchedulePlan {
     /// Weighs every gate of `dag` and runs the ASAP pass: program order
     /// is a topological order, so one forward pass gives every gate its
     /// start (the latest finish among its predecessors), the critical
-    /// path and the unit-gate depth, and a +1/−1 sweep gives the
-    /// occupancy and its peak.
+    /// path and the unit-gate depth, and a +1/−1 sweep gives the peak of
+    /// the occupancy.
     ///
     /// # Panics
     ///
@@ -304,8 +335,11 @@ impl SchedulePlan {
             critical_path = critical_path.max(start + weights[i]);
             depth = depth.max(level + 1);
         }
-        let mut asap_occupancy = Vec::new();
-        let asap_peak = fill_occupancy(&mut asap_occupancy, &asap_starts, &weights, critical_path);
+        let (_, asap_peak) = occupancy(&asap_starts, &weights, critical_path);
+        // The series just allocated holds `critical_path + 1` entries,
+        // and no weight exceeds the critical path, so the ring is at
+        // most twice its length.
+        let max_weight = weights.iter().copied().max().unwrap_or(0);
         Self {
             edges: dag.num_edges(),
             weights,
@@ -313,8 +347,8 @@ impl SchedulePlan {
             critical_path,
             depth: depth as usize,
             asap_starts,
-            asap_occupancy,
             asap_peak,
+            ring_len: (max_weight as usize).next_power_of_two(),
             ranks: OnceLock::new(),
         }
     }
@@ -324,6 +358,19 @@ impl SchedulePlan {
     #[must_use]
     pub fn depth(&self) -> usize {
         self.depth
+    }
+
+    /// Longest weighted dependency chain: the makespan at every width
+    /// the ASAP peak fits, and a lower bound at every other.
+    #[must_use]
+    pub fn critical_path(&self) -> u64 {
+        self.critical_path
+    }
+
+    /// Sum of all gate weights.
+    #[must_use]
+    pub fn total_work(&self) -> u64 {
+        self.total_work
     }
 
     /// Peak concurrent gates of the ASAP schedule: the narrowest width
@@ -352,29 +399,52 @@ impl SchedulePlan {
         built
     }
 
-    /// The schedule at `width`, leaving the plan ready for more widths
-    /// (an unbound width copies the ASAP vectors).
+    /// `(makespan, peak parallelism)` of the schedule at `width`,
+    /// without building it: the costs pass. A width the ASAP peak fits
+    /// answers `(critical path, ASAP peak)` from the plan; a binding
+    /// width runs the list scheduler and records no start time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is `Blocks(0)`, or if `dag`'s gate or edge
+    /// count differs from the plan's DAG (see [`SchedulePlan::schedule`]).
+    #[must_use]
+    pub fn costs(&self, dag: &DependencyDag, width: Width) -> (u64, usize) {
+        if !self.binds(dag, width) {
+            return (self.critical_path, self.asap_peak);
+        }
+        let ranks = self.ranks.get_or_init(|| Ranks::new(dag, self));
+        self.run(dag, ranks, width.cap(), |_, _| {})
+    }
+
+    /// The schedule at `width`, leaving the plan ready for more widths.
     ///
     /// # Panics
     ///
     /// Panics if `width` is `Blocks(0)`, or if `dag`'s gate or edge
     /// count differs from the plan's DAG. Only the counts are checked:
     /// another DAG with the same counts runs on this plan's ASAP times
-    /// and ranks. A binding width also panics, naming the makespan, if
-    /// its occupancy series cannot be allocated (see
-    /// [`SchedulePlan::new`]).
+    /// and ranks. Panics, naming the makespan, if the occupancy series
+    /// cannot be allocated (see [`SchedulePlan::new`]).
     #[must_use]
     pub fn schedule(&self, dag: &DependencyDag, width: Width) -> Schedule {
-        if !self.binds(dag, width) {
-            return self.finish(
-                width,
-                self.critical_path,
-                self.asap_starts.clone(),
-                self.asap_occupancy.clone(),
-            );
+        let (makespan, start_times) = if self.binds(dag, width) {
+            let ranks = self.ranks.get_or_init(|| Ranks::new(dag, self));
+            let mut start_times = vec![0u64; self.weights.len()];
+            let (makespan, _) = self.run(dag, ranks, width.cap(), |i, now| start_times[i] = now);
+            (makespan, start_times)
+        } else {
+            (self.critical_path, self.asap_starts.clone())
+        };
+        let (occupancy, _) = occupancy(&start_times, &self.weights, makespan);
+        Schedule {
+            width,
+            makespan,
+            critical_path: self.critical_path,
+            total_work: self.total_work,
+            start_times,
+            occupancy,
         }
-        let ranks = self.ranks.get_or_init(|| Ranks::new(dag, self));
-        self.run(dag, ranks, width)
     }
 
     /// Whether `width` binds: the ASAP peak exceeds it.
@@ -386,33 +456,18 @@ impl SchedulePlan {
         self.asap_peak > width.cap()
     }
 
-    fn finish(
-        &self,
-        width: Width,
-        makespan: u64,
-        start_times: Vec<u64>,
-        occupancy: Vec<usize>,
-    ) -> Schedule {
-        Schedule {
-            width,
-            makespan,
-            critical_path: self.critical_path,
-            total_work: self.total_work,
-            start_times,
-            occupancy,
-        }
-    }
-
-    /// The list scheduler at a binding width: ready gates sit in an
+    /// The list scheduler on `cap` slots: ready gates sit in an
     /// [`IndexSet`] over ranks, so the next launch is its minimum, and
-    /// running gates in a min-heap of `(finish, index)` keys packed into
-    /// one `u64`.
-    fn run(&self, dag: &DependencyDag, ranks: &Ranks, width: Width) -> Schedule {
+    /// running gates in the completion ring. Hands each launch to
+    /// `launched` as `(gate, start)` and returns `(makespan, peak)`.
+    fn run(
+        &self,
+        dag: &DependencyDag,
+        ranks: &Ranks,
+        cap: usize,
+        mut launched: impl FnMut(usize, u64),
+    ) -> (u64, usize) {
         let n = self.weights.len();
-        let mut start_times = vec![0u64; n];
-        let cap = width.cap();
-        let shift = index_shift(n, self.total_work);
-        let low = (1u64 << shift) - 1;
         // At most one predecessor per operand, and gates have at most
         // three operands.
         let mut indegree: Vec<u8> = (0..n).map(|i| dag.predecessors(i).len() as u8).collect();
@@ -422,13 +477,10 @@ impl SchedulePlan {
                 ready.insert(ranks.rank_of[i] as usize);
             }
         }
-        let mut running: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(cap.min(n));
-        let mut busy = 0usize;
-        let mut now = 0u64;
-        let mut makespan = 0u64;
-        let mut scheduled = 0usize;
-
-        while scheduled < n || !running.is_empty() {
+        let mask = self.ring_len - 1;
+        let mut ring: Vec<Vec<u32>> = vec![Vec::new(); self.ring_len];
+        let (mut busy, mut peak, mut now, mut scheduled) = (0usize, 0usize, 0u64, 0usize);
+        loop {
             // Launch as many ready gates as slots allow, best rank first.
             while busy < cap {
                 let Some(rank) = ready.first() else {
@@ -436,26 +488,27 @@ impl SchedulePlan {
                 };
                 ready.remove(rank);
                 let i = ranks.gate_at[rank] as usize;
-                start_times[i] = now;
-                let finish = now + self.weights[i];
-                running.push(Reverse((finish << shift) | i as u64));
+                launched(i, now);
+                ring[(now + self.weights[i]) as usize & mask].push(i as u32);
                 busy += 1;
                 scheduled += 1;
-                makespan = makespan.max(finish);
             }
-            // Advance to the next completion.
-            let Some(&Reverse(key)) = running.peek() else {
+            peak = peak.max(busy);
+            if busy == 0 {
+                // The last completion was the makespan.
                 assert_eq!(scheduled, n, "deadlock: gates remain but none running");
-                break;
-            };
-            now = key >> shift;
-            while let Some(&Reverse(key)) = running.peek() {
-                if key >> shift != now {
-                    break;
-                }
-                running.pop();
-                busy -= 1;
-                for &s in dag.successors((key & low) as usize) {
+                return (now, peak);
+            }
+            // Advance to the next completion and release its gates.
+            now += 1;
+            while ring[now as usize & mask].is_empty() {
+                now += 1;
+            }
+            let slot = now as usize & mask;
+            let mut finished = std::mem::take(&mut ring[slot]);
+            busy -= finished.len();
+            for &g in &finished {
+                for &s in dag.successors(g as usize) {
                     let s = s as usize;
                     indegree[s] -= 1;
                     if indegree[s] == 0 {
@@ -463,10 +516,9 @@ impl SchedulePlan {
                     }
                 }
             }
+            finished.clear();
+            ring[slot] = finished;
         }
-        let mut occupancy = Vec::new();
-        fill_occupancy(&mut occupancy, &start_times, &self.weights, makespan);
-        self.finish(width, makespan, start_times, occupancy)
     }
 }
 
@@ -554,37 +606,19 @@ fn downstream_priority(dag: &DependencyDag, weights: &[u64]) -> Vec<u64> {
     priority
 }
 
-/// Bits a gate index takes in a packed `u64` key whose high bits hold a
-/// time or priority. Every finish time and priority is at most the total
-/// work, so the packing is exact when the total work fits above the
-/// index.
-fn index_shift(n: usize, total_work: u64) -> u32 {
-    let shift = usize::BITS - n.saturating_sub(1).leading_zeros();
-    assert!(
-        total_work <= u64::MAX >> shift,
-        "total work {total_work} of {n} gates overflows the packed keys"
-    );
-    shift
-}
-
-/// Fills `occupancy` with the number of gates running in each time unit
-/// of `0..makespan` and returns its peak: a +1/−1 sweep over the start
-/// and finish times, summed in place. A slot's delta may wrap below
-/// zero, so every step wraps, but each prefix sum is a count of running
-/// gates, so the sums are exact.
+/// The number of gates running in each time unit of `0..makespan`,
+/// and its peak: a +1/−1 sweep over the start and finish times, summed
+/// in place. A slot's delta may wrap below zero, so every step wraps,
+/// but each prefix sum is a count of running gates, so the sums are
+/// exact.
 ///
 /// # Panics
 ///
 /// Panics, naming the makespan, if the series cannot be allocated: the
 /// reservation is tried first, so a makespan past the address space
 /// fails without touching memory rather than aborting the process.
-fn fill_occupancy(
-    occupancy: &mut Vec<usize>,
-    start_times: &[u64],
-    weights: &[u64],
-    makespan: u64,
-) -> usize {
-    occupancy.clear();
+fn occupancy(start_times: &[u64], weights: &[u64], makespan: u64) -> (Vec<usize>, usize) {
+    let mut occupancy: Vec<usize> = Vec::new();
     let len = usize::try_from(makespan)
         .ok()
         .and_then(|m| m.checked_add(1));
@@ -600,16 +634,19 @@ fn fill_occupancy(
     }
     occupancy.pop();
     let (mut running, mut peak) = (0usize, 0usize);
-    for slot in occupancy.iter_mut() {
+    for slot in &mut occupancy {
         running = running.wrapping_add(*slot);
         *slot = running;
         peak = peak.max(running);
     }
-    peak
+    (occupancy, peak)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
     use crate::circuit::Circuit;
 
@@ -775,8 +812,8 @@ mod tests {
 
     /// Reference list scheduler over two heaps of tuples,
     /// `(priority, Reverse(index))` ready and `(finish, index)` running,
-    /// with no ASAP exit: the oracle both the exit and the packed `u64`
-    /// heap keys must agree with.
+    /// with no ASAP exit: the oracle the exit, the rank-ordered ready
+    /// set and the completion ring must agree with.
     fn reference_schedule(dag: &DependencyDag, width: Width, weight: fn(&Gate) -> u64) -> Schedule {
         let n = dag.num_gates();
         let cap = width.cap();
@@ -897,8 +934,8 @@ mod tests {
     }
 
     /// Two-qubit-gate weights scaled up and jittered, so priorities and
-    /// finish times run far past the gate count in the packed keys'
-    /// high bits. (The scale stays modest: the occupancy series holds
+    /// finish times run far past the gate count and wrap the completion
+    /// ring many times. (The scale stays modest: the occupancy series holds
     /// one entry per time unit.)
     fn heavy(g: &Gate) -> u64 {
         64 * g.two_qubit_gate_equivalents() + u64::from(g.qubit_array().0[0].index() % 5)
@@ -919,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_keys_make_every_decision_the_tuple_heaps_make() {
+    fn the_plan_makes_every_decision_the_tuple_heaps_make() {
         let circuits = (0..24).map(|seed| {
             let qubits = [3, 8, 16, 64][seed as usize % 4];
             random_circuit(qubits, 32 * (seed as usize + 1), seed)
@@ -957,9 +994,26 @@ mod tests {
                     }
                     for k in order {
                         let case = format!("{} gates at {}", circuit.len(), widths[k]);
+                        // The costs pass runs first, so at the first
+                        // binding width it builds the ranks.
+                        let (makespan, peak) = plan.costs(&dag, widths[k]);
                         let s = plan.schedule(&dag, widths[k]);
                         assert_eq!(s, want[k], "{case}");
                         assert_eq!(s.utilization(), want[k].utilization(), "{case}");
+                        assert_eq!(
+                            (makespan, peak),
+                            (s.makespan(), s.peak_parallelism()),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            widths[k]
+                                .utilization(plan.total_work(), makespan, peak)
+                                .to_bits(),
+                            s.utilization().to_bits(),
+                            "{case}"
+                        );
+                        assert_eq!(plan.critical_path(), s.critical_path(), "{case}");
+                        assert_eq!(plan.total_work(), s.total_work(), "{case}");
                         let once = ListScheduler::new(&dag).schedule(widths[k], weight);
                         assert_eq!(once, want[k], "{case}, one-shot");
                     }
@@ -971,12 +1025,18 @@ mod tests {
         }
     }
 
+    /// Bits a gate index takes in a packed `u64` key whose high bits
+    /// hold a priority: the keys a sort checks [`rank_order`] against.
+    fn index_shift(n: usize) -> u32 {
+        usize::BITS - n.saturating_sub(1).leading_zeros()
+    }
+
     #[test]
     fn radix_ranks_match_a_sort_of_packed_keys() {
         let mut state = 0x5eed_u64;
         let mut next = || splitmix64(&mut state);
         for n in [1usize, 2, 100, 5000] {
-            let shift = index_shift(n, 0);
+            let shift = index_shift(n);
             // One, one, two and three 11-bit passes, then the widest
             // critical path the packed keys hold.
             let top = u64::MAX >> shift;

@@ -108,7 +108,10 @@ pub fn schedule_plan(dag: &DependencyDag) -> SchedulePlan {
 }
 
 /// [`schedule_costs`] from `dag`'s [`schedule_plan`], which serves every
-/// block count.
+/// block count. It runs the plan's costs pass
+/// ([`SchedulePlan::costs`]), which builds no start times or occupancy
+/// series; the fields equal those of the materialized
+/// [`SchedulePlan::schedule`], utilization bit for bit.
 ///
 /// # Panics
 ///
@@ -116,14 +119,15 @@ pub fn schedule_plan(dag: &DependencyDag) -> SchedulePlan {
 #[must_use]
 pub fn schedule_costs_with(dag: &DependencyDag, plan: &SchedulePlan, blocks: u32) -> ScheduleCosts {
     assert!(blocks > 0, "schedule width must be positive");
-    let schedule = plan.schedule(dag, Width::Blocks(blocks as usize));
+    let width = Width::Blocks(blocks as usize);
+    let (makespan, peak_parallelism) = plan.costs(dag, width);
     ScheduleCosts {
-        makespan: schedule.makespan(),
-        critical_path: schedule.critical_path(),
-        total_work: schedule.total_work(),
+        makespan,
+        critical_path: plan.critical_path(),
+        total_work: plan.total_work(),
         depth: plan.depth(),
-        peak_parallelism: schedule.peak_parallelism(),
-        utilization: schedule.utilization(),
+        peak_parallelism,
+        utilization: width.utilization(plan.total_work(), makespan, peak_parallelism),
     }
 }
 

@@ -180,8 +180,9 @@ impl Experiment for Compile {
         let program = self.resolve_program();
         let tech = self.tech.params();
         let lowered = Arc::new(decompose_toffolis(&program));
-        // One DAG serves both the schedule and the optimized cache run.
-        let dag = DependencyDag::new(&lowered);
+        // One DAG, over the lowered gates themselves, serves both the
+        // schedule and the optimized cache run.
+        let dag = DependencyDag::shared(Arc::clone(&lowered));
         let costs = ctx.compiled_costs(&lowered, &dag, self.width);
 
         // Latency: every step of the schedule is one logical gate step.

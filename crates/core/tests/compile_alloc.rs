@@ -92,10 +92,12 @@ fn ledger<T>(f: impl FnOnce() -> T) -> ((usize, usize, usize), T) {
 #[test]
 fn one_compile_allocates_within_its_ledger() {
     // `(qubits, width, peak, allocated)`, bounds in bytes per lowered
-    // gate, a few percent above the 88/124 and 80/86 measured. The
-    // layout before exact-size lowering, 32-bit DAG edges, radix ranks
-    // and in-place cache operands took 122/200 and 108/156.
-    let cases: [(u32, u32, usize, usize); 2] = [(512, 9, 92, 128), (64, 36, 84, 90)];
+    // gate, a few percent above the 70/97 and 59/60 measured. Before
+    // the costs pass (no start times or occupancy series) and the DAG
+    // sharing the lowered gates, they were 88/124 and 80/86; before
+    // exact-size lowering, 32-bit DAG edges, radix ranks and in-place
+    // cache operands, 122/200 and 108/156.
+    let cases: [(u32, u32, usize, usize); 2] = [(512, 9, 73, 100), (64, 36, 61, 63)];
     for (qubits, width, peak_bound, allocated_bound) in cases {
         let program = random_circuit(qubits, 1 << 14, 5);
         let ((calls, bytes, _), lowered) = ledger(|| decompose_toffolis(&program));

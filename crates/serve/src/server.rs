@@ -767,11 +767,11 @@ impl PointCache for Shared {
         id: &str,
         params: &[(String, String)],
         compute: &mut dyn FnMut() -> Option<String>,
-    ) -> Option<String> {
+    ) -> Option<Arc<String>> {
         let key = canonical_key(id, params.iter().map(|(k, v)| (k.as_str(), v.as_str())));
         let run = |()| compute().map(Arc::new).ok_or(());
         let (body, _) = self.read_through(key, || Ok(()), run).ok()?;
-        Some((*body).clone())
+        Some(body)
     }
 }
 
@@ -1431,10 +1431,11 @@ mod tests {
         assert!(server.shared.cache.is_empty());
         // …so the next request for the point computes it afresh.
         let body = cache.get_or_compute("fig2", &point, &mut || Some("body".to_owned()));
-        assert_eq!(body.as_deref(), Some("body"));
+        assert_eq!(body.as_deref().map(String::as_str), Some("body"));
         assert_eq!(server.shared.cache_misses.load(Ordering::Relaxed), 2);
         let hit = cache.get_or_compute("fig2", &point, &mut || unreachable!("cached"));
-        assert_eq!(hit.as_deref(), Some("body"));
+        // A hit shares the cached body rather than copying it.
+        assert!(Arc::ptr_eq(&hit.unwrap(), &body.unwrap()));
         assert_eq!(server.shared.cache.hits(), 1);
     }
 

@@ -34,6 +34,7 @@
 //! request would produce, which is what lets the HTTP service cache
 //! *per point* through the [`PointCache`] hook.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use cqla_core::experiments::{find, Experiment, ExperimentOutput, Grid};
@@ -71,7 +72,8 @@ pub struct GridPoint {
 ///
 /// Bodies are *single-run bodies*: the pretty `{"artifact", "data"}`
 /// document plus trailing newline — exactly what a single-value request
-/// produces. `compute` runs the point and returns its body, or `None`
+/// produces — shared rather than copied out of the cache. `compute`
+/// runs the point and returns its body, or `None`
 /// for a run that failed its self-checks; implementations store only
 /// `Some` bodies (the body format does not record the verdict, so a
 /// cached point is reported as passed). An implementation may coalesce
@@ -91,7 +93,7 @@ pub trait PointCache: Sync {
         id: &str,
         params: &[(String, String)],
         compute: &mut dyn FnMut() -> Option<String>,
-    ) -> Option<String>;
+    ) -> Option<Arc<String>>;
 }
 
 /// A completed grid run: every point in submission order.
@@ -459,16 +461,16 @@ mod tests {
                 id: &str,
                 params: &[(String, String)],
                 compute: &mut dyn FnMut() -> Option<String>,
-            ) -> Option<String> {
+            ) -> Option<Arc<String>> {
                 if let Some(body) = self.get(id, params) {
-                    return Some(body);
+                    return Some(Arc::new(body));
                 }
                 let body = compute()?;
                 self.0
                     .lock()
                     .unwrap()
                     .insert(format!("{id} {params:?}"), body.clone());
-                Some(body)
+                Some(Arc::new(body))
             }
         }
         let cache = MapCache(Mutex::new(std::collections::HashMap::new()));

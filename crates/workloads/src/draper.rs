@@ -16,8 +16,6 @@
 //! The wide early rounds (n simultaneous Toffolis) followed by a long
 //! narrow tail are exactly the parallelism shape of the paper's Fig 2.
 
-use std::collections::HashMap;
-
 use cqla_circuit::{Circuit, ClassicalState};
 
 use crate::width::{combine_carry, validate_width, MAX_VERIFIED_WIDTH};
@@ -61,12 +59,12 @@ impl DraperAdder {
     #[must_use]
     pub fn new(n: u32) -> Self {
         validate_width("adder", n, MAX_ADDER_BITS);
-        let mut builder = Builder::new(n);
-        let circuit = builder.build();
+        let builder = Builder::new(n);
+        let num_ancilla = builder.circuit.num_qubits() - (3 * n + 1);
         Self {
             n,
-            circuit,
-            num_ancilla: builder.next_free - (3 * n + 1),
+            circuit: builder.build(),
+            num_ancilla,
         }
     }
 
@@ -173,36 +171,31 @@ impl DraperAdder {
 struct Builder {
     n: u32,
     circuit: Circuit,
-    /// `(t, m)` → ancilla qubit holding the propagate product
-    /// `P_t[m] = p-product over [2^t·m, 2^t·(m+1))`.
-    p_tree: HashMap<(u32, u32), u32>,
-    next_free: u32,
+    /// The first ancilla of each propagate-tree level: `P_t[m]`, the
+    /// p-product over `[2^t·m, 2^t·(m+1))`, lives at `p_base[t] + m − 1`
+    /// for `1 <= m <= n / 2^t − 1`. Level 0 lives in `b`, so entry 0 is
+    /// unused.
+    p_base: Vec<u32>,
 }
 
 impl Builder {
     fn new(n: u32) -> Self {
-        // Count propagate-tree ancilla: P_t[m] for t >= 1, m >= 1,
-        // 2^t·(m+1) <= n.
-        let mut p_tree = HashMap::new();
+        // Lay out the propagate-tree ancilla level by level: P_t[m] for
+        // t >= 1, m >= 1, 2^t·(m+1) <= n, that is n / 2^t − 1 of them.
+        let mut p_base = vec![0];
         let mut next_free = 3 * n + 1;
         let mut t = 1;
         while (1u32 << t) * 2 <= n {
-            let span = 1u32 << t;
-            let mut m = 1;
-            while span * (m + 1) <= n {
-                p_tree.insert((t, m), next_free);
-                next_free += 1;
-                m += 1;
-            }
+            p_base.push(next_free);
+            next_free += (n >> t) - 1;
             t += 1;
         }
         Self {
             n,
             // Register budget is known up front; Circuit validates every
             // gate against it.
-            circuit: Circuit::new(next_free.max(3 * n + 1)),
-            p_tree,
-            next_free,
+            circuit: Circuit::new(next_free),
+            p_base,
         }
     }
 
@@ -221,16 +214,17 @@ impl Builder {
     /// The qubit holding propagate product `P_t[m]`; level 0 lives in `b`.
     fn p(&self, t: u32, m: u32) -> u32 {
         if t == 0 {
-            self.b(m)
-        } else {
-            *self
-                .p_tree
-                .get(&(t, m))
-                .unwrap_or_else(|| panic!("P_{t}[{m}] not allocated"))
+            return self.b(m);
         }
+        let level = t as usize;
+        assert!(
+            level < self.p_base.len() && m >= 1 && m < self.n >> t,
+            "P_{t}[{m}] not allocated"
+        );
+        self.p_base[level] + m - 1
     }
 
-    fn build(&mut self) -> Circuit {
+    fn build(mut self) -> Circuit {
         let n = self.n;
         // 1. Generate bits: z_{i+1} = a_i AND b_i.
         for i in 0..n {
@@ -287,7 +281,7 @@ impl Builder {
         for i in 0..n {
             self.circuit.cnot(self.a(i), self.b(i));
         }
-        self.circuit.clone()
+        self.circuit
     }
 
     /// The propagate-tree rounds; Toffolis are self-inverse so the inverse

@@ -885,3 +885,94 @@ mod dag_oracle {
         }
     }
 }
+
+// The costs pass (`SchedulePlan::costs`, behind every model's
+// `schedule_costs_with`) against the materialized schedule: the same
+// makespan, a peak equal to the occupancy series' maximum, and the same
+// utilization bits, on random DAGs at widths on both sides of the ASAP
+// peak.
+
+mod costs_pass {
+    use proptest::prelude::*;
+
+    use cqla_repro::circuit::{DependencyDag, Gate, SchedulePlan, Width};
+    use cqla_repro::compile::random::random_circuit;
+    use cqla_repro::compile::{schedule_costs_with, schedule_plan};
+
+    /// A weight in `1..=15` mixed from the gate's operands and `seed`,
+    /// except that gates whose first operand is `heavy_qubit` weigh
+    /// `heavy`: one long gate class, so the completion ring spans many
+    /// more slots than most gates take.
+    fn weight(g: &Gate, seed: u64, heavy_qubit: u32, heavy: u64) -> u64 {
+        let (qubits, arity) = g.qubit_array();
+        if qubits[0].index() == heavy_qubit {
+            return heavy;
+        }
+        let mut h = seed;
+        for q in &qubits[..arity] {
+            h = (h ^ u64::from(q.index())).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            h ^= h >> 29;
+        }
+        1 + h % 15
+    }
+
+    /// Every width from one block to one past the ASAP peak, in both
+    /// orders, through one plan: the costs pass equals the schedule.
+    fn assert_costs_match(dag: &DependencyDag, plan: &SchedulePlan) {
+        let widths = (1..=plan.asap_peak() + 1).map(Width::Blocks);
+        for width in widths.clone().chain(widths.rev()).chain([Width::Unlimited]) {
+            let (makespan, peak) = plan.costs(dag, width);
+            let s = plan.schedule(dag, width);
+            let occupancy_peak = s.occupancy().iter().copied().max().unwrap_or(0);
+            assert_eq!((makespan, peak), (s.makespan(), occupancy_peak), "{width}");
+            assert_eq!(
+                width
+                    .utilization(plan.total_work(), makespan, peak)
+                    .to_bits(),
+                s.utilization().to_bits(),
+                "{width}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn costs_pass_matches_the_schedule_under_random_weights(
+            qubits in 2u32..=24,
+            gates in 0u32..=240,
+            seed in any::<u64>(),
+            heavy_qubit in 0u32..24,
+            heavy in 16u64..=400,
+        ) {
+            let dag = DependencyDag::new(&random_circuit(qubits, gates, seed));
+            let plan = SchedulePlan::new(&dag, |g| weight(g, seed, heavy_qubit, heavy));
+            assert_costs_match(&dag, &plan);
+        }
+
+        #[test]
+        fn costs_pass_prices_schedule_costs_with(
+            qubits in 2u32..=24,
+            gates in 0u32..=240,
+            seed in any::<u64>(),
+        ) {
+            let dag = DependencyDag::new(&random_circuit(qubits, gates, seed));
+            let plan = schedule_plan(&dag);
+            assert_costs_match(&dag, &plan);
+            for blocks in 1..=plan.asap_peak() as u32 + 1 {
+                let costs = schedule_costs_with(&dag, &plan, blocks);
+                let s = plan.schedule(&dag, Width::Blocks(blocks as usize));
+                prop_assert_eq!(costs.makespan, s.makespan());
+                prop_assert_eq!(costs.critical_path, s.critical_path());
+                prop_assert_eq!(costs.total_work, s.total_work());
+                prop_assert_eq!(costs.depth, dag.depth());
+                prop_assert_eq!(
+                    costs.peak_parallelism,
+                    s.occupancy().iter().copied().max().unwrap_or(0)
+                );
+                prop_assert_eq!(costs.utilization.to_bits(), s.utilization().to_bits());
+            }
+        }
+    }
+}
