@@ -88,25 +88,6 @@ impl ParseAsmError {
         self.line
     }
 
-    /// Byte span `(start, end)` of the offending token within
-    /// [`ParseAsmError::source_line`].
-    #[must_use]
-    pub fn span(&self) -> (usize, usize) {
-        self.span
-    }
-
-    /// Text of the offending line.
-    #[must_use]
-    pub fn source_line(&self) -> &str {
-        &self.source
-    }
-
-    /// The bare diagnostic message, without the caret rendering.
-    #[must_use]
-    pub fn message(&self) -> &str {
-        &self.message
-    }
-
     /// A did-you-mean or usage hint, when one applies.
     #[must_use]
     pub fn hint(&self) -> Option<&str> {
@@ -636,8 +617,8 @@ mod tests {
     fn unknown_mnemonic_renders_span_and_suggestion() {
         let err = parse("x q0\ntofolli q0, q1, q2\n").unwrap_err();
         assert_eq!(err.line(), 2);
-        assert_eq!(err.span(), (0, 7));
-        assert_eq!(err.source_line(), "tofolli q0, q1, q2");
+        assert_eq!(err.span, (0, 7));
+        assert_eq!(err.source, "tofolli q0, q1, q2");
         assert_eq!(err.hint(), Some("did you mean `toffoli`?"));
         let rendered = err.to_string();
         assert!(rendered.contains("parse error at line 2, columns 0..7"));
@@ -648,7 +629,7 @@ mod tests {
     #[test]
     fn spans_respect_leading_whitespace() {
         let err = parse("   x banana\n").unwrap_err();
-        assert_eq!(err.span(), (5, 11));
+        assert_eq!(err.span, (5, 11));
         assert!(err.to_string().contains("\n     x banana\n       ^^^^^^"));
     }
 
@@ -680,15 +661,15 @@ mod tests {
         assert!(parse("cphase[z] q0, q1\n").is_err());
         assert!(parse("cnot[2] q0, q1\n").is_err()); // stray order
         let err = parse("x 0\n").unwrap_err();
-        assert_eq!(err.span(), (2, 3));
+        assert_eq!(err.span, (2, 3));
     }
 
     #[test]
     fn an_index_past_the_largest_register_is_an_error_not_a_panic() {
         // q4294967295 would need a register of 2^32 qubits.
         let err = parse("x q4294967295\n").unwrap_err();
-        assert!(err.message().contains("out of range"), "{err}");
-        assert_eq!(err.span(), (2, 13));
+        assert!(err.message.contains("out of range"), "{err}");
+        assert_eq!(err.span, (2, 13));
         let err = parse("x q0\ncnot q1, q1048576\n").unwrap_err();
         assert_eq!(
             err.to_string(),

@@ -189,15 +189,6 @@ impl Circuit {
         }
         counts
     }
-
-    /// Total cost in two-qubit-gate equivalents (Toffoli = 15, paper §5.1).
-    #[must_use]
-    pub fn total_gate_equivalents(&self) -> u64 {
-        self.gates
-            .iter()
-            .map(Gate::two_qubit_gate_equivalents)
-            .sum()
-    }
 }
 
 impl core::fmt::Display for Circuit {
@@ -273,7 +264,8 @@ mod tests {
         assert_eq!(counts.two_qubit_other, 1);
         assert_eq!(counts.measure, 1);
         assert_eq!(counts.total(), 5);
-        assert_eq!(c.total_gate_equivalents(), 1 + 1 + 15 + 1 + 1);
+        let work: u64 = c.gates().iter().map(Gate::two_qubit_gate_equivalents).sum();
+        assert_eq!(work, 1 + 1 + 15 + 1 + 1);
     }
 
     #[test]

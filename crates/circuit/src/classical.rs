@@ -37,7 +37,8 @@ impl std::error::Error for NonClassicalGate {}
 ///
 /// let mut c = Circuit::new(3);
 /// c.toffoli(0, 1, 2);
-/// let mut state = ClassicalState::from_bits(&[true, true, false]);
+/// let mut state = ClassicalState::zeros(3);
+/// state.load_uint(0, 2, 0b11); // q0 = q1 = 1
 /// state.run(&c)?;
 /// assert!(state.bit(2)); // AND computed into q2
 /// # Ok::<(), cqla_circuit::NonClassicalGate>(())
@@ -61,31 +62,6 @@ impl ClassicalState {
         }
     }
 
-    /// Register initialized from explicit bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is empty.
-    #[must_use]
-    pub fn from_bits(bits: &[bool]) -> Self {
-        assert!(!bits.is_empty(), "register needs at least one bit");
-        Self {
-            bits: bits.to_vec(),
-        }
-    }
-
-    /// Number of bits.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// `true` if the register is empty (never, by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
     /// Reads bit `i`.
     ///
     /// # Panics
@@ -94,12 +70,6 @@ impl ClassicalState {
     #[must_use]
     pub fn bit(&self, i: usize) -> bool {
         self.bits[i]
-    }
-
-    /// The raw bits.
-    #[must_use]
-    pub fn bits(&self) -> &[bool] {
-        &self.bits
     }
 
     /// Loads an unsigned integer little-endian into bits
@@ -211,7 +181,7 @@ mod tests {
         c.cnot(0, 1);
         let mut s = ClassicalState::zeros(2);
         s.run(&c).unwrap();
-        assert_eq!(s.bits(), &[true, true]);
+        assert_eq!(s.bits, [true, true]);
     }
 
     #[test]
@@ -220,7 +190,9 @@ mod tests {
             for b in [false, true] {
                 let mut c = Circuit::new(3);
                 c.toffoli(0, 1, 2);
-                let mut s = ClassicalState::from_bits(&[a, b, false]);
+                let mut s = ClassicalState {
+                    bits: vec![a, b, false],
+                };
                 s.run(&c).unwrap();
                 assert_eq!(s.bit(2), a && b, "a={a}, b={b}");
             }
@@ -261,10 +233,12 @@ mod tests {
         for g in reversed {
             twice.push(g);
         }
-        let input = [true, false, true, true];
-        let mut s = ClassicalState::from_bits(&input);
+        let input = vec![true, false, true, true];
+        let mut s = ClassicalState {
+            bits: input.clone(),
+        };
         s.run(&twice).unwrap();
-        assert_eq!(s.bits(), &input);
+        assert_eq!(s.bits, input);
     }
 
     #[test]
@@ -276,7 +250,9 @@ mod tests {
 
     #[test]
     fn display_is_bitstring() {
-        let s = ClassicalState::from_bits(&[true, false, true]);
+        let s = ClassicalState {
+            bits: vec![true, false, true],
+        };
         assert_eq!(s.to_string(), "101");
     }
 }

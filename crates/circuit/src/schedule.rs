@@ -147,12 +147,6 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// The width the schedule was built for.
-    #[must_use]
-    pub fn width(&self) -> Width {
-        self.width
-    }
-
     /// Completion time of the last gate.
     #[must_use]
     pub fn makespan(&self) -> u64 {
@@ -271,7 +265,8 @@ impl<'a> ListScheduler<'a> {
 /// }
 /// let dag = DependencyDag::new(&c);
 /// let plan = SchedulePlan::new(&dag, |_| 1);
-/// assert_eq!(plan.asap_peak(), 4);
+/// // No width binds: the ASAP schedule runs all four gates at once.
+/// assert_eq!(plan.costs(&dag, Width::Unlimited), (1, 4));
 /// for b in 1..=5 {
 ///     let width = Width::Blocks(b);
 ///     let once = ListScheduler::new(&dag).schedule(width, |_| 1);
@@ -371,13 +366,6 @@ impl SchedulePlan {
     #[must_use]
     pub fn total_work(&self) -> u64 {
         self.total_work
-    }
-
-    /// Peak concurrent gates of the ASAP schedule: the narrowest width
-    /// that never binds.
-    #[must_use]
-    pub fn asap_peak(&self) -> usize {
-        self.asap_peak
     }
 
     /// Builds the rank order now if `width` binds and no earlier run
@@ -986,7 +974,7 @@ mod tests {
                     .collect();
                 for descending in [false, true] {
                     let plan = SchedulePlan::new(&dag, weight);
-                    assert_eq!(plan.asap_peak(), peak);
+                    assert_eq!(plan.asap_peak, peak);
                     assert_eq!(plan.depth(), dag.depth());
                     let mut order: Vec<usize> = (0..widths.len()).collect();
                     if descending {
@@ -1083,7 +1071,7 @@ mod tests {
     fn rank_builds_wait_for_a_width_that_binds() {
         let dag = DependencyDag::new(&diamond());
         let plan = SchedulePlan::new(&dag, unit);
-        assert_eq!(plan.asap_peak(), 2);
+        assert_eq!(plan.asap_peak, 2);
         assert!(!plan.build_ranks(&dag, Width::Unlimited));
         assert!(!plan.build_ranks(&dag, Width::Blocks(2)));
         let _ = plan.schedule(&dag, Width::Blocks(2));

@@ -19,29 +19,30 @@ use crate::epr::EprModel;
 
 /// Operand qubits moved to/from memory per Toffoli per block (paper §6.1:
 /// "the transfer of three qubits to and from memory").
-pub const OPERANDS_PER_TOFFOLI: f64 = 3.0;
+pub(crate) const OPERANDS_PER_TOFFOLI: f64 = 3.0;
 
 /// Data qubits per compute block (each block holds nine logical data
 /// qubits, paper §3.2) — the worst-case traffic per block per gate window.
-pub const WORST_CASE_QUBITS_PER_BLOCK: f64 = 9.0;
+const WORST_CASE_QUBITS_PER_BLOCK: f64 = 9.0;
 
 /// The perimeter-bandwidth model for compute superblocks of one code.
 ///
 /// # Examples
 ///
+/// The model is crate-private; its crossover is public through the
+/// Figure 6b series:
+///
 /// ```
-/// use cqla_network::SuperblockBandwidth;
+/// use cqla_core::experiments::fig6b_series;
 /// use cqla_ecc::Code;
 /// use cqla_iontrap::TechnologyParams;
 ///
-/// let model = SuperblockBandwidth::new(Code::Steane713, &TechnologyParams::projected());
-/// let b = model.crossover_blocks();
+/// let (_, b) = fig6b_series(&TechnologyParams::projected(), Code::Steane713);
 /// // Paper: "the cross-over point is 36 compute blocks per superblock".
 /// assert!((16..=64).contains(&b), "crossover {b}");
 /// ```
 #[derive(Debug, Clone)]
-pub struct SuperblockBandwidth {
-    code: Code,
+pub(crate) struct SuperblockBandwidth {
     toffoli_time: Seconds,
     channel_service: Seconds,
     channels_per_edge: f64,
@@ -55,34 +56,27 @@ impl SuperblockBandwidth {
     /// (whose larger data blocks and shorter EC windows demand more
     /// concurrent streams).
     #[must_use]
-    pub fn new(code: Code, tech: &TechnologyParams) -> Self {
+    pub(crate) fn new(code: Code, tech: &TechnologyParams) -> Self {
         let metrics = EccMetrics::compute(code, Level::TWO, tech);
         let epr = EprModel::new(tech);
         Self {
-            code,
             toffoli_time: metrics.toffoli_time(tech),
             channel_service: epr.logical_service_time(code),
             channels_per_edge: f64::from(code.teleport_channels_required().max(2)),
         }
     }
 
-    /// The code this model is for.
-    #[must_use]
-    pub fn code(&self) -> Code {
-        self.code
-    }
-
     /// Demand: operand qubits per Toffoli window for a `blocks`-block
     /// superblock running the Draper adder flat out.
     #[must_use]
-    pub fn required_draper(&self, blocks: u32) -> f64 {
+    pub(crate) fn required_draper(&self, blocks: u32) -> f64 {
         OPERANDS_PER_TOFFOLI * f64::from(blocks)
     }
 
     /// Worst-case demand: the whole block contents (9 data qubits per
     /// block) per Toffoli window — the paper's steep third curve.
     #[must_use]
-    pub fn required_worst_case(&self, blocks: u32) -> f64 {
+    pub(crate) fn required_worst_case(&self, blocks: u32) -> f64 {
         WORST_CASE_QUBITS_PER_BLOCK * f64::from(blocks)
     }
 
@@ -90,7 +84,7 @@ impl SuperblockBandwidth {
     /// `4√B` block edges × channels per edge × (Toffoli time / channel
     /// service time).
     #[must_use]
-    pub fn available(&self, blocks: u32) -> f64 {
+    pub(crate) fn available(&self, blocks: u32) -> f64 {
         let perimeter_edges = 4.0 * f64::from(blocks).sqrt();
         perimeter_edges * self.channels_per_edge * (self.toffoli_time / self.channel_service)
     }
@@ -98,7 +92,7 @@ impl SuperblockBandwidth {
     /// The largest superblock whose perimeter still satisfies the Draper
     /// demand — the Fig 6b crossover.
     #[must_use]
-    pub fn crossover_blocks(&self) -> u32 {
+    pub(crate) fn crossover_blocks(&self) -> u32 {
         // available = required: 4√B·c·ρ = 3B  ⇒  √B = 4cρ/3.
         let rho = self.toffoli_time / self.channel_service;
         let sqrt_b = 4.0 * self.channels_per_edge * rho / OPERANDS_PER_TOFFOLI;
@@ -108,7 +102,7 @@ impl SuperblockBandwidth {
     /// One Fig 6b sample: `(required_draper, required_worst, available)`
     /// at a block count.
     #[must_use]
-    pub fn sample(&self, blocks: u32) -> BandwidthSample {
+    pub(crate) fn sample(&self, blocks: u32) -> BandwidthSample {
         BandwidthSample {
             blocks,
             required_draper: self.required_draper(blocks),
@@ -162,6 +156,9 @@ mod tests {
             let b = model(code).crossover_blocks();
             assert!((10..=80).contains(&b), "{code}: crossover {b}");
         }
+        // Paper: "the cross-over point is 36 compute blocks per superblock".
+        let b = model(Code::Steane713).crossover_blocks();
+        assert!((16..=64).contains(&b), "Steane crossover {b}");
     }
 
     #[test]

@@ -129,12 +129,6 @@ impl CacheRun {
         self.last_fetch_misses
     }
 
-    /// First-touch allocations (no transfer).
-    #[must_use]
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
-
     /// Total operand accesses.
     #[must_use]
     pub fn accesses(&self) -> u64 {
@@ -650,7 +644,7 @@ mod tests {
         c.cnot(0, 1);
         c.cnot(0, 1);
         let run = CacheSim::new(4).run(&c, FetchPolicy::InOrder, &[], 1);
-        assert_eq!(run.allocations(), 2);
+        assert_eq!(run.allocations, 2);
         assert_eq!(run.hits(), 2);
         assert_eq!(run.fetch_misses(), 0);
         assert_eq!(run.accesses(), 4);
@@ -662,7 +656,7 @@ mod tests {
         c.cnot(0, 1);
         let run = CacheSim::new(4).run(&c, FetchPolicy::InOrder, &[qid(0)], 1);
         assert_eq!(run.fetch_misses(), 1);
-        assert_eq!(run.allocations(), 1);
+        assert_eq!(run.allocations, 1);
     }
 
     #[test]
@@ -675,7 +669,7 @@ mod tests {
         c.x(2);
         c.x(0);
         let run = CacheSim::new(2).run(&c, FetchPolicy::InOrder, &[], 1);
-        assert_eq!(run.allocations(), 3);
+        assert_eq!(run.allocations, 3);
         assert_eq!(run.fetch_misses(), 1);
         assert_eq!(run.hits(), 0);
     }
@@ -783,7 +777,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&rate), "{policy}: {rate}");
             assert_eq!(
                 run.accesses(),
-                run.hits() + run.fetch_misses() + run.allocations()
+                run.hits() + run.fetch_misses() + run.allocations
             );
         }
     }

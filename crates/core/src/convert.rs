@@ -11,9 +11,9 @@ use crate::experiments::{Table3Data, Table4Row, Table5Row};
 use crate::{CqlaConfig, FetchPolicy, HierarchyConfig, HierarchyResult, SpecializationResult};
 use cqla_ecc::{Code, EccMetrics, Level};
 use cqla_iontrap::{PhysicalOp, TechPoint, TechnologyParams};
-use cqla_network::BandwidthSample;
 use cqla_units::Seconds;
 
+use crate::bandwidth::BandwidthSample;
 use crate::json::{Json, ToJson};
 
 impl ToJson for Seconds {

@@ -164,7 +164,8 @@ impl Hasher for WordHasher {
 /// One Draper adder width, built once per context.
 #[derive(Debug)]
 pub(crate) struct DraperEntry {
-    pub(crate) adder: DraperAdder,
+    /// The adder's gates: the one copy, shared with `dag`.
+    pub(crate) circuit: Arc<Circuit>,
     pub(crate) dag: DependencyDag,
     /// The memory-resident inputs: the `a` and `b` registers.
     pub(crate) inputs: Vec<QubitId>,
@@ -181,14 +182,19 @@ pub(crate) struct DraperEntry {
 impl DraperEntry {
     fn new(bits: u32) -> Self {
         let adder = DraperAdder::new(bits);
-        let dag = DependencyDag::new(adder.circuit_ref());
-        let weight = Gate::two_qubit_gate_equivalents;
         let inputs = adder.a_register().chain(adder.b_register());
+        let inputs = inputs.map(QubitId::new).collect();
+        let toffolis = adder.circuit_ref().counts().toffoli;
+        // The entry keeps one copy of the gates; the adder's own is freed
+        // on return.
+        let circuit = Arc::new(adder.circuit());
+        let dag = DependencyDag::shared(Arc::clone(&circuit));
+        let weight = Gate::two_qubit_gate_equivalents;
         Self {
-            inputs: inputs.map(QubitId::new).collect(),
+            inputs,
             kernel: (dag.critical_path(weight), dag.total_work(weight)),
-            toffolis: adder.circuit_ref().counts().toffoli,
-            adder,
+            toffolis,
+            circuit,
             dag,
             plan: OnceLock::new(),
         }
@@ -471,6 +477,15 @@ mod tests {
         // The width entry's unscheduled numbers are the schedule's.
         let draper = ctx.draper(64);
         assert_eq!(draper.kernel, (costs.critical_path, costs.total_work));
+    }
+
+    /// A width entry holds its gates once: the entry's circuit and its
+    /// DAG's are one allocation.
+    #[test]
+    fn a_width_entry_and_its_dag_share_one_circuit() {
+        let draper = DraperEntry::new(64);
+        assert_eq!(Arc::strong_count(&draper.circuit), 2);
+        assert_eq!(draper.dag.gates(), draper.circuit.gates());
     }
 
     /// The identity that lets one DAG per width serve the Eq. 1 budget:

@@ -64,7 +64,7 @@ fn transport_time(code: Code, tech: &TechnologyParams) -> Seconds {
 #[must_use]
 pub fn fig8a_row_ctx(tech: &TechnologyParams, n: u32, ctx: &EvalCtx) -> AppTimeRow {
     let code = Code::BaconShor913;
-    let epr = cqla_network::EprModel::new(tech).with_purification_rounds(2);
+    let epr = crate::epr::EprModel::new(tech).with_purification_rounds(2);
     // EPR channel service per logical operand qubit.
     let per_qubit_service = epr.logical_service_time(code);
     let blocks = f64::from(primary_blocks(n));
@@ -80,7 +80,7 @@ pub fn fig8a_row_ctx(tech: &TechnologyParams, n: u32, ctx: &EvalCtx) -> AppTimeR
     // per-operand channel service.
     let per_add_comm = per_qubit_service
         * (toffolis as f64 / blocks)
-        * (cqla_network::OPERANDS_PER_TOFFOLI / f64::from(code.teleport_channels_required()));
+        * (crate::bandwidth::OPERANDS_PER_TOFFOLI / f64::from(code.teleport_channels_required()));
     let communication = per_add_comm * me.additions() as f64 / blocks;
     AppTimeRow {
         size: n,

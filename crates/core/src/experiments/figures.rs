@@ -3,8 +3,8 @@
 use cqla_circuit::Width;
 use cqla_ecc::Code;
 use cqla_iontrap::{TechPoint, TechnologyParams};
-use cqla_network::{BandwidthSample, SuperblockBandwidth};
 
+use crate::bandwidth::{BandwidthSample, SuperblockBandwidth};
 use crate::cache::{CacheSim, FetchPolicy};
 use crate::eval::EvalCtx;
 use crate::hierarchy::cache_capacity;
@@ -402,7 +402,7 @@ pub fn fig7_cell_ctx(
     } else {
         let draper = ctx.draper(adder_bits);
         CacheSim::new(capacity)
-            .run(draper.adder.circuit_ref(), policy, &draper.inputs, 2)
+            .run(&draper.circuit, policy, &draper.inputs, 2)
             .hit_rate()
     };
     Fig7Row {

@@ -15,6 +15,9 @@
 //!   dependency-aware fetch; Fig 7),
 //! * [`HierarchyStudy`] — Table 5: level-1 compute + cache over level-2
 //!   memory, bounded parallel transfers, fidelity-budgeted level mixing,
+//! * the teleportation network — EPR purification and the superblock
+//!   perimeter bandwidth behind Fig 6b ([`BandwidthSample`]) and Fig 8a's
+//!   communication time,
 //! * [`experiments`] — the paper's artifact catalog behind one
 //!   [`experiments::Experiment`] trait plus a [`experiments::registry`],
 //! * [`json`] — a hand-rolled JSON layer ([`Json`] value tree, printers,
@@ -41,8 +44,10 @@
 #![warn(missing_docs)]
 
 mod area;
+mod bandwidth;
 mod cache;
 mod convert;
+mod epr;
 mod eval;
 pub mod experiments;
 mod hierarchy;
@@ -56,6 +61,7 @@ pub use area::{
     AreaModel, BLOCK_ANCILLA_QUBITS, BLOCK_DATA_QUBITS, CQLA_CHANNEL_FACTOR,
     MEMORY_DATA_PER_ANCILLA, QLA_CHANNEL_FACTOR,
 };
+pub use bandwidth::BandwidthSample;
 pub use cache::{CacheRun, CacheSim, CacheTrace, FetchPolicy, TraceStep};
 pub use eval::{memo_counters, CacheBehavior, EvalCtx};
 pub use hierarchy::{HierarchyConfig, HierarchyResult, HierarchyStudy};

@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cqla_circuit::{asm, decompose_toffolis, DependencyDag, Gate};
+use cqla_circuit::{asm, decompose_toffolis, DependencyDag, Gate, Width};
 use cqla_compile::{random::random_circuit, schedule_plan};
 use cqla_core::experiments::find;
 use cqla_core::{EvalCtx, BLOCK_DATA_QUBITS};
@@ -113,7 +113,9 @@ fn one_compile_allocates_within_its_ledger() {
         // Each case takes the paths the module doc names: the wide
         // program binds its width and overflows the cache, the narrow
         // one does neither.
-        let binds = schedule_plan(&DependencyDag::new(&lowered)).asap_peak() > width as usize;
+        let dag = DependencyDag::new(&lowered);
+        let (_, asap_peak) = schedule_plan(&dag).costs(&dag, Width::Unlimited);
+        let binds = asap_peak > width as usize;
         // `compile`'s default cache: 2 × width blocks × 9 data qubits.
         let evicts = u64::from(qubits) > 2 * u64::from(width) * BLOCK_DATA_QUBITS;
         assert_eq!((binds, evicts), (qubits == 512, qubits == 512), "{case}");

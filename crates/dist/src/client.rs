@@ -29,14 +29,6 @@ pub struct HttpResponse {
     pub body: String,
 }
 
-impl HttpResponse {
-    /// True when the header block announces chunked transfer encoding.
-    #[must_use]
-    pub fn is_chunked(&self) -> bool {
-        head_is_chunked(&self.head)
-    }
-}
-
 fn invalid(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
@@ -303,7 +295,7 @@ mod tests {
         let response = read_response(&mut Cursor::new(raw)).unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(response.body, "hello");
-        assert!(!response.is_chunked());
+        assert!(!head_is_chunked(&response.head));
     }
 
     #[test]
@@ -312,7 +304,7 @@ mod tests {
                    5\r\nhello\r\n7\r\n, world\r\n0\r\n\r\n";
         let response = read_response(&mut Cursor::new(raw)).unwrap();
         assert_eq!(response.body, "hello, world");
-        assert!(response.is_chunked());
+        assert!(head_is_chunked(&response.head));
     }
 
     #[test]

@@ -202,17 +202,6 @@ impl Level {
     /// Level 2: slow, highly reliable (memory encoding).
     pub const TWO: Self = Self(2);
 
-    /// Creates a level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is zero (unencoded qubits are not logical qubits).
-    #[must_use]
-    pub fn new(level: u8) -> Self {
-        assert!(level >= 1, "concatenation level must be >= 1");
-        Self(level)
-    }
-
     /// The raw level number.
     #[must_use]
     pub const fn get(self) -> u8 {
@@ -319,19 +308,13 @@ mod tests {
     #[test]
     fn level_ordering_and_display() {
         assert!(Level::ONE < Level::TWO);
-        assert_eq!(Level::new(3).to_string(), "L3");
-    }
-
-    #[test]
-    #[should_panic(expected = ">= 1")]
-    fn level_zero_panics() {
-        let _ = Level::new(0);
+        assert_eq!(Level(3).to_string(), "L3");
     }
 
     #[test]
     #[should_panic(expected = "tabulated only for levels 1-2")]
     fn ancilla_beyond_level_two_panics() {
-        let _ = Code::Steane713.ancilla_qubits(Level::new(3));
+        let _ = Code::Steane713.ancilla_qubits(Level(3));
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl AppSize {
         Self { timesteps, qubits }
     }
 
-    /// `Q` — logical qubits.
-    #[must_use]
-    pub fn qubits(&self) -> f64 {
-        self.qubits
-    }
-
     /// `K·Q`, the total exposure to logical-operation failures.
     #[must_use]
     pub fn op_count(&self) -> f64 {
@@ -119,7 +113,6 @@ impl AppSize {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FidelityBudget {
-    code: Code,
     p_level1: Probability,
     p_level2: Probability,
 }
@@ -132,16 +125,9 @@ impl FidelityBudget {
         let p0 = tech.average_failure_rate();
         let p_th = code.threshold();
         Self {
-            code,
             p_level1: gottesman_failure_rate(p0, p_th, Level::ONE),
             p_level2: gottesman_failure_rate(p0, p_th, Level::TWO),
         }
-    }
-
-    /// The code this budget is for.
-    #[must_use]
-    pub fn code(&self) -> Code {
-        self.code
     }
 
     /// Per-operation failure rate at level 1 (Eq. 1).
@@ -154,21 +140,6 @@ impl FidelityBudget {
     #[must_use]
     pub fn level2_failure_rate(&self) -> Probability {
         self.p_level2
-    }
-
-    /// The smallest level whose Eq. 1 failure rate meets the application's
-    /// `1/KQ` requirement, or `None` if even level 2 is insufficient at
-    /// this technology point.
-    #[must_use]
-    pub fn required_level(&self, app: AppSize) -> Option<Level> {
-        let need = app.required_failure_rate();
-        if self.p_level1 <= need {
-            Some(Level::ONE)
-        } else if self.p_level2 <= need {
-            Some(Level::TWO)
-        } else {
-            None
-        }
     }
 
     /// Maximum fraction `x` of logical operations that may run at level 1
@@ -242,15 +213,16 @@ mod tests {
     #[test]
     fn shor_1024_needs_level_two() {
         let budget = FidelityBudget::new(Code::Steane713, &tech());
-        let app = shor_1024();
-        assert_eq!(budget.required_level(app), Some(Level::TWO));
+        let need = shor_1024().required_failure_rate();
+        assert!(budget.level1_failure_rate() > need);
+        assert!(budget.level2_failure_rate() <= need);
     }
 
     #[test]
     fn small_apps_can_run_at_level_one() {
         let budget = FidelityBudget::new(Code::Steane713, &tech());
         let tiny = AppSize::new(1e3, 10.0);
-        assert_eq!(budget.required_level(tiny), Some(Level::ONE));
+        assert!(budget.level1_failure_rate() <= tiny.required_failure_rate());
         assert_eq!(budget.max_level1_share(tiny), 1.0);
     }
 
@@ -279,7 +251,7 @@ mod tests {
     #[test]
     fn app_size_accessors() {
         let app = AppSize::new(100.0, 50.0);
-        assert_eq!(app.qubits(), 50.0);
+        assert_eq!(app.qubits, 50.0);
         assert_eq!(app.op_count(), 5_000.0);
         assert!((app.required_failure_rate().value() - 2e-4).abs() < 1e-12);
     }

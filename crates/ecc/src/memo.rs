@@ -18,7 +18,7 @@
 //!   table keeps a counter for each.
 //! - **Capacity.** [`Memo::with_capacity`] bounds the table: storing past
 //!   the bound evicts the least-recently-used entry (counted by
-//!   [`Memo::evictions`]). [`Memo::new`] is unbounded.
+//!   [`Memo::evictions`]). `Memo::default()` is unbounded.
 //!
 //! Values are cloned out on every lookup, so large values belong behind
 //! an `Arc`.
@@ -58,7 +58,7 @@ struct Table<K, V> {
 /// ```
 /// use cqla_ecc::memo::{Memo, Outcome};
 ///
-/// let memo: Memo<u32, u64> = Memo::new();
+/// let memo: Memo<u32, u64> = Memo::default();
 /// assert_eq!(memo.try_get_or_compute(6, || Ok::<_, ()>(720)), Ok((720, Outcome::Computed)));
 /// assert_eq!(memo.try_get_or_compute(6, || Err("memoized")), Ok((720, Outcome::Hit)));
 /// assert_eq!((memo.hits(), memo.misses()), (1, 1));
@@ -150,12 +150,6 @@ impl<K, V> Memo<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
-    /// Creates an empty, unbounded table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Returns the value for `key` and how it was obtained, running
     /// `compute` on a miss. An `Err` is returned to this caller and
     /// nothing is stored; parked waiters retry, one of them computing.
@@ -271,7 +265,7 @@ mod tests {
 
     #[test]
     fn second_lookup_hits_without_recomputing() {
-        let memo: Memo<(u32, u32), f64> = Memo::new();
+        let memo: Memo<(u32, u32), f64> = Memo::default();
         let mut runs = 0;
         for _ in 0..3 {
             let v = memo.get_or_compute((2, 3), || {
@@ -288,7 +282,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_get_distinct_entries() {
-        let memo: Memo<u32, u32> = Memo::new();
+        let memo: Memo<u32, u32> = Memo::default();
         assert_eq!(memo.get_or_compute(1, || 10), 10);
         assert_eq!(memo.get_or_compute(2, || 20), 20);
         assert_eq!(memo.len(), 2);
@@ -297,7 +291,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_agree() {
-        let memo: Memo<u32, u64> = Memo::new();
+        let memo: Memo<u32, u64> = Memo::default();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -317,7 +311,7 @@ mod tests {
 
     #[test]
     fn two_threads_on_one_key_compute_it_once() {
-        let memo: Memo<u32, u64> = Memo::new();
+        let memo: Memo<u32, u64> = Memo::default();
         let runs = AtomicUsize::new(0);
         let start = Barrier::new(2);
         std::thread::scope(|s| {
@@ -342,7 +336,7 @@ mod tests {
 
     #[test]
     fn failed_or_panicking_computes_are_not_stored_and_release_waiters() {
-        let memo: Memo<u32, u64> = Memo::new();
+        let memo: Memo<u32, u64> = Memo::default();
         assert_eq!(memo.try_get_or_compute(1, || Err("bad")), Err("bad"));
         assert!(memo.is_empty());
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -381,7 +375,7 @@ mod tests {
 
     #[test]
     fn single_flight_protocol_resolves_hits_and_retries_abandons() {
-        let memo: Memo<&str, String> = Memo::new();
+        let memo: Memo<&str, String> = Memo::default();
         // Cold miss: the caller computes; an `Err` abandons the key.
         assert_eq!(memo.try_get_or_compute("k", || Err(())), Err(()));
         // Abandoning re-opens the key: the next lookup computes again.

@@ -83,12 +83,6 @@ impl TileFloorplan {
         Self::new(TrapGrid::new(6, 7), 9, 12)
     }
 
-    /// The underlying trap grid.
-    #[must_use]
-    pub fn grid(&self) -> TrapGrid {
-        self.grid
-    }
-
     /// Worst-case hops for any ancilla ion to reach any data ion.
     #[must_use]
     pub fn max_interaction_distance(&self) -> u32 {
@@ -173,7 +167,7 @@ mod tests {
         ] {
             let mut seen = std::collections::HashSet::new();
             for c in plan.data.iter().chain(&plan.ancilla) {
-                assert!(plan.grid().contains(*c), "{c} off grid");
+                assert!(plan.grid.contains(*c), "{c} off grid");
                 assert!(seen.insert(*c), "{c} double-booked");
             }
         }
@@ -219,7 +213,7 @@ mod tests {
             TileFloorplan::steane_level1(),
             TileFloorplan::bacon_shor_level1(),
         ] {
-            let diameter = plan.grid().cols() - 1 + plan.grid().rows() - 1;
+            let diameter = plan.grid.cols() - 1 + plan.grid.rows() - 1;
             assert!(plan.max_interaction_distance() <= diameter);
         }
     }

@@ -5,7 +5,7 @@
 //! grid where each region holds up to two ions (enough for a two-qubit
 //! gate) and junctions are shared routing resources.
 
-use cqla_units::{Cycles, SquareMicrometers, SquareMillimeters};
+use cqla_units::{Cycles, SquareMillimeters};
 
 use crate::params::TechnologyParams;
 
@@ -54,12 +54,12 @@ impl core::fmt::Display for RegionCoord {
 /// # Examples
 ///
 /// ```
-/// use cqla_iontrap::{TechnologyParams, TrapGrid};
+/// use cqla_iontrap::{TechnologyParams, TileLayout, TrapGrid};
 ///
 /// let tech = TechnologyParams::projected();
 /// let grid = TrapGrid::new(9, 9);
 /// // A 9×9-region tile is the Steane level-1 footprint: ~0.2 mm².
-/// let area = grid.area(&tech).to_square_millimeters();
+/// let area = TileLayout::from_regions(grid.num_regions()).area(&tech);
 /// assert!((area.value() - 0.2025).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,16 +102,6 @@ impl TrapGrid {
     #[must_use]
     pub fn contains(&self, c: RegionCoord) -> bool {
         c.x < self.cols && c.y < self.rows
-    }
-
-    /// Physical footprint of the grid at the given technology's region
-    /// pitch.
-    #[must_use]
-    pub fn area(&self, tech: &TechnologyParams) -> SquareMicrometers {
-        let pitch = tech.region_pitch();
-        let w = pitch * f64::from(self.cols);
-        let h = pitch * f64::from(self.rows);
-        w * h
     }
 
     /// Plans a ballistic shuttle between two regions.
@@ -250,7 +240,7 @@ mod tests {
     fn grid_area_matches_steane_tile() {
         // 81 regions at 50 µm pitch = 0.2025 mm² (paper Table 2: 0.2).
         let g = TrapGrid::new(9, 9);
-        let area = g.area(&tech()).to_square_millimeters();
+        let area = TileLayout::from_regions(g.num_regions()).area(&tech());
         assert!((area.value() - 0.2025).abs() < 1e-12);
     }
 
@@ -258,8 +248,9 @@ mod tests {
     fn grid_dimensions() {
         let g = TrapGrid::new(4, 2);
         // 200 µm × 100 µm at the 50 µm region pitch.
-        let area = g.area(&tech());
-        assert_eq!(area, Micrometers::new(200.0) * Micrometers::new(100.0));
+        let area = TileLayout::from_regions(g.num_regions()).area(&tech());
+        let expect = Micrometers::new(200.0) * Micrometers::new(100.0);
+        assert_eq!(area, expect.to_square_millimeters());
     }
 
     #[test]

@@ -31,9 +31,6 @@ pub enum PauliOp {
 }
 
 impl PauliOp {
-    /// All four single-qubit Paulis.
-    pub const ALL: [Self; 4] = [Self::I, Self::X, Self::Y, Self::Z];
-
     /// The three non-identity Paulis (the error basis).
     pub const ERRORS: [Self; 3] = [Self::X, Self::Y, Self::Z];
 
@@ -361,7 +358,7 @@ mod tests {
 
     #[test]
     fn squares_are_identity() {
-        for op in PauliOp::ALL {
+        for op in [PauliOp::I, PauliOp::X, PauliOp::Y, PauliOp::Z] {
             let p = PauliString::single(3, 1, op);
             assert_eq!(p.mul(&p), PauliString::identity(3), "{op}^2 != I");
         }

@@ -125,12 +125,6 @@ impl SweepRun {
         point.data.clone()
     }
 
-    /// The sweep's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Per-point results in submission order.
     #[must_use]
     pub fn results(&self) -> &[GridPoint] {
@@ -388,7 +382,7 @@ mod tests {
             assert_eq!(
                 format!(
                     "{}{fragments}{}",
-                    frame::prologue(SweepRun::head(run.name(), run.results().len())),
+                    frame::prologue(SweepRun::head(&run.name, run.results().len())),
                     frame::DOCUMENT_EPILOGUE
                 ),
                 format!("{}\n", run.to_json().to_pretty()),

@@ -220,18 +220,6 @@ impl GridRun {
         ])
     }
 
-    /// The experiment id the grid ran.
-    #[must_use]
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
-    /// The expression text the grid was parsed from.
-    #[must_use]
-    pub fn spec(&self) -> &str {
-        &self.spec
-    }
-
     /// Per-point results in submission order.
     #[must_use]
     pub fn points(&self) -> &[GridPoint] {
@@ -510,7 +498,7 @@ mod tests {
         for expr in ["", "bits=8,16 cap=4,8", "bits=8..=32:*2"] {
             let g = grid("fig2", expr);
             let (run, seen) = stream(&g, 3);
-            let head = GridRun::head(run.id(), run.spec(), run.points().len());
+            let head = GridRun::head(&run.id, &run.spec, run.points().len());
             assert_eq!(
                 framed(head, &seen),
                 format!("{}\n", run.to_json().to_pretty()),

@@ -25,12 +25,6 @@ impl SquareMicrometers {
         Self(value)
     }
 
-    /// Returns the raw value in square micrometers.
-    #[must_use]
-    pub const fn value(self) -> f64 {
-        self.0
-    }
-
     /// Converts to square millimeters (the unit the paper reports tile
     /// sizes in).
     #[must_use]

@@ -31,7 +31,7 @@ mod probability;
 mod time;
 
 pub use area::{SquareMicrometers, SquareMillimeters};
-pub use probability::{Probability, ProbabilityError};
+pub use probability::Probability;
 pub use time::{Cycles, Seconds};
 
 /// Length in micrometers, the natural unit of ion-trap geometry.

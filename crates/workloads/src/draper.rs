@@ -68,12 +68,6 @@ impl DraperAdder {
         }
     }
 
-    /// Adder width in bits.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.n
-    }
-
     /// The generated circuit.
     #[must_use]
     pub fn circuit(&self) -> Circuit {
@@ -373,16 +367,33 @@ mod tests {
         }
     }
 
+    /// Every width up to 512, plus the widths either side of each power
+    /// of two and of each three times a power of two up to
+    /// [`MAX_ADDER_BITS`]: the closed forms' `⌊log₂⌋` terms step there.
+    fn pinned_widths() -> Vec<u32> {
+        let mut widths: Vec<u32> = (1..=512).collect();
+        for k in 0..=12 {
+            for base in [1u32 << k, 3 << k] {
+                widths.extend([base - 1, base, base + 1]);
+            }
+        }
+        widths.retain(|&n| (1..=MAX_ADDER_BITS).contains(&n));
+        widths.sort_unstable();
+        widths.dedup();
+        widths
+    }
+
     #[test]
     fn depth_is_logarithmic() {
-        // Toffoli-layer depth must grow like ~4·lg n, nowhere near linear.
-        let d8 = DependencyDag::new(&DraperAdder::new(8).circuit()).depth();
-        let d64 = DependencyDag::new(&DraperAdder::new(64).circuit()).depth();
-        assert!(d64 < 2 * d8, "8-bit depth {d8}, 64-bit depth {d64}");
-        assert!(
-            d64 < 64,
-            "64-bit adder depth {d64} should be far below linear"
-        );
+        // Exactly ⌊log₂ n⌋ + ⌊log₂ ⌊n/3⌋⌋ + 7 layers from n = 4 on.
+        for n in pinned_widths() {
+            let depth = DependencyDag::new(DraperAdder::new(n).circuit_ref()).depth();
+            let expect = match n {
+                1..=3 => n + 3,
+                _ => n.ilog2() + (n / 3).ilog2() + 7,
+            };
+            assert_eq!(depth, expect as usize, "n={n}");
+        }
     }
 
     #[test]
@@ -395,17 +406,14 @@ mod tests {
 
     #[test]
     fn toffoli_count_is_linear() {
-        for n in [16u32, 32, 64] {
-            let adder = DraperAdder::new(n);
-            let toffolis = adder.circuit_ref().counts().toffoli;
-            assert!(
-                toffolis <= 5 * u64::from(n),
-                "n={n}: {toffolis} toffolis exceeds 5n"
-            );
-            assert!(
-                toffolis >= 4 * u64::from(n) - 16,
-                "n={n}: {toffolis} too few"
-            );
+        // Exactly 5n − 3·w(n) − 3·⌊log₂ n⌋ − 1 Toffolis, w the popcount,
+        // and 3n other gates.
+        for n in pinned_widths() {
+            let counts = DraperAdder::new(n).circuit_ref().counts();
+            let (w, lg) = (n.count_ones(), n.ilog2());
+            let toffolis = 5 * n - 3 * w - 3 * lg - 1;
+            assert_eq!(counts.toffoli, u64::from(toffolis), "n={n}");
+            assert_eq!(counts.total() - counts.toffoli, 3 * u64::from(n), "n={n}");
         }
     }
 

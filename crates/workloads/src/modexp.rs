@@ -47,12 +47,6 @@ impl ModExp {
         Self { n }
     }
 
-    /// Modulus width in bits.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.n
-    }
-
     /// Controlled modular multiplications: `2n` (one per exponent bit of
     /// the 2n-bit superposed exponent).
     #[must_use]

@@ -5,13 +5,12 @@
 //! personalized communication"), but each interaction is a cheap two-qubit
 //! gate — a communication-heavy, computation-light workload.
 
-use cqla_circuit::Circuit;
-
 /// Size descriptor for the textbook QFT circuit.
 ///
 /// Only the width is stored: the gate counts are closed forms, so sizing
 /// a QFT (as Shor's fidelity budget and Fig 8b do) never materializes the
-/// `n(n+1)/2`-gate circuit. [`Qft::circuit`] builds it on demand.
+/// `n(n+1)/2`-gate circuit. The tests generate it to check the closed
+/// forms.
 ///
 /// # Examples
 ///
@@ -21,7 +20,7 @@ use cqla_circuit::Circuit;
 /// let qft = Qft::new(16);
 /// // n Hadamards + n(n-1)/2 controlled-phase rotations.
 /// assert_eq!(qft.pair_interactions(), 120);
-/// assert_eq!(qft.circuit().len() as u64, 16 + 120);
+/// assert_eq!(qft.total_gates(), 16 + 120);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Qft {
@@ -41,29 +40,6 @@ impl Qft {
         Self { n }
     }
 
-    /// Number of qubits.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.n
-    }
-
-    /// Generates the circuit: a Hadamard on each qubit followed by its
-    /// controlled-phase rotations from every later qubit.
-    #[must_use]
-    pub fn circuit(&self) -> Circuit {
-        let n = self.n;
-        let mut c = Circuit::new(n);
-        for i in 0..n {
-            c.h(i);
-            for j in (i + 1)..n {
-                // Rotation angle 2π / 2^(j - i + 1), controlled by qubit j.
-                let order = u8::try_from((j - i + 1).min(127)).expect("bounded above");
-                c.controlled_phase(j, i, order);
-            }
-        }
-        c
-    }
-
     /// Number of two-qubit interactions: `n(n-1)/2` — every ordered pair
     /// exactly once, the all-to-all pattern of paper Fig 8b.
     #[must_use]
@@ -81,12 +57,29 @@ impl Qft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqla_circuit::{DependencyDag, Gate};
+    use cqla_circuit::{Circuit, DependencyDag, Gate};
+
+    /// The textbook circuit the closed forms count: a Hadamard on each
+    /// qubit followed by its controlled-phase rotations from every later
+    /// qubit.
+    fn circuit(qft: Qft) -> Circuit {
+        let n = qft.n;
+        let mut c = Circuit::new(n);
+        for i in 0..n {
+            c.h(i);
+            for j in (i + 1)..n {
+                // Rotation angle 2π / 2^(j - i + 1), controlled by qubit j.
+                let order = u8::try_from((j - i + 1).min(127)).expect("bounded above");
+                c.controlled_phase(j, i, order);
+            }
+        }
+        c
+    }
 
     #[test]
     fn gate_census() {
         let qft = Qft::new(8);
-        let counts = qft.circuit().counts();
+        let counts = circuit(qft).counts();
         assert_eq!(counts.single_qubit, 8);
         assert_eq!(counts.two_qubit_other, 28);
         assert_eq!(counts.toffoli, 0);
@@ -97,7 +90,7 @@ mod tests {
     fn closed_forms_match_the_generated_circuit() {
         for n in 1..=64 {
             let qft = Qft::new(n);
-            let circuit = qft.circuit();
+            let circuit = circuit(qft);
             let counts = circuit.counts();
             assert_eq!(qft.total_gates(), circuit.len() as u64, "n = {n}");
             assert_eq!(qft.pair_interactions(), counts.two_qubit_other, "n = {n}");
@@ -109,7 +102,7 @@ mod tests {
     fn every_pair_interacts_exactly_once() {
         let qft = Qft::new(10);
         let mut pairs = std::collections::HashSet::new();
-        for g in qft.circuit().gates() {
+        for g in circuit(qft).gates() {
             if let Gate::ControlledPhase {
                 control, target, ..
             } = g
@@ -127,7 +120,7 @@ mod tests {
     #[test]
     fn rotation_orders_decay_with_distance() {
         let qft = Qft::new(6);
-        for g in qft.circuit().gates() {
+        for g in circuit(qft).gates() {
             if let Gate::ControlledPhase {
                 control,
                 target,
@@ -144,7 +137,7 @@ mod tests {
     fn depth_is_linear_not_quadratic() {
         // Each qubit's H must wait for all rotations targeting it, but
         // rotations on disjoint pairs commute into parallel layers.
-        let dag = DependencyDag::new(&Qft::new(24).circuit());
+        let dag = DependencyDag::new(&circuit(Qft::new(24)));
         let depth = dag.depth();
         assert!(depth >= 24, "depth {depth}");
         assert!(depth < 24 * 24 / 2, "depth {depth} is quadratic");

@@ -60,22 +60,10 @@ impl RippleCarryAdder {
         Self { n, circuit: c }
     }
 
-    /// Adder width in bits.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.n
-    }
-
     /// The generated circuit.
     #[must_use]
     pub fn circuit(&self) -> Circuit {
         self.circuit.clone()
-    }
-
-    /// Borrowed view of the generated circuit.
-    #[must_use]
-    pub fn circuit_ref(&self) -> &Circuit {
-        &self.circuit
     }
 
     /// Runs the adder on classical inputs and returns `a + b`, asserting
@@ -171,7 +159,6 @@ mod tests {
     #[test]
     fn no_ancilla_used() {
         let adder = RippleCarryAdder::new(16);
-        assert_eq!(adder.circuit_ref().num_qubits(), 3 * 16 + 1);
-        assert_eq!(adder.width(), 16);
+        assert_eq!(adder.circuit.num_qubits(), 3 * 16 + 1);
     }
 }

@@ -37,12 +37,6 @@ impl ShorInstance {
         Self { n }
     }
 
-    /// Bits of the number being factored.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.n
-    }
-
     /// The modular-exponentiation phase.
     #[must_use]
     pub fn modexp(&self) -> ModExp {
@@ -74,18 +68,6 @@ impl ShorInstance {
         let k = me.additions() as f64 * depth_per_add as f64 + self.qft().total_gates() as f64;
         (k, me.working_qubits() as f64)
     }
-
-    /// Fraction of the total gate work contributed by the QFT — small, per
-    /// the paper ("the QFT comprises a small fraction of the overall
-    /// Shor's algorithm").
-    #[must_use]
-    pub fn qft_work_fraction(&self) -> f64 {
-        let me = self.modexp();
-        let (_, work_per_add) = me.kernel_stats();
-        let modexp_work = me.additions() as f64 * work_per_add as f64;
-        let qft_work = self.qft().total_gates() as f64;
-        qft_work / (modexp_work + qft_work)
-    }
 }
 
 impl core::fmt::Display for ShorInstance {
@@ -98,11 +80,23 @@ impl core::fmt::Display for ShorInstance {
 mod tests {
     use super::*;
 
+    /// Fraction of the total gate work contributed by the QFT — small, per
+    /// the paper ("the QFT comprises a small fraction of the overall
+    /// Shor's algorithm").
+    fn qft_work_fraction(shor: ShorInstance) -> f64 {
+        let me = shor.modexp();
+        let (_, work_per_add) = me.kernel_stats();
+        let modexp_work = me.additions() as f64 * work_per_add as f64;
+        let qft_work = shor.qft().total_gates() as f64;
+        qft_work / (modexp_work + qft_work)
+    }
+
     #[test]
     fn composition_widths() {
         let s = ShorInstance::new(512);
-        assert_eq!(s.modexp().width(), 512);
-        assert_eq!(s.qft().width(), 1024);
+        assert_eq!(s.modexp(), ModExp::new(512));
+        // The QFT spans the 1024-bit exponent register.
+        assert_eq!(s.qft().pair_interactions(), 1024 * 1023 / 2);
     }
 
     #[test]
@@ -141,14 +135,14 @@ mod tests {
             let (kk, qq) = shor.app_size();
             assert_eq!(kk.to_bits(), k, "K at {bits} bits: {kk}");
             assert_eq!(qq.to_bits(), q, "Q at {bits} bits: {qq}");
-            let f = shor.qft_work_fraction();
+            let f = qft_work_fraction(shor);
             assert_eq!(f.to_bits(), fraction, "QFT fraction at {bits} bits: {f}");
         }
     }
 
     #[test]
     fn qft_is_a_small_fraction() {
-        let f = ShorInstance::new(256).qft_work_fraction();
+        let f = qft_work_fraction(ShorInstance::new(256));
         assert!(f < 0.01, "QFT fraction {f}");
     }
 

@@ -17,8 +17,7 @@
 //! | [`circuit`] | `cqla-circuit` | gate IR, DAGs, scheduling, reversible sim |
 //! | [`compile`] | `cqla-compile` | asm program pipeline + seeded workload generator |
 //! | [`workloads`] | `cqla-workloads` | Draper/ripple adders, modexp, QFT, Shor |
-//! | [`network`] | `cqla-network` | EPR purification, superblock bandwidth (Fig 6b) |
-//! | [`core`] | `cqla-core` | the CQLA itself + the experiment registry + JSON |
+//! | [`core`] | `cqla-core` | the CQLA itself, its teleportation network (Fig 6b) + the experiment registry + JSON |
 //! | [`sweep`] | `cqla-sweep` | parallel experiment engine + sweep-spec language |
 //! | [`serve`] | `cqla-serve` | long-running HTTP service over the registry |
 //! | [`dist`] | `cqla-dist` | distributed sweeps across `cqla serve` worker fleets |
@@ -50,7 +49,6 @@ pub use cqla_core as core;
 pub use cqla_dist as dist;
 pub use cqla_ecc as ecc;
 pub use cqla_iontrap as iontrap;
-pub use cqla_network as network;
 pub use cqla_serve as serve;
 pub use cqla_stabilizer as stabilizer;
 pub use cqla_sweep as sweep;

@@ -119,7 +119,9 @@ fn shor_app_size_consistent_with_fidelity_requirements() {
     let budget = FidelityBudget::new(Code::Steane713, &tech());
     // Level 2 must be sufficient (the paper's machines work), level 1
     // alone must not (otherwise the hierarchy would be pointless).
-    assert_eq!(budget.required_level(app), Some(Level::TWO));
+    let need = app.required_failure_rate();
+    assert!(budget.level2_failure_rate() <= need);
+    assert!(budget.level1_failure_rate() > need);
     assert!(budget.max_level1_share(app) < 0.5);
 }
 
